@@ -1,10 +1,9 @@
 //! Property tests: the static envelope must sandwich simulated
 //! execution time — `span ≤ T ≤ upper`, plus the speedup-bound
 //! sandwich — for every paper benchmark and for randomized programs,
-//! under both simulation strategies and both schedulers.
+//! under both simulation strategies.
 
 use extrap_analyze::{analyze, envelope, verify_prediction};
-use extrap_core::SchedulerKind;
 use extrap_core::{machine, run_compiled, CompiledProgram, SimParams, SimStrategy};
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::builder::{PhaseAccess, PhaseProgram, PhaseWork};
@@ -24,29 +23,15 @@ fn machines() -> Vec<(&'static str, SimParams)> {
     ]
 }
 
-fn strategy_matrix() -> Vec<(&'static str, SimStrategy, SchedulerKind)> {
+fn strategy_matrix() -> Vec<(&'static str, SimStrategy)> {
     vec![
-        ("exact/heap", SimStrategy::Exact, SchedulerKind::Heap),
+        ("exact", SimStrategy::Exact),
         (
-            "exact/calendar",
-            SimStrategy::Exact,
-            SchedulerKind::Calendar,
-        ),
-        (
-            "repr/heap",
+            "repr",
             SimStrategy::Representative {
                 max_clusters: SimStrategy::DEFAULT_MAX_CLUSTERS,
                 tolerance: SimStrategy::DEFAULT_TOLERANCE,
             },
-            SchedulerKind::Heap,
-        ),
-        (
-            "repr/calendar",
-            SimStrategy::Representative {
-                max_clusters: SimStrategy::DEFAULT_MAX_CLUSTERS,
-                tolerance: SimStrategy::DEFAULT_TOLERANCE,
-            },
-            SchedulerKind::Calendar,
         ),
     ]
 }
@@ -103,10 +88,9 @@ fn registry_benches_sandwich() {
                 .expect("translate");
             let program = compile(&set);
             for (mname, base) in machines() {
-                for (sname, strategy, scheduler) in strategy_matrix() {
+                for (sname, strategy) in strategy_matrix() {
                     let mut params = base.clone();
                     params.strategy = strategy;
-                    params.scheduler = scheduler;
                     let label = format!("{}/{n}t/{mname}/{sname}", bench.name());
                     assert_sandwich(&label, &program, &params);
                 }
@@ -122,10 +106,9 @@ fn matmul_sandwich() {
         let set = extrap_trace::translate(&trace, Default::default()).expect("translate");
         let program = compile(&set);
         for (mname, base) in machines() {
-            for (sname, strategy, scheduler) in strategy_matrix() {
+            for (sname, strategy) in strategy_matrix() {
                 let mut params = base.clone();
                 params.strategy = strategy;
-                params.scheduler = scheduler;
                 assert_sandwich(&format!("matmul/{n}t/{mname}/{sname}"), &program, &params);
             }
         }
@@ -210,10 +193,9 @@ fn random_programs_sandwich() {
     for i in 0..60 {
         let program = random_program(&mut rng);
         for (mname, base) in machines() {
-            for (sname, strategy, scheduler) in strategy_matrix() {
+            for (sname, strategy) in strategy_matrix() {
                 let mut params = base.clone();
                 params.strategy = strategy;
-                params.scheduler = scheduler;
                 assert_sandwich(&format!("rand{i}/{mname}/{sname}"), &program, &params);
             }
         }

@@ -4,37 +4,16 @@
 use extrap_bench::harness::{Harness, Throughput};
 use extrap_bench::{ring_program, ring_traces};
 use extrap_core::{extrapolate, machine, CompiledProgram, RecordMode, SimScratch};
-use extrap_sim::{SchedulerKind, SplitMix64};
+use extrap_sim::SplitMix64;
 use extrap_time::{DurationNs, TimeNs};
 use std::hint::black_box;
 
 /// Schedules every timestamp in `times`, then drains the queue; the raw
-/// event-queue hot loop for one backend.
-fn drain(kind: SchedulerKind, times: &[u64]) -> u64 {
-    let mut eng: extrap_sim::Engine<u64> = extrap_sim::Engine::with_scheduler(kind);
+/// event-queue hot loop.
+fn drain(times: &[u64]) -> u64 {
+    let mut eng: extrap_sim::Engine<u64> = extrap_sim::Engine::new();
     for (i, &t) in times.iter().enumerate() {
         eng.schedule(TimeNs(t), i as u64);
-    }
-    let mut count = 0u64;
-    while eng.next().is_some() {
-        count += 1;
-    }
-    count
-}
-
-/// Like [`drain`], but cancels every other event before draining — the
-/// slab queue's O(1) cancel and lazy tombstone purge under churn.
-fn drain_with_cancel(kind: SchedulerKind, times: &[u64]) -> u64 {
-    let mut eng: extrap_sim::Engine<u64> = extrap_sim::Engine::with_scheduler(kind);
-    let mut tokens = Vec::with_capacity(times.len() / 2);
-    for (i, &t) in times.iter().enumerate() {
-        let tok = eng.schedule(TimeNs(t), i as u64);
-        if i % 2 == 0 {
-            tokens.push(tok);
-        }
-    }
-    for tok in tokens.drain(..) {
-        eng.cancel(tok);
     }
     let mut count = 0u64;
     while eng.next().is_some() {
@@ -114,12 +93,9 @@ fn main() {
         );
     }
 
-    // The raw event queue under both backends, over three timestamp
-    // shapes.  Uniform is the calendar queue's home turf; skewed
+    // The raw event queue over three timestamp shapes: uniform, skewed
     // (almost everything near-term, a sparse far-future tail) and
-    // clustered (tight equal-time bursts separated by long gaps) are
-    // its classic worst cases, kept honest by resize-on-skew and the
-    // direct-search fallback.
+    // clustered (tight equal-time bursts separated by long gaps).
     let uniform: Vec<u64> = (0..10_000u64).map(|i| i % 977).collect();
     let skewed: Vec<u64> = {
         let mut rng = SplitMix64::new(0x5eed_cafe);
@@ -135,23 +111,9 @@ fn main() {
     };
     let clustered: Vec<u64> = (0..10_000u64).map(|i| (i / 100) * 1_000_000).collect();
 
-    for (suffix, kind) in [
-        ("heap", SchedulerKind::Heap),
-        ("calendar", SchedulerKind::Calendar),
-    ] {
-        h.bench(&format!("event_queue_10k_{suffix}"), || {
-            black_box(drain(kind, &uniform))
-        });
-        h.bench(&format!("event_queue_cancel_10k_{suffix}"), || {
-            black_box(drain_with_cancel(kind, &uniform))
-        });
-        h.bench(&format!("event_queue_skewed_10k_{suffix}"), || {
-            black_box(drain(kind, &skewed))
-        });
-        h.bench(&format!("event_queue_clustered_10k_{suffix}"), || {
-            black_box(drain(kind, &clustered))
-        });
-    }
+    h.bench("event_queue_10k", || black_box(drain(&uniform)));
+    h.bench("event_queue_skewed_10k", || black_box(drain(&skewed)));
+    h.bench("event_queue_clustered_10k", || black_box(drain(&clustered)));
 
     h.finish();
 }

@@ -6,7 +6,7 @@
 //! extrap translate trace.xtrp -o traces.xtps [--event-overhead US] [--switch-overhead US] \
 //!                  [--stream [--mem-budget BYTES]]     # out-of-core spill/merge translate
 //! extrap simulate  traces.xtps [--machine M | --params FILE] [--set KEY=VALUE]... \
-//!                  [--scheduler heap|calendar|auto] [--check-bounds] [--predicted OUT] [--stream]
+//!                  [--check-bounds] [--predicted OUT] [--stream]
 //! extrap analyze   FILE|BENCH [--threads N] [--procs LIST] [--format text|json|csv]
 //! extrap sweep     <bench>[,<bench>...] [--procs 1,2,...] [--jobs N] [--csv] [--check-bounds] \
 //!                  [--stream [--mem-budget BYTES]]     # bounded-resident grid sweep
@@ -26,9 +26,7 @@ mod args;
 mod remote;
 
 use args::ArgSpec;
-use extrap_core::{
-    machine, Extrapolator, SchedulerKind, SharedTraceCache, SimParams, SimStrategy, SweepGrid,
-};
+use extrap_core::{machine, Extrapolator, SharedTraceCache, SimParams, SimStrategy, SweepGrid};
 use extrap_time::{DurationNs, TimeNs};
 use extrap_trace::{TraceRecord, TraceStats, TranslateOptions, TranslateSink};
 use extrap_workloads::{Bench, Scale};
@@ -77,14 +75,13 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  extrap translate FILE -o FILE [--event-overhead US] [--switch-overhead US] \
                  [--stream [--mem-budget BYTES]]\n  \
                  extrap simulate FILE [--machine distributed|shared|ideal|cm5] [--params FILE] \
-                 [--set KEY=VALUE]... [--scheduler heap|calendar|auto] \
-                 [--strategy exact|repr[:K[:TOL]]] [--check-bounds] [--predicted FILE] \
-                 [--stream]\n  \
+                 [--set KEY=VALUE]... [--strategy exact|repr[:K[:TOL]]] [--check-bounds] \
+                 [--predicted FILE] [--stream]\n  \
                  extrap analyze FILE|BENCH [--threads N] [--procs 1,2,4,8,16,32] [--scale S] \
                  [--format text|json|csv] [--machine M] [--params FILE] [--set KEY=VALUE]...\n  \
                  extrap sweep <bench>[,<bench>...] [--procs 1,2,4,8,16,32] [--scale S] \
                  [--machine M] [--params FILE] [--set KEY=VALUE]... \
-                 [--scheduler heap|calendar|auto] [--strategy exact|repr[:K[:TOL]]] \
+                 [--strategy exact|repr[:K[:TOL]]] \
                  [--jobs N] [--csv] [--check-bounds] [--stream [--mem-budget BYTES]]\n  \
                  extrap serve [--addr HOST:PORT] [--workers N] [--sweep-workers N] \
                  [--mem-budget-mb N] [--max-inflight N] [--max-conn-inflight N] \
@@ -231,7 +228,7 @@ fn cmd_translate(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Takes the `--params`/`--machine`/`--set`/`--scheduler` family off a
+/// Takes the `--params`/`--machine`/`--set`/`--strategy` family off a
 /// spec — the parameter-loading protocol every simulating subcommand
 /// (local or remote) shares.
 fn load_params(spec: &mut ArgSpec) -> Result<SimParams, String> {
@@ -250,11 +247,6 @@ fn load_params(spec: &mut ArgSpec) -> Result<SimParams, String> {
         let mut text = params.to_config_text();
         text.push_str(&format!("{} = {}\n", key.trim(), value.trim()));
         params = SimParams::from_config_text(&text)?;
-    }
-    if let Some(kind) =
-        spec.enumerated("--scheduler", "heap, calendar, auto", SchedulerKind::parse)?
-    {
-        params.scheduler = kind;
     }
     if let Some(strategy) = spec.enumerated("--strategy", SimStrategy::VALID, SimStrategy::parse)? {
         params.strategy = strategy;

@@ -5,11 +5,11 @@
 use crate::params::BarrierParams;
 use extrap_time::TimeNs;
 
-/// Per-thread resume times.
-pub fn resume_times(p: &BarrierParams, entry_done: &[TimeNs]) -> Vec<TimeNs> {
-    let last = *entry_done.iter().max().expect("empty barrier");
+/// Replaces each thread's entry-complete time with its resume time.
+pub fn resume_times(p: &BarrierParams, times: &mut [TimeNs]) {
+    let last = *times.iter().max().expect("empty barrier");
     let release = last + p.hardware_latency;
-    entry_done.iter().map(|_| release + p.exit).collect()
+    times.fill(release + p.exit);
 }
 
 #[cfg(test)]
@@ -31,7 +31,8 @@ mod tests {
             algorithm: BarrierAlgorithm::Hardware,
             hardware_latency: DurationNs(11),
         };
-        let r = resume_times(&p, &[TimeNs(5), TimeNs(70), TimeNs(40)]);
-        assert_eq!(r, vec![TimeNs(84); 3]);
+        let mut r = [TimeNs(5), TimeNs(70), TimeNs(40)];
+        resume_times(&p, &mut r);
+        assert_eq!(r, [TimeNs(84); 3]);
     }
 }

@@ -10,26 +10,23 @@ use super::quantize;
 use crate::params::BarrierParams;
 use extrap_time::TimeNs;
 
-/// Per-thread resume times (thread 0 is the master).
-pub fn resume_times(p: &BarrierParams, entry_done: &[TimeNs]) -> Vec<TimeNs> {
-    let master_ready = entry_done[0];
-    let last = *entry_done.iter().max().expect("empty barrier");
+/// Replaces each thread's entry-complete time with its resume time
+/// (thread 0 is the master).
+pub fn resume_times(p: &BarrierParams, times: &mut [TimeNs]) {
+    let master_ready = times[0];
+    let last = *times.iter().max().expect("empty barrier");
     // Master observes the last arrival on its CheckTime grid.
     let observed = quantize(master_ready, last, p.check);
     let lower = observed + p.model;
-    entry_done
-        .iter()
-        .enumerate()
-        .map(|(i, &done)| {
-            if i == 0 {
-                lower + p.exit
-            } else {
-                // Each slave notices the lowered flag on its own
-                // ExitCheckTime grid, anchored at its wait start.
-                quantize(done, lower, p.exit_check) + p.exit
-            }
-        })
-        .collect()
+    for (i, t) in times.iter_mut().enumerate() {
+        *t = if i == 0 {
+            lower + p.exit
+        } else {
+            // Each slave notices the lowered flag on its own
+            // ExitCheckTime grid, anchored at its wait start.
+            quantize(*t, lower, p.exit_check) + p.exit
+        };
+    }
 }
 
 /// Alias used by the coordinator for clarity at the call site.
@@ -58,7 +55,8 @@ mod tests {
     #[test]
     fn master_quantizes_last_arrival() {
         // Master ready at 100, last at 133 -> observed on 10-grid: 140.
-        let r = resume_times(&p(), &[TimeNs(100), TimeNs(133)]);
+        let mut r = [TimeNs(100), TimeNs(133)];
+        resume_times(&p(), &mut r);
         // lower = 140 + 50 = 190. master: 190+5=195.
         assert_eq!(r[0], TimeNs(195));
         // slave anchored at 133: 190 -> grid 133+4k >= 190 -> 193; +5 = 198.
@@ -70,14 +68,15 @@ mod tests {
         let mut params = p();
         params.check = DurationNs::ZERO;
         params.exit_check = DurationNs::ZERO;
-        let r = resume_times(&params, &[TimeNs(100), TimeNs(100), TimeNs(100)]);
+        let mut r = [TimeNs(100); 3];
+        resume_times(&params, &mut r);
         assert!(r.iter().all(|&t| t == TimeNs(155)));
     }
 
     #[test]
     fn all_resumes_at_or_after_lowering() {
-        let entry = [TimeNs(10), TimeNs(500), TimeNs(20), TimeNs(499)];
-        let r = resume_times(&p(), &entry);
+        let mut r = [TimeNs(10), TimeNs(500), TimeNs(20), TimeNs(499)];
+        resume_times(&p(), &mut r);
         let lower = quantize(TimeNs(10), TimeNs(500), DurationNs(10)) + DurationNs(50);
         for &t in &r {
             assert!(t >= lower);

@@ -10,8 +10,9 @@
 //! as the "easily substituted" alternative algorithms.
 //!
 //! The coordinator is model logic only: it computes *when* things happen
-//! and hands the engine a list of [`BarrierAction`]s (messages to inject,
-//! threads to resume); the engine owns the event queue and the network.
+//! and appends [`BarrierAction`]s (messages to inject, threads to resume)
+//! to a buffer the engine owns and reuses; the engine owns the event
+//! queue and the network.
 
 pub mod hardware;
 pub mod linear;
@@ -70,8 +71,8 @@ pub fn quantize(anchor: TimeNs, t: TimeNs, q: DurationNs) -> TimeNs {
     anchor + DurationNs(ticks * period)
 }
 
-/// Per-barrier bookkeeping.
-#[derive(Clone, Debug)]
+/// Per-barrier bookkeeping, recycled once the barrier completes.
+#[derive(Clone, Debug, Default)]
 struct BarrierState {
     /// Per-thread entry-complete times (trace event time + `EntryTime`).
     entry_done: Vec<Option<TimeNs>>,
@@ -81,30 +82,49 @@ struct BarrierState {
     entered: usize,
     /// Count of arrivals recorded at the master.
     arrived_msgs: usize,
-    /// Set once the master has computed the lowering time.
-    lowered: Option<TimeNs>,
+    /// Release messages delivered to slaves (message mode).
+    released_msgs: usize,
 }
 
 impl BarrierState {
-    fn new(n: usize) -> BarrierState {
-        BarrierState {
-            entry_done: vec![None; n],
-            arrivals: vec![None; n],
-            entered: 0,
-            arrived_msgs: 0,
-            lowered: None,
-        }
+    fn reset(&mut self, n: usize) {
+        self.entry_done.clear();
+        self.entry_done.resize(n, None);
+        self.arrivals.clear();
+        self.arrivals.resize(n, None);
+        self.entered = 0;
+        self.arrived_msgs = 0;
+        self.released_msgs = 0;
     }
 }
 
+/// `slot_of` marker: the barrier has not been entered yet.
+const UNSEEN: u32 = u32::MAX;
+/// `slot_of` marker: the barrier completed and its state was recycled.
+const RETIRED: u32 = u32::MAX - 1;
+
 /// The barrier model's coordinator.  One instance serves all barriers of
 /// a run (they are indexed by program-order [`BarrierId`]).
+///
+/// Only barriers still in progress hold state: a completed barrier's
+/// state goes back to a free list and is reused by a later barrier, and
+/// [`reset`](BarrierCoordinator::reset) keeps every buffer for the next
+/// run, so a recycled coordinator stops allocating once it has seen its
+/// peak number of concurrently open barriers.
 #[derive(Clone, Debug)]
 pub struct BarrierCoordinator {
     n_threads: usize,
     params: BarrierParams,
     comm: CommParams,
+    /// State pool; live barriers find theirs through `slot_of`.
     states: Vec<BarrierState>,
+    /// Program-order barrier index → slot in `states` (or a marker).
+    slot_of: Vec<u32>,
+    /// Slots of completed barriers, ready for reuse.
+    free: Vec<u32>,
+    /// Entry-complete times, turned into resume times in place by the
+    /// non-message algorithms.
+    times: Vec<TimeNs>,
     /// Total barrier synchronization episodes completed.
     completed: usize,
 }
@@ -118,8 +138,23 @@ impl BarrierCoordinator {
             params,
             comm,
             states: Vec::new(),
+            slot_of: Vec::new(),
+            free: Vec::new(),
+            times: Vec::new(),
             completed: 0,
         }
+    }
+
+    /// Re-arms the coordinator for a new run, keeping its buffers.
+    pub fn reset(&mut self, n_threads: usize, params: BarrierParams, comm: CommParams) {
+        assert!(n_threads > 0);
+        self.n_threads = n_threads;
+        self.params = params;
+        self.comm = comm;
+        self.slot_of.clear();
+        self.free.clear();
+        self.free.extend((0..self.states.len() as u32).rev());
+        self.completed = 0;
     }
 
     /// Barriers fully released so far.
@@ -127,12 +162,31 @@ impl BarrierCoordinator {
         self.completed
     }
 
-    fn state(&mut self, b: BarrierId) -> &mut BarrierState {
+    /// The state slot of barrier `b`, opening one on first use.
+    fn slot(&mut self, b: BarrierId) -> usize {
         let idx = b.index();
-        while self.states.len() <= idx {
-            self.states.push(BarrierState::new(self.n_threads));
+        if self.slot_of.len() <= idx {
+            self.slot_of.resize(idx + 1, UNSEEN);
         }
-        &mut self.states[idx]
+        match self.slot_of[idx] {
+            UNSEEN => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.states.push(BarrierState::default());
+                    (self.states.len() - 1) as u32
+                });
+                self.states[slot as usize].reset(self.n_threads);
+                self.slot_of[idx] = slot;
+                slot as usize
+            }
+            RETIRED => panic!("{b} used after it completed"),
+            slot => slot as usize,
+        }
+    }
+
+    /// Returns barrier `b`'s state slot to the free list.
+    fn retire(&mut self, b: BarrierId, slot: usize) {
+        self.slot_of[b.index()] = RETIRED;
+        self.free.push(slot as u32);
     }
 
     /// Sender-side message overhead (construct + startup).
@@ -140,14 +194,22 @@ impl BarrierCoordinator {
         self.comm.construct + self.comm.startup
     }
 
-    /// Called when `thread`'s barrier-enter trace event fires at `now`.
-    pub fn on_enter(&mut self, b: BarrierId, thread: ThreadId, now: TimeNs) -> Vec<BarrierAction> {
+    /// Called when `thread`'s barrier-enter trace event fires at `now`;
+    /// appends the resulting actions to `out`.
+    pub fn on_enter(
+        &mut self,
+        b: BarrierId,
+        thread: ThreadId,
+        now: TimeNs,
+        out: &mut Vec<BarrierAction>,
+    ) {
         let entry = self.params.entry;
         let n = self.n_threads;
         let use_msgs = self.params.by_msgs && self.params.algorithm == BarrierAlgorithm::Linear;
         let send_overhead = self.send_overhead();
         let msg_size = self.params.msg_size;
-        let st = self.state(b);
+        let slot = self.slot(b);
+        let st = &mut self.states[slot];
         let done = now + entry;
         assert!(
             st.entry_done[thread.index()].is_none(),
@@ -156,11 +218,10 @@ impl BarrierCoordinator {
         st.entry_done[thread.index()] = Some(done);
         st.entered += 1;
 
-        let mut actions = Vec::new();
         if use_msgs {
             if thread != MASTER {
                 // Slave announces itself to the master with a real message.
-                actions.push(BarrierAction::Send {
+                out.push(BarrierAction::Send {
                     depart: done + send_overhead,
                     from: thread,
                     to: MASTER,
@@ -172,29 +233,31 @@ impl BarrierCoordinator {
                 st.arrivals[MASTER.index()] = Some(done);
                 st.arrived_msgs += 1;
                 if st.arrived_msgs == n {
-                    return self.lower_with_msgs(b);
+                    self.lower_with_msgs(b, slot, out);
                 }
             }
-            return actions;
+            return;
         }
 
         // Non-message algorithms resolve once the last thread enters.
         if st.entered == n {
-            return self.resolve_without_msgs(b);
+            self.resolve_without_msgs(b, slot, out);
         }
-        actions
     }
 
     /// Called when a slave's `Arrive` message reaches the master at
-    /// `arrival` (message mode only).
+    /// `arrival` (message mode only); appends the resulting actions to
+    /// `out`.
     pub fn on_arrive_msg(
         &mut self,
         b: BarrierId,
         from: ThreadId,
         arrival: TimeNs,
-    ) -> Vec<BarrierAction> {
+        out: &mut Vec<BarrierAction>,
+    ) {
         let n = self.n_threads;
-        let st = self.state(b);
+        let slot = self.slot(b);
+        let st = &mut self.states[slot];
         assert!(
             st.arrivals[from.index()].is_none(),
             "duplicate barrier arrival from {from}"
@@ -202,41 +265,47 @@ impl BarrierCoordinator {
         st.arrivals[from.index()] = Some(arrival);
         st.arrived_msgs += 1;
         if st.arrived_msgs == n {
-            self.lower_with_msgs(b)
-        } else {
-            Vec::new()
+            self.lower_with_msgs(b, slot, out);
         }
     }
 
     /// Called when the master's `Release` message reaches slave `thread`
-    /// at `arrival` (message mode only).  Returns the resume action.
+    /// at `arrival` (message mode only).  Appends the resume action to
+    /// `out`.
     pub fn on_release_msg(
         &mut self,
         b: BarrierId,
         thread: ThreadId,
         arrival: TimeNs,
-    ) -> Vec<BarrierAction> {
+        out: &mut Vec<BarrierAction>,
+    ) {
         let exit = self.params.exit;
         let exit_check = self.params.exit_check;
         let receive = self.comm.receive;
-        let st = self.state(b);
+        let n = self.n_threads;
+        let slot = self.slot(b);
+        let st = &mut self.states[slot];
         let waiting_since = st.entry_done[thread.index()]
             .expect("release for a thread that never entered the barrier");
         // The slave polls for the release every ExitCheckTime.
         let observed = quantize(waiting_since, arrival + receive, exit_check);
-        vec![BarrierAction::Resume {
+        out.push(BarrierAction::Resume {
             thread,
             at: observed + exit,
-        }]
+        });
+        st.released_msgs += 1;
+        if st.released_msgs == n - 1 {
+            self.retire(b, slot);
+        }
     }
 
     /// Master has all arrivals (message mode): compute lowering time,
-    /// resume the master, send release messages.
-    fn lower_with_msgs(&mut self, b: BarrierId) -> Vec<BarrierAction> {
+    /// send release messages, resume the master.
+    fn lower_with_msgs(&mut self, b: BarrierId, slot: usize, out: &mut Vec<BarrierAction>) {
         let p = self.params;
         let send_overhead = self.send_overhead();
         let n = self.n_threads;
-        let st = self.state(b);
+        let st = &self.states[slot];
         let master_ready = st.arrivals[MASTER.index()].expect("master not ready");
         let last = st
             .arrivals
@@ -247,10 +316,8 @@ impl BarrierCoordinator {
         // The master checks the arrival count every CheckTime.
         let observed = quantize(master_ready, last, p.check);
         let lower = observed + p.model;
-        st.lowered = Some(lower);
         self.completed += 1;
 
-        let mut actions = Vec::new();
         // Release messages go out one after another (linear algorithm).
         let mut depart = lower;
         for t in extrap_time::threads(n) {
@@ -258,7 +325,7 @@ impl BarrierCoordinator {
                 continue;
             }
             depart += send_overhead;
-            actions.push(BarrierAction::Send {
+            out.push(BarrierAction::Send {
                 depart,
                 from: MASTER,
                 to: t,
@@ -267,43 +334,83 @@ impl BarrierCoordinator {
             });
         }
         // The master resumes after sending every release.
-        actions.push(BarrierAction::Resume {
+        out.push(BarrierAction::Resume {
             thread: MASTER,
             at: depart + p.exit,
         });
-        actions
+        // Slaves still read their entry times when the releases land.
+        if n == 1 {
+            self.retire(b, slot);
+        }
     }
 
     /// Non-message resolution: hardware, tree, or linear-without-messages.
-    fn resolve_without_msgs(&mut self, b: BarrierId) -> Vec<BarrierAction> {
+    fn resolve_without_msgs(&mut self, b: BarrierId, slot: usize, out: &mut Vec<BarrierAction>) {
         let p = self.params;
         let comm = self.comm;
-        let n = self.n_threads;
-        let st = self.state(b);
-        let entry_done: Vec<TimeNs> = st
-            .entry_done
-            .iter()
-            .map(|t| t.expect("missing entry"))
-            .collect();
-        let resumes = match p.algorithm {
-            BarrierAlgorithm::Hardware => hardware::resume_times(&p, &entry_done),
-            BarrierAlgorithm::Tree { arity } => tree::resume_times(&p, &comm, arity, &entry_done),
-            BarrierAlgorithm::Linear => linear::resume_times_no_msgs(&p, &entry_done),
-        };
-        st.lowered = resumes.iter().copied().max();
+        let times = &mut self.times;
+        times.clear();
+        times.extend(
+            self.states[slot]
+                .entry_done
+                .iter()
+                .map(|t| t.expect("missing entry")),
+        );
+        match p.algorithm {
+            BarrierAlgorithm::Hardware => hardware::resume_times(&p, times),
+            BarrierAlgorithm::Tree { arity } => tree::resume_times(&p, &comm, arity, times),
+            BarrierAlgorithm::Linear => linear::resume_times_no_msgs(&p, times),
+        }
+        out.extend(
+            times
+                .iter()
+                .enumerate()
+                .map(|(i, &at)| BarrierAction::Resume {
+                    thread: ThreadId::from_index(i),
+                    at,
+                }),
+        );
         self.completed += 1;
-        (0..n)
-            .map(|i| BarrierAction::Resume {
-                thread: ThreadId::from_index(i),
-                at: resumes[i],
-            })
-            .collect()
+        self.retire(b, slot);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn enter(
+        c: &mut BarrierCoordinator,
+        b: BarrierId,
+        t: ThreadId,
+        now: TimeNs,
+    ) -> Vec<BarrierAction> {
+        let mut out = Vec::new();
+        c.on_enter(b, t, now, &mut out);
+        out
+    }
+
+    fn arrive(
+        c: &mut BarrierCoordinator,
+        b: BarrierId,
+        t: ThreadId,
+        at: TimeNs,
+    ) -> Vec<BarrierAction> {
+        let mut out = Vec::new();
+        c.on_arrive_msg(b, t, at, &mut out);
+        out
+    }
+
+    fn release(
+        c: &mut BarrierCoordinator,
+        b: BarrierId,
+        t: ThreadId,
+        at: TimeNs,
+    ) -> Vec<BarrierAction> {
+        let mut out = Vec::new();
+        c.on_release_msg(b, t, at, &mut out);
+        out
+    }
 
     #[test]
     fn quantize_grid() {
@@ -344,9 +451,9 @@ mod tests {
             CommParams::free(),
         );
         let b = BarrierId(0);
-        assert!(c.on_enter(b, ThreadId(0), TimeNs(100)).is_empty());
-        assert!(c.on_enter(b, ThreadId(2), TimeNs(500)).is_empty());
-        let actions = c.on_enter(b, ThreadId(1), TimeNs(300));
+        assert!(enter(&mut c, b, ThreadId(0), TimeNs(100)).is_empty());
+        assert!(enter(&mut c, b, ThreadId(2), TimeNs(500)).is_empty());
+        let actions = enter(&mut c, b, ThreadId(1), TimeNs(300));
         // Last entry completes at 510; release 510+7; resume +exit 20.
         assert_eq!(actions.len(), 3);
         for a in &actions {
@@ -364,10 +471,10 @@ mod tests {
         p.check = DurationNs(30);
         let mut c = BarrierCoordinator::new(2, p, CommParams::free());
         let b = BarrierId(0);
-        c.on_enter(b, ThreadId(0), TimeNs(0)); // master ready at 10
-        let actions = c.on_enter(b, ThreadId(1), TimeNs(95)); // done at 105
-                                                              // master observes on its 30ns grid from 10: 105 -> 130; lower at 230.
-                                                              // resumes at 230 + exit(20) = 250 (exit_check = 0).
+        enter(&mut c, b, ThreadId(0), TimeNs(0)); // master ready at 10
+        let actions = enter(&mut c, b, ThreadId(1), TimeNs(95)); // done at 105
+                                                                 // master observes on its 30ns grid from 10: 105 -> 130; lower at 230.
+                                                                 // resumes at 230 + exit(20) = 250 (exit_check = 0).
         let resumes: Vec<TimeNs> = actions
             .iter()
             .map(|a| match a {
@@ -390,7 +497,7 @@ mod tests {
         let mut c = BarrierCoordinator::new(2, p, comm);
         let b = BarrierId(0);
         // Slave enters first: emits an Arrive send at entry_done + 20.
-        let a1 = c.on_enter(b, ThreadId(1), TimeNs(0));
+        let a1 = enter(&mut c, b, ThreadId(1), TimeNs(0));
         assert_eq!(
             a1,
             vec![BarrierAction::Send {
@@ -402,10 +509,10 @@ mod tests {
             }]
         );
         // Master enters; still waiting for the slave's message.
-        assert!(c.on_enter(b, MASTER, TimeNs(50)).is_empty());
+        assert!(enter(&mut c, b, MASTER, TimeNs(50)).is_empty());
         // Arrive message lands at 100: master lowers at 100+model(100)=200,
         // sends release departing 200+20=220, resumes at 220+exit(20)=240.
-        let a2 = c.on_arrive_msg(b, ThreadId(1), TimeNs(100));
+        let a2 = arrive(&mut c, b, ThreadId(1), TimeNs(100));
         assert_eq!(
             a2,
             vec![
@@ -423,7 +530,7 @@ mod tests {
             ]
         );
         // Release lands at slave at 300: + receive(2) + exit(20).
-        let a3 = c.on_release_msg(b, ThreadId(1), TimeNs(300));
+        let a3 = release(&mut c, b, ThreadId(1), TimeNs(300));
         assert_eq!(
             a3,
             vec![BarrierAction::Resume {
@@ -437,7 +544,7 @@ mod tests {
     fn single_thread_barrier_is_cheap_but_not_free() {
         let p = zeroish_params(BarrierAlgorithm::Linear, true);
         let mut c = BarrierCoordinator::new(1, p, CommParams::free());
-        let actions = c.on_enter(BarrierId(0), MASTER, TimeNs(0));
+        let actions = enter(&mut c, BarrierId(0), MASTER, TimeNs(0));
         // entry 10 + model 100 + exit 20 = resume at 130, no sends.
         assert_eq!(
             actions,
@@ -453,7 +560,52 @@ mod tests {
     fn double_entry_panics() {
         let p = zeroish_params(BarrierAlgorithm::Hardware, false);
         let mut c = BarrierCoordinator::new(2, p, CommParams::free());
-        c.on_enter(BarrierId(0), ThreadId(0), TimeNs(0));
-        c.on_enter(BarrierId(0), ThreadId(0), TimeNs(1));
+        enter(&mut c, BarrierId(0), ThreadId(0), TimeNs(0));
+        enter(&mut c, BarrierId(0), ThreadId(0), TimeNs(1));
+    }
+
+    #[test]
+    fn completed_barriers_recycle_their_state() {
+        let mut p = zeroish_params(BarrierAlgorithm::Linear, true);
+        let mut c = BarrierCoordinator::new(3, p, CommParams::free());
+        for i in 0..50 {
+            let b = BarrierId(i);
+            for t in [1, 2] {
+                enter(&mut c, b, ThreadId(t), TimeNs(u64::from(i) * 100));
+                arrive(&mut c, b, ThreadId(t), TimeNs(u64::from(i) * 100 + 1));
+            }
+            assert_eq!(
+                enter(&mut c, b, MASTER, TimeNs(u64::from(i) * 100)).len(),
+                3
+            );
+            for t in [1, 2] {
+                release(&mut c, b, ThreadId(t), TimeNs(u64::from(i) * 100 + 50));
+            }
+        }
+        assert_eq!(c.completed(), 50);
+        assert_eq!(
+            c.states.len(),
+            1,
+            "one barrier open at a time needs one state"
+        );
+
+        // A reset coordinator reuses the pool for a different run shape.
+        p.algorithm = BarrierAlgorithm::Hardware;
+        c.reset(4, p, CommParams::free());
+        assert_eq!(c.completed(), 0);
+        for t in 0..3 {
+            assert!(enter(&mut c, BarrierId(0), ThreadId(t), TimeNs(0)).is_empty());
+        }
+        assert_eq!(enter(&mut c, BarrierId(0), ThreadId(3), TimeNs(0)).len(), 4);
+        assert_eq!(c.states.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "after it completed")]
+    fn entering_a_completed_barrier_panics() {
+        let p = zeroish_params(BarrierAlgorithm::Hardware, false);
+        let mut c = BarrierCoordinator::new(1, p, CommParams::free());
+        enter(&mut c, BarrierId(0), MASTER, TimeNs(0));
+        enter(&mut c, BarrierId(0), MASTER, TimeNs(1));
     }
 }

@@ -23,15 +23,10 @@ pub fn levels(n: usize, arity: u32) -> u32 {
     levels
 }
 
-/// Per-thread resume times.
-pub fn resume_times(
-    p: &BarrierParams,
-    comm: &CommParams,
-    arity: u32,
-    entry_done: &[TimeNs],
-) -> Vec<TimeNs> {
-    let n = entry_done.len();
-    let last = *entry_done.iter().max().expect("empty barrier");
+/// Replaces each thread's entry-complete time with its resume time.
+pub fn resume_times(p: &BarrierParams, comm: &CommParams, arity: u32, times: &mut [TimeNs]) {
+    let n = times.len();
+    let last = *times.iter().max().expect("empty barrier");
     let depth = levels(n, arity);
     let per_level: DurationNs = if p.by_msgs {
         comm.construct + comm.startup + comm.byte_transfer * u64::from(p.msg_size)
@@ -41,15 +36,12 @@ pub fn resume_times(
     };
     let up = per_level * u64::from(depth);
     let root_ready = last + up;
-    let lower = quantize(entry_done[0], root_ready, p.check) + p.model;
+    let lower = quantize(times[0], root_ready, p.check) + p.model;
     let down = per_level * u64::from(depth);
-    entry_done
-        .iter()
-        .map(|&done| {
-            let seen = quantize(done, lower + down, p.exit_check);
-            seen + p.exit
-        })
-        .collect()
+    for t in times.iter_mut() {
+        let seen = quantize(*t, lower + down, p.exit_check);
+        *t = seen + p.exit;
+    }
 }
 
 #[cfg(test)]
@@ -93,10 +85,10 @@ mod tests {
     #[test]
     fn tree_scales_logarithmically() {
         // 4 threads, arity 2 -> 2 levels; per level = 2+3+100 = 105.
-        let entries = vec![TimeNs(0); 4];
-        let r = resume_times(&p(true), &comm(), 2, &entries);
+        let mut r = [TimeNs(0); 4];
+        resume_times(&p(true), &comm(), 2, &mut r);
         // up 210, lower = 210+10 = 220, down 210, +exit 1 = 431.
-        assert_eq!(r, vec![TimeNs(431); 4]);
+        assert_eq!(r, [TimeNs(431); 4]);
     }
 
     #[test]
@@ -104,9 +96,11 @@ mod tests {
         // 32 threads, arity 2 -> 5 levels; up 525 + model 10 + down 525
         // + exit 1 = 1061.  Doubling the thread count adds one level
         // (210ns), not 32 more sequential sends.
-        let r32 = resume_times(&p(true), &comm(), 2, &vec![TimeNs(0); 32]);
+        let mut r32 = [TimeNs(0); 32];
+        resume_times(&p(true), &comm(), 2, &mut r32);
         assert_eq!(r32[0], TimeNs(1_061));
-        let r64 = resume_times(&p(true), &comm(), 2, &vec![TimeNs(0); 64]);
+        let mut r64 = [TimeNs(0); 64];
+        resume_times(&p(true), &comm(), 2, &mut r64);
         assert_eq!(r64[0].since(r32[0]), DurationNs(210));
     }
 }

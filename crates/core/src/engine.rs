@@ -25,11 +25,16 @@
 //! The engine executes a borrowed [`CompiledProgram`] — the scripts are
 //! compiled once per trace and shared across every parameter set of a
 //! sweep, with `MipsRatio` applied to compute durations at dispatch
-//! time.  All mutable simulation state (event queue, message log,
-//! per-thread and per-processor records) lives in a [`SimScratch`] that
-//! callers may reuse across runs, so a steady-state sweep job performs
-//! no allocation beyond the predicted trace — and none at all under
-//! [`RecordMode::MetricsOnly`].
+//! time.  All mutable simulation state (event queue, message slots,
+//! barrier state and action buffer, per-thread and per-processor
+//! records) lives in a [`SimScratch`] that callers may reuse across
+//! runs.  A message's slot is recycled as soon as the message arrives
+//! and completed barriers hand their state back, so every buffer stays
+//! bounded by what is in flight at once.  Once a reused scratch has seen
+//! a program, the simulate loop itself does not allocate: a run
+//! allocates only its result (the per-thread breakdown, and the
+//! predicted trace under [`RecordMode::Full`]) plus whatever a
+//! caller-supplied network model allocates.
 
 use crate::barrier::{BarrierAction, BarrierCoordinator, BarrierMsg};
 use crate::metrics::{Prediction, ProcBreakdown};
@@ -96,7 +101,8 @@ enum Ev {
     Arrive(u32),
 }
 
-/// In-flight message bookkeeping.
+/// In-flight message bookkeeping; the slot is recycled when the message
+/// arrives.
 #[derive(Clone, Copy, Debug)]
 struct Msg {
     from: ThreadId,
@@ -141,7 +147,7 @@ struct Th {
     compute_until: TimeNs,
     /// Requests/writes queued while this thread computes (serviced per
     /// the policy).
-    pending: VecDeque<u32>,
+    pending: VecDeque<Msg>,
     /// When this thread's (idle-time) service capacity is next free.
     svc_avail: TimeNs,
     /// Start of the current wait (barrier or remote).
@@ -158,8 +164,9 @@ struct Pr {
     last: Option<u32>,
 }
 
-/// Reusable simulation state: the event queue, message log, and
-/// per-thread/per-processor bookkeeping vectors.
+/// Reusable simulation state: the event queue, message slots, barrier
+/// coordinator and action buffer, and per-thread/per-processor
+/// bookkeeping vectors.
 ///
 /// A fresh `SimScratch` is just empty buffers; passing the same one to
 /// [`run_compiled_scratch`] for every job of a sweep lets steady-state
@@ -171,6 +178,9 @@ pub struct SimScratch {
     threads: Vec<Th>,
     procs: Vec<Pr>,
     msgs: Vec<Msg>,
+    free_msgs: Vec<u32>,
+    coord: Option<BarrierCoordinator>,
+    bar_actions: Vec<BarrierAction>,
 }
 
 /// Runs the extrapolation of `traces` on the machine described by
@@ -294,7 +304,11 @@ struct Sim<'p, N> {
     procs: Vec<Pr>,
     net: N,
     coord: BarrierCoordinator,
+    /// Scratch for the actions one barrier callback produces.
+    bar_actions: Vec<BarrierAction>,
     msgs: Vec<Msg>,
+    /// Slots of arrived messages, reused by the next sends.
+    free_msgs: Vec<u32>,
 }
 
 impl<'p, N: NetModel> Sim<'p, N> {
@@ -310,12 +324,21 @@ impl<'p, N: NetModel> Sim<'p, N> {
         let record = params.record_mode == RecordMode::Full;
 
         let mut queue = mem::take(&mut scratch.queue);
-        // Auto resolves against the compiled program's occupancy hint;
-        // a recycled queue keeps its allocations unless the resolved
-        // backend actually changes between runs.
-        queue.reset_with(params.scheduler.resolve(program.peak_events()));
+        queue.reset();
+        queue.reserve(program.peak_events());
         let mut msgs = mem::take(&mut scratch.msgs);
         msgs.clear();
+        let mut free_msgs = mem::take(&mut scratch.free_msgs);
+        free_msgs.clear();
+        let mut bar_actions = mem::take(&mut scratch.bar_actions);
+        bar_actions.clear();
+        let coord = match scratch.coord.take() {
+            Some(mut coord) => {
+                coord.reset(n_threads, params.barrier, params.comm);
+                coord
+            }
+            None => BarrierCoordinator::new(n_threads, params.barrier, params.comm),
+        };
 
         let mut threads = mem::take(&mut scratch.threads);
         threads.truncate(n_threads);
@@ -380,8 +403,10 @@ impl<'p, N: NetModel> Sim<'p, N> {
             threads,
             procs,
             net,
-            coord: BarrierCoordinator::new(n_threads, params.barrier, params.comm),
+            coord,
+            bar_actions,
             msgs,
+            free_msgs,
         }
     }
 
@@ -446,6 +471,9 @@ impl<'p, N: NetModel> Sim<'p, N> {
         scratch.threads = self.threads;
         scratch.procs = self.procs;
         scratch.msgs = self.msgs;
+        scratch.free_msgs = self.free_msgs;
+        scratch.coord = Some(self.coord);
+        scratch.bar_actions = self.bar_actions;
         prediction
     }
 
@@ -624,9 +652,10 @@ impl<'p, N: NetModel> Sim<'p, N> {
                         th.gen += 1;
                         th.svc_avail = th.svc_avail.max(now + self.params.barrier.entry);
                     }
-                    let actions = self.coord.on_enter(b, ThreadId::from_index(t), now);
+                    self.coord
+                        .on_enter(b, ThreadId::from_index(t), now, &mut self.bar_actions);
                     self.release_cpu(t, now + self.params.barrier.entry);
-                    self.apply_barrier_actions(&actions);
+                    self.apply_barrier_actions();
                     return;
                 }
                 Op::End => {
@@ -685,8 +714,7 @@ impl<'p, N: NetModel> Sim<'p, N> {
     /// consumed.  Replies depart back-to-back.
     fn drain_pending(&mut self, t: usize, now: TimeNs) -> DurationNs {
         let mut total = DurationNs::ZERO;
-        while let Some(mi) = self.threads[t].pending.pop_front() {
-            let m = self.msgs[mi as usize];
+        while let Some(m) = self.threads[t].pending.pop_front() {
             match m.payload {
                 Payload::Request { reply_bytes } => {
                     let svc = self.params.comm.receive + self.params.comm.service;
@@ -727,18 +755,30 @@ impl<'p, N: NetModel> Sim<'p, N> {
         let src = self.threads[from.index()].proc;
         let dst = self.threads[to.index()].proc;
         let arrival = self.net.inject(depart, src, dst, bytes);
-        let idx = self.msgs.len() as u32;
-        self.msgs.push(Msg {
+        let msg = Msg {
             from,
             to,
             payload,
             wire: src != dst,
-        });
+        };
+        let idx = match self.free_msgs.pop() {
+            Some(idx) => {
+                self.msgs[idx as usize] = msg;
+                idx
+            }
+            None => {
+                self.msgs.push(msg);
+                (self.msgs.len() - 1) as u32
+            }
+        };
         self.queue.schedule(arrival, Ev::Arrive(idx));
     }
 
     fn on_arrive(&mut self, mi: usize, now: TimeNs) {
+        // A request that has to wait is queued by value, so the slot is
+        // free for the next send.
         let m = self.msgs[mi];
+        self.free_msgs.push(mi as u32);
         if m.wire {
             let src = self.threads[m.from.index()].proc;
             let dst = self.threads[m.to.index()].proc;
@@ -746,7 +786,7 @@ impl<'p, N: NetModel> Sim<'p, N> {
         }
         match m.payload {
             Payload::Request { .. } | Payload::Write => {
-                self.handle_service(mi, m, now);
+                self.handle_service(m, now);
             }
             Payload::Reply => {
                 let t = m.to.index();
@@ -759,30 +799,32 @@ impl<'p, N: NetModel> Sim<'p, N> {
                 self.request_cpu(t, resume);
             }
             Payload::Bar(BarrierMsg::Arrive(b)) => {
-                let actions = self.coord.on_arrive_msg(b, m.from, now);
-                self.apply_barrier_actions(&actions);
+                self.coord
+                    .on_arrive_msg(b, m.from, now, &mut self.bar_actions);
+                self.apply_barrier_actions();
             }
             Payload::Bar(BarrierMsg::Release(b)) => {
-                let actions = self.coord.on_release_msg(b, m.to, now);
-                self.apply_barrier_actions(&actions);
+                self.coord
+                    .on_release_msg(b, m.to, now, &mut self.bar_actions);
+                self.apply_barrier_actions();
             }
         }
     }
 
     /// Dispatches an incoming request/write per the service policy and
     /// the owner's state.
-    fn handle_service(&mut self, mi: usize, m: Msg, now: TimeNs) {
+    fn handle_service(&mut self, m: Msg, now: TimeNs) {
         let o = m.to.index();
         match self.threads[o].state {
             TState::Computing => match self.params.policy {
                 ServicePolicy::Interrupt => self.interrupt_service(o, m, now),
                 ServicePolicy::NoInterrupt | ServicePolicy::Poll { .. } => {
-                    self.threads[o].pending.push_back(mi as u32);
+                    self.threads[o].pending.push_back(m);
                 }
             },
             TState::WaitCpu => {
                 // Serviced when the thread next gets the CPU.
-                self.threads[o].pending.push_back(mi as u32);
+                self.threads[o].pending.push_back(m);
             }
             TState::WaitReply | TState::AtBarrier | TState::Done => {
                 self.idle_service(o, m, now);
@@ -860,9 +902,12 @@ impl<'p, N: NetModel> Sim<'p, N> {
 
     // ----- barrier actions ------------------------------------------------
 
-    fn apply_barrier_actions(&mut self, actions: &[BarrierAction]) {
-        for a in actions {
-            match *a {
+    /// Applies (and then clears) the actions the last barrier callback
+    /// appended to `bar_actions`.  Applying them never re-enters the
+    /// coordinator, so the buffer is stable while it is walked.
+    fn apply_barrier_actions(&mut self) {
+        for i in 0..self.bar_actions.len() {
+            match self.bar_actions[i] {
                 BarrierAction::Send {
                     depart,
                     from,
@@ -884,6 +929,7 @@ impl<'p, N: NetModel> Sim<'p, N> {
                 }
             }
         }
+        self.bar_actions.clear();
     }
 
     /// The barrier the thread is currently waiting in: the `Barrier` op

@@ -52,7 +52,6 @@ pub use engine::{
     run_compiled, run_compiled_scratch, run_compiled_with_network, run_with_network, ExtrapError,
     SimScratch,
 };
-pub use extrap_sim::SchedulerKind;
 pub use extrapolate::{extrapolate, extrapolate_program};
 pub use metrics::{Prediction, ProcBreakdown};
 pub use multithread::{MultithreadParams, ThreadMapping};

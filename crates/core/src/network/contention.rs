@@ -6,31 +6,29 @@
 //! multiplied by a factor computed from the intensity of concurrent use
 //! of the interconnect at injection time.
 
-use crate::network::topology::Topology;
 use crate::params::ContentionParams;
 
 /// Computes the delay factor for a message injected while `in_flight`
-/// *other* messages are traversing the network of `n` processors.
+/// *other* messages are traversing a network whose concurrency capacity
+/// is `capacity` ([`Topology::capacity`] of the machine size).
 ///
-/// `factor = 1 + alpha * in_flight / capacity(topology, n)` — linear in
-/// the excess load, normalized by the topology's concurrency capacity, so
-/// a bus saturates immediately while a fat tree absorbs `n` concurrent
+/// `factor = 1 + alpha * in_flight / capacity` — linear in the excess
+/// load, normalized by the topology's concurrency capacity, so a bus
+/// saturates immediately while a fat tree absorbs `n` concurrent
 /// messages before slowing down.
-pub fn delay_factor(
-    params: &ContentionParams,
-    topology: Topology,
-    n: usize,
-    in_flight: usize,
-) -> f64 {
+///
+/// [`Topology::capacity`]: crate::network::Topology::capacity
+pub fn delay_factor(params: &ContentionParams, capacity: f64, in_flight: usize) -> f64 {
     if !params.enabled || in_flight == 0 {
         return 1.0;
     }
-    1.0 + params.alpha * in_flight as f64 / topology.capacity(n)
+    1.0 + params.alpha * in_flight as f64 / capacity
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::topology::Topology;
 
     fn params(alpha: f64) -> ContentionParams {
         ContentionParams {
@@ -41,7 +39,10 @@ mod tests {
 
     #[test]
     fn no_load_means_no_delay() {
-        assert_eq!(delay_factor(&params(0.5), Topology::Bus, 8, 0), 1.0);
+        assert_eq!(
+            delay_factor(&params(0.5), Topology::Bus.capacity(8), 0),
+            1.0
+        );
     }
 
     #[test]
@@ -50,14 +51,14 @@ mod tests {
             enabled: false,
             alpha: 10.0,
         };
-        assert_eq!(delay_factor(&p, Topology::Bus, 8, 100), 1.0);
+        assert_eq!(delay_factor(&p, Topology::Bus.capacity(8), 100), 1.0);
     }
 
     #[test]
     fn factor_grows_linearly_with_load() {
         let p = params(0.5);
-        let f1 = delay_factor(&p, Topology::Crossbar, 8, 4);
-        let f2 = delay_factor(&p, Topology::Crossbar, 8, 8);
+        let f1 = delay_factor(&p, Topology::Crossbar.capacity(8), 4);
+        let f2 = delay_factor(&p, Topology::Crossbar.capacity(8), 8);
         assert!(f2 > f1);
         assert!((f1 - (1.0 + 0.5 * 4.0 / 8.0)).abs() < 1e-12);
         assert!((f2 - (1.0 + 0.5 * 8.0 / 8.0)).abs() < 1e-12);
@@ -66,8 +67,8 @@ mod tests {
     #[test]
     fn bus_contends_harder_than_fat_tree() {
         let p = params(0.5);
-        let bus = delay_factor(&p, Topology::Bus, 32, 8);
-        let ft = delay_factor(&p, Topology::FatTree { arity: 4 }, 32, 8);
+        let bus = delay_factor(&p, Topology::Bus.capacity(32), 8);
+        let ft = delay_factor(&p, Topology::FatTree { arity: 4 }.capacity(32), 8);
         assert!(bus > ft);
     }
 }

@@ -2,6 +2,7 @@
 //! computation.
 
 use crate::network::contention::delay_factor;
+use crate::network::topology::{mesh_cols, mesh_hops, Topology};
 use crate::params::NetworkParams;
 use extrap_time::{DurationNs, ProcId, TimeNs};
 
@@ -62,6 +63,10 @@ pub struct NetworkState {
     params: NetworkParams,
     byte_transfer: DurationNs,
     n_procs: usize,
+    /// Mesh column count, computed once per run (meshes only).
+    mesh_cols: usize,
+    /// `topology.capacity(n_procs)`, computed once per run.
+    capacity: f64,
     in_flight: usize,
     stats: NetworkStats,
 }
@@ -73,6 +78,8 @@ impl NetworkState {
             params,
             byte_transfer,
             n_procs,
+            mesh_cols: mesh_cols(n_procs),
+            capacity: params.topology.capacity(n_procs),
             in_flight: 0,
             stats: NetworkStats::default(),
         }
@@ -90,14 +97,15 @@ impl NetworkState {
             self.stats.factor_sum += 1.0;
             return now;
         }
-        let hops = self.params.topology.hops(self.n_procs, src, dst);
+        let hops = match self.params.topology {
+            Topology::Mesh2D => {
+                debug_assert!(src.index() < self.n_procs && dst.index() < self.n_procs);
+                mesh_hops(self.mesh_cols, src, dst)
+            }
+            topology => topology.hops(self.n_procs, src, dst),
+        };
         let wire = self.params.hop * u64::from(hops) + self.byte_transfer * u64::from(bytes);
-        let factor = delay_factor(
-            &self.params.contention,
-            self.params.topology,
-            self.n_procs,
-            self.in_flight,
-        );
+        let factor = delay_factor(&self.params.contention, self.capacity, self.in_flight);
         self.stats.factor_sum += factor;
         self.in_flight += 1;
         self.stats.max_in_flight = self.stats.max_in_flight.max(self.in_flight);

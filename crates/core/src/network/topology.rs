@@ -42,12 +42,7 @@ impl Topology {
         }
         match *self {
             Topology::Bus | Topology::Crossbar => 1,
-            Topology::Mesh2D => {
-                let cols = mesh_cols(n);
-                let (ax, ay) = (a.index() % cols, a.index() / cols);
-                let (bx, by) = (b.index() % cols, b.index() / cols);
-                (ax.abs_diff(bx) + ay.abs_diff(by)) as u32
-            }
+            Topology::Mesh2D => mesh_hops(mesh_cols(n), a, b),
             Topology::Hypercube => (a.index() ^ b.index()).count_ones(),
             Topology::FatTree { arity } => {
                 let arity = arity.max(2) as usize;
@@ -133,6 +128,14 @@ impl Topology {
             }
         }
     }
+}
+
+/// XY-routed hop count between two processors of a mesh with `cols`
+/// columns ([`mesh_cols`] of the machine size).
+pub(crate) fn mesh_hops(cols: usize, a: ProcId, b: ProcId) -> u32 {
+    let (ax, ay) = (a.index() % cols, a.index() / cols);
+    let (bx, by) = (b.index() % cols, b.index() / cols);
+    (ax.abs_diff(bx) + ay.abs_diff(by)) as u32
 }
 
 /// Number of columns of the near-square grid for an `n`-processor mesh.

@@ -8,7 +8,6 @@
 
 use crate::multithread::MultithreadParams;
 use crate::network::topology::Topology;
-use extrap_sim::SchedulerKind;
 use extrap_time::DurationNs;
 use std::fmt;
 
@@ -368,12 +367,6 @@ pub struct SimParams {
     pub size_mode: SizeMode,
     /// Whether to materialize the predicted trace or only the metrics.
     pub record_mode: RecordMode,
-    /// Event-queue backend for the simulation kernel.  `Auto` (the
-    /// default) picks per run from the compiled program's expected peak
-    /// queue occupancy; both concrete backends dispatch in identical
-    /// `(time, seq)` order, so predictions are byte-identical across
-    /// kinds and this is purely a performance knob.
-    pub scheduler: SchedulerKind,
     /// Epoch coverage strategy: exact replay or representative-region
     /// simulation with weighted metric composition.
     pub strategy: SimStrategy,
@@ -394,7 +387,6 @@ impl Default for SimParams {
             policy: ServicePolicy::default(),
             size_mode: SizeMode::default(),
             record_mode: RecordMode::default(),
-            scheduler: SchedulerKind::Auto,
             strategy: SimStrategy::Exact,
             comm: CommParams::default(),
             network: NetworkParams::default(),
@@ -475,7 +467,6 @@ impl SimParams {
                 RecordMode::MetricsOnly => "metrics-only",
             }
         );
-        let _ = writeln!(s, "Scheduler = {}", self.scheduler.as_str());
         let _ = writeln!(s, "Strategy = {}", self.strategy.label());
         let _ = writeln!(s, "CommStartupTime = {}", self.comm.startup.as_us());
         let _ = writeln!(s, "ByteTransferTime = {}", self.comm.byte_transfer.as_us());
@@ -606,10 +597,6 @@ impl SimParams {
                         }
                     }
                 }
-                "Scheduler" => {
-                    p.scheduler = SchedulerKind::parse(value)
-                        .ok_or_else(|| format!("line {}: bad scheduler {value:?}", lineno + 1))?
-                }
                 "Strategy" => {
                     p.strategy = SimStrategy::parse(value).ok_or_else(|| {
                         format!(
@@ -704,7 +691,6 @@ mod tests {
         p.mips_ratio = 0.41;
         p.policy = ServicePolicy::poll_us(100.0);
         p.size_mode = SizeMode::Actual;
-        p.scheduler = SchedulerKind::Calendar;
         p.comm = p.comm.with_bandwidth_mbps(200.0).with_startup_us(10.0);
         p.network.topology = Topology::Mesh2D;
         p.barrier.algorithm = BarrierAlgorithm::Tree { arity: 4 };
@@ -766,6 +752,15 @@ mod tests {
     #[test]
     fn unknown_key_rejected() {
         assert!(SimParams::from_config_text("Bogus = 1\n").is_err());
+    }
+
+    #[test]
+    fn removed_scheduler_key_is_an_unknown_key() {
+        // The event-queue backend is no longer configurable; old params
+        // files that still name it fail loudly at the offending line.
+        let err =
+            SimParams::from_config_text("MipsRatio = 0.5\nScheduler = calendar\n").unwrap_err();
+        assert_eq!(err, "line 2: unknown key \"Scheduler\"");
     }
 
     #[test]

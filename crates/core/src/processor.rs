@@ -258,9 +258,8 @@ impl CompiledProgram {
     /// Estimated peak event-queue occupancy for a simulation of this
     /// program: a small constant per thread (grant + completion + poll
     /// tick) plus the busiest between-barrier burst of non-blocking
-    /// remote writes.  `SchedulerKind::Auto` resolves against this to
-    /// pick the heap for small queues and the calendar queue once the
-    /// occupancy is deep enough to pay for its buckets.
+    /// remote writes.  The engine reserves this much event-heap
+    /// capacity up front.
     pub fn peak_events(&self) -> usize {
         self.peak_events
     }

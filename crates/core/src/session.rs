@@ -32,7 +32,6 @@ use crate::params::{
     BarrierParams, CommParams, RecordMode, ServicePolicy, SimParams, SimStrategy, SizeMode,
 };
 use crate::processor::CompiledProgram;
-use extrap_sim::SchedulerKind;
 use extrap_trace::{ProgramTrace, TraceSet, TranslateOptions};
 
 /// The one input a [`run`](Extrapolator::run) call extrapolates, at
@@ -129,14 +128,6 @@ impl Extrapolator {
     /// ([`RecordMode::MetricsOnly`] skips it; metrics stay identical).
     pub fn record_mode(mut self, mode: RecordMode) -> Extrapolator {
         self.params.record_mode = mode;
-        self
-    }
-
-    /// Sets the simulation kernel's event-queue backend (heap, calendar,
-    /// or auto).  Predictions are byte-identical across backends; this
-    /// is purely a performance knob for large sweeps.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Extrapolator {
-        self.params.scheduler = kind;
         self
     }
 

@@ -1083,36 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_predictions_are_identical_across_schedulers() {
-        // The same grid under heap, calendar, and auto backends must
-        // produce byte-identical predictions — the SchedulerKind knob is
-        // performance-only.
-        use extrap_sim::SchedulerKind;
-        let run = |kind: SchedulerKind| {
-            let mut params = machine::default_distributed();
-            params.scheduler = kind;
-            let jobs = SweepGrid::new()
-                .workloads(["uniform"])
-                .procs([1, 2, 4, 8])
-                .params(params)
-                .jobs();
-            let cache = SharedTraceCache::new();
-            sweep(&jobs, 2, &cache, |&(_, n)| uniform(n))
-        };
-        let heap = run(SchedulerKind::Heap);
-        for kind in [SchedulerKind::Calendar, SchedulerKind::Auto] {
-            let other = run(kind);
-            assert_eq!(heap.len(), other.len());
-            for (a, b) in heap.iter().zip(&other) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(a.exec_time(), b.exec_time());
-                assert_eq!(a.predicted, b.predicted);
-                assert_eq!(a.per_thread, b.per_thread);
-            }
-        }
-    }
-
-    #[test]
     fn eviction_frees_lru_entries_and_retranslates_on_demand() {
         let cache: SharedTraceCache<usize> = SharedTraceCache::new();
         for n in [2usize, 4, 8] {

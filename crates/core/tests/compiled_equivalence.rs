@@ -10,6 +10,50 @@ use extrap_core::{
 };
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork, TraceSet};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by the current thread (tests run in parallel).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting allocations per thread.
+struct Counting;
+
+fn count_allocation() {
+    // `try_with`: the counter may already be gone while a thread exits.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// const-initialized thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller's guarantees for `alloc` are passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 /// A communicating workload: every thread reads from its right
 /// neighbour, computes, and synchronizes — twice.
@@ -78,6 +122,52 @@ fn scratch_reuse_does_not_leak_state_between_runs() {
             assert_eq!(fresh.predicted, reused.predicted);
             assert_eq!(fresh.events_dispatched, reused.events_dispatched);
         }
+    }
+}
+
+#[test]
+fn scratch_reused_from_a_large_run_matches_fresh_scratch_on_a_small_one() {
+    // A large run leaves recycled message slots, barrier state and
+    // barrier-action buffers behind in the scratch; the small run that
+    // follows, under a different policy and barrier protocol, must not
+    // see any of it.
+    let large = CompiledProgram::compile(&ring(32)).unwrap();
+    let small = CompiledProgram::compile(&ring(3)).unwrap();
+    let mut large_params = machine::default_distributed();
+    large_params.policy = ServicePolicy::NoInterrupt;
+    let mut poll = machine::default_distributed();
+    poll.policy = ServicePolicy::poll_us(7.0);
+    let mut scratch = SimScratch::default();
+    for small_params in [machine::cm5(), poll, machine::default_distributed()] {
+        for (program, params) in [(&large, &large_params), (&small, &small_params)] {
+            let session = Extrapolator::new(params.clone());
+            let fresh = session.run_compiled(program).unwrap();
+            let reused = session.run_compiled_scratch(program, &mut scratch).unwrap();
+            assert_eq!(fresh.per_thread, reused.per_thread);
+            assert_eq!(fresh.predicted, reused.predicted);
+            assert_eq!(fresh.events_dispatched, reused.events_dispatched);
+            assert_eq!(fresh.barriers, reused.barriers);
+            assert_eq!(fresh.network, reused.network);
+        }
+    }
+}
+
+#[test]
+fn warmed_scratch_runs_allocate_only_their_result() {
+    // Once a scratch has seen a program, replaying it allocates nothing
+    // but the returned per-thread breakdown: message slots, barrier state
+    // and barrier actions are all recycled.
+    let program = CompiledProgram::compile(&ring(16)).unwrap();
+    let mut scratch = SimScratch::default();
+    for params in param_grid() {
+        let session = Extrapolator::new(params).record_mode(RecordMode::MetricsOnly);
+        session
+            .run_compiled_scratch(&program, &mut scratch)
+            .unwrap();
+        let before = allocations();
+        let prediction = session.run_compiled_scratch(&program, &mut scratch);
+        assert_eq!(allocations() - before, 1, "only `per_thread` allocates");
+        assert!(prediction.is_ok());
     }
 }
 

@@ -6,8 +6,8 @@
 
 use crate::series::Series;
 use extrap_core::{
-    machine, parallel_map, sweep, CachedTrace, ExtrapError, Prediction, RecordMode, SchedulerKind,
-    ServicePolicy, SharedTraceCache, SimParams, SimStrategy, SizeMode, SweepJob,
+    machine, parallel_map, sweep, CachedTrace, ExtrapError, Prediction, RecordMode, ServicePolicy,
+    SharedTraceCache, SimParams, SimStrategy, SizeMode, SweepJob,
 };
 use extrap_trace::{translate, TraceError, TraceSet};
 use extrap_workloads::{matmul, Bench, Scale};
@@ -138,7 +138,6 @@ impl Default for TraceCache {
 pub struct Harness {
     cache: TraceCache,
     jobs: usize,
-    scheduler: Option<SchedulerKind>,
     strategy: Option<SimStrategy>,
 }
 
@@ -148,23 +147,14 @@ impl Harness {
         Harness {
             cache: TraceCache::new(scale),
             jobs: jobs.max(1),
-            scheduler: None,
             strategy: None,
         }
     }
 
-    /// Forces every job's event-queue backend, overriding whatever the
-    /// figure's parameter set says.  Predictions are byte-identical
-    /// across backends, so this is purely a performance knob.
-    pub fn with_scheduler(mut self, kind: SchedulerKind) -> Harness {
-        self.scheduler = Some(kind);
-        self
-    }
-
-    /// Forces every job's epoch coverage strategy.  Unlike the
-    /// scheduler override this *does* change predictions (within the
-    /// repr tolerance) — it exists to regenerate whole figures under
-    /// representative simulation and eyeball the shape preservation.
+    /// Forces every job's epoch coverage strategy.  This changes
+    /// predictions (within the repr tolerance) — it exists to
+    /// regenerate whole figures under representative simulation and
+    /// eyeball the shape preservation.
     /// [`repr_validation`] ignores it (it pins both strategies itself).
     pub fn with_strategy(mut self, strategy: SimStrategy) -> Harness {
         self.strategy = Some(strategy);
@@ -225,9 +215,6 @@ impl Harness {
     ) -> Result<Vec<Prediction>, ExpError> {
         for job in &mut jobs {
             job.params.record_mode = RecordMode::MetricsOnly;
-            if let Some(kind) = self.scheduler {
-                job.params.scheduler = kind;
-            }
             if let Some(strategy) = self.strategy {
                 job.params.strategy = strategy;
             }
@@ -777,9 +764,6 @@ pub fn repr_validation(h: &Harness) -> Result<Vec<ReprValidation>, ExpError> {
             for &n in PROCS.iter() {
                 let mut params = machine::default_distributed();
                 params.record_mode = RecordMode::MetricsOnly;
-                if let Some(kind) = h.scheduler {
-                    params.scheduler = kind;
-                }
                 params.strategy = strategy;
                 jobs.push(SweepJob {
                     key: (bench.name().to_string(), n),

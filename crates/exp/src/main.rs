@@ -3,20 +3,18 @@
 //!
 //! ```text
 //! extrap-exp [--scale tiny|small|paper] [--jobs N] [--out DIR] \
-//!            [--scheduler heap|calendar|auto] \
 //!            [--strategy exact|repr[:K[:TOL]]] \
 //!            [table1|table2|table3|fig4|...|fig9|repr|bounds|all]
 //! ```
 //!
 //! `--jobs N` sets the sweep worker count (default: all available
 //! cores); `--jobs 1` is the serial baseline and every other value
-//! produces byte-identical output.  `--scheduler` forces the event
-//! queue backend for every job (predictions are identical either way).
-//! `--strategy` forces the epoch coverage strategy (repr changes
-//! predictions within its tolerance); the opt-in `repr` target prints
-//! the exact-vs-representative validation table and ignores the flag.
+//! produces byte-identical output.  `--strategy` forces the epoch
+//! coverage strategy (repr changes predictions within its tolerance);
+//! the opt-in `repr` target prints the exact-vs-representative
+//! validation table and ignores the flag.
 
-use extrap_core::{SchedulerKind, SimStrategy};
+use extrap_core::SimStrategy;
 use extrap_exp::experiments::{self, fig9_ranking, ExpError, Harness};
 use extrap_exp::series::{render_csv, render_table, Series};
 use extrap_workloads::Scale;
@@ -25,7 +23,6 @@ use std::path::{Path, PathBuf};
 fn main() {
     let mut scale = Scale::Small;
     let mut jobs = extrap_core::sweep::default_workers();
-    let mut scheduler: Option<SchedulerKind> = None;
     let mut strategy: Option<SimStrategy> = None;
     let mut out_dir: Option<PathBuf> = None;
     let mut targets: Vec<String> = Vec::new();
@@ -55,16 +52,6 @@ fn main() {
                     }
                 };
             }
-            "--scheduler" => {
-                let v = args.next().unwrap_or_default();
-                scheduler = match SchedulerKind::parse(&v) {
-                    Some(kind) => Some(kind),
-                    None => {
-                        eprintln!("unknown scheduler {v:?} (heap|calendar|auto)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             "--strategy" => {
                 let v = args.next().unwrap_or_default();
                 strategy = match SimStrategy::parse(&v) {
@@ -84,7 +71,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: extrap-exp [--scale tiny|small|paper] [--jobs N] [--out DIR] \
-                     [--scheduler heap|calendar|auto] [--strategy exact|repr[:K[:TOL]]] \
+                     [--strategy exact|repr[:K[:TOL]]] \
                      [table1|table2|table3|fig4|fig5|fig6|fig7|fig8|fig9|repr|bounds|all]..."
                 );
                 return;
@@ -101,9 +88,6 @@ fn main() {
     }
 
     let mut harness = Harness::new(scale, jobs);
-    if let Some(kind) = scheduler {
-        harness = harness.with_scheduler(kind);
-    }
     if let Some(s) = strategy {
         harness = harness.with_strategy(s);
     }

@@ -1,108 +1,48 @@
 //! The event queue and simulation clock.
 //!
-//! The engine layers a simulation clock and O(1) token cancellation on
-//! top of a pluggable pending-event store (see [`crate::sched`]): a
-//! binary heap ([`crate::heap`]) or a calendar queue
-//! ([`crate::calendar`]), selected by [`SchedulerKind`].  Both backends
-//! dispatch in identical `(time, seq)` order, so simulation outputs are
-//! byte-identical across kinds.
+//! Pending events live in one binary min-heap whose entries carry the
+//! `(time, seq)` ordering key packed into a single `u128` next to the
+//! payload, so scheduling and dispatching never leave the heap's
+//! contiguous storage and never touch a side table.  `seq` is the
+//! schedule order, which makes equal-time events pop FIFO.
 //!
-//! Cancellation state lives in a tiny slab of per-event `gen` + flag
-//! records addressed by recycled slot indices.  Cancelling flags the
-//! slot and goes through no queue surgery and no side table; cancelled
-//! entries are purged lazily when they surface at the front, so the
-//! per-pop cost is a flag check instead of the `HashSet` probe the
-//! first implementation paid on every event.  Tokens are
-//! generation-stamped: a slot's generation is bumped whenever its event
-//! fires or is cancelled, so stale tokens can never cancel a recycled
-//! slot.
+//! A dispatched root stays in place until the queue is touched again:
+//! a simulator handler typically schedules one follow-up event per
+//! event it handles, and that event simply takes the root's slot, so
+//! the pop and the push cost one sift instead of two.  The pop order is
+//! the same `(time, seq)` order either way.
+//!
+//! Events cannot be cancelled: simulators guard stale events with their
+//! own generation counters and drop them on dispatch, which costs less
+//! than paying per-event cancellation bookkeeping on every schedule.
+//! The heap's storage is kept across [`Engine::reset`], so a recycled
+//! engine schedules without allocating once it has reached its peak
+//! occupancy (or once [`Engine::reserve`] has sized it).
 
-use crate::calendar::CalendarScheduler;
-use crate::heap::HeapScheduler;
-use crate::sched::{EventEntry, Scheduler, SchedulerKind};
 use extrap_time::{DurationNs, TimeNs};
 
-/// A handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Tokens are generation-stamped: once the event fires or is cancelled
-/// the token goes stale, and cancelling a stale token is a `false` no-op
-/// even if its slab slot has been reused by a later event.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventToken {
-    slot: u32,
-    gen: u32,
+/// One pending event: the packed `(time, seq)` key and the payload.
+#[derive(Clone, Copy)]
+struct Entry<E> {
+    key: u128,
+    payload: E,
 }
 
-#[cfg(test)]
-impl EventToken {
-    /// Test-only constructor for forging tokens.
-    fn forged(slot: u32, gen: u32) -> EventToken {
-        EventToken { slot, gen }
-    }
-}
-
-/// Per-event cancellation state, one per outstanding queue entry.  Slots
-/// are recycled through a free list once their entry leaves the queue;
-/// the generation stamp stales every token handed out for the slot's
-/// previous occupants.
-struct Slot {
-    gen: u32,
-    cancelled: bool,
-}
-
-/// The concrete pending-event store, dispatched by match so the hot
-/// path pays an enum branch instead of a vtable call.
-enum Backend<E> {
-    Heap(HeapScheduler<E>),
-    Calendar(CalendarScheduler<E>),
-}
-
-impl<E: Copy> Backend<E> {
-    fn for_kind(kind: SchedulerKind) -> Backend<E> {
-        // Auto carries no occupancy estimate at this layer; callers
-        // with one (extrap-core's compiled programs) resolve it first.
-        match kind.resolve(0) {
-            SchedulerKind::Calendar => Backend::Calendar(CalendarScheduler::new()),
-            _ => Backend::Heap(HeapScheduler::new()),
-        }
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        match self {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Calendar(_) => SchedulerKind::Calendar,
+impl<E> Entry<E> {
+    /// `TimeNs` is a transparent `u64` with numeric ordering, so packing
+    /// time into the high half and `seq` into the low half makes one
+    /// wide compare exactly lexicographic.
+    #[inline]
+    fn new(time: TimeNs, seq: u64, payload: E) -> Entry<E> {
+        Entry {
+            key: ((time.0 as u128) << 64) | seq as u128,
+            payload,
         }
     }
 
     #[inline]
-    fn push(&mut self, entry: EventEntry<E>) {
-        match self {
-            Backend::Heap(s) => s.push(entry),
-            Backend::Calendar(s) => s.push(entry),
-        }
-    }
-
-    #[inline]
-    fn pop_min(&mut self) -> Option<EventEntry<E>> {
-        match self {
-            Backend::Heap(s) => s.pop_min(),
-            Backend::Calendar(s) => s.pop_min(),
-        }
-    }
-
-    #[inline]
-    fn peek_min(&mut self) -> Option<&EventEntry<E>> {
-        match self {
-            Backend::Heap(s) => s.peek_min(),
-            Backend::Calendar(s) => s.peek_min(),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Backend::Heap(s) => s.clear(),
-            Backend::Calendar(s) => s.clear(),
-        }
+    fn time(&self) -> TimeNs {
+        TimeNs((self.key >> 64) as u64)
     }
 }
 
@@ -127,11 +67,10 @@ impl<E: Copy> Backend<E> {
 pub struct Engine<E> {
     now: TimeNs,
     next_seq: u64,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    backend: Backend<E>,
-    live: usize,
-    tombstones: usize,
+    heap: Vec<Entry<E>>,
+    /// `heap[0]` has been dispatched but not yet removed: the next
+    /// schedule overwrites it, the next dispatch removes it.
+    root_taken: bool,
     dispatched: u64,
 }
 
@@ -142,34 +81,18 @@ impl<E: Copy> Default for Engine<E> {
 }
 
 // Payloads are `Copy`: simulator events are small value types, and the
-// bound lets the heap backend move elements hole-style (one write per
-// level) like `std::collections::BinaryHeap`.
+// bound lets the sifts move elements hole-style (one write per level)
+// like `std::collections::BinaryHeap`.
 impl<E: Copy> Engine<E> {
-    /// Creates an engine with the clock at zero on the default binary
-    /// heap backend.
+    /// Creates an engine with the clock at zero and an empty queue.
     pub fn new() -> Engine<E> {
-        Engine::with_scheduler(SchedulerKind::Heap)
-    }
-
-    /// Creates an engine with the clock at zero on the given backend.
-    /// `Auto` resolves to the heap here — callers with an occupancy
-    /// estimate resolve it via [`SchedulerKind::resolve`] first.
-    pub fn with_scheduler(kind: SchedulerKind) -> Engine<E> {
         Engine {
             now: TimeNs::ZERO,
             next_seq: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            backend: Backend::for_kind(kind),
-            live: 0,
-            tombstones: 0,
+            heap: Vec::new(),
+            root_taken: false,
             dispatched: 0,
         }
-    }
-
-    /// The backend this engine is running on (never `Auto`).
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.backend.kind()
     }
 
     /// The current simulation time (the timestamp of the last dispatched
@@ -186,30 +109,21 @@ impl<E: Copy> Engine<E> {
     }
 
     /// Clears the clock, the queue, and all counters while keeping the
-    /// slab/queue allocations, so one engine can be recycled across many
+    /// queue's allocation, so one engine can be recycled across many
     /// simulations (the sweep engine's per-worker scratch does exactly
     /// this).
     pub fn reset(&mut self) {
         self.now = TimeNs::ZERO;
         self.next_seq = 0;
-        self.slots.clear();
-        self.free.clear();
-        self.backend.clear();
-        self.live = 0;
-        self.tombstones = 0;
+        self.heap.clear();
+        self.root_taken = false;
         self.dispatched = 0;
     }
 
-    /// [`reset`](Engine::reset), additionally switching the backend to
-    /// `kind` (`Auto` resolves to the heap).  When the backend already
-    /// matches, its allocations are kept, so recycled engines pay the
-    /// swap only when a sweep actually changes scheduler between runs.
-    pub fn reset_with(&mut self, kind: SchedulerKind) {
-        let kind = kind.resolve(0);
-        if self.backend.kind() != kind {
-            self.backend = Backend::for_kind(kind);
-        }
-        self.reset();
+    /// Ensures room for at least `additional` more pending events
+    /// without reallocating.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -217,7 +131,8 @@ impl<E: Copy> Engine<E> {
     /// # Panics
     /// Panics if `at` is in the simulated past — schedules must never
     /// rewind the clock.
-    pub fn schedule(&mut self, at: TimeNs, payload: E) -> EventToken {
+    #[inline]
+    pub fn schedule(&mut self, at: TimeNs, payload: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at:?} < now {:?}",
@@ -225,120 +140,116 @@ impl<E: Copy> Engine<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (slot, gen) = match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                s.cancelled = false;
-                (slot, s.gen)
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("event slab exhausted u32 slots");
-                self.slots.push(Slot {
-                    gen: 0,
-                    cancelled: false,
-                });
-                (slot, 0)
-            }
-        };
-        self.live += 1;
-        self.backend.push(EventEntry {
-            time: at,
-            seq,
-            slot,
-            payload,
-        });
-        EventToken { slot, gen }
+        let entry = Entry::new(at, seq, payload);
+        if self.root_taken {
+            // Pop and push in one sift: the new entry takes the
+            // dispatched root's slot.
+            self.root_taken = false;
+            self.sift_down_into_root(entry);
+        } else {
+            self.heap.push(entry);
+            self.sift_up(self.heap.len() - 1);
+        }
     }
 
     /// Schedules `payload` after `delay` from now.
-    pub fn schedule_after(&mut self, delay: DurationNs, payload: E) -> EventToken {
+    pub fn schedule_after(&mut self, delay: DurationNs, payload: E) {
         self.schedule(self.now + delay, payload)
     }
 
-    /// Cancels a scheduled event in O(1).  Returns `true` if the event
-    /// had not yet fired (or been cancelled); tokens of already-fired
-    /// events are stale and report `false` without leaving any residue.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
-        let Some(slot) = self.slots.get_mut(token.slot as usize) else {
-            return false;
-        };
-        // A matching generation means the token's event is still pending:
-        // firing, cancelling, and recycling all bump the stamp, and a new
-        // token is only handed out (with the bumped stamp) once the slot
-        // is occupied again.
-        if slot.gen != token.gen {
-            return false;
-        }
-        debug_assert!(!slot.cancelled);
-        slot.cancelled = true;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.live -= 1;
-        self.tombstones += 1;
-        true
-    }
-
-    /// Pops the next live event, advancing the clock to its timestamp.
+    /// Pops the next event, advancing the clock to its timestamp.
     #[allow(clippy::should_implement_trait)] // the driver loop reads naturally as `while eng.next()`
+    #[inline]
     pub fn next(&mut self) -> Option<(TimeNs, E)> {
-        while let Some(entry) = self.backend.pop_min() {
-            if self.release(entry.slot) {
-                self.tombstones -= 1;
-                continue;
+        if self.root_taken {
+            self.root_taken = false;
+            let last = self.heap.pop().expect("the taken root is still stored");
+            if !self.heap.is_empty() {
+                self.sift_down_into_root(last);
             }
-            debug_assert!(entry.time >= self.now);
-            self.now = entry.time;
-            self.live -= 1;
-            self.dispatched += 1;
-            return Some((entry.time, entry.payload));
         }
-        None
+        let top = *self.heap.first()?;
+        self.root_taken = true;
+        let time = top.time();
+        debug_assert!(time >= self.now);
+        self.now = time;
+        self.dispatched += 1;
+        Some((time, top.payload))
     }
 
-    /// The timestamp of the next live event, without dispatching it.
-    pub fn peek_time(&mut self) -> Option<TimeNs> {
-        loop {
-            let entry = self.backend.peek_min()?;
-            let (time, slot) = (entry.time, entry.slot);
-            if !self.slots[slot as usize].cancelled {
-                return Some(time);
-            }
-            self.backend.pop_min();
-            self.release(slot);
-            self.tombstones -= 1;
-        }
+    /// The timestamp of the next event, without dispatching it.
+    pub fn peek_time(&self) -> Option<TimeNs> {
+        let next = if self.root_taken {
+            // With the root dispatched, its smaller child is next.
+            self.heap.iter().skip(1).take(2).min_by_key(|e| e.key)
+        } else {
+            self.heap.first()
+        };
+        next.map(Entry::time)
     }
 
-    /// Count of pending (live) events.
+    /// Count of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len() - usize::from(self.root_taken)
     }
 
-    /// True if no live events remain.
+    /// True if no events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
-    /// Cancelled events still occupying queue slots (drained lazily as
-    /// they surface).  Diagnostic: after the queue runs dry this is
-    /// always zero.
-    pub fn tombstones(&self) -> usize {
-        self.tombstones
-    }
+    // ----- heap internals ---------------------------------------------
 
-    // ----- slab internals ---------------------------------------------
-
-    /// Returns `slot` to the free list once its queue entry has been
-    /// popped, staling any outstanding token.  Reports whether the event
-    /// had been cancelled (cancellation already bumped the stamp).
-    fn release(&mut self, slot: u32) -> bool {
-        let s = &mut self.slots[slot as usize];
-        let cancelled = s.cancelled;
-        if !cancelled {
-            s.gen = s.gen.wrapping_add(1);
+    fn sift_up(&mut self, mut i: usize) {
+        let moved = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].key <= moved.key {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            i = parent;
         }
-        s.cancelled = false;
-        self.free.push(slot);
-        cancelled
+        self.heap[i] = moved;
+    }
+
+    /// Places `moved` into the (vacated) root slot and restores the
+    /// heap, `BinaryHeap`-style: unless `moved` is already the minimum,
+    /// walk a hole all the way to a leaf, always promoting the smaller
+    /// child (one comparison per level instead of two), then sift
+    /// `moved` back up.  Entries placed here (the heap's tail, or an
+    /// event scheduled some time ahead) usually belong near the leaves,
+    /// so the trailing sift-up is short.
+    fn sift_down_into_root(&mut self, moved: Entry<E>) {
+        let len = self.heap.len();
+        let stays = |c: usize| c >= len || moved.key < self.heap[c].key;
+        if stays(1) && stays(2) {
+            self.heap[0] = moved;
+            return;
+        }
+        let mut i = 0;
+        loop {
+            let child = 2 * i + 1;
+            if child >= len {
+                break;
+            }
+            // Which child is smaller is a coin flip the branch predictor
+            // cannot learn, so pick it without a branch.
+            let right = child + 1;
+            let smaller =
+                child + usize::from(right < len && self.heap[right].key < self.heap[child].key);
+            self.heap[i] = self.heap[smaller];
+            i = smaller;
+        }
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent].key <= moved.key {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            i = parent;
+        }
+        self.heap[i] = moved;
     }
 }
 
@@ -346,105 +257,33 @@ impl<E: Copy> Engine<E> {
 mod tests {
     use super::*;
 
-    /// Both concrete backends, so every behavioral test runs on each.
-    const KINDS: [SchedulerKind; 2] = [SchedulerKind::Heap, SchedulerKind::Calendar];
-
-    fn each_kind(test: impl Fn(SchedulerKind)) {
-        for kind in KINDS {
-            test(kind);
-        }
-    }
-
     #[test]
     fn fifo_at_equal_times() {
-        each_kind(|kind| {
-            let mut eng: Engine<u32> = Engine::with_scheduler(kind);
-            for i in 0..10 {
-                eng.schedule(TimeNs(5), i);
-            }
-            let got: Vec<u32> = std::iter::from_fn(|| eng.next().map(|(_, e)| e)).collect();
-            assert_eq!(got, (0..10).collect::<Vec<_>>());
-        });
+        let mut eng: Engine<u32> = Engine::new();
+        for i in 0..10 {
+            eng.schedule(TimeNs(5), i);
+        }
+        let got: Vec<u32> = std::iter::from_fn(|| eng.next().map(|(_, e)| e)).collect();
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn time_ordering_wins_over_insertion() {
-        each_kind(|kind| {
-            let mut eng: Engine<&str> = Engine::with_scheduler(kind);
-            eng.schedule(TimeNs(100), "late");
-            eng.schedule(TimeNs(1), "early");
-            assert_eq!(eng.next().unwrap().1, "early");
-            assert_eq!(eng.next().unwrap().1, "late");
-            assert_eq!(eng.now(), TimeNs(100));
-        });
+        let mut eng: Engine<&str> = Engine::new();
+        eng.schedule(TimeNs(100), "late");
+        eng.schedule(TimeNs(1), "early");
+        assert_eq!(eng.next().unwrap().1, "early");
+        assert_eq!(eng.next().unwrap().1, "late");
+        assert_eq!(eng.now(), TimeNs(100));
     }
 
     #[test]
-    fn cancel_prevents_dispatch() {
-        each_kind(|kind| {
-            let mut eng: Engine<&str> = Engine::with_scheduler(kind);
-            let t1 = eng.schedule(TimeNs(10), "a");
-            eng.schedule(TimeNs(20), "b");
-            assert!(eng.cancel(t1));
-            assert!(!eng.cancel(t1), "double cancel reports false");
-            assert_eq!(eng.next().unwrap().1, "b");
-            assert!(eng.next().is_none());
-        });
-    }
-
-    #[test]
-    fn cancel_unknown_token_is_false() {
-        let mut eng: Engine<u8> = Engine::new();
-        assert!(!eng.cancel(EventToken::forged(42, 0)));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false_and_leaves_no_tombstone() {
-        // Regression: the HashSet-based queue recorded a tombstone for
-        // events cancelled *after* they fired and never drained it.
-        let mut eng: Engine<u8> = Engine::new();
-        let t = eng.schedule(TimeNs(1), 1);
-        assert_eq!(eng.next(), Some((TimeNs(1), 1)));
-        assert!(!eng.cancel(t), "event already fired");
-        assert_eq!(eng.tombstones(), 0);
-    }
-
-    #[test]
-    fn tombstones_drain_to_zero_on_pop() {
-        each_kind(|kind| {
-            let mut eng: Engine<u32> = Engine::with_scheduler(kind);
-            let mut tokens = Vec::new();
-            for i in 0..64 {
-                tokens.push(eng.schedule(TimeNs(i % 9), i as u32));
-            }
-            for t in tokens.iter().step_by(2) {
-                assert!(eng.cancel(*t));
-            }
-            assert_eq!(eng.tombstones(), 32);
-            assert_eq!(eng.len(), 32);
-            let mut popped = 0;
-            while eng.next().is_some() {
-                popped += 1;
-            }
-            assert_eq!(popped, 32);
-            assert_eq!(eng.tombstones(), 0, "cancelled slots are purged lazily");
-            assert_eq!(eng.len(), 0);
-        });
-    }
-
-    #[test]
-    fn stale_token_cannot_cancel_a_recycled_slot() {
-        each_kind(|kind| {
-            let mut eng: Engine<&str> = Engine::with_scheduler(kind);
-            let stale = eng.schedule(TimeNs(1), "first");
-            eng.next();
-            // The slab now recycles the freed slot for a new event; the old
-            // token must not be able to cancel it.
-            let fresh = eng.schedule(TimeNs(2), "second");
-            assert!(!eng.cancel(stale));
-            assert_eq!(eng.next(), Some((TimeNs(2), "second")));
-            assert!(!eng.cancel(fresh), "fresh token is stale after dispatch");
-        });
+    fn key_packing_is_lexicographic() {
+        let a = Entry::new(TimeNs(1), u64::MAX, ());
+        let b = Entry::new(TimeNs(2), 0, ());
+        assert!(a.key < b.key);
+        assert_eq!(a.time(), TimeNs(1));
+        assert_eq!(Entry::new(TimeNs(u64::MAX), 7, ()).time(), TimeNs(u64::MAX));
     }
 
     #[test]
@@ -457,36 +296,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "past")]
-    fn scheduling_into_past_panics_on_calendar() {
-        let mut eng: Engine<u8> = Engine::with_scheduler(SchedulerKind::Calendar);
-        eng.schedule(TimeNs(10), 1);
-        eng.next();
-        eng.schedule(TimeNs(5), 2);
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        each_kind(|kind| {
-            let mut eng: Engine<u8> = Engine::with_scheduler(kind);
-            let t = eng.schedule(TimeNs(1), 1);
-            eng.schedule(TimeNs(2), 2);
-            eng.cancel(t);
-            assert_eq!(eng.peek_time(), Some(TimeNs(2)));
-            assert_eq!(eng.len(), 1);
-            assert_eq!(eng.next(), Some((TimeNs(2), 2)));
-            assert_eq!(eng.peek_time(), None);
-        });
-    }
-
-    #[test]
-    fn dispatched_counts_only_live_events() {
+    fn peek_reports_the_next_time() {
         let mut eng: Engine<u8> = Engine::new();
-        let t = eng.schedule(TimeNs(1), 1);
+        assert_eq!(eng.peek_time(), None);
         eng.schedule(TimeNs(2), 2);
-        eng.cancel(t);
+        eng.schedule(TimeNs(1), 1);
+        assert_eq!(eng.peek_time(), Some(TimeNs(1)));
+        assert_eq!(eng.len(), 2);
+        assert_eq!(eng.next(), Some((TimeNs(1), 1)));
+        assert_eq!(eng.peek_time(), Some(TimeNs(2)));
+    }
+
+    #[test]
+    fn dispatched_root_is_invisible_until_replaced() {
+        let mut eng: Engine<u8> = Engine::new();
+        for (t, e) in [(3, 3), (1, 1), (2, 2)] {
+            eng.schedule(TimeNs(t), e);
+        }
+        assert_eq!(eng.next(), Some((TimeNs(1), 1)));
+        assert_eq!((eng.len(), eng.peek_time()), (2, Some(TimeNs(2))));
+        // The follow-up event takes the dispatched root's slot; one that
+        // sorts first must still pop first.
+        eng.schedule(TimeNs(1), 4);
+        assert_eq!((eng.len(), eng.peek_time()), (3, Some(TimeNs(1))));
+        let rest: Vec<u8> = std::iter::from_fn(|| eng.next().map(|(_, e)| e)).collect();
+        assert_eq!(rest, vec![4, 2, 3]);
+        assert_eq!((eng.len(), eng.peek_time()), (0, None));
+    }
+
+    #[test]
+    fn dispatched_counts_every_pop() {
+        let mut eng: Engine<u8> = Engine::new();
+        eng.schedule(TimeNs(1), 1);
+        eng.schedule(TimeNs(2), 2);
         while eng.next().is_some() {}
-        assert_eq!(eng.dispatched(), 1);
+        assert_eq!(eng.dispatched(), 2);
+        assert!(eng.is_empty());
     }
 
     #[test]
@@ -500,62 +345,30 @@ mod tests {
 
     #[test]
     fn reset_recycles_the_engine() {
-        each_kind(|kind| {
-            let mut eng: Engine<u8> = Engine::with_scheduler(kind);
-            let t = eng.schedule(TimeNs(10), 1);
-            eng.schedule(TimeNs(20), 2);
-            eng.cancel(t);
-            eng.next();
-            eng.reset();
-            assert_eq!(eng.now(), TimeNs::ZERO);
-            assert_eq!(eng.dispatched(), 0);
-            assert_eq!(eng.len(), 0);
-            assert_eq!(eng.tombstones(), 0);
-            // A full re-run behaves exactly like a fresh engine.
-            eng.schedule(TimeNs(5), 7);
-            assert_eq!(eng.next(), Some((TimeNs(5), 7)));
-        });
-    }
-
-    #[test]
-    fn reset_with_switches_backends() {
         let mut eng: Engine<u8> = Engine::new();
-        assert_eq!(eng.scheduler(), SchedulerKind::Heap);
-        eng.schedule(TimeNs(1), 1);
-        eng.reset_with(SchedulerKind::Calendar);
-        assert_eq!(eng.scheduler(), SchedulerKind::Calendar);
+        eng.schedule(TimeNs(10), 1);
+        eng.schedule(TimeNs(20), 2);
+        eng.next();
+        eng.reset();
+        assert_eq!(eng.now(), TimeNs::ZERO);
+        assert_eq!(eng.dispatched(), 0);
         assert_eq!(eng.len(), 0);
-        eng.schedule(TimeNs(3), 3);
-        assert_eq!(eng.next(), Some((TimeNs(3), 3)));
-        // Auto without an estimate falls back to the heap.
-        eng.reset_with(SchedulerKind::Auto);
-        assert_eq!(eng.scheduler(), SchedulerKind::Heap);
+        // A full re-run behaves exactly like a fresh engine.
+        eng.schedule(TimeNs(5), 7);
+        assert_eq!(eng.next(), Some((TimeNs(5), 7)));
     }
 
     #[test]
-    fn backends_dispatch_identically() {
-        // The same interleaved workload on both backends produces the
-        // exact same (time, payload) sequence — the byte-identical
-        // output contract the sweeps rely on.
-        let run = |kind: SchedulerKind| {
-            let mut eng: Engine<u64> = Engine::with_scheduler(kind);
-            let mut out = Vec::new();
-            let mut tokens = Vec::new();
-            for i in 0..300u64 {
-                tokens.push(eng.schedule(TimeNs((i * 37) % 101), i));
-            }
-            for t in tokens.iter().step_by(3) {
-                eng.cancel(*t);
-            }
-            while let Some((t, e)) = eng.next() {
-                out.push((t, e));
-                if e % 7 == 0 && out.len() < 600 {
-                    eng.schedule_after(DurationNs(5), e + 10_000);
-                }
-            }
-            out
-        };
-        assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Calendar));
+    fn reserve_keeps_capacity_across_reset() {
+        let mut eng: Engine<u64> = Engine::new();
+        eng.reserve(64);
+        let cap = eng.heap.capacity();
+        assert!(cap >= 64);
+        for i in 0..64 {
+            eng.schedule(TimeNs(i % 5), i);
+        }
+        eng.reset();
+        assert_eq!(eng.heap.capacity(), cap, "reset keeps the allocation");
     }
 
     #[test]

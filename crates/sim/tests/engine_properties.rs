@@ -1,14 +1,11 @@
-//! Property tests of the slab event queue: random schedule / cancel /
-//! dispatch interleavings must pop in exactly the order a naive
-//! sorted-vec reference model produces — on both the heap and the
-//! calendar backends, which must also agree with each other step for
-//! step — and lazy tombstone purging must always drain to zero once
-//! the queue runs dry.
+//! Property tests of the event queue: random schedule / dispatch / peek
+//! interleavings must pop in exactly the order a naive sorted-vec
+//! reference model produces, on fresh and on recycled engines.
 //!
 //! Driven by a deterministic SplitMix64 case generator instead of
 //! `proptest` (crates.io is unreachable in the build environment).
 
-use extrap_sim::{Engine, EventToken, SchedulerKind, SplitMix64};
+use extrap_sim::{Engine, SplitMix64};
 use extrap_time::TimeNs;
 
 const CASES: u64 = 64;
@@ -23,26 +20,12 @@ struct NaiveQueue {
     pending: Vec<(u64, u64, u32)>,
 }
 
-/// A naive token is just the event's sequence number.
-struct NaiveToken(u64);
-
 impl NaiveQueue {
-    fn schedule(&mut self, at: u64, payload: u32) -> NaiveToken {
+    fn schedule(&mut self, at: u64, payload: u32) {
         assert!(at >= self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.push((at, seq, payload));
-        NaiveToken(seq)
-    }
-
-    fn cancel(&mut self, token: &NaiveToken) -> bool {
-        match self.pending.iter().position(|&(_, seq, _)| seq == token.0) {
-            Some(i) => {
-                self.pending.remove(i);
-                true
-            }
-            None => false,
-        }
     }
 
     fn next(&mut self) -> Option<(u64, u32)> {
@@ -72,27 +55,20 @@ fn for_all(seed: u64, mut check: impl FnMut(&mut SplitMix64)) {
     }
 }
 
-/// Drives a random schedule / cancel / dispatch / peek interleaving
-/// through the heap engine, the calendar engine, and the naive model
-/// simultaneously, asserting all three agree at every step.  The delay
-/// distribution mixes dense ties, mid-range spreads, and rare huge
-/// jumps so the calendar backend exercises growth/shrink resizes, the
-/// skew fallback, and the sparse-horizon direct search.
-fn three_way_interleaving(rng: &mut SplitMix64) {
-    let mut heap: Engine<u32> = Engine::with_scheduler(SchedulerKind::Heap);
-    let mut cal: Engine<u32> = Engine::with_scheduler(SchedulerKind::Calendar);
+/// Drives a random schedule / dispatch / peek interleaving through the
+/// engine and the naive model simultaneously, asserting they agree at
+/// every step.  The delay distribution mixes dense ties, mid-range
+/// spreads, and rare huge jumps.
+fn interleaving(rng: &mut SplitMix64) {
+    let mut eng: Engine<u32> = Engine::new();
     let mut naive = NaiveQueue::default();
-    // Outstanding (heap-token, calendar-token, naive-token) triples;
-    // cancellation picks one at random, sometimes an already-consumed
-    // (stale) one.
-    let mut tokens: Vec<(EventToken, EventToken, NaiveToken)> = Vec::new();
     let mut payload = 0u32;
 
     for _ in 0..STEPS {
         match rng.next_below(10) {
-            // ~50%: schedule at now + random delay (0 allowed —
+            // ~60%: schedule at now + random delay (0 allowed —
             // equal-time FIFO ordering is part of the contract).
-            0..=4 => {
+            0..=5 => {
                 let delay = match rng.next_below(16) {
                     // Dense: lots of collisions and small gaps.
                     0..=11 => rng.next_below(50),
@@ -103,138 +79,80 @@ fn three_way_interleaving(rng: &mut SplitMix64) {
                 };
                 let at = naive.now + delay;
                 payload += 1;
-                let th = heap.schedule(TimeNs(at), payload);
-                let tc = cal.schedule(TimeNs(at), payload);
-                let n = naive.schedule(at, payload);
-                tokens.push((th, tc, n));
+                eng.schedule(TimeNs(at), payload);
+                naive.schedule(at, payload);
             }
-            // ~20%: cancel a random outstanding token (may be stale).
-            5..=6 => {
-                if !tokens.is_empty() {
-                    let i = rng.next_below(tokens.len() as u64) as usize;
-                    let (th, tc, n) = tokens.swap_remove(i);
-                    let want = naive.cancel(&n);
-                    assert_eq!(heap.cancel(th), want);
-                    assert_eq!(cal.cancel(tc), want);
-                }
+            // ~30%: dispatch one event.
+            6..=8 => {
+                assert_eq!(eng.peek_time().map(TimeNs::as_ns), naive.peek_time());
+                assert_eq!(eng.next().map(|(t, p)| (t.as_ns(), p)), naive.next());
             }
-            // ~20%: dispatch one event.
-            7..=8 => {
-                let want_peek = naive.peek_time();
-                assert_eq!(heap.peek_time().map(TimeNs::as_ns), want_peek);
-                assert_eq!(cal.peek_time().map(TimeNs::as_ns), want_peek);
-                let want = naive.next();
-                assert_eq!(heap.next().map(|(t, p)| (t.as_ns(), p)), want);
-                assert_eq!(cal.next().map(|(t, p)| (t.as_ns(), p)), want);
-            }
-            // ~10%: check the live-event count invariant.
+            // ~10%: check the pending-event count invariant.
             _ => {
-                for eng in [&heap, &cal] {
-                    assert_eq!(eng.len(), naive.pending.len());
-                    assert_eq!(eng.is_empty(), naive.pending.is_empty());
-                }
+                assert_eq!(eng.len(), naive.pending.len());
+                assert_eq!(eng.is_empty(), naive.pending.is_empty());
             }
         }
     }
 
-    // Drain all three queues: the tails must agree element-for-element.
+    // Drain both queues: the tails must agree element-for-element.
     loop {
         let want = naive.next();
-        let got_heap = heap.next();
-        let got_cal = cal.next();
-        assert_eq!(got_heap.map(|(t, p)| (t.as_ns(), p)), want);
-        assert_eq!(got_cal.map(|(t, p)| (t.as_ns(), p)), want);
+        assert_eq!(eng.next().map(|(t, p)| (t.as_ns(), p)), want);
         if want.is_none() {
             break;
         }
     }
-    for eng in [&heap, &cal] {
-        assert_eq!(
-            eng.tombstones(),
-            0,
-            "tombstones must fully drain once the queue is dry"
-        );
-        assert_eq!(eng.len(), 0);
-    }
+    assert_eq!(eng.len(), 0);
 }
 
 #[test]
 fn random_interleavings_match_the_naive_reference_model() {
-    for_all(0x51AB, three_way_interleaving);
+    for_all(0x51AB, interleaving);
 }
 
 #[test]
 fn reused_engines_still_match_the_model() {
     // The sweep scratch recycles one engine across many simulations via
-    // reset_with, alternating backends; a recycled engine must behave
-    // exactly like a fresh one.
-    let mut heap: Engine<u32> = Engine::new();
+    // reset; a recycled engine must behave exactly like a fresh one, even
+    // when the previous run left events behind.
+    let mut eng: Engine<u32> = Engine::new();
     for_all(0x7E57, |rng| {
-        let kind = if rng.next_below(2) == 0 {
-            SchedulerKind::Heap
-        } else {
-            SchedulerKind::Calendar
-        };
-        heap.reset_with(kind);
-        assert_eq!(heap.scheduler(), kind);
+        eng.reset();
+        eng.reserve(rng.next_below(64) as usize);
         let mut naive = NaiveQueue::default();
         let mut payload = 0u32;
         for _ in 0..100 {
             if rng.next_below(3) != 0 {
                 let at = naive.now + rng.next_below(1000);
                 payload += 1;
-                heap.schedule(TimeNs(at), payload);
+                eng.schedule(TimeNs(at), payload);
                 naive.schedule(at, payload);
             } else {
-                assert_eq!(heap.next().map(|(t, p)| (t.as_ns(), p)), naive.next());
+                assert_eq!(eng.next().map(|(t, p)| (t.as_ns(), p)), naive.next());
             }
         }
-        loop {
-            let want = naive.next();
-            assert_eq!(heap.next().map(|(t, p)| (t.as_ns(), p)), want);
-            if want.is_none() {
-                break;
-            }
-        }
+        assert_eq!(eng.len(), naive.pending.len());
     });
 }
 
 #[test]
 fn dispatch_order_is_stable_across_identical_runs() {
-    let run = |seed: u64, kind: SchedulerKind| {
+    let run = |seed: u64| {
         let mut rng = SplitMix64::new(seed);
-        let mut eng: Engine<u64> = Engine::with_scheduler(kind);
+        let mut eng: Engine<u64> = Engine::new();
         let mut out = Vec::new();
         for i in 0..200u64 {
             eng.schedule(TimeNs(rng.next_below(40)), i);
         }
-        let mut cancels: Vec<EventToken> = Vec::new();
         while let Some((t, e)) = eng.next() {
             out.push((t, e));
             if e % 3 == 0 && out.len() < 400 {
-                let tok = eng.schedule(TimeNs(t.as_ns() + rng.next_below(20)), e + 10_000);
-                cancels.push(tok);
-            }
-            if e % 7 == 0 {
-                if let Some(tok) = cancels.pop() {
-                    eng.cancel(tok);
-                }
+                eng.schedule(TimeNs(t.as_ns() + rng.next_below(20)), e + 10_000);
             }
         }
         out
     };
-    assert_eq!(
-        run(0xDEAD, SchedulerKind::Heap),
-        run(0xDEAD, SchedulerKind::Heap)
-    );
-    assert_eq!(
-        run(0xDEAD, SchedulerKind::Heap),
-        run(0xDEAD, SchedulerKind::Calendar),
-        "backends produce byte-identical dispatch sequences"
-    );
-    assert_ne!(
-        run(0xDEAD, SchedulerKind::Heap),
-        run(0xBEEF, SchedulerKind::Heap),
-        "different seeds diverge"
-    );
+    assert_eq!(run(0xDEAD), run(0xDEAD));
+    assert_ne!(run(0xDEAD), run(0xBEEF), "different seeds diverge");
 }
