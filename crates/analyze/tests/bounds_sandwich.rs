@@ -4,7 +4,7 @@
 //! under both simulation strategies.
 
 use extrap_analyze::{analyze, envelope, verify_prediction};
-use extrap_core::{machine, run_compiled, CompiledProgram, SimParams, SimStrategy};
+use extrap_core::{machine, CompiledProgram, Extrapolator, SimParams, SimStrategy};
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::builder::{PhaseAccess, PhaseProgram, PhaseWork};
 use extrap_trace::TraceSet;
@@ -41,7 +41,9 @@ fn strategy_matrix() -> Vec<(&'static str, SimStrategy)> {
 /// also checks MipsRatio monotonicity) plus the explicit
 /// `span ≤ T ≤ upper` and speedup inequalities.
 fn assert_sandwich(label: &str, program: &CompiledProgram, params: &SimParams) {
-    let pred = run_compiled(program, params).expect("simulate");
+    let pred = Extrapolator::new(params.clone())
+        .run(program)
+        .expect("simulate");
     if let Err(violation) = verify_prediction(program, params, &pred) {
         panic!("{label}: {violation}");
     }

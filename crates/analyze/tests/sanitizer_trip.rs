@@ -5,7 +5,7 @@
 //! is process-global: the tests here run in one process that *expects*
 //! the hook installed, without racing the envelope tests.
 
-use extrap_core::{machine, run_compiled, sanitizer, CompiledProgram};
+use extrap_core::{machine, sanitizer, CompiledProgram, Extrapolator};
 use extrap_workloads::{Bench, Scale};
 
 fn grid_program(n: usize) -> CompiledProgram {
@@ -22,12 +22,16 @@ fn honest_results_pass_and_corrupted_cost_model_trips() {
     // Honest engine + honest parameters: every strategy sails through.
     let program = grid_program(4);
     let mut params = machine::default_distributed();
-    run_compiled(&program, &params).expect("exact under sanitizer");
+    Extrapolator::new(params.clone())
+        .run(&program)
+        .expect("exact under sanitizer");
     params.strategy = extrap_core::SimStrategy::Representative {
         max_clusters: extrap_core::SimStrategy::DEFAULT_MAX_CLUSTERS,
         tolerance: extrap_core::SimStrategy::DEFAULT_TOLERANCE,
     };
-    run_compiled(&program, &params).expect("representative under sanitizer");
+    Extrapolator::new(params.clone())
+        .run(&program)
+        .expect("representative under sanitizer");
 
     // Corrupted cost model: the result was produced under a 50x slower
     // processor, but is presented as a run of the honest parameters.
@@ -35,7 +39,9 @@ fn honest_results_pass_and_corrupted_cost_model_trips() {
     let mut corrupted = machine::default_distributed();
     corrupted.mips_ratio *= 50.0;
     sanitizer::set_enabled(false);
-    let bogus = run_compiled(&program, &corrupted).expect("corrupted run");
+    let bogus = Extrapolator::new(corrupted.clone())
+        .run(&program)
+        .expect("corrupted run");
     sanitizer::set_enabled(true);
     let honest = machine::default_distributed();
     let trip = std::panic::catch_unwind(|| {
@@ -53,7 +59,9 @@ fn honest_results_pass_and_corrupted_cost_model_trips() {
 
     // Disabling makes `check` a no-op even for wild results.  Kept in
     // the same (single) test because the enable flag is process-global.
-    let mut wild = run_compiled(&program, &honest).expect("simulate");
+    let mut wild = Extrapolator::new(honest.clone())
+        .run(&program)
+        .expect("simulate");
     for b in &mut wild.per_thread {
         b.end_time = extrap_time::TimeNs(u64::MAX / 2);
     }

@@ -6,8 +6,8 @@
 use extrap_bench::harness::Harness;
 use extrap_bench::ring_traces;
 use extrap_core::{
-    extrapolate, machine, BarrierAlgorithm, MultithreadParams, ServicePolicy, SizeMode,
-    ThreadMapping,
+    machine, BarrierAlgorithm, CompiledProgram, Extrapolator, MultithreadParams, ServicePolicy,
+    SizeMode, ThreadMapping,
 };
 use std::hint::black_box;
 
@@ -30,7 +30,12 @@ fn main() {
                 params.barrier.by_msgs = false;
             }
             h.bench(name, || {
-                black_box(extrapolate(&ts, &params).unwrap().exec_time())
+                black_box(
+                    Extrapolator::new(params.clone())
+                        .run(&ts)
+                        .unwrap()
+                        .exec_time(),
+                )
             });
         }
     }
@@ -40,10 +45,16 @@ fn main() {
         let params = machine::cm5();
         let refmachine = extrap_refsim::RefMachine::new(params.clone());
         h.bench("contention_model/analytic", || {
-            black_box(extrapolate(&ts, &params).unwrap().exec_time())
+            black_box(
+                Extrapolator::new(params.clone())
+                    .run(&ts)
+                    .unwrap()
+                    .exec_time(),
+            )
         });
         h.bench("contention_model/link_level", || {
-            black_box(refmachine.measure(&ts).unwrap().exec_time())
+            let program = CompiledProgram::compile(&ts).unwrap();
+            black_box(refmachine.measure(&program).unwrap().exec_time())
         });
     }
 
@@ -53,7 +64,12 @@ fn main() {
             let mut params = machine::default_distributed();
             params.policy = ServicePolicy::poll_us(us);
             h.bench(&format!("poll_interval/{us}us"), || {
-                black_box(extrapolate(&ts, &params).unwrap().exec_time())
+                black_box(
+                    Extrapolator::new(params.clone())
+                        .run(&ts)
+                        .unwrap()
+                        .exec_time(),
+                )
             });
         }
     }
@@ -67,7 +83,12 @@ fn main() {
             let mut params = machine::default_distributed();
             params.size_mode = mode;
             h.bench(name, || {
-                black_box(extrapolate(&ts, &params).unwrap().exec_time())
+                black_box(
+                    Extrapolator::new(params.clone())
+                        .run(&ts)
+                        .unwrap()
+                        .exec_time(),
+                )
             });
         }
     }
@@ -88,7 +109,12 @@ fn main() {
                 ..MultithreadParams::default()
             };
             h.bench(name, || {
-                black_box(extrapolate(&ts, &params).unwrap().exec_time())
+                black_box(
+                    Extrapolator::new(params.clone())
+                        .run(&ts)
+                        .unwrap()
+                        .exec_time(),
+                )
             });
         }
     }

@@ -6,7 +6,7 @@
 
 use extrap_bench::harness::Harness;
 use extrap_bench::suite_traces;
-use extrap_core::{extrapolate, machine, ServicePolicy, SizeMode};
+use extrap_core::{machine, CompiledProgram, Extrapolator, ServicePolicy, SizeMode};
 use extrap_trace::translate;
 use extrap_workloads::{matmul, Bench, Scale};
 use std::hint::black_box;
@@ -24,7 +24,12 @@ fn main() {
         let params = machine::default_distributed();
         h.bench("fig4_suite_extrapolation_p32", || {
             for (_, ts) in &traces {
-                black_box(extrapolate(ts, &params).unwrap().exec_time());
+                black_box(
+                    Extrapolator::new(params.clone())
+                        .run(ts)
+                        .unwrap()
+                        .exec_time(),
+                );
             }
         });
     }
@@ -37,7 +42,12 @@ fn main() {
         variants.push(actual);
         h.bench("fig5_grid_variants_p16", || {
             for params in &variants {
-                black_box(extrapolate(&grid, params).unwrap().exec_time());
+                black_box(
+                    Extrapolator::new(params.clone())
+                        .run(&grid)
+                        .unwrap()
+                        .exec_time(),
+                );
             }
         });
     }
@@ -48,7 +58,7 @@ fn main() {
             for ratio in [2.0, 1.0, 0.5] {
                 let mut params = machine::default_distributed();
                 params.mips_ratio = ratio;
-                black_box(extrapolate(&mgrid, &params).unwrap().exec_time());
+                black_box(Extrapolator::new(params).run(&mgrid).unwrap().exec_time());
             }
         });
     }
@@ -59,7 +69,7 @@ fn main() {
             for startup in [5.0, 100.0, 200.0] {
                 let mut params = machine::default_distributed();
                 params.comm = params.comm.with_startup_us(startup);
-                black_box(extrapolate(&mgrid, &params).unwrap().exec_time());
+                black_box(Extrapolator::new(params).run(&mgrid).unwrap().exec_time());
             }
         });
     }
@@ -76,7 +86,7 @@ fn main() {
                 let mut params = machine::default_distributed();
                 params.comm = params.comm.with_startup_us(100.0);
                 params.policy = policy;
-                black_box(extrapolate(&cyclic, &params).unwrap().exec_time());
+                black_box(Extrapolator::new(params).run(&cyclic).unwrap().exec_time());
             }
         });
     }
@@ -90,10 +100,16 @@ fn main() {
         let params = machine::cm5();
         let refmachine = extrap_refsim::RefMachine::new(params.clone());
         h.bench("fig9_matmul_predicted_p16", || {
-            black_box(extrapolate(&ts, &params).unwrap().exec_time())
+            black_box(
+                Extrapolator::new(params.clone())
+                    .run(&ts)
+                    .unwrap()
+                    .exec_time(),
+            )
         });
         h.bench("fig9_matmul_measured_p16", || {
-            black_box(refmachine.measure(&ts).unwrap().exec_time())
+            let program = CompiledProgram::compile(&ts).unwrap();
+            black_box(refmachine.measure(&program).unwrap().exec_time())
         });
     }
 

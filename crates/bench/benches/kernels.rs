@@ -3,7 +3,7 @@
 
 use extrap_bench::harness::{Harness, Throughput};
 use extrap_bench::{ring_program, ring_traces};
-use extrap_core::{extrapolate, machine, CompiledProgram, RecordMode, SimScratch};
+use extrap_core::{machine, CompiledProgram, Extrapolator, RecordMode, RunInput, SimScratch};
 use extrap_sim::SplitMix64;
 use extrap_time::{DurationNs, TimeNs};
 use std::hint::black_box;
@@ -60,12 +60,12 @@ fn main() {
 
     for &n in &[4usize, 16, 32] {
         let ts = ring_traces(n, 32, 20.0, 1_024);
-        let params = machine::default_distributed();
-        let events = extrapolate(&ts, &params).unwrap().events_dispatched;
+        let session = Extrapolator::new(machine::default_distributed());
+        let events = session.run(&ts).unwrap().events_dispatched;
         h.bench_throughput(
             &format!("extrapolate_ring_{n}t"),
             Throughput::Elements(events),
-            || black_box(extrapolate(&ts, &params).unwrap().exec_time()),
+            || black_box(session.run(&ts).unwrap().exec_time()),
         );
     }
 
@@ -74,21 +74,22 @@ fn main() {
     {
         let ts = ring_traces(32, 32, 20.0, 1_024);
         let program = CompiledProgram::compile(&ts).unwrap();
-        let mut params = machine::default_distributed();
-        params.record_mode = RecordMode::MetricsOnly;
-        let events = extrapolate(&ts, &machine::default_distributed())
+        let events = Extrapolator::new(machine::default_distributed())
+            .run(&ts)
             .unwrap()
             .events_dispatched;
+        let session =
+            Extrapolator::new(machine::default_distributed()).record_mode(RecordMode::MetricsOnly);
         let mut scratch = SimScratch::default();
         h.bench_throughput(
             "run_compiled_scratch_ring_32t",
             Throughput::Elements(events),
             || {
-                black_box(
-                    extrap_core::run_compiled_scratch(&program, &params, &mut scratch)
-                        .unwrap()
-                        .exec_time(),
-                )
+                let input = RunInput::CompiledScratch {
+                    program: &program,
+                    scratch: &mut scratch,
+                };
+                black_box(session.run(input).unwrap().exec_time())
             },
         );
     }

@@ -312,13 +312,13 @@ fn job_table(h: &Handle) {
 fn sanitizer_race(h: &Handle) {
     let mut params = machine::default_distributed();
     params.record_mode = RecordMode::MetricsOnly;
-    let cached = Arc::new(
-        extrap_core::CachedTrace::new(tiny_set(2).expect("tiny set translates"))
+    let program = Arc::new(
+        extrap_core::CompiledProgram::compile(&tiny_set(2).expect("tiny set translates"))
             .expect("tiny set compiles"),
     );
     let prediction = Arc::new(
         Extrapolator::new(params.clone())
-            .run_compiled(cached.program())
+            .run(&*program)
             .expect("tiny program simulates"),
     );
     let params = Arc::new(params);
@@ -330,7 +330,7 @@ fn sanitizer_race(h: &Handle) {
     h.spawn(move || {
         // A no-op before enable lands, a real envelope check after;
         // a violation panics and the runtime reports the schedule.
-        extrap_core::sanitizer::check(cached.program(), &params, &prediction);
+        extrap_core::sanitizer::check(&program, &params, &prediction);
     });
 
     let ok = h.go();

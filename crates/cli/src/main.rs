@@ -8,8 +8,7 @@
 //! extrap simulate  traces.xtps [--machine M | --params FILE] [--set KEY=VALUE]... \
 //!                  [--check-bounds] [--predicted OUT] [--stream]
 //! extrap analyze   FILE|BENCH [--threads N] [--procs LIST] [--format text|json|csv]
-//! extrap sweep     <bench>[,<bench>...] [--procs 1,2,...] [--jobs N] [--csv] [--check-bounds] \
-//!                  [--stream [--mem-budget BYTES]]     # bounded-resident grid sweep
+//! extrap sweep     <bench>[,<bench>...] [--procs 1,2,...] [--jobs N] [--csv] [--check-bounds]
 //! extrap serve     [--addr HOST:PORT] [--workers N] [--mem-budget-mb N] ...
 //! extrap client    sweep|simulate|stats|shutdown [--addr HOST:PORT] ...
 //! extrap check     [traces.xtps]           # determinism report, or model-check the
@@ -82,7 +81,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  extrap sweep <bench>[,<bench>...] [--procs 1,2,4,8,16,32] [--scale S] \
                  [--machine M] [--params FILE] [--set KEY=VALUE]... \
                  [--strategy exact|repr[:K[:TOL]]] \
-                 [--jobs N] [--csv] [--check-bounds] [--stream [--mem-budget BYTES]]\n  \
+                 [--jobs N] [--csv] [--check-bounds]\n  \
                  extrap serve [--addr HOST:PORT] [--workers N] [--sweep-workers N] \
                  [--mem-budget-mb N] [--max-inflight N] [--max-conn-inflight N] \
                  [--max-connections N] [--timeout-ms N] [--batch-window-ms N] \
@@ -94,12 +93,12 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  extrap client stats [FILE --phases] [--addr HOST:PORT]\n  \
                  extrap client shutdown [--addr HOST:PORT]\n  \
                  extrap report FILE\n  \
-                 extrap stats FILE [--phases] [--max-clusters K] [--tolerance F] [--stream]\n  \
+                 extrap stats FILE [--phases] [--max-clusters K] [--tolerance F]\n  \
                  extrap timeline FILE [--width N]\n  \
                  extrap check [FILE] [--scenarios] [--scenario NAME] [--replay CERT] \
                  [--schedules N] [--seed N] [--max-steps N]\n  \
                  extrap lint FILE|DIR... [--machine M] [--format text|json] [--jobs N] \
-                 [--deny-warnings] [--allow CODE]... [--stream]\n  \
+                 [--deny-warnings] [--allow CODE]...\n  \
                  extrap lint --fix FILE [--out FILE] [--dry-run] | extrap lint --codes\n  \
                  extrap diff FILE <machineA> <machineB>\n  \
                  extrap params [--machine M]\n  extrap benches"
@@ -268,12 +267,11 @@ fn take_check_bounds(spec: &mut ArgSpec) -> bool {
 /// Default in-memory budget for `--stream` spill sinks: 64 MiB.
 const DEFAULT_STREAM_BUDGET: usize = 64 << 20;
 
-/// Takes `--stream [--mem-budget BYTES]` off a spec — the out-of-core
-/// ingestion opt-in shared by `translate`/`simulate`/`sweep`/`stats`/
-/// `lint`.  The budget defaults to [`DEFAULT_STREAM_BUDGET`] and only
-/// applies where there is something to bound (the translate spill sink,
-/// the sweep cache); subcommands whose streaming path is bounded by
-/// construction accept it for uniformity.
+/// Takes `--stream [--mem-budget BYTES]` off a spec — `translate`'s
+/// out-of-core spill/merge opt-in.  The budget caps the spill sink's
+/// resident translated bytes and defaults to [`DEFAULT_STREAM_BUDGET`].
+/// (`simulate --stream` takes no budget: its decode is bounded by
+/// construction.)
 fn take_streaming(spec: &mut ArgSpec) -> Result<(bool, usize), String> {
     let stream = spec.switch("--stream");
     let budget = spec.parsed::<usize>("--mem-budget")?;
@@ -306,14 +304,14 @@ fn cmd_simulate(args: Vec<String>) -> Result<(), String> {
     let params = load_params(&mut spec)?;
     take_check_bounds(&mut spec);
     let predicted_out = spec.value("--predicted")?;
-    let (stream_mode, _mem_budget) = take_streaming(&mut spec)?;
+    let stream_mode = spec.switch("--stream");
     let [input] = spec.finish_exact("extrap simulate FILE [--machine M] [--stream]")?;
     let pred = if stream_mode {
         // Out-of-core: compile the op scripts straight off the chunked
         // set stream (same invariants, same first error, identical
         // program — so identical prediction) without ever holding the
         // decoded `TraceSet`.  Decode memory is bounded by construction
-        // (one refill window), so `--mem-budget` has nothing to cap.
+        // (one refill window), so there is no budget to set.
         let mut stream =
             extrap_trace::stream::SetStream::open(&input).map_err(|e| e.to_string())?;
         let program = extrap_core::compile_set_stream(&mut stream).map_err(|e| e.to_string())?;
@@ -512,7 +510,6 @@ pub(crate) fn render_sweep_rows(rows: &[(String, usize, f64)], procs: &[usize], 
 fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("sweep", args);
     take_check_bounds(&mut spec);
-    let (stream_mode, mem_budget) = take_streaming(&mut spec)?;
     let req = parse_sweep_request(spec)?;
 
     // The sweep report only prints times, so skip the predicted traces.
@@ -524,28 +521,10 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
         .params(params)
         .jobs();
     let cache = SharedTraceCache::new();
-    let results = if stream_mode {
-        // Out-of-core ingestion: each key's program is compiled through
-        // the fused translate→compile stream (no `ProgramTrace`, no
-        // `TraceSet`), and the cache is swept down to `--mem-budget`
-        // before each build so resident compiled programs stay bounded.
-        extrap_core::sweep_streaming(&grid, req.jobs, &cache, |(name, n)| {
-            cache.evict_to_budget(mem_budget);
-            let bench = resolve_bench(name).expect("benchmark validated above");
-            let bytes = extrap_trace::format::encode_program(&bench.trace(*n, req.scale));
-            let mut stream = extrap_trace::stream::ProgramStream::new(
-                extrap_trace::stream::SliceSource(&bytes),
-            )?;
-            let (program, _stats) =
-                extrap_core::compile_program_stream(&mut stream, Default::default())?;
-            Ok(program)
-        })
-    } else {
-        extrap_core::sweep(&grid, req.jobs, &cache, |(name, n)| {
-            let bench = resolve_bench(name).expect("benchmark validated above");
-            extrap_trace::translate(&bench.trace(*n, req.scale), Default::default())
-        })
-    };
+    let results = extrap_core::sweep(&grid, req.jobs, &cache, |(name, n)| {
+        let bench = resolve_bench(name).expect("benchmark validated above");
+        extrap_trace::translate(&bench.trace(*n, req.scale), Default::default())
+    });
 
     let mut rows = Vec::new();
     for (job, result) in grid.iter().zip(results) {
@@ -595,12 +574,8 @@ fn cmd_stats(args: Vec<String>) -> Result<(), String> {
     let tolerance = spec
         .parsed::<f64>("--tolerance")?
         .unwrap_or(SimStrategy::DEFAULT_TOLERANCE);
-    // Accepted for pipeline uniformity: the set decoder already reads in
-    // bounded chunks, and the report itself needs every phase resident.
-    let (_stream_mode, _mem_budget) = take_streaming(&mut spec)?;
-    let [input] = spec.finish_exact(
-        "extrap stats FILE [--phases] [--max-clusters K] [--tolerance F] [--stream [--mem-budget BYTES]]",
-    )?;
+    let [input] =
+        spec.finish_exact("extrap stats FILE [--phases] [--max-clusters K] [--tolerance F]")?;
     let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
     let opts = extrap_trace::ClusterOptions {
         max_clusters,
@@ -788,9 +763,6 @@ fn cmd_lint(args: Vec<String>) -> Result<(), String> {
     let fix = spec.switch("--fix");
     let dry_run = spec.switch("--dry-run");
     let out_path = spec.value("--out")?;
-    // Accepted for pipeline uniformity: the linter already runs its
-    // streaming machines over bounded chunks regardless of file size.
-    let (_stream_mode, _mem_budget) = take_streaming(&mut spec)?;
     if !fix && (dry_run || out_path.is_some()) {
         return Err("lint: --dry-run/--out only make sense with --fix".to_string());
     }

@@ -529,3 +529,16 @@ fn sweep_is_deterministic_across_worker_counts() {
         "header + 2 benches x 3 procs"
     );
 }
+
+#[test]
+fn sweep_rejects_the_removed_stream_flag() {
+    let out = extrap(&[
+        "sweep", "embar", "--scale", "tiny", "--procs", "1", "--stream",
+    ]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("sweep: unknown flag \"--stream\""),
+        "unexpected stderr: {err}"
+    );
+}

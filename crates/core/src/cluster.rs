@@ -142,7 +142,8 @@ pub fn extrapolate_clustered(
         .mapping
         .n_procs(traces.n_threads().max(1));
     let net = ClusteredNetwork::new(n_procs, cluster, params.network, params.comm.byte_transfer);
-    crate::engine::run_with_network(traces, params, net)
+    let program = crate::processor::CompiledProgram::compile(traces)?;
+    crate::engine::run_with_network(&program, params, net, &mut Default::default())
 }
 
 #[cfg(test)]
@@ -239,7 +240,10 @@ mod tests {
         }
         let ts = extrap_trace::translate(&prog.record(), Default::default()).unwrap();
         let params = crate::machine::default_distributed();
-        let flat = crate::extrapolate(&ts, &params).unwrap().exec_time();
+        let flat = crate::Extrapolator::new(params.clone())
+            .run(&ts)
+            .unwrap()
+            .exec_time();
         let clustered = extrapolate_clustered(
             &ts,
             &params,
@@ -278,7 +282,10 @@ mod tests {
         prog.push_phase(work);
         let ts = extrap_trace::translate(&prog.record(), Default::default()).unwrap();
         let params = crate::machine::default_distributed();
-        let flat = crate::extrapolate(&ts, &params).unwrap().exec_time();
+        let flat = crate::Extrapolator::new(params.clone())
+            .run(&ts)
+            .unwrap()
+            .exec_time();
         let clustered = extrapolate_clustered(
             &ts,
             &params,

@@ -115,7 +115,7 @@ impl PredictionDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{extrapolate, machine};
+    use crate::{machine, Extrapolator};
     use extrap_time::{DurationNs, ElementId, ThreadId};
     use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork};
 
@@ -143,8 +143,8 @@ mod tests {
     #[test]
     fn identical_predictions_diff_to_zero() {
         let ts = traced();
-        let a = extrapolate(&ts, &machine::cm5()).unwrap();
-        let b = extrapolate(&ts, &machine::cm5()).unwrap();
+        let a = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
+        let b = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
         let d = diff(&a, &b);
         assert_eq!(d.exec_time, DeltaNs(0));
         assert_eq!(d.messages, 0);
@@ -153,10 +153,10 @@ mod tests {
     #[test]
     fn slower_network_shows_up_as_remote_wait() {
         let ts = traced();
-        let fast = extrapolate(&ts, &machine::cm5()).unwrap();
+        let fast = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
         let mut slow_params = machine::cm5();
         slow_params.comm = slow_params.comm.with_bandwidth_mbps(1.0);
-        let slow = extrapolate(&ts, &slow_params).unwrap();
+        let slow = Extrapolator::new(slow_params.clone()).run(&ts).unwrap();
         let d = diff(&fast, &slow);
         assert!(d.exec_time.0 > 0, "slower network, longer run");
         let (name, delta) = d.dominant_overhead_shift();
@@ -167,10 +167,10 @@ mod tests {
     #[test]
     fn render_mentions_labels_and_signs() {
         let ts = traced();
-        let a = extrapolate(&ts, &machine::cm5()).unwrap();
+        let a = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
         let mut p2 = machine::cm5();
         p2.mips_ratio = 2.0;
-        let b = extrapolate(&ts, &p2).unwrap();
+        let b = Extrapolator::new(p2.clone()).run(&ts).unwrap();
         let text = diff(&a, &b).render("cm5", "cm5-slow-cpu");
         assert!(text.contains("cm5-slow-cpu - cm5"));
         assert!(text.contains('+'), "{text}");
@@ -183,8 +183,8 @@ mod tests {
         let mut p2 = PhaseProgram::new(2);
         p2.push_uniform_phase(DurationNs(100));
         let ts2 = extrap_trace::translate(&p2.record(), Default::default()).unwrap();
-        let a = extrapolate(&ts, &machine::cm5()).unwrap();
-        let b = extrapolate(&ts2, &machine::cm5()).unwrap();
+        let a = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
+        let b = Extrapolator::new(machine::cm5()).run(&ts2).unwrap();
         let _ = diff(&a, &b);
     }
 }

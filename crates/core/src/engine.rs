@@ -42,9 +42,11 @@ use crate::network::state::NetModel;
 use crate::network::NetworkState;
 use crate::params::{RecordMode, ServicePolicy, SimParams, SimStrategy, SizeMode};
 use crate::processor::{CompiledProgram, Op};
+use crate::repr::ReprPlan;
 use extrap_sim::Engine as EventQueue;
 use extrap_time::{BarrierId, DurationNs, ProcId, ThreadId, TimeNs};
 use extrap_trace::{EventKind, ThreadTrace, TraceError, TraceRecord, TraceSet};
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::mem;
@@ -168,10 +170,11 @@ struct Pr {
 /// coordinator and action buffer, and per-thread/per-processor
 /// bookkeeping vectors.
 ///
-/// A fresh `SimScratch` is just empty buffers; passing the same one to
-/// [`run_compiled_scratch`] for every job of a sweep lets steady-state
-/// jobs reuse all of them.  The sweep engine keeps one per worker
-/// thread.  Contents are opaque — the engine resets everything it reads.
+/// A fresh `SimScratch` is just empty buffers; passing the same one in
+/// [`RunInput::CompiledScratch`](crate::RunInput::CompiledScratch) for
+/// every job of a sweep lets steady-state jobs reuse all of them.  The
+/// sweep engine keeps one per worker thread.  Contents are opaque — the
+/// engine resets everything it reads.
 #[derive(Default)]
 pub struct SimScratch {
     queue: EventQueue<Ev>,
@@ -183,85 +186,44 @@ pub struct SimScratch {
     bar_actions: Vec<BarrierAction>,
 }
 
-/// Runs the extrapolation of `traces` on the machine described by
-/// `params`, using the paper's analytic network contention model.
+/// Runs one prediction: the single strategy dispatch behind
+/// [`Extrapolator::run`](crate::Extrapolator::run) and the sweep engine.
 ///
-/// Convenience wrapper over [`CompiledProgram::compile`] +
-/// [`run_compiled`]; sweeps should compile once and call
-/// [`run_compiled_scratch`] per parameter set instead.
-pub fn run(traces: &TraceSet, params: &SimParams) -> Result<Prediction, ExtrapError> {
-    params.validate().map_err(ExtrapError::Params)?;
-    let program = CompiledProgram::compile(traces)?;
-    run_compiled(&program, params)
-}
-
-/// Runs the extrapolation with a caller-supplied network model (used by
-/// `extrap-refsim` to substitute link-level contention simulation — the
-/// model swap §3.3.2 anticipates).
-pub fn run_with_network<N: NetModel>(
-    traces: &TraceSet,
-    params: &SimParams,
-    net: N,
-) -> Result<Prediction, ExtrapError> {
-    params.validate().map_err(ExtrapError::Params)?;
-    let program = CompiledProgram::compile(traces)?;
-    run_compiled_with_network(&program, params, net, &mut SimScratch::default())
-}
-
-/// Runs the extrapolation of an already-compiled program.
-pub fn run_compiled(
+/// Validates `params` once, then simulates every epoch exactly or —
+/// under [`SimStrategy::Representative`] — composes the
+/// [`ReprPlan`] that `repr_plan` supplies for the strategy's
+/// `(max_clusters, tolerance)`: built fresh by a session, memoized per
+/// trace by a sweep ([`CachedTrace::repr_plan`](crate::CachedTrace::repr_plan)).
+/// No plan means no exploitable repetition, and the run falls back to
+/// the exact path.  Whichever path ran, the final result passes through
+/// [`sanitizer::check`](crate::sanitizer::check).
+pub(crate) fn simulate<P: Borrow<ReprPlan>>(
     program: &CompiledProgram,
     params: &SimParams,
-) -> Result<Prediction, ExtrapError> {
-    run_compiled_scratch(program, params, &mut SimScratch::default())
-}
-
-/// Runs the extrapolation of a compiled program, reusing the caller's
-/// scratch buffers (the zero-allocation sweep hot path).
-///
-/// This is the strategy dispatch point: under
-/// [`SimStrategy::Representative`] the program's repeating barrier
-/// epochs are clustered and one representative per cluster is simulated
-/// ([`ReprPlan`](crate::repr::ReprPlan)), falling back to the exact path
-/// when the trace has no exploitable repetition.  The refsim entry point
-/// [`run_with_network`] always simulates exactly — a caller-supplied
-/// link-level network model carries state across epochs, which weighted
-/// composition cannot honor.
-pub fn run_compiled_scratch(
-    program: &CompiledProgram,
-    params: &SimParams,
+    repr_plan: impl FnOnce(u32, f64) -> Option<P>,
     scratch: &mut SimScratch,
 ) -> Result<Prediction, ExtrapError> {
-    let prediction = dispatch_compiled_scratch(program, params, scratch)?;
+    params.validate().map_err(ExtrapError::Params)?;
+    let plan = match params.strategy {
+        SimStrategy::Representative {
+            max_clusters,
+            tolerance,
+        } => repr_plan(max_clusters, tolerance),
+        SimStrategy::Exact => None,
+    };
+    let prediction = match plan {
+        Some(plan) => plan.borrow().run(params, scratch)?,
+        None => exact_compiled_scratch(program, params, scratch)?,
+    };
     crate::sanitizer::check(program, params, &prediction);
     Ok(prediction)
 }
 
-/// Strategy dispatch body of [`run_compiled_scratch`], separated so the
-/// sanitizer sees the *final* result shape — the representative
-/// composition rather than its internal mini-runs.
-fn dispatch_compiled_scratch(
-    program: &CompiledProgram,
-    params: &SimParams,
-    scratch: &mut SimScratch,
-) -> Result<Prediction, ExtrapError> {
-    if let SimStrategy::Representative {
-        max_clusters,
-        tolerance,
-    } = params.strategy
-    {
-        params.validate().map_err(ExtrapError::Params)?;
-        if let Some(plan) = crate::repr::ReprPlan::from_program(program, max_clusters, tolerance) {
-            return plan.run(params, scratch);
-        }
-    }
-    exact_compiled_scratch(program, params, scratch)
-}
-
-/// The exact (every-epoch) path of [`run_compiled_scratch`], and the
-/// fallback target when representative clustering finds no repetition:
-/// falling back lands on literally the same code the exact strategy
-/// runs, so fallback output is byte-identical by construction.
+/// The exact (every-epoch) path on the analytic network model, with no
+/// validation and no sanitizer check: the exact arm of [`simulate`] and
+/// the representative mini-runs.  Falling back from representative
+/// lands on literally this code, so fallback output is byte-identical
+/// by construction.
 pub(crate) fn exact_compiled_scratch(
     program: &CompiledProgram,
     params: &SimParams,
@@ -272,18 +234,33 @@ pub(crate) fn exact_compiled_scratch(
         .mapping
         .n_procs(program.n_threads().max(1));
     let net = NetworkState::new(n_procs, params.network, params.comm.byte_transfer);
-    run_compiled_with_network(program, params, net, scratch)
+    replay(program, params, net, scratch)
 }
 
-/// Runs a compiled program with a caller-supplied network model and
-/// scratch buffers.  Every other entry point funnels here.
-pub fn run_compiled_with_network<N: NetModel>(
+/// Runs a compiled program exactly with a caller-supplied network model
+/// — the seam `extrap-refsim` uses to substitute link-level contention
+/// simulation (the model swap §3.3.2 anticipates), and
+/// [`extrapolate_clustered`](crate::extrapolate_clustered) its
+/// shared-memory islands.  Always exact: a stateful network model
+/// carries state across epochs, which representative composition cannot
+/// honor.
+pub fn run_with_network<N: NetModel>(
     program: &CompiledProgram,
     params: &SimParams,
     net: N,
     scratch: &mut SimScratch,
 ) -> Result<Prediction, ExtrapError> {
     params.validate().map_err(ExtrapError::Params)?;
+    replay(program, params, net, scratch)
+}
+
+/// The simulate loop itself, on already-validated parameters.
+fn replay<N: NetModel>(
+    program: &CompiledProgram,
+    params: &SimParams,
+    net: N,
+    scratch: &mut SimScratch,
+) -> Result<Prediction, ExtrapError> {
     if program.is_empty() {
         return Ok(Prediction::empty());
     }

@@ -18,11 +18,10 @@
 //!   with the Table 1 cost parameters (tree and hardware variants are
 //!   provided as the paper's "easily substituted" alternatives).
 //!
-//! The top-level entry point is the [`Extrapolator`] session builder
-//! (the [`extrapolate()`] / [`extrapolate_program()`] free functions
-//! remain as thin wrappers); machine presets (including the paper's CM-5
-//! parameter set, Table 3) live in [`machine`], and whole parameter
-//! grids run in parallel through the [`sweep`] engine.
+//! The one entry point is the [`Extrapolator`] session builder and its
+//! [`run`](Extrapolator::run) method; machine presets (including the
+//! paper's CM-5 parameter set, Table 3) live in [`machine`], and whole
+//! parameter grids run in parallel through the [`sweep`](mod@sweep) engine.
 
 // Parameter sets are built by mutating a preset/default — that is the
 // intended API style ("take the CM-5 and change MipsRatio").
@@ -32,7 +31,6 @@ pub mod barrier;
 pub mod cluster;
 pub mod compare;
 pub mod engine;
-pub mod extrapolate;
 pub mod machine;
 pub mod metrics;
 pub mod multithread;
@@ -48,11 +46,7 @@ pub mod sweep;
 
 pub use cluster::{extrapolate_clustered, ClusterParams, ClusteredNetwork};
 pub use compare::{diff, DeltaNs, PredictionDiff};
-pub use engine::{
-    run_compiled, run_compiled_scratch, run_compiled_with_network, run_with_network, ExtrapError,
-    SimScratch,
-};
-pub use extrapolate::{extrapolate, extrapolate_program};
+pub use engine::{run_with_network, ExtrapError, SimScratch};
 pub use metrics::{Prediction, ProcBreakdown};
 pub use multithread::{MultithreadParams, ThreadMapping};
 pub use network::state::NetModel;
@@ -67,7 +61,6 @@ pub use scalability::{Scalability, ScalePoint};
 pub use session::{Extrapolator, RunInput};
 pub use streaming::{compile_program_stream, compile_set_stream};
 pub use sweep::{
-    claim_chunk, parallel_map, parallel_map_with, sweep, sweep_cancellable, sweep_streaming,
-    sweep_streaming_cancellable, CachedTrace, CancelToken, SharedTraceCache, SweepError, SweepGrid,
-    SweepJob, TraceValidator,
+    claim_chunk, parallel_map, parallel_map_with, sweep, sweep_cancellable, CachedTrace,
+    CancelToken, SharedTraceCache, SweepError, SweepGrid, SweepJob, TraceValidator,
 };

@@ -162,8 +162,8 @@ pub struct CompiledThread {
 /// Compilation is parameter-independent (`MipsRatio` scaling happens at
 /// execution time), so a sweep over P traces × K parameter sets compiles
 /// P times instead of P×K times.  Wrap it in an `Arc` — the sweep cache
-/// does — and hand it to `Extrapolator::run_compiled` as many times as
-/// you like.
+/// does — and hand it to [`Extrapolator::run`](crate::Extrapolator::run)
+/// as many times as you like.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompiledProgram {
     threads: Vec<CompiledThread>,

@@ -182,7 +182,7 @@ impl ReprPlan {
     }
 
     /// The warmup-barrier baseline program subtracted from every
-    /// representative run (see [`ReprPlan::run`]).  Exposed so static
+    /// representative run (see the module docs).  Exposed so static
     /// bound analysis can compose a matching envelope.
     pub fn baseline(&self) -> &CompiledProgram {
         &self.baseline
@@ -207,8 +207,9 @@ impl ReprPlan {
     /// count across the baseline and representative runs, so the metric
     /// honestly reports what the representative simulation cost.  The
     /// predicted trace is always empty — representative simulation is a
-    /// metrics-only strategy.
-    pub fn run(
+    /// metrics-only strategy.  The engine's strategy dispatch calls this
+    /// after validating `params`, and checks the composed result.
+    pub(crate) fn run(
         &self,
         params: &SimParams,
         scratch: &mut SimScratch,
@@ -441,7 +442,9 @@ mod tests {
     fn composed_metrics_match_exact_on_perfectly_periodic_trace() {
         let program = periodic(4, 30, &[2_000]);
         let params = SimParams::default();
-        let exact = engine::run_compiled(&program, &params).unwrap();
+        let exact = crate::Extrapolator::new(params.clone())
+            .run(&program)
+            .unwrap();
 
         let plan = ReprPlan::from_program(&program, 16, 0.05).unwrap();
         let composed = plan.run(&params, &mut SimScratch::default()).unwrap();
@@ -467,9 +470,13 @@ mod tests {
     fn strategy_dispatch_uses_the_plan() {
         let program = periodic(2, 24, &[3_000]);
         let mut params = SimParams::default();
-        let exact = engine::run_compiled(&program, &params).unwrap();
+        let exact = crate::Extrapolator::new(params.clone())
+            .run(&program)
+            .unwrap();
         params.strategy = SimStrategy::representative();
-        let repr = engine::run_compiled(&program, &params).unwrap();
+        let repr = crate::Extrapolator::new(params.clone())
+            .run(&program)
+            .unwrap();
         assert!(rel_err(repr.exec_time(), exact.exec_time()) < 0.01);
         assert!(repr.events_dispatched < exact.events_dispatched);
         assert!(repr.predicted.threads.is_empty());

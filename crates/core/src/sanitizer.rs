@@ -7,9 +7,11 @@
 //! install a checker function — in practice
 //! `extrap_analyze::install_sanitizer`, which registers
 //! `verify_prediction` — and flip it on with [`set_enabled`].  When
-//! installed and enabled, [`run_compiled_scratch`](crate::engine::
-//! run_compiled_scratch) passes each result (exact *and* representative
-//! composition) through the checker and panics on a violation: a
+//! installed and enabled, the engine's one strategy dispatch — behind
+//! both [`Extrapolator::run`](crate::Extrapolator::run) and every
+//! [`sweep`](crate::sweep()) job — passes each result (exact *and*
+//! representative composition) through the checker and panics on a
+//! violation: a
 //! simulated time outside its physical work/span envelope means an
 //! engine, clustering, or scheduler bug, and silently extrapolating
 //! from it would be worse than crashing.

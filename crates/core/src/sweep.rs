@@ -54,7 +54,7 @@
 
 use crate::engine::{self, ExtrapError, SimScratch};
 use crate::metrics::Prediction;
-use crate::params::{SimParams, SimStrategy};
+use crate::params::SimParams;
 use crate::processor::CompiledProgram;
 use crate::repr::ReprPlan;
 use extrap_trace::{TraceError, TraceSet};
@@ -69,19 +69,16 @@ use std::sync::{mpsc, Arc};
 // Concurrent trace cache
 // ---------------------------------------------------------------------
 
-/// A compiled program, optionally together with the translated trace
-/// set it came from.
+/// One cache entry: a compiled program and its memoized
+/// representative-region plans.
 ///
 /// Compilation is parameter-independent (see [`CompiledProgram`]), so
 /// the cache builds the entry once per key and every parameter set of
-/// the grid replays the same `Arc<CachedTrace>`.  Entries built by the
-/// out-of-core pipeline ([`SharedTraceCache::compile_streaming`]) carry
-/// only the program — the [`TraceSet`] was never materialized — so
-/// [`traces`](CachedTrace::traces) is an `Option`; the simulation paths
-/// (exact and representative) read only the program.
+/// the grid replays the same `Arc<CachedTrace>`.  The translated
+/// [`TraceSet`] the program came from is dropped once compiled: every
+/// simulation path (exact and representative) reads only the program.
 #[derive(Debug)]
 pub struct CachedTrace {
-    traces: Option<TraceSet>,
     program: CompiledProgram,
     /// Representative-region plans, memoized per strategy knob pair
     /// `(max_clusters, tolerance.to_bits())`.  A plan depends only on
@@ -97,31 +94,9 @@ pub struct CachedTrace {
 type ReprPlanMemo = RwLock<HashMap<(u32, u64), Option<Arc<ReprPlan>>>>;
 
 impl CachedTrace {
-    /// Translates nothing — wraps an already-translated trace set,
-    /// compiling its program.
-    pub fn new(traces: TraceSet) -> Result<CachedTrace, TraceError> {
-        let program = CompiledProgram::compile(&traces)?;
-        Ok(CachedTrace::from_parts(traces, program))
-    }
-
-    /// Wraps a trace set with its already-compiled program.  The caller
-    /// asserts the two halves correspond (`program` is what
-    /// [`CompiledProgram::compile`] yields for `traces`).
-    pub fn from_parts(traces: TraceSet, program: CompiledProgram) -> CachedTrace {
+    /// Wraps a compiled program, with no representative plans yet.
+    pub fn new(program: CompiledProgram) -> CachedTrace {
         CachedTrace {
-            traces: Some(traces),
-            program,
-            repr_plans: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// Wraps a program compiled out-of-core: no trace set was ever
-    /// materialized, so [`traces`](CachedTrace::traces) is `None` and
-    /// trace-level consumers (per-thread stats, phase analysis) are not
-    /// served by this entry.
-    pub fn from_program(program: CompiledProgram) -> CachedTrace {
-        CachedTrace {
-            traces: None,
             program,
             repr_plans: RwLock::new(HashMap::new()),
         }
@@ -141,12 +116,6 @@ impl CachedTrace {
         self.repr_plans.write().entry(key).or_insert(plan).clone()
     }
 
-    /// The translated per-thread traces, if this entry holds them
-    /// (`None` for entries compiled out-of-core).
-    pub fn traces(&self) -> Option<&TraceSet> {
-        self.traces.as_ref()
-    }
-
     /// The compiled per-thread op scripts.
     pub fn program(&self) -> &CompiledProgram {
         &self.program
@@ -157,11 +126,10 @@ impl CachedTrace {
         self.program.n_threads()
     }
 
-    /// Approximate heap footprint (traces, when held, + compiled
-    /// scripts) in bytes — what a cache memory budget is charged for
-    /// holding this entry.
+    /// Approximate heap footprint of the compiled scripts in bytes —
+    /// what a cache memory budget is charged for holding this entry.
     pub fn resident_bytes(&self) -> usize {
-        self.traces.as_ref().map_or(0, |t| t.resident_bytes()) + self.program.resident_bytes()
+        self.program.resident_bytes()
     }
 }
 
@@ -311,9 +279,10 @@ impl<K: Eq + Hash + Clone> SharedTraceCache<K> {
         self
     }
 
-    /// The translated-and-compiled trace for `key`, building it with
-    /// `translate` on the first request (all concurrent requesters share
-    /// that one run).
+    /// The compiled trace for `key`, building it on the first request
+    /// (all concurrent requesters share that one run): `translate`, the
+    /// [`TraceValidator`] hook if installed, then compilation.  The
+    /// translated set is dropped once compiled.
     pub fn get_or_translate(
         &self,
         key: K,
@@ -334,44 +303,8 @@ impl<K: Eq + Hash + Clone> SharedTraceCache<K> {
                     },
                     None => Ok(ts),
                 })
-                .and_then(CachedTrace::new)
-                .map(Arc::new)
-                .map_err(|e| e.to_string())
-        });
-        match outcome {
-            Ok(ts) => Ok(ts),
-            Err(detail) => Err(ExtrapError::Trace(TraceError::Format { detail })),
-        }
-    }
-
-    /// The out-of-core sibling of
-    /// [`get_or_translate`](Self::get_or_translate): the first requester
-    /// runs `build` — conventionally a streaming pipeline producing a
-    /// [`CompiledProgram`] without materializing the trace (see
-    /// `crate::streaming`) — and every later requester shares the entry.
-    ///
-    /// Keys are shared with the whole-trace path: whichever of the two
-    /// builds a key first wins, and the other path reuses its entry, so
-    /// sweep/serve/repr consumers inherit streaming ingestion with no
-    /// key-space changes.  The cache's [`TraceValidator`] hook does
-    /// **not** run here (it takes a `&TraceSet`, which this path never
-    /// holds) — streaming callers lint at ingestion with the streaming
-    /// lint machines instead.
-    pub fn compile_streaming(
-        &self,
-        key: K,
-        build: impl FnOnce() -> Result<CompiledProgram, TraceError>,
-    ) -> Result<Arc<CachedTrace>, ExtrapError> {
-        let slot = self.slot(key);
-        slot.last_used.store(
-            self.clock.fetch_add(1, Ordering::Relaxed) + 1,
-            Ordering::Relaxed,
-        );
-        let outcome = slot.get_or_init(|| {
-            self.translations.fetch_add(1, Ordering::Relaxed);
-            build()
-                .map(CachedTrace::from_program)
-                .map(Arc::new)
+                .and_then(|ts| CompiledProgram::compile(&ts))
+                .map(|program| Arc::new(CachedTrace::new(program)))
                 .map_err(|e| e.to_string())
         });
         match outcome {
@@ -767,108 +700,33 @@ where
     F: Fn(&K) -> Result<TraceSet, TraceError> + Sync,
 {
     parallel_map_with(jobs, workers, SimScratch::default, |scratch, _, job| {
+        let fail = |error| SweepError {
+            key: job.key.clone(),
+            error,
+        };
         if cancel.is_cancelled() {
-            return Err(SweepError {
-                key: job.key.clone(),
-                error: ExtrapError::Cancelled,
-            });
+            return Err(fail(ExtrapError::Cancelled));
         }
         let cached = cache
             .get_or_translate(job.key.clone(), || source(&job.key))
-            .map_err(|error| SweepError {
-                key: job.key.clone(),
-                error,
-            })?;
-        run_cached_job(&cached, job, scratch).map_err(|error| SweepError {
-            key: job.key.clone(),
-            error,
-        })
-    })
-}
-
-/// Runs one job against a cache entry.  Strategy dispatch mirrors
-/// `run_compiled_scratch`, but through the cache's memoized plan:
-/// clustering runs once per trace and is shared by every parameter set
-/// and worker touching it.
-fn run_cached_job<K>(
-    cached: &CachedTrace,
-    job: &SweepJob<K>,
-    scratch: &mut SimScratch,
-) -> Result<Prediction, ExtrapError> {
-    match job.params.strategy {
-        SimStrategy::Representative {
-            max_clusters,
-            tolerance,
-        } => match cached.repr_plan(max_clusters, tolerance) {
-            Some(plan) => job
-                .params
-                .validate()
-                .map_err(ExtrapError::Params)
-                .and_then(|()| plan.run(&job.params, scratch)),
-            // The memoized "no repetition" verdict: go straight to
-            // the exact path instead of re-running clustering.
-            None => engine::exact_compiled_scratch(cached.program(), &job.params, scratch),
-        },
-        SimStrategy::Exact => engine::run_compiled_scratch(cached.program(), &job.params, scratch),
-    }
-}
-
-/// [`sweep`] with out-of-core trace ingestion: `compile` builds each
-/// distinct key's [`CompiledProgram`] through a streaming pipeline (see
-/// `crate::streaming`) instead of materializing a [`TraceSet`], via
-/// [`SharedTraceCache::compile_streaming`].  Everything downstream —
-/// job order, strategy dispatch, memoized representative plans,
-/// determinism — is shared with the whole-trace engine, so results are
-/// identical for equivalent inputs.
-pub fn sweep_streaming<K, F>(
-    jobs: &[SweepJob<K>],
-    workers: usize,
-    cache: &SharedTraceCache<K>,
-    compile: F,
-) -> Vec<Result<Prediction, SweepError<K>>>
-where
-    K: Eq + Hash + Clone + Send + Sync,
-    F: Fn(&K) -> Result<CompiledProgram, TraceError> + Sync,
-{
-    sweep_streaming_cancellable(jobs, workers, cache, compile, &CancelToken::new())
-}
-
-/// [`sweep_streaming`] with cooperative cancellation (the streaming
-/// counterpart of [`sweep_cancellable`]).
-pub fn sweep_streaming_cancellable<K, F>(
-    jobs: &[SweepJob<K>],
-    workers: usize,
-    cache: &SharedTraceCache<K>,
-    compile: F,
-    cancel: &CancelToken,
-) -> Vec<Result<Prediction, SweepError<K>>>
-where
-    K: Eq + Hash + Clone + Send + Sync,
-    F: Fn(&K) -> Result<CompiledProgram, TraceError> + Sync,
-{
-    parallel_map_with(jobs, workers, SimScratch::default, |scratch, _, job| {
-        if cancel.is_cancelled() {
-            return Err(SweepError {
-                key: job.key.clone(),
-                error: ExtrapError::Cancelled,
-            });
-        }
-        let cached = cache
-            .compile_streaming(job.key.clone(), || compile(&job.key))
-            .map_err(|error| SweepError {
-                key: job.key.clone(),
-                error,
-            })?;
-        run_cached_job(&cached, job, scratch).map_err(|error| SweepError {
-            key: job.key.clone(),
-            error,
-        })
+            .map_err(fail)?;
+        // The same strategy dispatch as `Extrapolator::run`, but through
+        // the entry's memoized plan: clustering runs once per trace and
+        // is shared by every parameter set and worker touching it.
+        engine::simulate(
+            cached.program(),
+            &job.params,
+            |max_clusters, tolerance| cached.repr_plan(max_clusters, tolerance),
+            scratch,
+        )
+        .map_err(fail)
     })
 }
 
 /// The number of workers to use when the caller does not say: the
-/// machine's available parallelism, capped so tiny grids do not spawn
-/// idle threads.
+/// machine's available parallelism (1 if it cannot be queried).
+/// [`parallel_map_with`] separately clamps the pool to the item count,
+/// so tiny grids do not spawn idle threads.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

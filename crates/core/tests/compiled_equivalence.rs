@@ -1,12 +1,12 @@
 //! Equivalence guarantees of the hot-path machinery: a compiled program
-//! replayed through `run_compiled` (with or without reused scratch
+//! run through `Extrapolator::run` (with or without reused scratch
 //! buffers) must be indistinguishable from the classic trace path, and
 //! `RecordMode::MetricsOnly` must change nothing but the predicted
 //! trace.
 
 use extrap_core::{
-    machine, sweep::CachedTrace, CompiledProgram, Extrapolator, RecordMode, ServicePolicy,
-    SimParams, SimScratch,
+    machine, sweep::CachedTrace, CompiledProgram, ExtrapError, Extrapolator, Prediction,
+    RecordMode, RunInput, ServicePolicy, SimParams, SimScratch,
 };
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork, TraceSet};
@@ -88,14 +88,23 @@ fn param_grid() -> Vec<SimParams> {
     vec![machine::ideal(), machine::cm5(), poll, slow, fast]
 }
 
+/// One run through the caller's recycled scratch buffers.
+fn run_in(
+    session: &Extrapolator,
+    program: &CompiledProgram,
+    scratch: &mut SimScratch,
+) -> Result<Prediction, ExtrapError> {
+    session.run(RunInput::CompiledScratch { program, scratch })
+}
+
 #[test]
-fn run_compiled_matches_run_exactly() {
+fn compiled_runs_match_trace_runs_exactly() {
     let ts = ring(6);
     let program = CompiledProgram::compile(&ts).unwrap();
     for params in param_grid() {
         let session = Extrapolator::new(params);
         let classic = session.run(&ts).unwrap();
-        let compiled = session.run_compiled(&program).unwrap();
+        let compiled = session.run(&program).unwrap();
         assert_eq!(classic.per_thread, compiled.per_thread);
         assert_eq!(classic.predicted, compiled.predicted);
         assert_eq!(classic.events_dispatched, compiled.events_dispatched);
@@ -114,10 +123,8 @@ fn scratch_reuse_does_not_leak_state_between_runs() {
         let program = CompiledProgram::compile(&ts).unwrap();
         for params in param_grid() {
             let session = Extrapolator::new(params);
-            let fresh = session.run_compiled(&program).unwrap();
-            let reused = session
-                .run_compiled_scratch(&program, &mut scratch)
-                .unwrap();
+            let fresh = session.run(&program).unwrap();
+            let reused = run_in(&session, &program, &mut scratch).unwrap();
             assert_eq!(fresh.per_thread, reused.per_thread);
             assert_eq!(fresh.predicted, reused.predicted);
             assert_eq!(fresh.events_dispatched, reused.events_dispatched);
@@ -141,8 +148,8 @@ fn scratch_reused_from_a_large_run_matches_fresh_scratch_on_a_small_one() {
     for small_params in [machine::cm5(), poll, machine::default_distributed()] {
         for (program, params) in [(&large, &large_params), (&small, &small_params)] {
             let session = Extrapolator::new(params.clone());
-            let fresh = session.run_compiled(program).unwrap();
-            let reused = session.run_compiled_scratch(program, &mut scratch).unwrap();
+            let fresh = session.run(program).unwrap();
+            let reused = run_in(&session, program, &mut scratch).unwrap();
             assert_eq!(fresh.per_thread, reused.per_thread);
             assert_eq!(fresh.predicted, reused.predicted);
             assert_eq!(fresh.events_dispatched, reused.events_dispatched);
@@ -161,11 +168,9 @@ fn warmed_scratch_runs_allocate_only_their_result() {
     let mut scratch = SimScratch::default();
     for params in param_grid() {
         let session = Extrapolator::new(params).record_mode(RecordMode::MetricsOnly);
-        session
-            .run_compiled_scratch(&program, &mut scratch)
-            .unwrap();
+        run_in(&session, &program, &mut scratch).unwrap();
         let before = allocations();
-        let prediction = session.run_compiled_scratch(&program, &mut scratch);
+        let prediction = run_in(&session, &program, &mut scratch);
         assert_eq!(allocations() - before, 1, "only `per_thread` allocates");
         assert!(prediction.is_ok());
     }
@@ -176,12 +181,10 @@ fn metrics_only_changes_nothing_but_the_predicted_trace() {
     let ts = ring(5);
     let program = CompiledProgram::compile(&ts).unwrap();
     for params in param_grid() {
-        let full = Extrapolator::new(params.clone())
-            .run_compiled(&program)
-            .unwrap();
+        let full = Extrapolator::new(params.clone()).run(&program).unwrap();
         let lean = Extrapolator::new(params)
             .record_mode(RecordMode::MetricsOnly)
-            .run_compiled(&program)
+            .run(&program)
             .unwrap();
         assert_eq!(
             full.per_thread, lean.per_thread,
@@ -200,9 +203,7 @@ fn metrics_only_changes_nothing_but_the_predicted_trace() {
 fn full_mode_reserves_exact_predicted_capacity() {
     let ts = ring(4);
     let program = CompiledProgram::compile(&ts).unwrap();
-    let pred = Extrapolator::new(machine::cm5())
-        .run_compiled(&program)
-        .unwrap();
+    let pred = Extrapolator::new(machine::cm5()).run(&program).unwrap();
     for (ct, tt) in program.threads().iter().zip(&pred.predicted.threads) {
         assert_eq!(
             ct.predicted_records,
@@ -225,10 +226,10 @@ fn record_mode_round_trips_through_config_text() {
 }
 
 #[test]
-fn cached_trace_pairs_traces_with_their_program() {
-    let ts = ring(3);
-    let cached = CachedTrace::new(ring(3)).unwrap();
-    assert_eq!(cached.traces().expect("whole-trace entry").n_threads(), 3);
-    assert_eq!(cached.program().n_threads(), 3);
-    assert_eq!(cached.n_threads(), ts.n_threads());
+fn cached_trace_holds_only_its_program() {
+    let program = CompiledProgram::compile(&ring(3)).unwrap();
+    let cached = CachedTrace::new(program.clone());
+    assert_eq!(cached.program(), &program);
+    assert_eq!(cached.n_threads(), 3);
+    assert_eq!(cached.resident_bytes(), cached.program().resident_bytes());
 }

@@ -2,7 +2,7 @@
 //! barrier protocols, multithreaded scheduling, and failure modes.
 
 use extrap_core::{
-    extrapolate, machine, BarrierAlgorithm, ExtrapError, MultithreadParams, ServicePolicy,
+    machine, BarrierAlgorithm, ExtrapError, Extrapolator, MultithreadParams, ServicePolicy,
     SimParams, ThreadMapping,
 };
 use extrap_time::{BarrierId, DurationNs, ElementId, ThreadId, TimeNs};
@@ -45,7 +45,7 @@ fn quiet_params() -> SimParams {
 #[test]
 fn no_interrupt_blocks_until_the_owners_segment_ends() {
     let ts = requester_vs_busy_owner();
-    let pred = extrapolate(&ts, &quiet_params()).unwrap();
+    let pred = Extrapolator::new(quiet_params()).run(&ts).unwrap();
     // Thread 0 waits from 10us until thread 1 finishes at 2000us.
     let wait = pred.per_thread[0].remote_wait;
     assert!(
@@ -59,7 +59,7 @@ fn interrupt_services_immediately() {
     let ts = requester_vs_busy_owner();
     let mut params = quiet_params();
     params.policy = ServicePolicy::Interrupt;
-    let pred = extrapolate(&ts, &params).unwrap();
+    let pred = Extrapolator::new(params.clone()).run(&ts).unwrap();
     assert_eq!(pred.per_thread[0].remote_wait, DurationNs::ZERO);
     // Thread 1's end time is unchanged (zero-cost service).
     assert_eq!(pred.per_thread[1].end_time, TimeNs::from_us(2_000.0));
@@ -70,7 +70,7 @@ fn poll_services_at_the_next_tick() {
     let ts = requester_vs_busy_owner();
     let mut params = quiet_params();
     params.policy = ServicePolicy::poll_us(100.0);
-    let pred = extrapolate(&ts, &params).unwrap();
+    let pred = Extrapolator::new(params.clone()).run(&ts).unwrap();
     // Request arrives at 10us; owner's first poll tick is at 100us.
     let wait = pred.per_thread[0].remote_wait;
     assert!(
@@ -85,7 +85,7 @@ fn poll_interval_bounds_the_service_delay() {
     for interval in [50.0, 200.0, 700.0] {
         let mut params = quiet_params();
         params.policy = ServicePolicy::poll_us(interval);
-        let pred = extrapolate(&ts, &params).unwrap();
+        let pred = Extrapolator::new(params.clone()).run(&ts).unwrap();
         let wait = pred.per_thread[0].remote_wait.as_us();
         assert!(
             wait <= interval + 1.0,
@@ -101,7 +101,7 @@ fn interrupt_extends_the_owners_computation_by_service_costs() {
     params.policy = ServicePolicy::Interrupt;
     params.comm.service = DurationNs::from_us(7.0);
     params.comm.receive = DurationNs::from_us(3.0);
-    let pred = extrapolate(&ts, &params).unwrap();
+    let pred = Extrapolator::new(params.clone()).run(&ts).unwrap();
     // Thread 1 absorbs 10us of service into its 2000us segment.
     assert_eq!(pred.per_thread[1].end_time, TimeNs::from_us(2_010.0));
     assert_eq!(pred.per_thread[1].service, DurationNs::from_us(10.0));
@@ -137,7 +137,7 @@ fn waiting_threads_service_requests_in_every_policy() {
     ] {
         let mut params = machine::default_distributed();
         params.policy = policy;
-        let pred = extrapolate(&ts, &params).unwrap();
+        let pred = Extrapolator::new(params.clone()).run(&ts).unwrap();
         assert!(pred.exec_time() > TimeNs::ZERO);
     }
 }
@@ -160,8 +160,14 @@ fn barrier_message_mode_charges_linear_release_cost() {
     hw_params.barrier.algorithm = BarrierAlgorithm::Hardware;
     hw_params.barrier.hardware_latency = DurationNs::from_us(5.0);
 
-    let linear = extrapolate(&ts, &msg_params).unwrap().exec_time();
-    let hardware = extrapolate(&ts, &hw_params).unwrap().exec_time();
+    let linear = Extrapolator::new(msg_params.clone())
+        .run(&ts)
+        .unwrap()
+        .exec_time();
+    let hardware = Extrapolator::new(hw_params.clone())
+        .run(&ts)
+        .unwrap()
+        .exec_time();
     // Linear release alone is (n-1) * 11us of sequential sends.
     assert!(
         linear.as_us() - hardware.as_us() > 100.0,
@@ -182,7 +188,10 @@ fn multithreaded_mapping_serializes_colocated_compute() {
             mapping: ThreadMapping::Block { procs: m },
             switch_cost: DurationNs::ZERO,
         };
-        extrapolate(&ts, &params).unwrap().exec_time()
+        Extrapolator::new(params.clone())
+            .run(&ts)
+            .unwrap()
+            .exec_time()
     };
     assert_eq!(time_on(4), TimeNs::from_us(100.0));
     assert_eq!(time_on(2), TimeNs::from_us(200.0));
@@ -199,7 +208,7 @@ fn context_switch_cost_is_charged_between_threads() {
         mapping: ThreadMapping::Block { procs: 1 },
         switch_cost: DurationNs::from_us(25.0),
     };
-    let pred = extrapolate(&ts, &params).unwrap();
+    let pred = Extrapolator::new(params.clone()).run(&ts).unwrap();
     // Thread 0 runs (100us), switch (25us), thread 1 runs (100us) and
     // releases the barrier at 225us; resuming each thread to retire its
     // final op costs one more switch each: 225 + 25 + 25.
@@ -234,8 +243,10 @@ fn colocated_remote_access_bypasses_the_network() {
     let mut params = machine::default_distributed();
     params.multithread.mapping = ThreadMapping::Block { procs: 1 };
     params.multithread.switch_cost = DurationNs::ZERO;
-    let colocated = extrapolate(&ts, &params).unwrap();
-    let flat = extrapolate(&ts, &machine::default_distributed()).unwrap();
+    let colocated = Extrapolator::new(params.clone()).run(&ts).unwrap();
+    let flat = Extrapolator::new(machine::default_distributed())
+        .run(&ts)
+        .unwrap();
     // A megabyte at 20MB/s costs ~50ms on the wire; co-located it's free.
     assert!(
         colocated.exec_time().as_ms() < 5.0,
@@ -279,14 +290,14 @@ fn mismatched_barrier_sequences_are_rejected() {
     let ts = TraceSet {
         threads: vec![mk(0, 0), mk(1, 1)],
     };
-    let err = extrapolate(&ts, &machine::ideal()).unwrap_err();
+    let err = Extrapolator::new(machine::ideal()).run(&ts).unwrap_err();
     assert!(matches!(err, ExtrapError::Trace(_)), "{err}");
 }
 
 #[test]
 fn empty_trace_set_predicts_empty() {
     let ts = TraceSet { threads: vec![] };
-    let pred = extrapolate(&ts, &machine::ideal()).unwrap();
+    let pred = Extrapolator::new(machine::ideal()).run(&ts).unwrap();
     assert_eq!(pred.exec_time(), TimeNs::ZERO);
     assert_eq!(pred.n_threads, 0);
 }
@@ -312,7 +323,7 @@ fn remote_write_is_one_way() {
         },
     ]);
     let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
-    let pred = extrapolate(&ts, &machine::cm5()).unwrap();
+    let pred = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
     // Exactly one data message crosses the network (no reply) besides
     // nothing else: hardware barrier mode sends no messages.
     assert_eq!(pred.network.messages, 1);
@@ -327,7 +338,9 @@ fn prediction_breakdown_accounts_for_the_whole_makespan() {
     p.push_uniform_phase(DurationNs::from_us(100.0));
     p.push_uniform_phase(DurationNs::from_us(50.0));
     let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
-    let pred = extrapolate(&ts, &machine::default_distributed()).unwrap();
+    let pred = Extrapolator::new(machine::default_distributed())
+        .run(&ts)
+        .unwrap();
     let b = &pred.per_thread[0];
     let accounted =
         b.compute + b.send_overhead + b.service + b.remote_wait + b.barrier_wait + b.sched_wait;

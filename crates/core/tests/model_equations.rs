@@ -3,7 +3,7 @@
 //! hand-computed scenario.
 
 use extrap_core::{
-    extrapolate, machine, BarrierAlgorithm, CommParams, ServicePolicy, SimParams, Topology,
+    machine, BarrierAlgorithm, CommParams, Extrapolator, ServicePolicy, SimParams, Topology,
 };
 use extrap_time::{DurationNs, ElementId, ThreadId, TimeNs};
 use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork};
@@ -66,7 +66,7 @@ fn remote_read_equation_is_exact() {
     //   resume            = 181.4 + R(1)                         = 182.4
     //   remaining compute = 50 → barrier entry at 232.4
     //   hardware barrier, zero cost → exec = 232.4
-    let pred = extrapolate(&scenario(), &pinned_params()).unwrap();
+    let pred = Extrapolator::new(pinned_params()).run(&scenario()).unwrap();
     assert_eq!(pred.exec_time(), TimeNs::from_us(232.4));
     // The reader's wait: resume(182.4) − issue(50).
     assert_eq!(pred.per_thread[0].remote_wait, DurationNs::from_us(132.4));
@@ -101,10 +101,16 @@ fn declared_vs_actual_term_only_changes_the_reply_payload() {
         },
     ]);
     let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
-    let declared = extrapolate(&ts, &pinned_params()).unwrap().exec_time();
+    let declared = Extrapolator::new(pinned_params())
+        .run(&ts)
+        .unwrap()
+        .exec_time();
     let mut actual_params = pinned_params();
     actual_params.size_mode = extrap_core::SizeMode::Actual;
-    let actual = extrapolate(&ts, &actual_params).unwrap().exec_time();
+    let actual = Extrapolator::new(actual_params.clone())
+        .run(&ts)
+        .unwrap()
+        .exec_time();
     // Payload shrinks by 900 bytes => reply wire time shrinks by 90µs.
     assert_eq!(declared.since(actual), DurationNs::from_us(90.0));
 }
@@ -144,9 +150,9 @@ fn contention_factor_term_multiplies_wire_time() {
     let mut params = pinned_params();
     params.network.contention.enabled = true;
     params.network.contention.alpha = 0.8;
-    let with = extrapolate(&ts, &params).unwrap();
+    let with = Extrapolator::new(params.clone()).run(&ts).unwrap();
     params.network.contention.enabled = false;
-    let without = extrapolate(&ts, &params).unwrap();
+    let without = Extrapolator::new(params.clone()).run(&ts).unwrap();
     assert!(with.exec_time() > without.exec_time());
     assert!(with.network.mean_factor() > 1.0);
     assert!(without.network.mean_factor() == 1.0);
@@ -176,7 +182,7 @@ fn linear_message_barrier_equation_is_exact() {
     params.barrier.check = DurationNs::ZERO;
     params.barrier.exit_check = DurationNs::ZERO;
     params.barrier.model = DurationNs::from_us(10.0);
-    let pred = extrapolate(&ts, &params).unwrap();
+    let pred = Extrapolator::new(params.clone()).run(&ts).unwrap();
     assert_eq!(pred.exec_time(), TimeNs::from_us(171.6));
     assert_eq!(pred.per_thread[0].end_time, TimeNs::from_us(157.3));
     assert_eq!(pred.per_thread[1].end_time, TimeNs::from_us(171.6));
@@ -191,6 +197,6 @@ fn mips_ratio_term_scales_only_compute() {
     //   resume 157.4; entry at 182.4.
     let mut params = pinned_params();
     params.mips_ratio = 0.5;
-    let pred = extrapolate(&scenario(), &params).unwrap();
+    let pred = Extrapolator::new(params.clone()).run(&scenario()).unwrap();
     assert_eq!(pred.exec_time(), TimeNs::from_us(182.4));
 }

@@ -6,8 +6,8 @@
 
 use crate::series::Series;
 use extrap_core::{
-    machine, parallel_map, sweep, CachedTrace, ExtrapError, Prediction, RecordMode, ServicePolicy,
-    SharedTraceCache, SimParams, SimStrategy, SizeMode, SweepJob,
+    machine, parallel_map, sweep, CachedTrace, CompiledProgram, ExtrapError, Prediction,
+    RecordMode, ServicePolicy, SharedTraceCache, SimParams, SimStrategy, SizeMode, SweepJob,
 };
 use extrap_trace::{translate, TraceError, TraceSet};
 use extrap_workloads::{matmul, Bench, Scale};
@@ -581,7 +581,7 @@ pub fn fig9(h: &Harness) -> Result<(Vec<Series>, Vec<Series>), ExpError> {
                 .get_or_translate(job.key.clone(), || h.translate_key(&job.key))
                 .map_err(|e| ExpError::new(&job.key.0, job.key.1, &params, e))?;
             refmachine
-                .measure(traces.traces().expect("whole-trace entry"))
+                .measure(traces.program())
                 .map_err(|e| ExpError::new(&job.key.0, job.key.1, &params, e))
         });
     let measured_preds: Vec<Prediction> = measured_preds.into_iter().collect::<Result<_, _>>()?;
@@ -688,7 +688,7 @@ pub fn ablation_contention(h: &Harness) -> Result<(ContentionRows, f64), ExpErro
             .map_err(|e| ExpError::new(bench.name(), 16, &params, e))?
             .exec_time();
         let detailed = reference
-            .measure(ts.traces().expect("whole-trace entry"))
+            .measure(ts.program())
             .map_err(|e| ExpError::new(bench.name(), 16, &params, e))?
             .exec_time();
         let ratio = detailed.as_ns() as f64 / analytic.as_ns().max(1) as f64;
@@ -887,11 +887,12 @@ pub fn bounds_tightness(h: &Harness) -> Result<Vec<BoundsTightness>, ExpError> {
         let set = h
             .translate_key(&(key.clone(), n))
             .map_err(|e| ExpError::translation(key, n, e.into()))?;
-        let cached = CachedTrace::new(set).map_err(|e| ExpError::translation(key, n, e.into()))?;
-        let analysis = extrap_analyze::analyze(cached.program(), &params)
+        let program =
+            CompiledProgram::compile(&set).map_err(|e| ExpError::translation(key, n, e.into()))?;
+        let analysis = extrap_analyze::analyze(&program, &params)
             .map_err(|u| ExpError::new(key, n, &params, ExtrapError::Params(u.to_string())))?;
         let sim = extrap_core::Extrapolator::new(params.clone())
-            .run(cached.program())
+            .run(&program)
             .map_err(|e| ExpError::new(key, n, &params, e))?
             .exec_time();
         let (span, upper) = (analysis.span, analysis.upper);
@@ -998,21 +999,9 @@ mod tests {
     #[test]
     fn trace_cache_reuses_traces() {
         let h = harness();
-        let a = h
-            .cache()
-            .get(Bench::Embar, 2)
-            .unwrap()
-            .traces()
-            .expect("whole-trace entry")
-            .makespan();
-        let b = h
-            .cache()
-            .get(Bench::Embar, 2)
-            .unwrap()
-            .traces()
-            .expect("whole-trace entry")
-            .makespan();
-        assert_eq!(a, b);
+        let a = h.cache().get(Bench::Embar, 2).unwrap();
+        let b = h.cache().get(Bench::Embar, 2).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "the second get is a cache hit");
         assert_eq!(h.cache().len(), 1);
         assert_eq!(h.cache().translations(), 1);
     }
@@ -1025,9 +1014,9 @@ mod tests {
         let h = harness();
         for bench in Bench::all() {
             for n in [2, 4] {
-                let cached = h.cache().get(bench, n).unwrap();
-                let traces = cached.traces().expect("whole-trace entry");
-                let report = extrap_lint::lint_set(traces);
+                h.cache().get(bench, n).unwrap();
+                let traces = h.translate_key(&(bench.name().to_string(), n)).unwrap();
+                let report = extrap_lint::lint_set(&traces);
                 assert!(
                     report.is_clean(),
                     "{bench:?} x{n}: {}",

@@ -42,9 +42,10 @@ fn figure_sweeps_match_the_classic_full_record_path() {
         // What the sweep engine computes (compiled + scratch + lean).
         let via_harness = experiments::predict(&h, Bench::Grid, n, &params).expect("predict");
         // The same job, classic path: translate → validate → run, Full.
-        let traces = h.cache().get(Bench::Grid, n).expect("trace");
+        let set = extrap_trace::translate(&Bench::Grid.trace(n, Scale::Tiny), Default::default())
+            .expect("translate");
         let classic = Extrapolator::new(params.clone())
-            .run(traces.traces().expect("whole-trace entry"))
+            .run(&set)
             .expect("classic run");
         assert_eq!(classic.per_thread, via_harness.per_thread);
         assert_eq!(classic.exec_time(), via_harness.exec_time());
@@ -53,7 +54,7 @@ fn figure_sweeps_match_the_classic_full_record_path() {
         // no trace.
         let lean = Extrapolator::new(params.clone())
             .record_mode(RecordMode::MetricsOnly)
-            .run(traces.program())
+            .run(h.cache().get(Bench::Grid, n).expect("trace").program())
             .expect("lean run");
         assert_eq!(lean.per_thread, classic.per_thread);
         assert!(lean.predicted.threads.is_empty());

@@ -23,4 +23,4 @@ pub mod machine;
 pub mod route;
 
 pub use link::{LinkNetwork, LinkParams};
-pub use machine::{measure, RefMachine};
+pub use machine::RefMachine;

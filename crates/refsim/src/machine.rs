@@ -2,8 +2,7 @@
 //! network substituted.
 
 use crate::link::{LinkNetwork, LinkParams};
-use extrap_core::{ExtrapError, Prediction, SimParams};
-use extrap_trace::TraceSet;
+use extrap_core::{CompiledProgram, ExtrapError, Prediction, SimParams, SimScratch};
 
 /// A target machine simulated at link level — the "measured" side of the
 /// validation experiments.
@@ -34,35 +33,29 @@ impl RefMachine {
     }
 
     /// "Measures" the program on this machine (runs the detailed
-    /// simulation over the translated traces).
-    pub fn measure(&self, traces: &TraceSet) -> Result<Prediction, ExtrapError> {
+    /// simulation over the compiled translated traces).
+    pub fn measure(&self, program: &CompiledProgram) -> Result<Prediction, ExtrapError> {
         let n_procs = self
             .params
             .multithread
             .mapping
-            .n_procs(traces.n_threads().max(1));
+            .n_procs(program.n_threads().max(1));
         let net = LinkNetwork::new(
             n_procs,
             self.params.network,
             self.params.comm.byte_transfer,
             self.link,
         );
-        extrap_core::run_with_network(traces, &self.params, net)
+        extrap_core::run_with_network(program, &self.params, net, &mut SimScratch::default())
     }
-}
-
-/// Convenience: measure `traces` on a machine described by `params` with
-/// default link detail.
-pub fn measure(traces: &TraceSet, params: &SimParams) -> Result<Prediction, ExtrapError> {
-    RefMachine::new(params.clone()).measure(traces)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extrap_core::{extrapolate, machine};
+    use extrap_core::{machine, Extrapolator};
     use extrap_time::{DurationNs, ElementId, ThreadId};
-    use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork};
+    use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork, TraceSet};
 
     fn ring(n: usize, phases: usize, us: f64, bytes: u32) -> TraceSet {
         let mut p = PhaseProgram::new(n);
@@ -88,9 +81,10 @@ mod tests {
     #[test]
     fn reference_measurement_completes_and_is_deterministic() {
         let ts = ring(8, 3, 50.0, 4_096);
+        let program = CompiledProgram::compile(&ts).unwrap();
         let m = RefMachine::new(machine::cm5());
-        let a = m.measure(&ts).unwrap();
-        let b = m.measure(&ts).unwrap();
+        let a = m.measure(&program).unwrap();
+        let b = m.measure(&program).unwrap();
         assert_eq!(a.exec_time(), b.exec_time());
         assert!(a.exec_time().as_ns() > 0);
         a.predicted.validate().unwrap();
@@ -100,11 +94,11 @@ mod tests {
     fn metrics_only_changes_nothing_but_the_predicted_trace() {
         // The record-mode split applies to the link-level simulator too:
         // "measured" sides of validation runs only consume exec_time().
-        let ts = ring(8, 3, 50.0, 4_096);
-        let full = RefMachine::new(machine::cm5()).measure(&ts).unwrap();
+        let program = CompiledProgram::compile(&ring(8, 3, 50.0, 4_096)).unwrap();
+        let full = RefMachine::new(machine::cm5()).measure(&program).unwrap();
         let mut params = machine::cm5();
         params.record_mode = extrap_core::RecordMode::MetricsOnly;
-        let lean = RefMachine::new(params).measure(&ts).unwrap();
+        let lean = RefMachine::new(params).measure(&program).unwrap();
         assert_eq!(full.exec_time(), lean.exec_time());
         assert_eq!(full.per_thread, lean.per_thread);
         assert_eq!(full.barriers, lean.barriers);
@@ -118,10 +112,16 @@ mod tests {
         // The two simulators model the same machine; on a lightly loaded
         // pattern their predictions should be close (within 2x), since
         // contention is mild.
-        let ts = ring(4, 3, 200.0, 1_024);
+        let program = CompiledProgram::compile(&ring(4, 3, 200.0, 1_024)).unwrap();
         let params = machine::cm5();
-        let high = extrapolate(&ts, &params).unwrap().exec_time();
-        let refm = measure(&ts, &params).unwrap().exec_time();
+        let high = Extrapolator::new(params.clone())
+            .run(&program)
+            .unwrap()
+            .exec_time();
+        let refm = RefMachine::new(params)
+            .measure(&program)
+            .unwrap()
+            .exec_time();
         let ratio = refm.as_ns() as f64 / high.as_ns() as f64;
         assert!(
             (0.5..2.0).contains(&ratio),
@@ -155,9 +155,16 @@ mod tests {
             p.push_phase(work);
         }
         let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+        let program = CompiledProgram::compile(&ts).unwrap();
         let params = machine::cm5();
-        let analytic = extrapolate(&ts, &params).unwrap().exec_time();
-        let linklevel = measure(&ts, &params).unwrap().exec_time();
+        let analytic = Extrapolator::new(params.clone())
+            .run(&program)
+            .unwrap()
+            .exec_time();
+        let linklevel = RefMachine::new(params)
+            .measure(&program)
+            .unwrap()
+            .exec_time();
         // Fan-in serializes at thread 0's ingress; the detailed model
         // must not be faster than the analytic one here.
         assert!(

@@ -4,11 +4,12 @@
 
 use crate::ServeConfig;
 use extrap_core::sweep::CachedTrace;
-use extrap_core::{machine, CancelToken, RecordMode, SharedTraceCache, SimParams};
+use extrap_core::{machine, CancelToken, CompiledProgram, RecordMode, SharedTraceCache, SimParams};
 use extrap_proto::{
     ErrorCode, JobId, PredictionSummary, Request, Response, ServerStats, SweepRow, SweepSpec,
     TraceId,
 };
+use extrap_trace::TraceSet;
 use extrap_workloads::{Bench, Scale};
 use pcpp_rt::sync::{AtomicFlag, Condvar, Instant, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -142,10 +143,21 @@ struct JobTable {
 // ---------------------------------------------------------------------
 
 struct StoredTrace {
-    #[allow(dead_code)] // diagnostics only, surfaced in future listings
+    /// The label the client submitted under (synchronous renders print it).
     name: String,
+    /// The submitted per-thread traces, kept for `Phases` reports (the
+    /// cache entry holds only the compiled program).
+    traces: Arc<TraceSet>,
     cached: Arc<CachedTrace>,
     last_used: u64,
+}
+
+impl StoredTrace {
+    /// What the memory budget charges for this trace: the set plus its
+    /// compiled program.
+    fn resident_bytes(&self) -> usize {
+        self.traces.resident_bytes() + self.cached.resident_bytes()
+    }
 }
 
 #[derive(Default)]
@@ -156,10 +168,7 @@ struct TraceStore {
 
 impl TraceStore {
     fn resident_bytes(&self) -> usize {
-        self.entries
-            .values()
-            .map(|e| e.cached.resident_bytes())
-            .sum()
+        self.entries.values().map(StoredTrace::resident_bytes).sum()
     }
 }
 
@@ -415,7 +424,7 @@ impl Service {
             let freed = store
                 .entries
                 .remove(&id)
-                .map(|e| e.cached.resident_bytes())
+                .map(|e| e.resident_bytes())
                 .unwrap_or(0);
             total = total.saturating_sub(freed);
             self.counters
@@ -424,20 +433,16 @@ impl Service {
         }
     }
 
-    /// Resolves a submitted trace, refreshing its LRU stamp.
-    fn touch_trace(&self, id: TraceId) -> Option<Arc<CachedTrace>> {
-        self.touch_trace_named(id).map(|(_, cached)| cached)
-    }
-
-    /// [`touch_trace`](Service::touch_trace) plus the name the client
-    /// submitted under — the label synchronous renders print.
-    fn touch_trace_named(&self, id: TraceId) -> Option<(String, Arc<CachedTrace>)> {
+    /// Resolves a submitted trace, refreshing its LRU stamp, and reads
+    /// what the caller needs off it (shared handles, so the work runs
+    /// outside the store lock).
+    fn touch_trace<T>(&self, id: TraceId, read: impl FnOnce(&StoredTrace) -> T) -> Option<T> {
         let mut store = self.store.lock();
         store.clock += 1;
         let stamp = store.clock;
         let e = store.entries.get_mut(&id)?;
         e.last_used = stamp;
-        Some((e.name.clone(), Arc::clone(&e.cached)))
+        Some(read(e))
     }
 
     /// A point-in-time statistics snapshot.
@@ -531,8 +536,8 @@ impl Session {
             // Raw traces stream through the epoch translator instead of
             // materializing the whole `ProgramTrace` first: admission
             // peak memory is the payload plus the translated set, not
-            // payload + decoded records + set.  The set itself is kept —
-            // `Phases`/`Stats` requests read it.
+            // payload + decoded records + set.  The set itself is kept
+            // next to its compiled program — `Phases` requests read it.
             Some(b"XTRP") => extrap_trace::stream::ProgramStream::new(
                 extrap_trace::stream::SliceSource(&payload),
             )
@@ -544,31 +549,32 @@ impl Session {
                 extrap_trace::translate_stream_to_set(&mut stream, Default::default(), usize::MAX)
             })
             .map_err(|e| e.to_string())
-            .and_then(|(set, _stats)| CachedTrace::new(set).map_err(|e| e.to_string())),
-            Some(b"XTPS") => extrap_trace::format::decode_set(&payload)
-                .and_then(CachedTrace::new)
-                .map_err(|e| e.to_string()),
+            .map(|(set, _stats)| set),
+            Some(b"XTPS") => extrap_trace::format::decode_set(&payload).map_err(|e| e.to_string()),
             _ => Err("not a trace image (expected XTRP or XTPS magic)".to_string()),
-        };
-        let cached = match built {
-            Ok(c) => Arc::new(c),
+        }
+        .and_then(|set| match CompiledProgram::compile(&set) {
+            Ok(program) => Ok((set, program)),
+            Err(e) => Err(e.to_string()),
+        });
+        let (traces, program) = match built {
+            Ok(built) => built,
             Err(detail) => return err(ErrorCode::BadRequest, detail),
         };
         let id = TraceId(self.service.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
-        let n_threads = cached.n_threads() as u32;
-        let resident_bytes = cached.resident_bytes() as u64;
+        let mut stored = StoredTrace {
+            name,
+            traces: Arc::new(traces),
+            cached: Arc::new(CachedTrace::new(program)),
+            last_used: 0,
+        };
+        let n_threads = stored.cached.n_threads() as u32;
+        let resident_bytes = stored.resident_bytes() as u64;
         {
             let mut store = self.service.store.lock();
             store.clock += 1;
-            let stamp = store.clock;
-            store.entries.insert(
-                id,
-                StoredTrace {
-                    name,
-                    cached,
-                    last_used: stamp,
-                },
-            );
+            stored.last_used = store.clock;
+            store.entries.insert(id, stored);
         }
         self.service.enforce_budget();
         Response::Submitted {
@@ -586,7 +592,7 @@ impl Session {
             Ok(p) => p,
             Err(detail) => return err(ErrorCode::BadRequest, detail),
         };
-        let Some(cached) = self.service.touch_trace(trace) else {
+        let Some(cached) = self.service.touch_trace(trace, |e| Arc::clone(&e.cached)) else {
             return err(
                 ErrorCode::UnknownTrace,
                 format!("trace #{} is not resident (submit it again)", trace.0),
@@ -731,7 +737,7 @@ impl Session {
                     .store_evictions
                     .fetch_add(1, Ordering::Relaxed);
                 Response::Evicted {
-                    freed_bytes: e.cached.resident_bytes() as u64,
+                    freed_bytes: e.resident_bytes() as u64,
                 }
             }
             None => err(
@@ -747,7 +753,7 @@ impl Session {
     /// cheap scan over an already-resident trace, so it skips the job
     /// queue like `Stats` does.
     fn phases(&self, trace: TraceId, phases: bool, max_clusters: u32, tolerance: f64) -> Response {
-        let Some(cached) = self.service.touch_trace(trace) else {
+        let Some(traces) = self.service.touch_trace(trace, |e| Arc::clone(&e.traces)) else {
             return err(
                 ErrorCode::UnknownTrace,
                 format!("trace #{} is not resident (submit it again)", trace.0),
@@ -757,17 +763,8 @@ impl Session {
             max_clusters: max_clusters as usize,
             tolerance,
         };
-        let Some(traces) = cached.traces() else {
-            return err(
-                ErrorCode::BadRequest,
-                format!(
-                    "trace #{} was compiled out-of-core and holds no per-thread traces",
-                    trace.0
-                ),
-            );
-        };
         Response::Phases {
-            text: extrap_trace::render_stats_report(traces, phases, &opts),
+            text: extrap_trace::render_stats_report(&traces, phases, &opts),
         }
     }
 
@@ -792,7 +789,10 @@ impl Session {
                 format!("unknown analyze format {format_text:?} (text|json|csv)"),
             );
         };
-        let Some((name, cached)) = self.service.touch_trace_named(trace) else {
+        let Some((name, cached)) = self
+            .service
+            .touch_trace(trace, |e| (e.name.clone(), Arc::clone(&e.cached)))
+        else {
             return err(
                 ErrorCode::UnknownTrace,
                 format!("trace #{} is not resident (submit it again)", trace.0),

@@ -81,9 +81,12 @@ fn extrapolated_times_are_pinned_for_the_cm5() {
     // or models moves this number.
     let (trace, _) = grid::run(4, &grid::GridConfig::default());
     let ts = extrap_trace::translate(&trace, Default::default()).unwrap();
-    let pred = extrap_core::extrapolate(&ts, &extrap_core::machine::cm5()).unwrap();
+    let pred = extrap_core::Extrapolator::new(extrap_core::machine::cm5())
+        .run(&ts)
+        .unwrap();
     let a = pred.exec_time();
-    let again = extrap_core::extrapolate(&ts, &extrap_core::machine::cm5())
+    let again = extrap_core::Extrapolator::new(extrap_core::machine::cm5())
+        .run(&ts)
         .unwrap()
         .exec_time();
     assert_eq!(a, again, "determinism");
@@ -94,7 +97,8 @@ fn extrapolated_times_are_pinned_for_the_cm5() {
     // bit-reproducible.
     let (trace2, _) = grid::run(4, &grid::GridConfig::default());
     let ts2 = extrap_trace::translate(&trace2, Default::default()).unwrap();
-    let b = extrap_core::extrapolate(&ts2, &extrap_core::machine::cm5())
+    let b = extrap_core::Extrapolator::new(extrap_core::machine::cm5())
+        .run(&ts2)
         .unwrap()
         .exec_time();
     assert_eq!(b.as_ns(), expected);

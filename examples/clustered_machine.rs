@@ -20,7 +20,10 @@ fn main() {
     )
     .unwrap();
     let params = machine::default_distributed();
-    let flat = extrapolate(&traces, &params).unwrap().exec_time();
+    let flat = Extrapolator::new(params.clone())
+        .run(&traces)
+        .unwrap()
+        .exec_time();
 
     println!(
         "Sort, {n_threads} processors, distributed machine: {:.3} ms (flat network)\n",

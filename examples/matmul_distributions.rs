@@ -23,8 +23,12 @@ fn main() {
         for dist in matmul::nine_distributions() {
             let (trace, _) = matmul::run(p, &matmul::MatmulConfig { n, dist });
             let ts = translate(&trace, TranslateOptions::default()).unwrap();
-            let predicted = extrapolate(&ts, &params).unwrap().exec_time();
-            let measured = reference.measure(&ts).unwrap().exec_time();
+            let program = CompiledProgram::compile(&ts).unwrap();
+            let predicted = Extrapolator::new(params.clone())
+                .run(&program)
+                .unwrap()
+                .exec_time();
+            let measured = reference.measure(&program).unwrap().exec_time();
             rows.push((
                 format!("({},{})", dist.0.letter(), dist.1.letter()),
                 predicted.as_ms(),

@@ -23,10 +23,11 @@ fn main() {
         "{:>6} {:>14} {:>14} {:>16}",
         "m", "block [ms]", "cyclic [ms]", "1-per-proc [ms]"
     );
-    let full = {
-        let params = machine::default_distributed();
-        extrapolate(&traces, &params).unwrap().exec_time().as_ms()
-    };
+    let full = Extrapolator::new(machine::default_distributed())
+        .run(&traces)
+        .unwrap()
+        .exec_time()
+        .as_ms();
     for m in [1usize, 2, 4, 8, 16] {
         let time_with = |mapping: ThreadMapping| {
             let mut params = machine::default_distributed();
@@ -34,7 +35,11 @@ fn main() {
                 mapping,
                 switch_cost: DurationNs::from_us(10.0),
             };
-            extrapolate(&traces, &params).unwrap().exec_time().as_ms()
+            Extrapolator::new(params)
+                .run(&traces)
+                .unwrap()
+                .exec_time()
+                .as_ms()
         };
         let block = time_with(ThreadMapping::Block { procs: m });
         let cyclic = time_with(ThreadMapping::Cyclic { procs: m });

@@ -24,10 +24,11 @@ fn main() {
         .collect();
 
     let speedups = |params: &SimParams| -> Vec<f64> {
-        let base = extrapolate(&traces[0], params).unwrap().exec_time();
+        let session = Extrapolator::new(params.clone());
+        let base = session.run(&traces[0]).unwrap().exec_time();
         traces
             .iter()
-            .map(|ts| extrapolate(ts, params).unwrap().speedup_vs(base))
+            .map(|ts| session.run(ts).unwrap().speedup_vs(base))
             .collect()
     };
     let show = |label: &str, s: &[f64]| {

@@ -67,7 +67,7 @@ fn main() {
         ("CM-5 (Table 3 parameters)", machine::cm5()),
         ("ideal machine", machine::ideal()),
     ] {
-        let pred = extrapolate(&traces, &params).unwrap();
+        let pred = Extrapolator::new(params).run(&traces).unwrap();
         println!(
             "{name:30} -> {:>9.3} ms  (utilization {:>5.1}%, comp/comm {:.1})",
             pred.exec_time().as_ms(),

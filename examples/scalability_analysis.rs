@@ -10,7 +10,7 @@
 use perf_extrap::prelude::*;
 
 fn main() {
-    let params = machine::default_distributed();
+    let session = Extrapolator::new(machine::default_distributed());
     let procs = [1usize, 2, 4, 8, 16, 32];
 
     for bench in Bench::all() {
@@ -19,7 +19,7 @@ fn main() {
             .map(|&n| {
                 let ts =
                     translate(&bench.trace(n, Scale::Small), TranslateOptions::default()).unwrap();
-                (n, extrapolate(&ts, &params).unwrap().exec_time())
+                (n, session.run(&ts).unwrap().exec_time())
             })
             .collect();
         let analysis = Scalability::from_times(samples);

@@ -36,10 +36,10 @@ fn main() {
         for (label, policy) in &policies {
             let mut params = machine::default_distributed();
             params.comm = params.comm.with_startup_us(100.0);
-            params.policy = *policy;
+            let session = Extrapolator::new(params).policy(*policy);
             print!("{label:16}");
             for (i, ts) in traces.iter().enumerate() {
-                let t = extrapolate(ts, &params).unwrap().exec_time().as_ms();
+                let t = session.run(ts).unwrap().exec_time().as_ms();
                 if t < best[i].0 {
                     best[i] = (t, label.clone());
                 }

@@ -56,11 +56,11 @@ pub use pcpp_rt as rt;
 /// The most common imports in one place.
 pub mod prelude {
     pub use extrap_core::{
-        extrapolate, extrapolate_clustered, extrapolate_program, machine, parallel_map, sweep,
-        BarrierAlgorithm, BarrierParams, ClusterParams, CommParams, Extrapolator,
-        MultithreadParams, NetworkParams, Prediction, ProcBreakdown, ReprPlan, Scalability,
-        ServicePolicy, SharedTraceCache, SimParams, SimStrategy, SizeMode, SweepError, SweepGrid,
-        SweepJob, ThreadMapping, Topology,
+        extrapolate_clustered, machine, parallel_map, sweep, BarrierAlgorithm, BarrierParams,
+        ClusterParams, CommParams, CompiledProgram, Extrapolator, MultithreadParams, NetworkParams,
+        Prediction, ProcBreakdown, ReprPlan, RunInput, Scalability, ServicePolicy,
+        SharedTraceCache, SimParams, SimStrategy, SizeMode, SweepError, SweepGrid, SweepJob,
+        ThreadMapping, Topology,
     };
     pub use extrap_refsim::RefMachine;
     pub use extrap_time::{BarrierId, DurationNs, ElementId, ProcId, ThreadId, TimeNs};

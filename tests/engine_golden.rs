@@ -110,7 +110,7 @@ fn render_all() -> String {
                         params.barrier.algorithm = algorithm;
                         params.barrier.by_msgs = by_msgs;
                         let pred = Extrapolator::new(params)
-                            .run_compiled(&program)
+                            .run(&program)
                             .unwrap_or_else(|e| panic!("{} n={n}: {e}", bench.name()));
                         let label = format!(
                             "{} n={n} {pname} {} {bname}",

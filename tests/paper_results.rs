@@ -13,7 +13,7 @@ fn speedups(bench: Bench, params: &SimParams, procs: &[usize]) -> Vec<f64> {
 
 fn predict(bench: Bench, n: usize, params: &SimParams) -> Prediction {
     let traces = translate(&bench.trace(n, Scale::Tiny), TranslateOptions::default()).unwrap();
-    extrapolate(&traces, params).unwrap()
+    Extrapolator::new(params.clone()).run(&traces).unwrap()
 }
 
 #[test]
@@ -55,7 +55,12 @@ fn fig5_grid_investigation_ordering() {
     let mut tuned = actual.clone();
     tuned.comm = tuned.comm.with_startup_us(10.0);
 
-    let t = |p: &SimParams| extrapolate(&traces, p).unwrap().exec_time();
+    let t = |p: &SimParams| {
+        Extrapolator::new(p.clone())
+            .run(&traces)
+            .unwrap()
+            .exec_time()
+    };
     let (t_base, t_bw, t_actual, t_tuned, t_ideal) = (
         t(&base),
         t(&high_bw),
@@ -86,7 +91,11 @@ fn fig6_mips_ratio_scales_compute_bound_programs() {
     let time_at = |ratio: f64| {
         let mut params = machine::default_distributed();
         params.mips_ratio = ratio;
-        extrapolate(&traces, &params).unwrap().exec_time().as_ns() as f64
+        Extrapolator::new(params.clone())
+            .run(&traces)
+            .unwrap()
+            .exec_time()
+            .as_ns() as f64
     };
     let (slow, base, fast) = (time_at(2.0), time_at(1.0), time_at(0.5));
     assert!(
@@ -140,7 +149,8 @@ fn fig7_min_time_processor_count_shifts_down() {
         [1usize, 2, 4, 8, 16, 32]
             .into_iter()
             .min_by_key(|&n| {
-                extrapolate(&strong_scaled(n), &params)
+                Extrapolator::new(params.clone())
+                    .run(&strong_scaled(n))
                     .unwrap()
                     .exec_time()
                     .as_ns()
@@ -163,7 +173,10 @@ fn fig8_no_interrupt_is_never_best() {
             let mut params = machine::default_distributed();
             params.comm = params.comm.with_startup_us(100.0);
             params.policy = policy;
-            extrapolate(&traces, &params).unwrap().exec_time()
+            Extrapolator::new(params.clone())
+                .run(&traces)
+                .unwrap()
+                .exec_time()
         };
         let none = time_with(ServicePolicy::NoInterrupt);
         let interrupt = time_with(ServicePolicy::Interrupt);
@@ -187,8 +200,13 @@ fn fig9_extrapolation_ranks_distributions_like_the_reference_machine() {
         for dist in matmul::nine_distributions() {
             let (trace, _) = matmul::run(procs, &matmul::MatmulConfig { n, dist });
             let ts = translate(&trace, TranslateOptions::default()).unwrap();
-            let p = extrapolate(&ts, &params).unwrap().exec_time().as_ns();
-            let m = reference.measure(&ts).unwrap().exec_time().as_ns();
+            let program = CompiledProgram::compile(&ts).unwrap();
+            let p = Extrapolator::new(params.clone())
+                .run(&program)
+                .unwrap()
+                .exec_time()
+                .as_ns();
+            let m = reference.measure(&program).unwrap().exec_time().as_ns();
             predicted.push((format!("{dist:?}"), p, m));
         }
         let best_pred = predicted.iter().min_by_key(|r| r.1).unwrap();
@@ -214,10 +232,14 @@ fn validation_reference_machine_is_slower_or_equal_under_hot_spots() {
         TranslateOptions::default(),
     )
     .unwrap();
+    let program = CompiledProgram::compile(&traces).unwrap();
     let params = machine::cm5();
-    let analytic = extrapolate(&traces, &params).unwrap().exec_time();
+    let analytic = Extrapolator::new(params.clone())
+        .run(&program)
+        .unwrap()
+        .exec_time();
     let detailed = RefMachine::new(params)
-        .measure(&traces)
+        .measure(&program)
         .unwrap()
         .exec_time();
     assert!(

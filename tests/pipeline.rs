@@ -13,7 +13,8 @@ fn every_benchmark_flows_through_the_full_pipeline() {
             let traces = translate(&measured, TranslateOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
             traces.validate().unwrap();
-            let pred = extrapolate(&traces, &machine::default_distributed())
+            let pred = Extrapolator::new(machine::default_distributed())
+                .run(&traces)
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
             assert_eq!(pred.n_threads, n, "{}", bench.name());
             assert!(
@@ -34,7 +35,7 @@ fn pipeline_is_deterministic_end_to_end() {
     let run_once = || {
         let measured = Bench::Sparse.trace(4, Scale::Tiny);
         let traces = translate(&measured, TranslateOptions::default()).unwrap();
-        let pred = extrapolate(&traces, &machine::cm5()).unwrap();
+        let pred = Extrapolator::new(machine::cm5()).run(&traces).unwrap();
         (measured, pred.exec_time(), pred.predicted)
     };
     let (m1, t1, p1) = run_once();
@@ -62,8 +63,14 @@ fn trace_files_round_trip_through_disk() {
     assert_eq!(traces, back);
 
     // Predictions from the on-disk copy match the in-memory one.
-    let a = extrapolate(&traces, &machine::cm5()).unwrap().exec_time();
-    let b = extrapolate(&back, &machine::cm5()).unwrap().exec_time();
+    let a = Extrapolator::new(machine::cm5())
+        .run(&traces)
+        .unwrap()
+        .exec_time();
+    let b = Extrapolator::new(machine::cm5())
+        .run(&back)
+        .unwrap()
+        .exec_time();
     assert_eq!(a, b);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -107,7 +114,13 @@ fn config_files_drive_the_simulation() {
         TranslateOptions::default(),
     )
     .unwrap();
-    let a = extrapolate(&traces, &machine::cm5()).unwrap().exec_time();
-    let b = extrapolate(&traces, &parsed).unwrap().exec_time();
+    let a = Extrapolator::new(machine::cm5())
+        .run(&traces)
+        .unwrap()
+        .exec_time();
+    let b = Extrapolator::new(parsed.clone())
+        .run(&traces)
+        .unwrap()
+        .exec_time();
     assert_eq!(a, b);
 }

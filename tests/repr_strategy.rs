@@ -35,8 +35,12 @@ fn non_repeating_benchmarks_fall_back_byte_identically() {
     for bench in [Bench::Embar, Bench::Cyclic] {
         for n in [4usize, 8] {
             let traces = translate(&bench.trace(n, Scale::Tiny), Default::default()).unwrap();
-            let exact = extrapolate(&traces, &with_strategy(SimStrategy::Exact)).unwrap();
-            let repr = extrapolate(&traces, &with_strategy(SimStrategy::representative())).unwrap();
+            let exact = Extrapolator::new(with_strategy(SimStrategy::Exact))
+                .run(&traces)
+                .unwrap();
+            let repr = Extrapolator::new(with_strategy(SimStrategy::representative()))
+                .run(&traces)
+                .unwrap();
             assert_identical(&exact, &repr, &format!("{} n={n}", bench.name()));
         }
     }
@@ -66,8 +70,12 @@ fn periodic_synthetic_traces_compose_within_declared_tolerance() {
         (2, 1, 40, 3),
     ] {
         let traces = periodic_trace(threads, period, reps, seed);
-        let exact = extrapolate(&traces, &with_strategy(SimStrategy::Exact)).unwrap();
-        let repr = extrapolate(&traces, &with_strategy(SimStrategy::representative())).unwrap();
+        let exact = Extrapolator::new(with_strategy(SimStrategy::Exact))
+            .run(&traces)
+            .unwrap();
+        let repr = Extrapolator::new(with_strategy(SimStrategy::representative()))
+            .run(&traces)
+            .unwrap();
 
         let (e, r) = (
             exact.exec_time().as_ns() as f64,
@@ -126,5 +134,7 @@ fn repr_sweeps_are_byte_identical_across_worker_counts() {
 
 fn run_exact() -> Prediction {
     let traces = translate(&Bench::Mgrid.trace(16, Scale::Small), Default::default()).unwrap();
-    extrapolate(&traces, &with_strategy(SimStrategy::Exact)).unwrap()
+    Extrapolator::new(with_strategy(SimStrategy::Exact))
+        .run(&traces)
+        .unwrap()
 }
