@@ -150,9 +150,9 @@ fn main() {
         || black_box(run_pipeline(&huge_path)),
     );
 
-    // The out-of-core translate-to-disk path (`extrap translate
-    // --stream`): spill/merge through a budget so tight every batch
-    // spills, then replay into an output set file.
+    // The translate-to-disk path of `extrap translate`: spill/merge
+    // through a budget so tight every batch spills, then replay into an
+    // output set file.
     let out = std::env::temp_dir().join(format!(
         "extrap-bench-pipeline-{}-out.xtps",
         std::process::id()

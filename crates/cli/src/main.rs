@@ -4,9 +4,9 @@
 //! ```text
 //! extrap trace     <bench> <threads> [--scale S] -o trace.xtrp
 //! extrap translate trace.xtrp -o traces.xtps [--event-overhead US] [--switch-overhead US] \
-//!                  [--stream [--mem-budget BYTES]]     # out-of-core spill/merge translate
+//!                  [--mem-budget BYTES]     # out-of-core: spills past the budget
 //! extrap simulate  traces.xtps [--machine M | --params FILE] [--set KEY=VALUE]... \
-//!                  [--check-bounds] [--predicted OUT] [--stream]
+//!                  [--check-bounds] [--predicted OUT]
 //! extrap analyze   FILE|BENCH [--threads N] [--procs LIST] [--format text|json|csv]
 //! extrap sweep     <bench>[,<bench>...] [--procs 1,2,...] [--jobs N] [--csv] [--check-bounds]
 //! extrap serve     [--addr HOST:PORT] [--workers N] [--mem-budget-mb N] ...
@@ -72,10 +72,10 @@ fn run(args: Vec<String>) -> Result<(), String> {
             println!(
                 "usage:\n  extrap trace <bench> <threads> [--scale tiny|small|paper] -o FILE\n  \
                  extrap translate FILE -o FILE [--event-overhead US] [--switch-overhead US] \
-                 [--stream [--mem-budget BYTES]]\n  \
+                 [--mem-budget BYTES]\n  \
                  extrap simulate FILE [--machine distributed|shared|ideal|cm5] [--params FILE] \
                  [--set KEY=VALUE]... [--strategy exact|repr[:K[:TOL]]] [--check-bounds] \
-                 [--predicted FILE] [--stream]\n  \
+                 [--predicted FILE]\n  \
                  extrap analyze FILE|BENCH [--threads N] [--procs 1,2,4,8,16,32] [--scale S] \
                  [--format text|json|csv] [--machine M] [--params FILE] [--set KEY=VALUE]...\n  \
                  extrap sweep <bench>[,<bench>...] [--procs 1,2,4,8,16,32] [--scale S] \
@@ -189,6 +189,13 @@ fn cmd_trace(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Default in-memory budget for `translate`'s spill sink: 64 MiB.
+const DEFAULT_MEM_BUDGET: usize = 64 << 20;
+
+/// `extrap translate`: epoch-translates the chunked input stream into
+/// per-thread runs, holding at most `--mem-budget` translated bytes in
+/// memory and spilling the rest, then replays the runs into the output
+/// set file.
 fn cmd_translate(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("translate", args);
     let out = spec.value("-o")?;
@@ -196,33 +203,22 @@ fn cmd_translate(args: Vec<String>) -> Result<(), String> {
         event_overhead: parse_us(spec.value("--event-overhead")?, "event overhead")?,
         switch_overhead: parse_us(spec.value("--switch-overhead")?, "switch overhead")?,
     };
-    let (stream_mode, mem_budget) = take_streaming(&mut spec)?;
-    let [input] =
-        spec.finish_exact("extrap translate FILE -o FILE [--stream [--mem-budget BYTES]]")?;
+    let mem_budget = spec
+        .parsed::<usize>("--mem-budget")?
+        .unwrap_or(DEFAULT_MEM_BUDGET);
+    let [input] = spec.finish_exact("extrap translate FILE -o FILE [--mem-budget BYTES]")?;
     let out: PathBuf = out.ok_or("translate: -o FILE is required")?.into();
-    let (n_threads, makespan) = if stream_mode {
-        // Fully out-of-core: epoch-translate the chunked input stream
-        // into per-thread spill runs (holding at most `mem_budget`
-        // translated bytes in memory) and replay them straight into the
-        // output file.  Bytes are identical to the whole-trace path.
-        let mut stream =
-            extrap_trace::stream::ProgramStream::open(&input).map_err(|e| e.to_string())?;
-        let n_threads = stream.n_threads();
-        let mut sink = MakespanSink {
-            inner: extrap_trace::SpillSink::new(n_threads, mem_budget),
-            makespan: TimeNs::ZERO,
-        };
-        extrap_trace::translate_stream(&mut stream, options, &mut sink)
-            .map_err(|e| e.to_string())?;
-        let makespan = sink.makespan;
-        sink.inner.write_set_file(&out).map_err(|e| e.to_string())?;
-        (n_threads, makespan)
-    } else {
-        let trace = extrap_trace::reader::read_program_file(&input).map_err(|e| e.to_string())?;
-        let set = extrap_trace::translate(&trace, options).map_err(|e| e.to_string())?;
-        extrap_trace::writer::write_set_file(&out, &set).map_err(|e| e.to_string())?;
-        (set.n_threads(), set.makespan())
+    let mut stream =
+        extrap_trace::stream::ProgramStream::open(&input).map_err(ingest_error(&input))?;
+    let n_threads = stream.n_threads();
+    let mut sink = MakespanSink {
+        inner: extrap_trace::SpillSink::new(n_threads, mem_budget),
+        makespan: TimeNs::ZERO,
     };
+    extrap_trace::translate_stream(&mut stream, options, &mut sink)
+        .map_err(ingest_error(&input))?;
+    let makespan = sink.makespan;
+    sink.inner.write_set_file(&out).map_err(|e| e.to_string())?;
     println!("translated {n_threads} threads; idealized parallel makespan {makespan}");
     Ok(())
 }
@@ -264,27 +260,23 @@ fn take_check_bounds(spec: &mut ArgSpec) -> bool {
     on
 }
 
-/// Default in-memory budget for `--stream` spill sinks: 64 MiB.
-const DEFAULT_STREAM_BUDGET: usize = 64 << 20;
+/// Renders an ingest error of the trace file `path`, naming the file
+/// once (errors the stream already attributed keep their path).
+fn ingest_error(path: &str) -> impl Fn(extrap_trace::TraceError) -> String + '_ {
+    move |e| e.in_file(path).to_string()
+}
 
-/// Takes `--stream [--mem-budget BYTES]` off a spec — `translate`'s
-/// out-of-core spill/merge opt-in.  The budget caps the spill sink's
-/// resident translated bytes and defaults to [`DEFAULT_STREAM_BUDGET`].
-/// (`simulate --stream` takes no budget: its decode is bounded by
-/// construction.)
-fn take_streaming(spec: &mut ArgSpec) -> Result<(bool, usize), String> {
-    let stream = spec.switch("--stream");
-    let budget = spec.parsed::<usize>("--mem-budget")?;
-    if budget.is_some() && !stream {
-        return Err(format!("{}: --mem-budget requires --stream", spec.cmd()));
-    }
-    Ok((stream, budget.unwrap_or(DEFAULT_STREAM_BUDGET)))
+/// Compiles a translated set file straight off the chunked set stream,
+/// without holding the decoded set — the one way `simulate`, `analyze`
+/// and `diff` load their input.
+fn load_program(path: &str) -> Result<extrap_core::CompiledProgram, String> {
+    let mut stream = extrap_trace::stream::SetStream::open(path).map_err(ingest_error(path))?;
+    extrap_core::compile_set_stream(&mut stream).map_err(ingest_error(path))
 }
 
 /// A [`TranslateSink`] adapter that tracks the translated makespan (the
-/// maximum emitted timestamp) on the way through to `inner`, so the
-/// out-of-core `translate` can report the same summary line as the
-/// whole-trace path without re-reading its output.
+/// maximum emitted timestamp) on the way through to `inner`, so
+/// `translate` can report it without re-reading its output.
 struct MakespanSink<S> {
     inner: S,
     makespan: TimeNs,
@@ -304,26 +296,10 @@ fn cmd_simulate(args: Vec<String>) -> Result<(), String> {
     let params = load_params(&mut spec)?;
     take_check_bounds(&mut spec);
     let predicted_out = spec.value("--predicted")?;
-    let stream_mode = spec.switch("--stream");
-    let [input] = spec.finish_exact("extrap simulate FILE [--machine M] [--stream]")?;
-    let pred = if stream_mode {
-        // Out-of-core: compile the op scripts straight off the chunked
-        // set stream (same invariants, same first error, identical
-        // program — so identical prediction) without ever holding the
-        // decoded `TraceSet`.  Decode memory is bounded by construction
-        // (one refill window), so there is no budget to set.
-        let mut stream =
-            extrap_trace::stream::SetStream::open(&input).map_err(|e| e.to_string())?;
-        let program = extrap_core::compile_set_stream(&mut stream).map_err(|e| e.to_string())?;
-        Extrapolator::new(params)
-            .run(&program)
-            .map_err(|e| e.to_string())?
-    } else {
-        let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
-        Extrapolator::new(params)
-            .run(&set)
-            .map_err(|e| e.to_string())?
-    };
+    let [input] = spec.finish_exact("extrap simulate FILE [--machine M]")?;
+    let pred = Extrapolator::new(params)
+        .run(&load_program(&input)?)
+        .map_err(|e| e.to_string())?;
     println!(
         "predicted execution time: {:.3} ms",
         pred.exec_time().as_ms()
@@ -395,9 +371,7 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
                     .to_string(),
             );
         }
-        let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
-        let program = extrap_core::CompiledProgram::compile(&set).map_err(|e| e.to_string())?;
-        (input.clone(), program, Vec::new())
+        (input.clone(), load_program(&input)?, Vec::new())
     } else {
         let bench = resolve_bench(&input)?;
         let procs: Vec<usize> = match procs_arg {
@@ -1028,11 +1002,15 @@ fn json_escape(s: &str) -> String {
 fn cmd_diff(args: Vec<String>) -> Result<(), String> {
     let [input, ma, mb] =
         ArgSpec::new("diff", args).finish_exact("extrap diff FILE <machineA> <machineB>")?;
-    let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
+    let program = load_program(&input)?;
     let pa = parse_machine(Some(ma.clone()))?;
     let pb = parse_machine(Some(mb.clone()))?;
-    let a = Extrapolator::new(pa).run(&set).map_err(|e| e.to_string())?;
-    let b = Extrapolator::new(pb).run(&set).map_err(|e| e.to_string())?;
+    let a = Extrapolator::new(pa)
+        .run(&program)
+        .map_err(|e| e.to_string())?;
+    let b = Extrapolator::new(pb)
+        .run(&program)
+        .map_err(|e| e.to_string())?;
     println!(
         "{}: {:.3} ms    {}: {:.3} ms",
         ma,

@@ -48,6 +48,22 @@ fn full_pipeline_through_the_binary() {
     assert!(out.status.success(), "{out:?}");
     assert!(stdout(&out).contains("translated 4 threads"));
 
+    // A zero budget spills every batch; the set file is the same bytes.
+    let spilled = dir.join("grid-spilled.xtps");
+    let out = extrap(&[
+        "translate",
+        xtrp.to_str().unwrap(),
+        "-o",
+        spilled.to_str().unwrap(),
+        "--mem-budget",
+        "0",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        std::fs::read(&spilled).unwrap(),
+        std::fs::read(&xtps).unwrap()
+    );
+
     let out = extrap(&["report", xtps.to_str().unwrap()]);
     assert!(out.status.success());
     let text = stdout(&out);
@@ -196,17 +212,116 @@ fn diff_compares_two_machines() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `extrap args`, expecting exit code 1 and exactly `stderr`.
+fn assert_fails_with(args: &[&str], stderr: &str) {
+    let out = extrap(args);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), stderr, "{args:?}");
+}
+
 #[test]
 fn bad_inputs_fail_cleanly() {
+    use extrap_time::{BarrierId, ThreadId, TimeNs};
+    use extrap_trace::{format, EventKind, ProgramTrace, ThreadTrace, TraceRecord, TraceSet};
+
     let out = extrap(&["trace", "nope", "4", "-o", "/dev/null"]);
-    assert!(!out.status.success());
-    let out = extrap(&["simulate", "/nonexistent.xtps"]);
     assert!(!out.status.success());
     let out = extrap(&["frobnicate"]);
     assert!(!out.status.success());
     let out = extrap(&["benches"]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("Embar"));
+
+    let dir = tmpdir("bad-inputs");
+    let rec = |time: u64, thread: u32, kind| TraceRecord {
+        time: TimeNs(time),
+        thread: ThreadId(thread),
+        kind,
+    };
+    let enter = |b: u32| EventKind::BarrierEnter {
+        barrier: BarrierId(b),
+    };
+    let exit = |b: u32| EventKind::BarrierExit {
+        barrier: BarrierId(b),
+    };
+    // A set whose threads pass different barriers.
+    let badset = dir.join("badset.xtps");
+    let thread = |t: u32, b: u32| ThreadTrace {
+        thread: ThreadId(t),
+        records: vec![
+            rec(0, t, EventKind::ThreadBegin),
+            rec(10, t, enter(b)),
+            rec(10, t, exit(b)),
+            rec(20, t, EventKind::ThreadEnd),
+        ],
+    };
+    let set = TraceSet {
+        threads: vec![thread(0, 0), thread(1, 5)],
+    };
+    std::fs::write(&badset, format::encode_set(&set)).unwrap();
+    // A bare set header that declares u32::MAX threads.
+    let forged = dir.join("forged.xtps");
+    let mut header = format::encode_set(&TraceSet { threads: vec![] });
+    header[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&forged, header).unwrap();
+    let missing = dir.join("missing.xtps");
+
+    let badset = badset.to_str().unwrap();
+    let forged = forged.to_str().unwrap();
+    let missing = missing.to_str().unwrap();
+    let mismatch = format!(
+        "extrap: {badset}: T1 passes a different barrier sequence than thread 0 \
+         (program is not deterministically data-parallel)\n"
+    );
+    let truncated =
+        format!("extrap: {forged}: malformed trace: truncated while reading thread id\n");
+    let absent =
+        format!("extrap: {missing}: trace I/O error: No such file or directory (os error 2)\n");
+    for (file, err) in [
+        (badset, &mismatch),
+        (forged, &truncated),
+        (missing, &absent),
+    ] {
+        assert_fails_with(&["simulate", file], err);
+        assert_fails_with(&["diff", file, "cm5", "ideal"], err);
+        if file != missing {
+            // A path that is not a file resolves as a benchmark name.
+            assert_fails_with(&["analyze", file], err);
+        }
+    }
+
+    // `translate` names its input too, for machine errors as well as
+    // decode errors: T1 reaches epoch 0 first, so it is the reference.
+    let xtrp = dir.join("mismatch.xtrp");
+    let mut pt = ProgramTrace::new(3);
+    pt.records = vec![
+        rec(0, 0, EventKind::ThreadBegin),
+        rec(0, 1, EventKind::ThreadBegin),
+        rec(0, 2, EventKind::ThreadBegin),
+        rec(10, 1, enter(9)),
+        rec(20, 0, enter(0)),
+        rec(30, 2, enter(0)),
+    ];
+    std::fs::write(&xtrp, format::encode_program(&pt)).unwrap();
+    let xtrp = xtrp.to_str().unwrap();
+    let out_path = dir.join("out.xtps");
+    let out_path = out_path.to_str().unwrap();
+    assert_fails_with(
+        &["translate", xtrp, "-o", out_path],
+        &format!(
+            "extrap: {xtrp}: T0 passes a different barrier sequence than thread 1 \
+             (program is not deterministically data-parallel)\n"
+        ),
+    );
+    let missing_xtrp = dir.join("missing.xtrp");
+    let missing_xtrp = missing_xtrp.to_str().unwrap();
+    assert_fails_with(
+        &["translate", missing_xtrp, "-o", out_path],
+        &format!(
+            "extrap: {missing_xtrp}: trace I/O error: No such file or directory (os error 2)\n"
+        ),
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -532,13 +647,28 @@ fn sweep_is_deterministic_across_worker_counts() {
 
 #[test]
 fn sweep_rejects_the_removed_stream_flag() {
-    let out = extrap(&[
-        "sweep", "embar", "--scale", "tiny", "--procs", "1", "--stream",
-    ]);
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("sweep: unknown flag \"--stream\""),
-        "unexpected stderr: {err}"
-    );
+    let dir = tmpdir("no-stream");
+    let xtrp = dir.join("grid.xtrp");
+    let xtps = dir.join("grid.xtps");
+    let (xtrp, xtps) = (xtrp.to_str().unwrap(), xtps.to_str().unwrap());
+    let out = extrap(&["trace", "grid", "4", "--scale", "tiny", "-o", xtrp]);
+    assert!(out.status.success(), "{out:?}");
+    let out = extrap(&["translate", xtrp, "-o", xtps]);
+    assert!(out.status.success(), "{out:?}");
+    for args in [
+        &[
+            "sweep", "embar", "--scale", "tiny", "--procs", "1", "--stream",
+        ][..],
+        &["translate", xtrp, "-o", xtps, "--stream"],
+        &["simulate", xtps, "--stream"],
+    ] {
+        let out = extrap(args);
+        assert!(!out.status.success(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{}: unknown flag \"--stream\"", args[0])),
+            "unexpected stderr: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

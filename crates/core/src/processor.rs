@@ -297,6 +297,13 @@ impl IncrementalCompiler {
         }
     }
 
+    /// Adds a fold for one more thread (index `n_threads()` before the
+    /// call), so a set stream grows the compiler as segments arrive
+    /// instead of trusting its declared thread count.
+    pub(crate) fn push_thread(&mut self) {
+        self.threads.push(ThreadFold::default());
+    }
+
     /// Folds one translated record of `thread` into its script.
     pub fn emit_record(&mut self, thread: usize, rec: &TraceRecord) -> Result<(), TraceError> {
         let Some(fold) = self.threads.get_mut(thread) else {

@@ -52,11 +52,13 @@ pub fn compile_program_stream<S: ChunkSource>(
 /// the structural invariants (`TraceSet::validate`) are enforced
 /// record-by-record in the same order, so an invalid file fails with
 /// the identical first error, and a valid one compiles to the identical
-/// program.
+/// program.  Per-thread state grows one segment at a time, so a header
+/// that declares more threads than the file holds costs nothing before
+/// the stream reports the truncation.
 pub fn compile_set_stream<S: ChunkSource>(
     stream: &mut SetStream<S>,
 ) -> Result<CompiledProgram, TraceError> {
-    let mut compiler = IncrementalCompiler::new(stream.n_threads());
+    let mut compiler = IncrementalCompiler::new(0);
     // `TraceSet::validate` state, maintained streamingly: thread 0's
     // barrier sequence is the reference every later segment is compared
     // against when it ends.
@@ -75,6 +77,7 @@ pub fn compile_set_stream<S: ChunkSource>(
                 if thread.index() != position {
                     return Err(TraceError::MisplacedThread { position, thread });
                 }
+                compiler.push_thread();
                 segment = Some((position, thread));
                 prev = TimeNs::ZERO;
                 rec_idx = 0;
@@ -125,7 +128,10 @@ fn end_segment(
     if position == 0 {
         *reference = std::mem::take(seq);
     } else if seq != reference {
-        return Err(TraceError::BarrierMismatch { thread });
+        return Err(TraceError::BarrierMismatch {
+            thread,
+            reference: ThreadId(0),
+        });
     }
     seq.clear();
     Ok(())
@@ -225,5 +231,21 @@ mod tests {
         let streamed = compile_set_stream(&mut stream).unwrap_err();
         assert_eq!(whole.to_string(), streamed.to_string());
         assert!(matches!(streamed, TraceError::BarrierMismatch { .. }));
+    }
+
+    #[test]
+    fn set_stream_does_not_trust_the_declared_thread_count() {
+        // A bare 10-byte header declaring u32::MAX threads and no segments.
+        let mut bytes = format::encode_set(&extrap_trace::TraceSet { threads: vec![] });
+        bytes[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+        let whole = format::decode_set(&bytes).unwrap_err();
+        let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
+        assert_eq!(stream.n_threads(), u32::MAX as usize);
+        let streamed = compile_set_stream(&mut stream).unwrap_err();
+        assert_eq!(streamed.to_string(), whole.to_string());
+        assert_eq!(
+            streamed.to_string(),
+            "malformed trace: truncated while reading thread id"
+        );
     }
 }

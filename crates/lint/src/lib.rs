@@ -21,9 +21,8 @@
 //! Findings are [`Diagnostic`]s with **stable codes** (`E001`–`E009`,
 //! `W001`–`W004`; see [`Code`]), rendered as compiler-style text or
 //! JSON ([`render`]).  The `extrap lint` subcommand drives this crate
-//! from the command line; [`validate_program`] / [`validate_set`] plug
-//! it into the trace reader's and [`SharedTraceCache`]'s opt-in
-//! validate-on-load hooks.
+//! from the command line; [`validate_set`] plugs it into
+//! [`SharedTraceCache`]'s opt-in validate-on-translate hook.
 //!
 //! [`SharedTraceCache`]: extrap_core::SharedTraceCache
 
@@ -127,22 +126,13 @@ pub fn lint_params(params: &SimParams) -> Report {
     Linter::new().lint_params(params)
 }
 
-/// Validate-on-load adapter for program traces: `Err` with the rendered
-/// error diagnostics when the default registry finds any, for
-/// [`extrap_trace::reader::read_program_with`] and friends.  Warnings do
-/// not fail the load.
-pub fn validate_program(trace: &ProgramTrace) -> Result<(), String> {
-    reject_on_errors(lint_program(trace))
-}
-
-/// Validate-on-load adapter for trace sets, matching the
+/// Validate-on-translate adapter for trace sets, matching the
 /// [`extrap_core::TraceValidator`] hook signature (install with
-/// [`extrap_core::SharedTraceCache::with_validator`]).
+/// [`extrap_core::SharedTraceCache::with_validator`]): `Err` with the
+/// rendered error diagnostics when the default registry finds any.
+/// Warnings do not fail the check.
 pub fn validate_set(set: &TraceSet) -> Result<(), String> {
-    reject_on_errors(lint_set(set))
-}
-
-fn reject_on_errors(report: Report) -> Result<(), String> {
+    let report = lint_set(set);
     if report.has_errors() {
         Err(render::render_errors(&report))
     } else {
@@ -183,9 +173,7 @@ mod tests {
 
     #[test]
     fn validators_pass_clean_and_reject_corrupt() {
-        let pt = clean_program(2);
-        assert!(validate_program(&pt).is_ok());
-        let ts = translate(&pt, Default::default()).unwrap();
+        let ts = translate(&clean_program(2), Default::default()).unwrap();
         assert!(validate_set(&ts).is_ok());
 
         // Drop thread 1's barriers: a static deadlock (E005).

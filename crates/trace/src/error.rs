@@ -41,8 +41,12 @@ pub enum TraceError {
     /// Threads disagree on the barrier sequence — the program violates the
     /// data-parallel determinism assumption (§5).
     BarrierMismatch {
-        /// First thread whose barrier sequence deviates from thread 0's.
+        /// First thread whose barrier sequence deviates from the reference.
         thread: ThreadId,
+        /// The thread it was compared against: thread 0 for whole sets
+        /// and barrier counts, the first thread to reach the epoch for a
+        /// barrier id seen during translation.
+        reference: ThreadId,
     },
     /// A barrier was exited before every thread entered it, or entered
     /// twice without an exit.
@@ -114,10 +118,11 @@ impl fmt::Display for TraceError {
                     "trace at position {position} contains records of {thread}"
                 )
             }
-            TraceError::BarrierMismatch { thread } => write!(
+            TraceError::BarrierMismatch { thread, reference } => write!(
                 f,
-                "{thread} passes a different barrier sequence than thread 0 \
-                 (program is not deterministically data-parallel)"
+                "{thread} passes a different barrier sequence than thread {} \
+                 (program is not deterministically data-parallel)",
+                reference.0
             ),
             TraceError::BarrierProtocol { thread, detail } => {
                 write!(f, "barrier protocol violation in {thread}: {detail}")
@@ -158,8 +163,10 @@ mod tests {
     fn display_is_informative() {
         let e = TraceError::BarrierMismatch {
             thread: ThreadId(3),
+            reference: ThreadId(1),
         };
         assert!(e.to_string().contains("T3"));
+        assert!(e.to_string().contains("than thread 1"));
         let e = TraceError::Format {
             detail: "bad magic".into(),
         };

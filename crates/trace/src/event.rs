@@ -258,7 +258,10 @@ impl TraceSet {
                 }
             }
             if t.barrier_sequence() != reference {
-                return Err(crate::TraceError::BarrierMismatch { thread: t.thread });
+                return Err(crate::TraceError::BarrierMismatch {
+                    thread: t.thread,
+                    reference: ThreadId(0),
+                });
             }
         }
         Ok(())

@@ -381,4 +381,25 @@ mod tests {
         buf[last] = 200;
         assert!(decode_record(&mut &buf[..]).is_err());
     }
+
+    #[test]
+    fn raw_read_accepts_invariant_violations() {
+        // A trace with a global timestamp regression: the strict decoder
+        // rejects it, the raw decoder hands it over for diagnosis.
+        let mut pt = ProgramTrace::new(1);
+        let rec = |t: u64, kind| TraceRecord {
+            time: TimeNs(t),
+            thread: ThreadId(0),
+            kind,
+        };
+        pt.records.push(rec(5, EventKind::ThreadBegin));
+        pt.records.push(rec(3, EventKind::ThreadEnd));
+        let bytes = encode_program(&pt);
+        assert!(matches!(
+            decode_program(&bytes),
+            Err(TraceError::TimeRegression { .. })
+        ));
+        let raw = decode_program_raw(&bytes).unwrap();
+        assert_eq!(raw.records.len(), 2);
+    }
 }

@@ -37,8 +37,8 @@ pub use phases::{
 };
 pub use stats::{ThreadStats, TraceStats};
 pub use stream::{
-    sniff_kind, ChunkSource, FileSource, ProgramStream, ReadSource, SetChunk, SetStream,
-    SliceSource, SpillSink, StreamArena, TraceKind,
+    sniff_kind, ChunkSource, FileSource, ProgramStream, SetChunk, SetStream, SliceSource,
+    SpillSink, StreamArena, TraceKind,
 };
 pub use translate::{
     translate, translate_stream, translate_stream_to_set, EpochTranslator, TranslateOptions,

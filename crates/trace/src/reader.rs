@@ -1,207 +1,82 @@
-//! Reading traces from streams and files.
+//! Reading translated trace sets from files.
 //!
-//! Every reader comes in three flavours:
-//!
-//! * the plain form (`read_program`, …) — decodes and enforces the
-//!   structural invariants ([`ProgramTrace::validate`] /
-//!   [`TraceSet::validate`]);
-//! * a `_raw` form — decodes without invariant checks, for diagnostic
-//!   tools (`extrap-lint`) that want to inspect a corrupted trace in
-//!   full instead of failing at the first violation;
-//! * a `_with` form — the plain form plus an **opt-in validate-on-load
-//!   hook**: a caller-supplied check (typically a lint pass) runs on the
-//!   decoded value and its rejection surfaces as
-//!   [`TraceError::Validation`], so a bad trace fails fast at the I/O
-//!   boundary instead of producing garbage downstream.
+//! [`read_set_file`] materializes a whole [`TraceSet`] for the tools
+//! that need one (reports, statistics, timelines, determinism checks).
+//! Simulation never does: it compiles a set file straight off the
+//! chunked [`SetStream`] (`extrap_core::compile_set_stream`).  Raw,
+//! unvalidated decoding for diagnostics lives in [`crate::format`] and
+//! [`crate::stream`].
 
 use crate::error::TraceError;
-use crate::event::{ProgramTrace, TraceSet};
-use crate::stream::{ProgramStream, ReadSource, SetStream};
-use std::io::Read;
+use crate::event::TraceSet;
+use crate::stream::SetStream;
 use std::path::Path;
 
-/// Reads a program trace from any `Read` source.
-pub fn read_program(r: &mut impl Read) -> Result<ProgramTrace, TraceError> {
-    let trace = read_program_raw(r)?;
-    trace.validate()?;
-    Ok(trace)
-}
-
-/// Reads a program trace from a file.
+/// Reads a translated trace set from a file and enforces its structural
+/// invariants ([`TraceSet::validate`]).
 ///
-/// All failure modes — open, decode, invariant violations — carry the
-/// file path in the error ([`TraceError::InFile`]).
-pub fn read_program_file(path: impl AsRef<Path>) -> Result<ProgramTrace, TraceError> {
-    let path = path.as_ref();
-    let trace = read_program_file_raw(path)?;
-    trace.validate().map_err(|e| e.in_file(path))?;
-    Ok(trace)
-}
-
-/// Reads a program trace without enforcing structural invariants.
-pub fn read_program_raw(r: &mut impl Read) -> Result<ProgramTrace, TraceError> {
-    ProgramStream::new(ReadSource(r))?.read_to_end()
-}
-
-/// Reads a program trace from a file without enforcing structural
-/// invariants.  The file is consumed through the chunked
-/// [`ProgramStream`], so peak memory is one refill window plus the
-/// decoded records rather than two copies of the whole file.
-pub fn read_program_file_raw(path: impl AsRef<Path>) -> Result<ProgramTrace, TraceError> {
-    ProgramStream::open(path)?.read_to_end()
-}
-
-/// Reads a program trace and applies a validate-on-load hook.
-///
-/// The hook runs after decoding and the built-in invariant checks; a
-/// rejection (`Err(detail)`) surfaces as [`TraceError::Validation`].
-pub fn read_program_with(
-    r: &mut impl Read,
-    check: impl FnOnce(&ProgramTrace) -> Result<(), String>,
-) -> Result<ProgramTrace, TraceError> {
-    let trace = read_program(r)?;
-    check(&trace).map_err(|detail| TraceError::Validation { detail })?;
-    Ok(trace)
-}
-
-/// Reads a program trace from a file and applies a validate-on-load hook.
-pub fn read_program_file_with(
-    path: impl AsRef<Path>,
-    check: impl FnOnce(&ProgramTrace) -> Result<(), String>,
-) -> Result<ProgramTrace, TraceError> {
-    let path = path.as_ref();
-    let trace = read_program_file(path)?;
-    check(&trace).map_err(|detail| TraceError::Validation { detail }.in_file(path))?;
-    Ok(trace)
-}
-
-/// Reads a translated trace set from any `Read` source.
-pub fn read_set(r: &mut impl Read) -> Result<TraceSet, TraceError> {
-    let set = read_set_raw(r)?;
-    set.validate()?;
-    Ok(set)
-}
-
-/// Reads a translated trace set from a file.
-///
-/// All failure modes carry the file path (see [`read_program_file`]).
+/// The file is consumed through the chunked [`SetStream`], so peak
+/// memory is one refill window plus the decoded records.  All failure
+/// modes — open, decode, invariant violations — carry the file path in
+/// the error ([`TraceError::InFile`]).
 pub fn read_set_file(path: impl AsRef<Path>) -> Result<TraceSet, TraceError> {
     let path = path.as_ref();
-    let set = read_set_file_raw(path)?;
+    let set = SetStream::open(path)?.read_to_end()?;
     set.validate().map_err(|e| e.in_file(path))?;
-    Ok(set)
-}
-
-/// Reads a trace set without enforcing structural invariants.
-pub fn read_set_raw(r: &mut impl Read) -> Result<TraceSet, TraceError> {
-    SetStream::new(ReadSource(r))?.read_to_end()
-}
-
-/// Reads a trace set from a file without enforcing structural
-/// invariants (chunked, like [`read_program_file_raw`]).
-pub fn read_set_file_raw(path: impl AsRef<Path>) -> Result<TraceSet, TraceError> {
-    SetStream::open(path)?.read_to_end()
-}
-
-/// Reads a trace set and applies a validate-on-load hook (see
-/// [`read_program_with`]).
-pub fn read_set_with(
-    r: &mut impl Read,
-    check: impl FnOnce(&TraceSet) -> Result<(), String>,
-) -> Result<TraceSet, TraceError> {
-    let set = read_set(r)?;
-    check(&set).map_err(|detail| TraceError::Validation { detail })?;
-    Ok(set)
-}
-
-/// Reads a trace set from a file and applies a validate-on-load hook.
-pub fn read_set_file_with(
-    path: impl AsRef<Path>,
-    check: impl FnOnce(&TraceSet) -> Result<(), String>,
-) -> Result<TraceSet, TraceError> {
-    let path = path.as_ref();
-    let set = read_set_file(path)?;
-    check(&set).map_err(|detail| TraceError::Validation { detail }.in_file(path))?;
     Ok(set)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::PhaseProgram;
-    use crate::event::{EventKind, TraceRecord};
+    use crate::event::{EventKind, ThreadTrace, TraceRecord};
     use crate::format;
-    use extrap_time::{DurationNs, ThreadId, TimeNs};
+    use extrap_time::{ThreadId, TimeNs};
 
-    fn sample_bytes() -> Vec<u8> {
-        let mut p = PhaseProgram::new(2);
-        p.push_uniform_phase(DurationNs(100));
-        format::encode_program(&p.record())
+    fn scratch_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("extrap-reader-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        path
     }
 
     #[test]
     fn missing_file_is_io_error_with_path() {
-        let err = read_program_file("/nonexistent/path/trace.xtrp").unwrap_err();
+        let err = read_set_file("/nonexistent/path/trace.xtps").unwrap_err();
         assert!(
             matches!(err, TraceError::InFile { ref source, .. } if matches!(**source, TraceError::Io(_)))
         );
-        assert!(err.to_string().contains("/nonexistent/path/trace.xtrp"));
+        assert!(err.to_string().contains("/nonexistent/path/trace.xtps"));
     }
 
     #[test]
     fn file_validate_errors_carry_the_path() {
-        let mut pt = crate::event::ProgramTrace::new(1);
         let rec = |t: u64, kind| TraceRecord {
             time: TimeNs(t),
             thread: ThreadId(0),
             kind,
         };
-        pt.records.push(rec(5, EventKind::ThreadBegin));
-        pt.records.push(rec(3, EventKind::ThreadEnd));
-        let dir = std::env::temp_dir().join(format!("extrap-reader-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("regress.xtrp");
-        std::fs::write(&path, format::encode_program(&pt)).unwrap();
-        let err = read_program_file(&path).unwrap_err();
-        assert!(err.to_string().contains("regress.xtrp"));
+        let set = TraceSet {
+            threads: vec![ThreadTrace {
+                thread: ThreadId(0),
+                records: vec![rec(5, EventKind::ThreadBegin), rec(3, EventKind::ThreadEnd)],
+            }],
+        };
+        let path = scratch_file("regress.xtps", &format::encode_set(&set));
+        let err = read_set_file(&path).unwrap_err();
+        assert!(err.to_string().contains("regress.xtps"));
         assert!(err.to_string().contains("timestamp regression"));
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn empty_stream_is_format_error() {
-        let err = read_program(&mut &b""[..]).unwrap_err();
-        assert!(matches!(err, TraceError::Format { .. }));
-    }
-
-    #[test]
-    fn validate_hook_accepts_and_rejects() {
-        let bytes = sample_bytes();
-        let ok = read_program_with(&mut &bytes[..], |_| Ok(()));
-        assert!(ok.is_ok());
-        let err = read_program_with(&mut &bytes[..], |_| Err("nope".to_string())).unwrap_err();
-        assert!(matches!(err, TraceError::Validation { ref detail } if detail == "nope"));
-        assert!(err.to_string().contains("nope"));
-    }
-
-    #[test]
-    fn raw_read_accepts_invariant_violations() {
-        // A trace with a global timestamp regression: the strict reader
-        // rejects it, the raw reader hands it over for diagnosis.
-        let mut pt = crate::event::ProgramTrace::new(1);
-        let rec = |t: u64, kind| TraceRecord {
-            time: TimeNs(t),
-            thread: ThreadId(0),
-            kind,
-        };
-        pt.records.push(rec(5, EventKind::ThreadBegin));
-        pt.records.push(rec(3, EventKind::ThreadEnd));
-        let bytes = format::encode_program(&pt);
-        assert!(matches!(
-            read_program(&mut &bytes[..]),
-            Err(TraceError::TimeRegression { .. })
-        ));
-        let raw = read_program_raw(&mut &bytes[..]).unwrap();
-        assert_eq!(raw.records.len(), 2);
+    fn empty_file_is_format_error() {
+        let path = scratch_file("empty.xtps", b"");
+        let err = read_set_file(&path).unwrap_err();
+        assert!(
+            matches!(err, TraceError::InFile { ref source, .. } if matches!(**source, TraceError::Format { .. }))
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! Chunked, bounded-memory trace ingestion.
 //!
-//! The slurp-based readers in [`crate::reader`] materialize the whole
-//! file before decoding — fine for test fixtures, hostile to the
+//! The slurp decoders in [`crate::format`] take the whole file as one
+//! byte slice — fine for test fixtures and wire payloads, hostile to the
 //! paper-scale case where one `(bench, n)` key is tens of megabytes.
 //! This module reads trace files **incrementally**: a [`ChunkSource`]
 //! feeds bytes into a pooled [`StreamArena`], and [`ProgramStream`] /
@@ -103,21 +103,6 @@ impl ChunkSource for FileSource {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-/// A [`ChunkSource`] over any [`Read`] impl.
-#[derive(Debug)]
-pub struct ReadSource<R>(pub R);
-
-impl<R: Read> ChunkSource for ReadSource<R> {
-    fn read_more(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.0.read(buf) {
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                other => return other,
             }
         }
     }
@@ -802,9 +787,9 @@ impl SpillSink {
 
     /// Writes the translated set straight to an `XTPS` file without ever
     /// materializing it: header, then per thread a segment header and a
-    /// sequential replay of that thread's run.  This is the fully
-    /// out-of-core path (`extrap translate --stream`); the bytes are
-    /// identical to `format::encode_set` of the whole-trace result.
+    /// sequential replay of that thread's run.  This is how `extrap
+    /// translate` writes its output, at any `--mem-budget`; the bytes are
+    /// identical to `format::encode_set` of [`crate::translate()`]'s set.
     pub fn write_set_file(self, path: impl AsRef<Path>) -> Result<(), TraceError> {
         use crate::bytesio::BufMut;
         struct FileOut {

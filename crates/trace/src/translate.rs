@@ -121,20 +121,19 @@ impl ThreadXlate {
 /// state is therefore O(threads + live-epoch): the per-thread cursors
 /// plus the records and barrier bookkeeping of epochs still in flight.
 ///
-/// The whole-trace [`translate`] is an adapter over this machine, so the
-/// two paths are byte-identical by construction.  The machine performs
-/// the same validity checks incrementally (monotone clock, thread
-/// range, barrier protocol, barrier-sequence agreement) with identical
-/// messages; only the *attribution* of a [`TraceError::BarrierMismatch`]
-/// can differ (the streaming check compares against the first thread to
-/// reach an epoch, the whole-trace prepass against thread 0), which is
-/// why the adapter keeps the historical prepass.
+/// The machine is the only translation: the whole-trace [`translate`],
+/// [`translate_stream`] and the CLI all drive it, so their outputs *and*
+/// their errors are identical by construction.  It checks validity
+/// record by record (thread range, monotone clock, barrier protocol,
+/// barrier-sequence agreement); a [`TraceError::BarrierMismatch`] names
+/// the first thread to reach the disagreeing epoch as its reference.
 pub struct EpochTranslator {
     options: TranslateOptions,
     threads: Vec<ThreadXlate>,
-    /// Barrier ids per epoch, established by the first thread to enter;
-    /// pruned below the slowest thread's epoch.
-    barrier_ids: VecDeque<BarrierId>,
+    /// Barrier id per epoch and the first thread to enter it (the
+    /// reference later entries are checked against); pruned below the
+    /// slowest thread's epoch.
+    barrier_ids: VecDeque<(BarrierId, ThreadId)>,
     ids_base: usize,
     /// Accumulating release times (max adjusted entry) per epoch;
     /// pruned once snapped by every thread.
@@ -271,6 +270,7 @@ impl EpochTranslator {
             if count != total_entered[0] {
                 return Err(TraceError::BarrierMismatch {
                     thread: ThreadId::from_index(t),
+                    reference: ThreadId(0),
                 });
             }
         }
@@ -294,7 +294,7 @@ impl EpochTranslator {
         size_of::<Self>()
             + self.threads.len() * size_of::<ThreadXlate>()
             + self.held_records * size_of::<TraceRecord>()
-            + self.barrier_ids.len() * size_of::<BarrierId>()
+            + self.barrier_ids.len() * size_of::<(BarrierId, ThreadId)>()
             + self.release.len() * size_of::<TimeNs>()
     }
 
@@ -348,14 +348,15 @@ impl EpochTranslator {
             // first thread to reach this epoch.
             let idx = epoch - self.ids_base;
             match self.barrier_ids.get(idx) {
-                Some(&established) if established != barrier => {
+                Some(&(established, reference)) if established != barrier => {
                     return Err(TraceError::BarrierMismatch {
                         thread: ThreadId::from_index(t),
+                        reference,
                     });
                 }
                 None => {
                     debug_assert_eq!(idx, self.barrier_ids.len());
-                    self.barrier_ids.push_back(barrier);
+                    self.barrier_ids.push_back((barrier, rec.thread));
                 }
                 Some(_) => {}
             }
@@ -458,8 +459,7 @@ impl EpochTranslator {
         )
     }
 
-    /// Incremental entry/exit alternation check, with the same messages
-    /// as the whole-trace prepass.
+    /// Incremental entry/exit alternation check.
     fn protocol_update(&mut self, t: usize, rec: &TraceRecord) -> Result<(), TraceError> {
         let st = &mut self.threads[t];
         let thread = ThreadId::from_index(t);
@@ -499,21 +499,15 @@ impl EpochTranslator {
 /// Every thread's first event is re-based to time zero (all threads start
 /// simultaneously on the target machine).
 ///
-/// A thin adapter over the streaming [`EpochTranslator`] — the whole-trace
-/// and [`translate_stream`] paths are byte-identical by construction.  The
-/// historical prepass (barrier-sequence and protocol checks against thread
-/// 0) is kept so error *attribution* on invalid traces stays exactly what
-/// it always was; on traces that pass it, the machine's own incremental
-/// checks can never fire.
+/// A thin adapter over the streaming [`EpochTranslator`]: the whole-trace
+/// and [`translate_stream`] paths produce identical sets and report
+/// identical errors by construction.
 ///
 /// # Errors
-/// Returns an error if the trace is malformed, if threads disagree on the
-/// barrier sequence, or if barrier entry/exit events do not alternate
-/// properly.
+/// Returns the machine's first error: a record naming a thread out of
+/// range, a global timestamp regression, threads that disagree on the
+/// barrier sequence, or barrier entry/exit events that do not alternate.
 pub fn translate(trace: &ProgramTrace, options: TranslateOptions) -> Result<TraceSet, TraceError> {
-    trace.validate()?;
-    precheck_barriers(trace)?;
-
     let mut out: Vec<Vec<TraceRecord>> = (0..trace.n_threads).map(|_| Vec::new()).collect();
     let mut machine = EpochTranslator::new(trace.n_threads, options);
     {
@@ -546,10 +540,8 @@ pub fn translate(trace: &ProgramTrace, options: TranslateOptions) -> Result<Trac
 /// Resident state is the machine's O(threads + live-epoch) bound plus the
 /// stream's fixed decode window; the input trace is never materialized.
 ///
-/// Performs the same validity checks as [`translate`] incrementally (see
-/// [`EpochTranslator`] for the one attribution caveat on invalid input);
-/// on valid input the emitted records are byte-identical to the
-/// whole-trace path.
+/// Runs the same machine as [`translate`], so it accepts and rejects the
+/// same traces with the same errors, and emits the same records.
 pub fn translate_stream<S: ChunkSource>(
     stream: &mut ProgramStream<S>,
     options: TranslateOptions,
@@ -584,73 +576,6 @@ pub fn translate_stream_to_set<S: ChunkSource>(
     let set = sink.into_set()?;
     set.validate()?;
     Ok((set, stats))
-}
-
-/// One-pass prepass computing every thread's barrier sequence and first
-/// protocol violation, then judging them in the historical order (thread
-/// by thread: sequence against thread 0, then protocol) so whole-trace
-/// error attribution is unchanged from the pre-streaming implementation.
-fn precheck_barriers(trace: &ProgramTrace) -> Result<(), TraceError> {
-    let n = trace.n_threads;
-    if n == 0 {
-        return Ok(());
-    }
-    let mut seqs: Vec<Vec<BarrierId>> = vec![Vec::new(); n];
-    let mut pending: Vec<Option<BarrierId>> = vec![None; n];
-    let mut first_err: Vec<Option<TraceError>> = (0..n).map(|_| None).collect();
-    for rec in &trace.records {
-        let t = rec.thread.index();
-        let thread = ThreadId::from_index(t);
-        match rec.kind {
-            EventKind::BarrierEnter { barrier } => {
-                seqs[t].push(barrier);
-                if first_err[t].is_none() {
-                    if let Some(p) = pending[t] {
-                        first_err[t] = Some(TraceError::BarrierProtocol {
-                            thread,
-                            detail: format!("entered {barrier} while still inside {p}"),
-                        });
-                    }
-                    pending[t] = Some(barrier);
-                }
-            }
-            EventKind::BarrierExit { barrier } if first_err[t].is_none() => {
-                match pending[t].take() {
-                    Some(p) if p == barrier => {}
-                    Some(p) => {
-                        first_err[t] = Some(TraceError::BarrierProtocol {
-                            thread,
-                            detail: format!("exited {barrier} while inside {p}"),
-                        });
-                    }
-                    None => {
-                        first_err[t] = Some(TraceError::BarrierProtocol {
-                            thread,
-                            detail: format!("exited {barrier} without entering it"),
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    for t in 0..n {
-        if seqs[t] != seqs[0] {
-            return Err(TraceError::BarrierMismatch {
-                thread: ThreadId::from_index(t),
-            });
-        }
-        if let Some(e) = first_err[t].take() {
-            return Err(e);
-        }
-        if let Some(p) = pending[t] {
-            return Err(TraceError::BarrierProtocol {
-                thread: ThreadId::from_index(t),
-                detail: format!("never exited {p}"),
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -947,33 +872,128 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A hand-written program trace: `(time, thread, kind)` per record.
+    fn raw_trace(n_threads: usize, recs: &[(u64, u32, EventKind)]) -> ProgramTrace {
+        let mut pt = ProgramTrace::new(n_threads);
+        pt.records = recs
+            .iter()
+            .map(|&(time, thread, kind)| TraceRecord {
+                time: TimeNs(time),
+                thread: ThreadId(thread),
+                kind,
+            })
+            .collect();
+        pt
+    }
+
     #[test]
     fn streaming_translate_rejects_what_whole_trace_rejects() {
-        use crate::builder::ProgramTraceBuilder;
         use crate::stream::{ProgramStream, SliceSource};
-        let mut b = ProgramTraceBuilder::new(2);
-        b.emit(ThreadId(0), EventKind::ThreadBegin);
-        b.emit(ThreadId(1), EventKind::ThreadBegin);
-        b.advance(DurationNs(10));
-        b.emit(
-            ThreadId(0),
-            EventKind::BarrierEnter {
-                barrier: BarrierId(0),
-            },
+        use EventKind::{ThreadBegin as Begin, ThreadEnd as End};
+        let enter = |b: u32| EventKind::BarrierEnter {
+            barrier: BarrierId(b),
+        };
+        let exit = |b: u32| EventKind::BarrierExit {
+            barrier: BarrierId(b),
+        };
+        let cases: Vec<(&str, ProgramTrace)> = vec![
+            (
+                "T1 reaches epoch 0 first with another barrier",
+                raw_trace(
+                    3,
+                    &[
+                        (0, 0, Begin),
+                        (0, 1, Begin),
+                        (0, 2, Begin),
+                        (10, 1, enter(9)),
+                        (20, 0, enter(0)),
+                        (30, 2, enter(0)),
+                    ],
+                ),
+            ),
+            (
+                "T1 disagrees with T0",
+                raw_trace(
+                    2,
+                    &[
+                        (0, 0, Begin),
+                        (0, 1, Begin),
+                        (10, 0, enter(0)),
+                        (30, 1, enter(9)),
+                    ],
+                ),
+            ),
+            (
+                "threads run one after the other with different barriers",
+                raw_trace(
+                    2,
+                    &[
+                        (0, 0, Begin),
+                        (1, 0, enter(0)),
+                        (2, 0, exit(0)),
+                        (3, 0, End),
+                        (4, 1, Begin),
+                        (5, 1, enter(1)),
+                        (6, 1, exit(1)),
+                        (7, 1, End),
+                    ],
+                ),
+            ),
+            (
+                "T1 passes fewer barriers",
+                raw_trace(
+                    2,
+                    &[
+                        (0, 0, Begin),
+                        (0, 1, Begin),
+                        (5, 0, enter(0)),
+                        (6, 1, End),
+                        (7, 0, exit(0)),
+                        (8, 0, End),
+                    ],
+                ),
+            ),
+            (
+                "exit without entry",
+                raw_trace(1, &[(0, 0, Begin), (5, 0, exit(0))]),
+            ),
+            (
+                "entry while inside",
+                raw_trace(1, &[(0, 0, Begin), (5, 0, enter(0)), (6, 0, enter(1))]),
+            ),
+            (
+                "never exited",
+                raw_trace(1, &[(0, 0, Begin), (5, 0, enter(0)), (6, 0, End)]),
+            ),
+            (
+                "global timestamp regression",
+                raw_trace(1, &[(5, 0, Begin), (3, 0, End)]),
+            ),
+            (
+                "thread out of range",
+                raw_trace(1, &[(0, 0, Begin), (1, 3, Begin)]),
+            ),
+        ];
+        for (what, pt) in &cases {
+            let whole = translate(pt, TranslateOptions::default())
+                .expect_err(what)
+                .to_string();
+            let bytes = crate::format::encode_program(pt);
+            for budget in [0, usize::MAX] {
+                let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
+                let streamed =
+                    translate_stream_to_set(&mut stream, TranslateOptions::default(), budget)
+                        .expect_err(what)
+                        .to_string();
+                assert_eq!(whole, streamed, "{what}, budget {budget}");
+            }
+        }
+        // The reference is the first thread to reach the epoch.
+        let first = translate(&cases[0].1, TranslateOptions::default()).unwrap_err();
+        assert_eq!(
+            first.to_string(),
+            "T0 passes a different barrier sequence than thread 1 \
+             (program is not deterministically data-parallel)"
         );
-        b.advance(DurationNs(20));
-        b.emit(
-            ThreadId(1),
-            EventKind::BarrierEnter {
-                barrier: BarrierId(9),
-            },
-        );
-        let pt = b.finish();
-        let bytes = crate::format::encode_program(&pt);
-        let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-        let err = translate_stream_to_set(&mut stream, TranslateOptions::default(), usize::MAX)
-            .unwrap_err();
-        assert!(matches!(err, TraceError::BarrierMismatch { .. }));
-        assert!(translate(&pt, TranslateOptions::default()).is_err());
     }
 }

@@ -14,7 +14,7 @@
 
 use perf_extrap::models::CompiledProgram;
 use perf_extrap::prelude::*;
-use perf_extrap::trace::writer::write_set;
+use perf_extrap::trace::format::encode_set;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -87,9 +87,7 @@ fn golden_line(label: &str, pred: &Prediction) -> String {
         pred.barriers,
         pred.events_dispatched
     );
-    let mut bytes = Vec::new();
-    write_set(&mut bytes, &pred.predicted).expect("in-memory write");
-    let _ = write!(line, " trace={:016x}", fnv1a(&bytes));
+    let _ = write!(line, " trace={:016x}", fnv1a(&encode_set(&pred.predicted)));
     line
 }
 

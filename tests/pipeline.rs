@@ -53,7 +53,8 @@ fn trace_files_round_trip_through_disk() {
     let measured = Bench::Cyclic.trace(4, Scale::Tiny);
     let program_path = dir.join("cyclic.xtrp");
     perf_extrap::trace::writer::write_program_file(&program_path, &measured).unwrap();
-    let back = perf_extrap::trace::reader::read_program_file(&program_path).unwrap();
+    let bytes = std::fs::read(&program_path).unwrap();
+    let back = perf_extrap::trace::format::decode_program(&bytes).unwrap();
     assert_eq!(measured, back);
 
     let traces = translate(&measured, TranslateOptions::default()).unwrap();
