@@ -11,11 +11,12 @@
 //! extrap sweep     <bench>[,<bench>...] [--procs 1,2,...] [--jobs N] [--csv] [--check-bounds]
 //! extrap serve     [--addr HOST:PORT] [--workers N] [--mem-budget-mb N] ...
 //! extrap client    sweep|simulate|stats|shutdown [--addr HOST:PORT] ...
-//! extrap check     [traces.xtps]           # determinism report, or model-check the
-//!                  [--scenarios] [--scenario NAME] [--replay CERT]   # concurrent core
+//! extrap check     [--scenarios] [--scenario NAME] [--replay CERT]   # model-check the
+//!                  [--schedules N] [--seed N] [--max-steps N]        # concurrent core
 //! extrap report    traces.xtps            # trace statistics
-//! extrap stats     traces.xtps [--phases]  # phase/epoch-cluster statistics
+//! extrap stats     traces.xtps [--phases]  # marker phases + the repr epoch plan
 //! extrap lint      FILE|DIR... [--jobs N] [--format json] [--deny-warnings] [--allow CODE]...
+//!                                         # includes the §5 determinism check (E007)
 //! extrap lint      --fix FILE [--out FILE] [--dry-run]   # repair fixable diagnostics
 //! extrap params    [--machine M]          # print a parameter file
 //! extrap benches                          # list benchmarks
@@ -95,7 +96,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  extrap report FILE\n  \
                  extrap stats FILE [--phases] [--max-clusters K] [--tolerance F]\n  \
                  extrap timeline FILE [--width N]\n  \
-                 extrap check [FILE] [--scenarios] [--scenario NAME] [--replay CERT] \
+                 extrap check [--scenarios] [--scenario NAME] [--replay CERT] \
                  [--schedules N] [--seed N] [--max-steps N]\n  \
                  extrap lint FILE|DIR... [--machine M] [--format text|json] [--jobs N] \
                  [--deny-warnings] [--allow CODE]...\n  \
@@ -535,27 +536,42 @@ fn cmd_report(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `extrap stats`: phase-level statistics of a translated trace — the
-/// marker-delimited phase profiles, plus (with `--phases`) the
-/// barrier-epoch cluster structure that `--strategy repr` would
-/// exploit, so repetition can be inspected before opting in.
-fn cmd_stats(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("stats", args);
+/// Takes the `stats` epoch-section flags off a spec: `Some((K, TOL))`
+/// under `--phases` (defaults: the `--strategy repr` knobs), else
+/// `None`.  Shared by `extrap stats` and `extrap client stats`.
+fn take_epoch_flags(spec: &mut ArgSpec) -> Result<Option<(u32, f64)>, String> {
     let phases = spec.switch("--phases");
-    let max_clusters = spec
-        .positive("--max-clusters")?
-        .unwrap_or(SimStrategy::DEFAULT_MAX_CLUSTERS as usize);
+    let max_clusters = match spec.positive("--max-clusters")? {
+        Some(k) => u32::try_from(k).map_err(|_| format!("--max-clusters {k} is too large"))?,
+        None => SimStrategy::DEFAULT_MAX_CLUSTERS,
+    };
     let tolerance = spec
         .parsed::<f64>("--tolerance")?
         .unwrap_or(SimStrategy::DEFAULT_TOLERANCE);
+    Ok(phases.then_some((max_clusters, tolerance)))
+}
+
+/// `extrap stats`: phase-level statistics of a translated trace — the
+/// marker-delimited phase profiles, plus (with `--phases`) the
+/// barrier-epoch plan `--strategy repr:K:TOL` builds, so repetition can
+/// be inspected before opting in.
+fn cmd_stats(args: Vec<String>) -> Result<(), String> {
+    let mut spec = ArgSpec::new("stats", args);
+    let epochs = take_epoch_flags(&mut spec)?;
     let [input] =
         spec.finish_exact("extrap stats FILE [--phases] [--max-clusters K] [--tolerance F]")?;
     let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
-    let opts = extrap_trace::ClusterOptions {
-        max_clusters,
-        tolerance,
-    };
-    print!("{}", extrap_trace::render_stats_report(&set, phases, &opts));
+    let profiles = extrap_trace::phase_profiles(&set);
+    // The marker table needs only the set; compile for the epoch plan alone.
+    let program = epochs
+        .map(|_| extrap_core::CompiledProgram::compile(&set))
+        .transpose()
+        .map_err(|e| e.to_string())?;
+    drop(set);
+    let epochs = epochs
+        .zip(program.as_ref())
+        .map(|((k, tol), p)| (p, k, tol));
+    print!("{}", extrap_core::render_stats_report(&profiles, epochs));
     Ok(())
 }
 
@@ -568,14 +584,12 @@ fn cmd_timeline(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `extrap check`: two related verifiers under one verb.
-///
-/// With a trace FILE, run the epoch-level determinism report (the
-/// paper's SS5 transferability assumption).  Without one, drive the
-/// `extrap-check` model checker over the built-in concurrency
-/// scenarios: `--scenarios` lists them, `--scenario NAME` checks one,
-/// the default checks all production scenarios, and `--replay CERT`
-/// re-executes a failure certificate step for step.
+/// `extrap check`: drive the `extrap-check` model checker over the
+/// built-in concurrency scenarios: `--scenarios` lists them,
+/// `--scenario NAME` checks one, the default checks all production
+/// scenarios, and `--replay CERT` re-executes a failure certificate
+/// step for step.  Trace files are checked by `extrap lint` (the §5
+/// determinism condition is its `E007`).
 fn cmd_check(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("check", args);
     let list = spec.switch("--scenarios");
@@ -584,22 +598,12 @@ fn cmd_check(args: Vec<String>) -> Result<(), String> {
     let schedules = spec.positive("--schedules")?;
     let seed = spec.parsed::<u64>("--seed")?;
     let max_steps = spec.positive("--max-steps")?;
-    let positionals = spec.finish()?;
-
-    let checker_mode =
-        list || scenario.is_some() || replay_cert.is_some() || positionals.is_empty();
-    if !checker_mode {
-        if positionals.len() != 1 || schedules.is_some() || seed.is_some() || max_steps.is_some() {
-            return Err(
-                "usage: extrap check FILE | extrap check [--scenarios] [--scenario NAME] \
-                 [--replay CERT] [--schedules N] [--seed N] [--max-steps N]"
-                    .to_string(),
-            );
-        }
-        return check_trace_file(&positionals[0]);
-    }
-    if !positionals.is_empty() {
-        return Err("check: a trace FILE cannot be combined with checker flags".to_string());
+    if let Some(file) = spec.finish()?.first() {
+        return Err(format!(
+            "check: takes no trace file (got {file:?}); the SS5 determinism check is \
+             `extrap lint FILE` (E007).  usage: extrap check [--scenarios] \
+             [--scenario NAME] [--replay CERT] [--schedules N] [--seed N] [--max-steps N]"
+        ));
     }
 
     let config = extrap_check::CheckConfig {
@@ -650,33 +654,6 @@ fn cmd_check(args: Vec<String>) -> Result<(), String> {
         } else {
             Ok(())
         }
-    }
-}
-
-/// The original `extrap check FILE` mode: epoch-level write-conflict
-/// analysis of a translated trace set.
-fn check_trace_file(input: &str) -> Result<(), String> {
-    let set = extrap_trace::reader::read_set_file(input).map_err(|e| e.to_string())?;
-    let report = extrap_trace::determinism_report(&set);
-    println!("remote writes: {}", report.remote_writes);
-    if report.is_deterministic() {
-        println!(
-            "no epoch-level write conflicts: the trace satisfies the paper's \
-             deterministic-execution assumption (SS5); extrapolation is sound."
-        );
-        Ok(())
-    } else {
-        println!(
-            "{} potential timing-dependent conflicts found:",
-            report.conflicts.len()
-        );
-        for c in report.conflicts.iter().take(20) {
-            println!(
-                "  epoch {:>4}  element {:>8}  writers {:?}  readers {:?}",
-                c.epoch, c.element, c.writers, c.readers
-            );
-        }
-        Err("trace may not transfer between environments (see SS5)".to_string())
     }
 }
 

@@ -8,8 +8,7 @@
 //! nanoseconds through the same formatter.
 
 use crate::args::ArgSpec;
-use crate::{parse_sweep_request, render_sweep_rows, scale_name};
-use extrap_core::SimStrategy;
+use crate::{parse_sweep_request, render_sweep_rows, scale_name, take_epoch_flags};
 use extrap_proto::SweepSpec;
 use extrap_serve::client::Client;
 use extrap_serve::{ServeConfig, Server};
@@ -217,13 +216,7 @@ fn client_analyze(args: Vec<String>) -> Result<(), String> {
 fn client_stats(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("client stats", args);
     let addr = take_addr(&mut spec)?;
-    let phases = spec.switch("--phases");
-    let max_clusters = spec
-        .positive("--max-clusters")?
-        .unwrap_or(SimStrategy::DEFAULT_MAX_CLUSTERS as usize);
-    let tolerance = spec
-        .parsed::<f64>("--tolerance")?
-        .unwrap_or(SimStrategy::DEFAULT_TOLERANCE);
+    let epochs = take_epoch_flags(&mut spec)?;
     let mut leftovers = spec.finish()?;
     if leftovers.len() > 1 {
         return Err(
@@ -238,12 +231,12 @@ fn client_stats(args: Vec<String>) -> Result<(), String> {
         let (trace, _, _) = client
             .submit_trace(&input, payload)
             .map_err(|e| e.to_string())?;
-        let result = client.phases(trace, phases, max_clusters as u32, tolerance);
+        let result = client.phases(trace, epochs);
         let _ = client.evict(trace);
         print!("{}", result.map_err(|e| e.to_string())?);
         return Ok(());
     }
-    if phases {
+    if epochs.is_some() {
         return Err("client stats: --phases needs a trace FILE to report on".to_string());
     }
     let s = connect(&addr)?.stats().map_err(|e| e.to_string())?;

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `extrap` binary: trace → translate →
-//! report/simulate/timeline/check over real files.
+//! report/simulate/timeline/lint over real files.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -78,9 +78,13 @@ fn full_pipeline_through_the_binary() {
     assert!(out.status.success());
     assert!(stdout(&out).contains("T0"));
 
-    let out = extrap(&["check", xtps.to_str().unwrap()]);
+    // The §5 determinism check is lint's E007; `check` is only the
+    // model checker and points there.
+    let out = extrap(&["lint", xtps.to_str().unwrap()]);
     assert!(out.status.success(), "grid is read-only: {out:?}");
-    assert!(stdout(&out).contains("no epoch-level write conflicts"));
+    let out = extrap(&["check", xtps.to_str().unwrap()]);
+    assert!(!out.status.success(), "check takes no trace file: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("extrap lint FILE"));
 
     std::fs::remove_dir_all(&dir).ok();
 }

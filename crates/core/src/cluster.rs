@@ -84,11 +84,6 @@ impl ClusteredNetwork {
     pub fn intra_stats(&self) -> NetworkStats {
         self.intra_stats
     }
-
-    /// Statistics of inter-cluster (message) transfers only.
-    pub fn inter_stats(&self) -> NetworkStats {
-        self.inter.stats()
-    }
 }
 
 impl NetModel for ClusteredNetwork {
@@ -196,7 +191,7 @@ mod tests {
             "intra {intra} inter {inter}"
         );
         assert_eq!(n.intra_stats().messages, 1);
-        assert_eq!(n.inter_stats().messages, 1);
+        assert_eq!(n.inter.stats().messages, 1);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use params::{
     ServicePolicy, SimParams, SimStrategy, SizeMode,
 };
 pub use processor::{CompiledProgram, CompiledThread, IncrementalCompiler};
-pub use repr::{ReprCluster, ReprPlan};
+pub use repr::{render_stats_report, ReprCluster, ReprPlan};
 pub use scalability::{Scalability, ScalePoint};
 pub use session::{Extrapolator, RunInput};
 pub use streaming::{compile_program_stream, compile_set_stream};

@@ -119,11 +119,6 @@ impl Prediction {
         self.total_compute().as_ns() as f64 / span
     }
 
-    /// Total barrier wait across threads.
-    pub fn total_barrier_wait(&self) -> DurationNs {
-        self.per_thread.iter().map(|t| t.barrier_wait).sum()
-    }
-
     /// Total remote-reply wait across threads.
     pub fn total_remote_wait(&self) -> DurationNs {
         self.per_thread.iter().map(|t| t.remote_wait).sum()

@@ -78,32 +78,6 @@ impl Topology {
         }
     }
 
-    /// Longest hop distance in a machine of `n` processors.
-    pub fn diameter(&self, n: usize) -> u32 {
-        if n <= 1 {
-            return 0;
-        }
-        match *self {
-            Topology::Bus | Topology::Crossbar => 1,
-            Topology::Mesh2D => {
-                let cols = mesh_cols(n);
-                let rows = n.div_ceil(cols);
-                (cols - 1 + rows - 1) as u32
-            }
-            Topology::Hypercube => (usize::BITS - (n - 1).leading_zeros()).max(1),
-            Topology::FatTree { arity } => {
-                let arity = arity.max(2) as usize;
-                let mut levels = 0u32;
-                let mut span = 1usize;
-                while span < n {
-                    span *= arity;
-                    levels += 1;
-                }
-                2 * levels
-            }
-        }
-    }
-
     /// Stable name for config files.
     pub fn config_name(&self) -> String {
         match *self {
@@ -231,15 +205,6 @@ mod tests {
         assert!((Topology::Mesh2D.capacity(16) - 4.0).abs() < 1e-12);
         assert_eq!(Topology::Hypercube.capacity(32), 16.0);
         assert_eq!(Topology::FatTree { arity: 4 }.capacity(32), 32.0);
-    }
-
-    #[test]
-    fn diameters() {
-        assert_eq!(Topology::Bus.diameter(32), 1);
-        assert_eq!(Topology::Mesh2D.diameter(16), 6);
-        assert_eq!(Topology::Hypercube.diameter(8), 3);
-        assert_eq!(Topology::FatTree { arity: 4 }.diameter(16), 4);
-        assert_eq!(Topology::FatTree { arity: 4 }.diameter(1), 0);
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! Barrier-exit events are *resume points*: the enter→exit gap in the
 //! idealized trace is wait, not work, so it never becomes a `Compute` op.
 
-use crate::params::SimParams;
 use extrap_time::{BarrierId, DurationNs, ElementId, ThreadId, TimeNs};
-use extrap_trace::{EventKind, ThreadTrace, TraceError, TraceRecord, TraceSet, TranslateSink};
+use extrap_trace::{EventKind, TraceError, TraceRecord, TraceSet, TranslateSink};
 
 /// One step of a thread's script.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -51,36 +50,6 @@ pub enum Op {
     Barrier(BarrierId),
     /// Thread completes.
     End,
-}
-
-/// Compiles one thread's translated trace into an op script with the
-/// parameter set's `MipsRatio` baked into every `Compute` op.
-///
-/// Sweeps should prefer [`CompiledProgram::compile`], which compiles once
-/// per trace (compute durations stay *unscaled*; the engine applies
-/// `MipsRatio` at execution time) and is shared across parameter sets.
-pub fn compile_thread(trace: &ThreadTrace, params: &SimParams) -> Vec<Op> {
-    let mut ops = compile_thread_raw(trace);
-    for op in &mut ops {
-        if let Op::Compute(d) = op {
-            *d = d.scale(params.mips_ratio);
-        }
-    }
-    ops
-}
-
-/// Compiles one thread's translated trace into an op script with
-/// **unscaled** compute durations (host time).  `MipsRatio` is a
-/// per-parameter-set concern applied at execution time, which is what
-/// lets one compilation serve a whole sweep grid.
-pub fn compile_thread_raw(trace: &ThreadTrace) -> Vec<Op> {
-    let mut ops = Vec::with_capacity(trace.records.len());
-    let mut prev: Option<TimeNs> = None;
-    for rec in &trace.records {
-        fold_record(&mut ops, &mut prev, rec);
-    }
-    seal_script(&mut ops);
-    ops
 }
 
 /// Appends the op(s) for one translated record — the single per-record
@@ -131,16 +100,6 @@ fn seal_script(ops: &mut Vec<Op>) {
     if !matches!(ops.last(), Some(Op::End)) {
         ops.push(Op::End);
     }
-}
-
-/// Total scaled compute in a script (used by metrics and tests).
-pub fn total_compute(ops: &[Op]) -> DurationNs {
-    ops.iter()
-        .filter_map(|op| match op {
-            Op::Compute(d) => Some(*d),
-            _ => None,
-        })
-        .sum()
 }
 
 /// One thread of a [`CompiledProgram`]: the op script (unscaled compute)
@@ -234,11 +193,6 @@ impl CompiledProgram {
     /// True for the empty (zero-thread) program.
     pub fn is_empty(&self) -> bool {
         self.threads.is_empty()
-    }
-
-    /// Total ops across all threads (a work-size metric).
-    pub fn total_ops(&self) -> usize {
-        self.threads.iter().map(|t| t.ops.len()).sum()
     }
 
     /// Approximate heap footprint of the compiled scripts in bytes —
@@ -371,10 +325,26 @@ impl TranslateSink for IncrementalCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extrap_time::ElementId;
-    use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork, TraceRecord};
+    use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork};
 
-    fn compile_first(params: &SimParams) -> Vec<Op> {
+    /// Thread `t`'s op script, compiled through the one compile path.
+    fn script(traces: &TraceSet, t: usize) -> Vec<Op> {
+        CompiledProgram::compile(traces).unwrap().threads()[t]
+            .ops
+            .clone()
+    }
+
+    fn total_compute(ops: &[Op]) -> DurationNs {
+        ops.iter()
+            .filter_map(|op| match op {
+                Op::Compute(d) => Some(*d),
+                _ => None,
+            })
+            .sum()
+    }
+
+    /// Two threads, one phase; thread 0 reads a remote element 400ns in.
+    fn one_read_phase() -> TraceSet {
         let mut p = PhaseProgram::new(2);
         p.push_phase(vec![
             PhaseWork {
@@ -393,15 +363,13 @@ mod tests {
                 accesses: vec![],
             },
         ]);
-        let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
-        compile_thread(&ts.threads[0], params)
+        extrap_trace::translate(&p.record(), Default::default()).unwrap()
     }
 
     #[test]
     fn script_shape() {
-        let ops = compile_first(&SimParams::default());
         assert_eq!(
-            ops,
+            script(&one_read_phase(), 0),
             vec![
                 Op::Compute(DurationNs(400)),
                 Op::RemoteRead {
@@ -415,15 +383,6 @@ mod tests {
                 Op::End,
             ]
         );
-    }
-
-    #[test]
-    fn mips_ratio_scales_compute() {
-        let mut params = SimParams::default();
-        params.mips_ratio = 0.5;
-        let ops = compile_first(&params);
-        assert_eq!(ops[0], Op::Compute(DurationNs(200)));
-        assert_eq!(total_compute(&ops), DurationNs(500));
     }
 
     #[test]
@@ -443,36 +402,27 @@ mod tests {
         ]);
         p.push_uniform_phase(DurationNs(100));
         let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
-        let ops = compile_thread(&ts.threads[0], &SimParams::default());
-        assert_eq!(total_compute(&ops), DurationNs(500));
+        assert_eq!(total_compute(&script(&ts, 0)), DurationNs(500));
     }
 
     #[test]
     fn markers_are_transparent() {
-        let trace = ThreadTrace {
-            thread: ThreadId(0),
-            records: vec![
-                TraceRecord {
-                    time: TimeNs(0),
-                    thread: ThreadId(0),
-                    kind: EventKind::ThreadBegin,
-                },
-                TraceRecord {
-                    time: TimeNs(100),
-                    thread: ThreadId(0),
-                    kind: EventKind::Marker { id: 1 },
-                },
-                TraceRecord {
-                    time: TimeNs(300),
-                    thread: ThreadId(0),
-                    kind: EventKind::ThreadEnd,
-                },
-            ],
-        };
-        let ops = compile_thread(&trace, &SimParams::default());
+        let mut compiler = IncrementalCompiler::new(1);
+        for (t, kind) in [
+            (0, EventKind::ThreadBegin),
+            (100, EventKind::Marker { id: 1 }),
+            (300, EventKind::ThreadEnd),
+        ] {
+            let rec = TraceRecord {
+                time: TimeNs(t),
+                thread: ThreadId(0),
+                kind,
+            };
+            compiler.emit_record(0, &rec).unwrap();
+        }
         // Marker splits the compute but contributes no op.
         assert_eq!(
-            ops,
+            compiler.finish().threads()[0].ops,
             vec![
                 Op::Compute(DurationNs(100)),
                 Op::Compute(DurationNs(200)),
@@ -494,51 +444,18 @@ mod tests {
             Op::Compute(DurationNs(1_000)),
             "compiled compute is unscaled"
         );
-        // The per-params compiler is exactly raw + scale.
-        let mut params = SimParams::default();
-        params.mips_ratio = 0.5;
-        let scaled = compile_thread(&ts.threads[0], &params);
-        let raw = compile_thread_raw(&ts.threads[0]);
-        assert_eq!(scaled.len(), raw.len());
-        assert_eq!(scaled[0], Op::Compute(DurationNs(500)));
     }
 
     #[test]
     fn compiled_program_counts_predicted_records_exactly() {
-        let params = SimParams::default();
-        let ops = compile_first(&params);
-        // compile_first's program: 1 read + 1 barrier + begin/end = 5.
-        let mut p = PhaseProgram::new(2);
-        p.push_phase(vec![
-            PhaseWork {
-                compute: DurationNs(1_000),
-                accesses: vec![PhaseAccess {
-                    after: DurationNs(400),
-                    owner: ThreadId(1),
-                    element: ElementId(3),
-                    declared_bytes: 2048,
-                    actual_bytes: 16,
-                    write: false,
-                }],
-            },
-            PhaseWork {
-                compute: DurationNs(1_000),
-                accesses: vec![],
-            },
-        ]);
-        let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
-        let program = CompiledProgram::compile(&ts).unwrap();
+        // 1 read + 1 barrier + begin/end = 5.
+        let program = CompiledProgram::compile(&one_read_phase()).unwrap();
         assert_eq!(program.threads()[0].predicted_records, 5);
-        assert!(program.total_ops() >= ops.len());
     }
 
     #[test]
     fn end_op_is_guaranteed() {
-        let trace = ThreadTrace {
-            thread: ThreadId(0),
-            records: vec![],
-        };
-        let ops = compile_thread(&trace, &SimParams::default());
-        assert_eq!(ops, vec![Op::End]);
+        let program = IncrementalCompiler::new(1).finish();
+        assert_eq!(program.threads()[0].ops, vec![Op::End]);
     }
 }

@@ -5,11 +5,15 @@
 //! barrier epochs hundreds of times; replaying every one is the
 //! dominant cost of a paper-scale sweep.  This module applies
 //! SimPoint-style region selection to barrier epochs: fingerprint each
-//! epoch ([`extrap_trace::epoch_signatures`]-shaped signatures built
-//! directly from the compiled op scripts), cluster the fingerprints
-//! deterministically ([`extrap_trace::cluster_epochs`]), simulate **one
-//! representative epoch per cluster** through the unmodified exact
-//! engine, and compose full-run metrics from the cluster weights.
+//! epoch from the compiled op scripts, cluster the fingerprints
+//! deterministically, simulate **one representative epoch per
+//! cluster** through the unmodified exact engine, and compose full-run
+//! metrics from the cluster weights.
+//!
+//! The fingerprint and the clustering live only here: `extrap stats
+//! --phases` prints the plan this module builds
+//! ([`render_stats_report`]), so the regions a user inspects are the
+//! regions `--strategy repr` simulates.
 //!
 //! # Fallback contract
 //!
@@ -50,7 +54,10 @@ use crate::network::state::NetworkStats;
 use crate::params::{RecordMode, SimParams, SimStrategy};
 use crate::processor::{CompiledProgram, CompiledThread, Op};
 use extrap_time::{BarrierId, DurationNs, TimeNs};
-use extrap_trace::{cluster_epochs, ClusterOptions, EpochSignature, EpochTerminator, TraceSet};
+use extrap_trace::phases::{self, splitmix64, PhaseProfile};
+use extrap_trace::TraceSet;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Programs with fewer epochs than this simulate exactly — there is
 /// nothing to amortize.
@@ -68,6 +75,9 @@ pub struct ReprCluster {
     pub rep_epoch: usize,
     /// Number of epochs this cluster covers.
     pub weight: u64,
+    /// The representative epoch's fingerprint (what `extrap stats
+    /// --phases` prints for the cluster).
+    signature: EpochSignature,
     /// The representative epoch as a standalone compiled program.
     program: CompiledProgram,
 }
@@ -89,7 +99,6 @@ impl ReprCluster {
 #[derive(Clone, Debug)]
 pub struct ReprPlan {
     n_epochs: usize,
-    assignment: Vec<u32>,
     clusters: Vec<ReprCluster>,
     /// Barrier-only program measuring the warmup barrier's cost (see
     /// the module docs); subtracted from every representative run.
@@ -129,21 +138,17 @@ impl ReprPlan {
             }
         }
 
-        let opts = ClusterOptions {
-            max_clusters: max_clusters as usize,
-            tolerance,
-        };
-        let clustering = cluster_epochs(&sigs, &opts)?;
-        if clustering.repetition() < MIN_REPETITION {
+        let epoch_clusters = cluster_epochs(&sigs, max_clusters as usize, tolerance)?;
+        if (n_epochs as f64 / epoch_clusters.len() as f64) < MIN_REPETITION {
             return None;
         }
 
-        let clusters = clustering
-            .clusters
+        let clusters = epoch_clusters
             .iter()
             .map(|c| ReprCluster {
                 rep_epoch: c.rep,
                 weight: c.weight,
+                signature: sigs[c.rep],
                 program: slice_epoch(program, &spans, c.rep),
             })
             .collect();
@@ -160,7 +165,6 @@ impl ReprPlan {
         );
         Some(ReprPlan {
             n_epochs,
-            assignment: clustering.assignment,
             clusters,
             baseline,
         })
@@ -169,11 +173,6 @@ impl ReprPlan {
     /// Total barrier epochs of the underlying program.
     pub fn n_epochs(&self) -> usize {
         self.n_epochs
-    }
-
-    /// `assignment[e]` is epoch `e`'s cluster index.
-    pub fn assignment(&self) -> &[u32] {
-        &self.assignment
     }
 
     /// The clusters, in first-seen epoch order.
@@ -254,10 +253,7 @@ fn epoch_spans(ops: &[Op]) -> Vec<(usize, usize)> {
     spans
 }
 
-/// Folds an op slice into an epoch signature.  Barrier wait is a
-/// simulation *output*, unknowable from the script, so it stays zero —
-/// identical workloads produce identical waits, which is exactly the
-/// clustering hypothesis.
+/// Folds an op slice into an epoch signature.
 fn accumulate_signature(sig: &mut EpochSignature, ops: &[Op]) {
     for op in ops {
         match op {
@@ -283,6 +279,244 @@ fn accumulate_signature(sig: &mut EpochSignature, ops: &[Op]) {
             Op::Barrier(_) | Op::End => {}
         }
     }
+}
+
+/// How a barrier epoch ends: at a barrier, or at program end (the final
+/// epoch).  Epochs with different terminators never cluster together —
+/// the tail epoch has no barrier cost, so merging it with an interior
+/// epoch would mis-compose barrier statistics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum EpochTerminator {
+    Barrier,
+    End,
+}
+
+/// The workload fingerprint of one barrier epoch, aggregated across
+/// threads.  Two epochs with near-identical signatures are assumed to
+/// simulate to near-identical costs — the SimPoint hypothesis applied
+/// to barrier-delimited phases instead of instruction intervals.
+/// Everything here is read off the op scripts; simulation outputs such
+/// as barrier wait are not features, since identical workloads produce
+/// identical waits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct EpochSignature {
+    compute: DurationNs,
+    remote_reads: u64,
+    remote_writes: u64,
+    /// Declared (compile-time) bytes of all remote accesses.
+    declared_bytes: u64,
+    /// Actual (runtime) bytes of all remote accesses.
+    actual_bytes: u64,
+    terminator: EpochTerminator,
+}
+
+impl EpochSignature {
+    fn zero(terminator: EpochTerminator) -> EpochSignature {
+        EpochSignature {
+            compute: DurationNs::ZERO,
+            remote_reads: 0,
+            remote_writes: 0,
+            declared_bytes: 0,
+            actual_bytes: 0,
+            terminator,
+        }
+    }
+
+    /// The signature's numeric features in a fixed order (the distance
+    /// metric iterates over this).
+    fn features(&self) -> [f64; 5] {
+        [
+            self.compute.as_ns() as f64,
+            self.remote_reads as f64,
+            self.remote_writes as f64,
+            self.declared_bytes as f64,
+            self.actual_bytes as f64,
+        ]
+    }
+}
+
+/// Mean pairwise *relative* difference over features — `|a-b| /
+/// max(a,b)` per feature, averaged over the features where either side
+/// is nonzero — and infinite when the terminators differ (those epochs
+/// must never merge).
+///
+/// Relative (not max-normalized) distance is what bounds composition
+/// error: every member of a cluster matches its representative to
+/// within ~tolerance *in proportion*, so scaling the representative's
+/// simulated cost by the member count misestimates each epoch by at
+/// most ~tolerance.  Max-normalization would instead call two small
+/// epochs "close" even when one does 4x the other's work.
+fn distance(a: &EpochSignature, b: &EpochSignature) -> f64 {
+    if a.terminator != b.terminator {
+        return f64::INFINITY;
+    }
+    let mut sum = 0.0;
+    let mut n = 0u32;
+    for (fa, fb) in a.features().into_iter().zip(b.features()) {
+        let denom = fa.max(fb);
+        if denom > 0.0 {
+            sum += (fa - fb).abs() / denom;
+            n += 1;
+        }
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / f64::from(n)
+    }
+}
+
+/// One cluster of near-identical epochs: its representative (medoid)
+/// epoch and how many epochs it covers.
+struct EpochCluster {
+    rep: usize,
+    weight: u64,
+}
+
+/// Greedy-threshold clustering of epoch signatures, SimPoint style.
+///
+/// Each epoch joins the first existing cluster whose representative is
+/// within `tolerance` (mean relative distance), else founds a new
+/// cluster.  A medoid-refinement pass then re-picks each cluster's
+/// representative as the member minimizing total distance to a
+/// SplitMix64-sampled subset (capped at 64 members) of its cluster.
+/// The whole procedure is a pure function of the signature vector —
+/// byte-stable across worker counts, platforms, and runs.
+///
+/// Returns the clusters in first-seen epoch order, or `None` when more
+/// than `max_clusters` clusters would be needed (no exploitable
+/// repetition at this tolerance).
+fn cluster_epochs(
+    sigs: &[EpochSignature],
+    max_clusters: usize,
+    tolerance: f64,
+) -> Option<Vec<EpochCluster>> {
+    if sigs.is_empty() || max_clusters == 0 {
+        return None;
+    }
+    let mut clusters: Vec<EpochCluster> = Vec::new();
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for (e, sig) in sigs.iter().enumerate() {
+        let found = clusters
+            .iter()
+            .position(|c| distance(sig, &sigs[c.rep]) <= tolerance);
+        match found {
+            Some(c) => {
+                clusters[c].weight += 1;
+                members[c].push(e);
+            }
+            None => {
+                if clusters.len() == max_clusters {
+                    return None;
+                }
+                clusters.push(EpochCluster { rep: e, weight: 1 });
+                members.push(vec![e]);
+            }
+        }
+    }
+
+    // Medoid refinement: the first-fit founder may sit at the edge of
+    // its cluster; re-pick the member closest to everyone else (sampled
+    // when the cluster is large, with a seed derived from the cluster
+    // index so the choice is reproducible).
+    const SAMPLE_CAP: usize = 64;
+    for (c, cluster) in clusters.iter_mut().enumerate() {
+        let m = &members[c];
+        if m.len() <= 2 {
+            continue;
+        }
+        let sample: Vec<usize> = if m.len() <= SAMPLE_CAP {
+            m.clone()
+        } else {
+            let mut rng = 0x5EED_0000_0000_0000 ^ c as u64;
+            (0..SAMPLE_CAP)
+                .map(|_| m[(splitmix64(&mut rng) % m.len() as u64) as usize])
+                .collect()
+        };
+        let best = m
+            .iter()
+            .map(|&cand| {
+                let cost: f64 = sample
+                    .iter()
+                    .map(|&o| distance(&sigs[cand], &sigs[o]))
+                    .sum();
+                (cand, cost)
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .map(|(cand, _)| cand);
+        if let Some(rep) = best {
+            cluster.rep = rep;
+        }
+    }
+
+    Some(clusters)
+}
+
+/// Renders the `extrap stats` report: the marker-phase table of
+/// `profiles`, plus — with `epochs = Some((program, max_clusters,
+/// tolerance))` — the barrier-epoch plan that `--strategy repr:K:TOL`
+/// builds for `program` through the same [`ReprPlan::from_program`] call the
+/// engine makes.  The epoch section therefore announces the fallback
+/// exactly when the strategy falls back, and otherwise lists the
+/// plan's own clusters and representatives.
+///
+/// This is the *single* renderer behind both the local `extrap stats`
+/// command and the served `Phases` request — one string builder, so
+/// remote output is byte-identical to local output by construction.
+pub fn render_stats_report(
+    profiles: &BTreeMap<u32, PhaseProfile>,
+    epochs: Option<(&CompiledProgram, u32, f64)>,
+) -> String {
+    let mut out = String::from("-- marker phases --\n");
+    out.push_str(&phases::render(profiles));
+    let Some((program, max_clusters, tolerance)) = epochs else {
+        return out;
+    };
+    out.push_str("-- barrier epochs --\n");
+    let Some(plan) = ReprPlan::from_program(program, max_clusters, tolerance) else {
+        let n_epochs = program
+            .threads()
+            .first()
+            .map_or(0, |t| epoch_spans(&t.ops).len());
+        let _ = writeln!(
+            out,
+            "{n_epochs} epochs; no plan with at least {MIN_EPOCHS} epochs and \
+             {MIN_REPETITION:.1}x repetition within {max_clusters} clusters at tolerance \
+             {tolerance} — `--strategy repr` falls back to exact simulation"
+        );
+        return out;
+    };
+    let _ = writeln!(
+        out,
+        "{} epochs in {} clusters (repetition {:.1}x)",
+        plan.n_epochs(),
+        plan.clusters().len(),
+        plan.repetition()
+    );
+    let _ = writeln!(
+        out,
+        "{:>7} {:>7} {:>7} {:>12} {:>8} {:>8} {:>12} {:>5}",
+        "cluster", "weight", "rep", "compute[ms]", "reads", "writes", "bytes", "end"
+    );
+    for (c, cluster) in plan.clusters().iter().enumerate() {
+        let sig = &cluster.signature;
+        let _ = writeln!(
+            out,
+            "{:>7} {:>7} {:>7} {:>12.3} {:>8} {:>8} {:>12} {:>5}",
+            c,
+            cluster.weight,
+            cluster.rep_epoch,
+            sig.compute.as_us() / 1_000.0,
+            sig.remote_reads,
+            sig.remote_writes,
+            sig.actual_bytes,
+            match sig.terminator {
+                EpochTerminator::Barrier => "bar",
+                EpochTerminator::End => "eof",
+            }
+        );
+    }
+    out
 }
 
 /// Extracts epoch `e` of every thread as a standalone program: a
@@ -404,6 +638,49 @@ mod tests {
     }
 
     #[test]
+    fn terminator_mismatch_never_merges() {
+        // All-identical compute: interior epochs form one cluster, the
+        // tail epoch (program end, no barrier) must still stand alone.
+        let plan = ReprPlan::from_program(&periodic(2, 10, &[250]), 16, 0.05).unwrap();
+        let weights: Vec<u64> = plan.clusters().iter().map(|c| c.weight).collect();
+        assert_eq!(weights, [10, 1]);
+        assert_eq!(plan.clusters()[1].rep_epoch, 10);
+    }
+
+    #[test]
+    fn plans_are_deterministic() {
+        let program = periodic(4, 40, &[100, 900, 100, 500]);
+        let a = ReprPlan::from_program(&program, 16, 0.05).unwrap();
+        let b = ReprPlan::from_program(&program, 16, 0.05).unwrap();
+        let shape = |p: &ReprPlan| -> Vec<(usize, u64)> {
+            p.clusters()
+                .iter()
+                .map(|c| (c.rep_epoch, c.weight))
+                .collect()
+        };
+        assert_eq!(shape(&a), shape(&b));
+    }
+
+    #[test]
+    fn stats_report_prints_the_plan_or_the_fallback() {
+        let profiles = BTreeMap::new();
+        let program = periodic(2, 20, &[1_000, 5_000]);
+        let markers_only = render_stats_report(&profiles, None);
+        assert!(!markers_only.contains("barrier epochs"));
+
+        let report = render_stats_report(&profiles, Some((&program, 16, 0.05)));
+        assert!(report.contains("21 epochs in 3 clusters"), "{report}");
+        // Header line plus column header plus one row per cluster.
+        let section = report.split("-- barrier epochs --\n").nth(1).unwrap();
+        assert_eq!(section.lines().count(), 2 + 3);
+
+        let short = periodic(2, 2, &[1_000]);
+        let short = render_stats_report(&profiles, Some((&short, 16, 0.05)));
+        assert!(short.contains("3 epochs; no plan"), "{short}");
+        assert!(short.contains("falls back to exact simulation"));
+    }
+
+    #[test]
     fn short_programs_refuse_a_plan() {
         let program = periodic(2, 2, &[1_000]);
         assert!(ReprPlan::from_program(&program, 16, 0.05).is_none());
@@ -414,6 +691,18 @@ mod tests {
         let pattern: Vec<u64> = (1..=12).map(|i| i * 7_919).collect();
         let program = periodic(2, 12, &pattern);
         assert!(ReprPlan::from_program(&program, 16, 0.001).is_none());
+    }
+
+    #[test]
+    fn cluster_cap_alone_refuses_a_plan() {
+        // Ten distinct interior epochs plus the tail: 41 epochs in 11
+        // clusters (3.7x, above MIN_REPETITION), so only the cap decides.
+        let pattern: Vec<u64> = (1..=10).map(|i| i * 1_000).collect();
+        let program = periodic(2, 40, &pattern);
+        let plan = ReprPlan::from_program(&program, 11, 0.01).unwrap();
+        assert_eq!(plan.clusters().len(), 11);
+        assert!(plan.repetition() >= MIN_REPETITION);
+        assert!(ReprPlan::from_program(&program, 10, 0.01).is_none());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   concurrent (same epoch) with another thread's access to the same
 //!   element therefore has no happens-before edge — the value observed
 //!   depends on timing, and extrapolated timings are exactly what the
-//!   pipeline changes.  This is the §5 determinism analysis
-//!   ([`extrap_trace::determinism_report`]) recast as a race-detector
-//!   diagnostic with spans.
+//!   pipeline changes.  This is the paper's §5 determinism condition,
+//!   and this pass is the tool's only check of it (`extrap lint FILE`),
+//!   reported as a race-detector diagnostic with spans.
 //!
 //! The pass is a thin adapter: it replays the in-memory trace through
 //! the incremental [`SoundnessStream`] machine, the same digest-keeping

@@ -171,19 +171,22 @@ fn e006_redistribution_across_epochs_is_clean() {
 
 #[test]
 fn e007_causality_violation() {
-    let mut p = PhaseProgram::new(3);
     // Thread 0 writes element 9 (owned by thread 2) while thread 1 reads
-    // it in the same barrier epoch: concurrent under the collapsed vector
-    // clock, so the §3.2 translation does not preserve causality.
-    p.push_phase(vec![
-        work(100, vec![access(2, 9, true)]),
-        work(100, vec![access(2, 9, false)]),
-        work(100, vec![]),
-    ]);
-    let ts = translate(&p.record(), Default::default()).unwrap();
-    let report = lint_set(&ts);
-    assert_fires_exactly_once(&report, Code::E007CausalityViolation);
-    assert!(report.diagnostics[0].message.contains("epoch 0"));
+    // or writes it in the same barrier epoch: concurrent under the
+    // collapsed vector clock, so the §3.2 translation does not preserve
+    // causality.
+    for second_writes in [false, true] {
+        let mut p = PhaseProgram::new(3);
+        p.push_phase(vec![
+            work(100, vec![access(2, 9, true)]),
+            work(100, vec![access(2, 9, second_writes)]),
+            work(100, vec![]),
+        ]);
+        let ts = translate(&p.record(), Default::default()).unwrap();
+        let report = lint_set(&ts);
+        assert_fires_exactly_once(&report, Code::E007CausalityViolation);
+        assert!(report.diagnostics[0].message.contains("epoch 0"));
+    }
 }
 
 #[test]

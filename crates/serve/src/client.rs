@@ -160,16 +160,17 @@ impl Client {
 
     /// Fetches the phase/epoch statistics report for a submitted trace,
     /// rendered server-side — byte-identical to local `extrap stats`.
+    /// `epochs = Some((max_clusters, tolerance))` adds the barrier-epoch
+    /// section (`--phases`).
     pub fn phases(
         &mut self,
         trace: TraceId,
-        phases: bool,
-        max_clusters: u32,
-        tolerance: f64,
+        epochs: Option<(u32, f64)>,
     ) -> Result<String, ClientError> {
+        let (max_clusters, tolerance) = epochs.unwrap_or_default();
         match self.round(&Request::Phases {
             trace,
-            phases,
+            phases: epochs.is_some(),
             max_clusters,
             tolerance,
         })? {

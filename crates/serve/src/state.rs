@@ -9,10 +9,10 @@ use extrap_proto::{
     ErrorCode, JobId, PredictionSummary, Request, Response, ServerStats, SweepRow, SweepSpec,
     TraceId,
 };
-use extrap_trace::TraceSet;
+use extrap_trace::PhaseProfile;
 use extrap_workloads::{Bench, Scale};
 use pcpp_rt::sync::{AtomicFlag, Condvar, Instant, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -145,18 +145,19 @@ struct JobTable {
 struct StoredTrace {
     /// The label the client submitted under (synchronous renders print it).
     name: String,
-    /// The submitted per-thread traces, kept for `Phases` reports (the
-    /// cache entry holds only the compiled program).
-    traces: Arc<TraceSet>,
+    /// The marker-phase profiles of the submitted set, computed once at
+    /// submit for `Phases` reports; the set itself is dropped.
+    profiles: Arc<BTreeMap<u32, PhaseProfile>>,
     cached: Arc<CachedTrace>,
     last_used: u64,
 }
 
 impl StoredTrace {
-    /// What the memory budget charges for this trace: the set plus its
-    /// compiled program.
+    /// What the memory budget charges for this trace: its compiled
+    /// program plus the marker-phase profiles.
     fn resident_bytes(&self) -> usize {
-        self.traces.resident_bytes() + self.cached.resident_bytes()
+        self.cached.resident_bytes()
+            + self.profiles.len() * std::mem::size_of::<(u32, PhaseProfile)>()
     }
 }
 
@@ -510,7 +511,7 @@ impl Session {
                 phases,
                 max_clusters,
                 tolerance,
-            } => self.phases(trace, phases, max_clusters, tolerance),
+            } => self.phases(trace, phases.then_some((max_clusters, tolerance))),
             Request::Analyze {
                 trace,
                 params,
@@ -536,8 +537,8 @@ impl Session {
             // Raw traces stream through the epoch translator instead of
             // materializing the whole `ProgramTrace` first: admission
             // peak memory is the payload plus the translated set, not
-            // payload + decoded records + set.  The set itself is kept
-            // next to its compiled program — `Phases` requests read it.
+            // payload + decoded records + set.  Only the compiled program
+            // and the set's marker-phase profiles outlive this call.
             Some(b"XTRP") => extrap_trace::stream::ProgramStream::new(
                 extrap_trace::stream::SliceSource(&payload),
             )
@@ -554,17 +555,17 @@ impl Session {
             _ => Err("not a trace image (expected XTRP or XTPS magic)".to_string()),
         }
         .and_then(|set| match CompiledProgram::compile(&set) {
-            Ok(program) => Ok((set, program)),
+            Ok(program) => Ok((extrap_trace::phase_profiles(&set), program)),
             Err(e) => Err(e.to_string()),
         });
-        let (traces, program) = match built {
+        let (profiles, program) = match built {
             Ok(built) => built,
             Err(detail) => return err(ErrorCode::BadRequest, detail),
         };
         let id = TraceId(self.service.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
         let mut stored = StoredTrace {
             name,
-            traces: Arc::new(traces),
+            profiles: Arc::new(profiles),
             cached: Arc::new(CachedTrace::new(program)),
             last_used: 0,
         };
@@ -750,21 +751,23 @@ impl Session {
     /// `Phases`: the phase/epoch statistics report, rendered server-side
     /// through the same formatter `extrap stats` uses locally, so the
     /// remote text is byte-identical.  Synchronous — the report is a
-    /// cheap scan over an already-resident trace, so it skips the job
-    /// queue like `Stats` does.
-    fn phases(&self, trace: TraceId, phases: bool, max_clusters: u32, tolerance: f64) -> Response {
-        let Some(traces) = self.service.touch_trace(trace, |e| Arc::clone(&e.traces)) else {
+    /// cheap pass over an already-resident trace (at most one repr
+    /// plan), so it skips the job queue like `Stats` does.
+    fn phases(&self, trace: TraceId, epochs: Option<(u32, f64)>) -> Response {
+        let Some((profiles, cached)) = self
+            .service
+            .touch_trace(trace, |e| (Arc::clone(&e.profiles), Arc::clone(&e.cached)))
+        else {
             return err(
                 ErrorCode::UnknownTrace,
                 format!("trace #{} is not resident (submit it again)", trace.0),
             );
         };
-        let opts = extrap_trace::ClusterOptions {
-            max_clusters: max_clusters as usize,
-            tolerance,
-        };
         Response::Phases {
-            text: extrap_trace::render_stats_report(&traces, phases, &opts),
+            text: extrap_core::render_stats_report(
+                &profiles,
+                epochs.map(|(k, tol)| (cached.program(), k, tol)),
+            ),
         }
     }
 

@@ -334,25 +334,50 @@ fn shutdown_drains_then_refuses_new_work() {
 fn served_phases_report_is_byte_identical_to_local_stats() {
     let server = start(ServeConfig::default());
     let mut client = connect(&server);
-    // A registry bench with real barrier repetition, so the epoch
-    // clustering section has content worth comparing.
-    let set = extrap_trace::translate(&Bench::Grid.trace(4, Scale::Tiny), Default::default())
-        .expect("translate");
-    let bytes = extrap_trace::format::encode_set(&set);
-    let (trace, _, _) = client.submit_trace("grid-tiny", bytes).unwrap();
-
-    for phases in [false, true] {
-        let opts = extrap_trace::ClusterOptions {
-            max_clusters: 64,
-            tolerance: 0.05,
-        };
-        let local = extrap_trace::render_stats_report(&set, phases, &opts);
-        let served = client.phases(trace, phases, 64, 0.05).unwrap();
-        assert_eq!(
-            served, local,
-            "phases={phases}: served text must match local"
+    // Grid and Mgrid repeat their barrier epochs (the repr plan
+    // engages); Embar does not (the report states the fallback).
+    for (bench, engages) in [
+        (Bench::Grid, true),
+        (Bench::Mgrid, true),
+        (Bench::Embar, false),
+    ] {
+        let set = extrap_trace::translate(&bench.trace(4, Scale::Tiny), Default::default())
+            .expect("translate");
+        let program = extrap_core::CompiledProgram::compile(&set).expect("compile");
+        let profiles = extrap_trace::phase_profiles(&set);
+        let bytes = extrap_trace::format::encode_set(&set);
+        let (trace, _, resident_bytes) = client.submit_trace(bench.name(), bytes).unwrap();
+        // The daemon keeps the compiled program and the marker-phase
+        // profiles, never the translated set.
+        let resident_bytes = resident_bytes as usize;
+        assert!(resident_bytes >= program.resident_bytes());
+        assert!(
+            resident_bytes < program.resident_bytes() + set.resident_bytes(),
+            "{}: {resident_bytes} bytes charged, set alone is {}",
+            bench.name(),
+            set.resident_bytes()
         );
-        assert!(!served.is_empty());
+
+        for epochs in [None, Some((64, 0.05))] {
+            let local = extrap_core::render_stats_report(
+                &profiles,
+                epochs.map(|(k, tol)| (&program, k, tol)),
+            );
+            let served = client.phases(trace, epochs).unwrap();
+            assert_eq!(
+                served,
+                local,
+                "{} {epochs:?}: served text must match local",
+                bench.name()
+            );
+        }
+        let report = client.phases(trace, Some((64, 0.05))).unwrap();
+        assert_eq!(
+            report.contains("falls back"),
+            !engages,
+            "{}:\n{report}",
+            bench.name()
+        );
     }
     server.shutdown_and_join();
 }
@@ -404,7 +429,7 @@ fn served_analyze_is_byte_identical_to_local_render() {
             ..
         }
     ));
-    let e = client.phases(trace, true, 64, 0.05).unwrap_err();
+    let e = client.phases(trace, Some((64, 0.05))).unwrap_err();
     assert!(matches!(
         e,
         ClientError::Server {

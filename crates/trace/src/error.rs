@@ -56,7 +56,7 @@ pub enum TraceError {
         /// Description of the violation.
         detail: String,
     },
-    /// Binary or text format corruption.
+    /// Binary format corruption.
     Format {
         /// Description of the corruption.
         detail: String,

@@ -79,7 +79,7 @@ impl EventKind {
         )
     }
 
-    /// A short stable tag used by the text format and statistics.
+    /// A short stable tag used in diagnostics.
     pub fn tag(&self) -> &'static str {
         match self {
             EventKind::ThreadBegin => "begin",
@@ -124,15 +124,6 @@ impl ProgramTrace {
             n_threads,
             records: Vec::new(),
         }
-    }
-
-    /// Splits the global stream into per-thread streams, preserving order.
-    pub fn split_by_thread(&self) -> Vec<Vec<TraceRecord>> {
-        let mut per: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.n_threads];
-        for r in &self.records {
-            per[r.thread.index()].push(*r);
-        }
-        per
     }
 
     /// Validates global ordering and thread-id ranges.
@@ -299,19 +290,6 @@ mod tests {
         }
         .is_remote());
         assert!(!EventKind::Marker { id: 1 }.is_remote());
-    }
-
-    #[test]
-    fn split_by_thread_partitions() {
-        let mut pt = ProgramTrace::new(2);
-        pt.records.push(rec(0, 0, EventKind::ThreadBegin));
-        pt.records.push(rec(1, 1, EventKind::ThreadBegin));
-        pt.records.push(rec(2, 0, EventKind::ThreadEnd));
-        pt.records.push(rec(3, 1, EventKind::ThreadEnd));
-        let per = pt.split_by_thread();
-        assert_eq!(per[0].len(), 2);
-        assert_eq!(per[1].len(), 2);
-        assert!(per[0].iter().all(|r| r.thread == ThreadId(0)));
     }
 
     #[test]

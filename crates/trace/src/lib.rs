@@ -5,12 +5,11 @@
 //! This crate implements the measurement side of the paper: the event
 //! vocabulary recorded by the instrumented pC++-style runtime (barrier
 //! entry/exit, remote element accesses — §3.2), the program/thread trace
-//! containers, a compact binary trace-file format plus a human-readable
-//! text form, the **trace translation algorithm** that turns the
-//! *n*-thread / 1-processor trace into *n* idealized per-thread traces,
-//! and trace statistics used for performance diagnosis.
+//! containers, a compact binary trace-file format, the **trace
+//! translation algorithm** that turns the *n*-thread / 1-processor
+//! trace into *n* idealized per-thread traces, and trace statistics
+//! used for performance diagnosis.
 
-pub mod analysis;
 pub mod builder;
 pub mod bytesio;
 pub mod error;
@@ -20,21 +19,15 @@ pub mod phases;
 pub mod reader;
 pub mod stats;
 pub mod stream;
-pub mod text;
 pub mod timeline;
 pub mod translate;
 pub mod writer;
 
-pub use analysis::{determinism_report, DeterminismReport, EpochConflict};
 pub use builder::{PhaseAccess, PhaseProgram, PhaseWork, ProgramTraceBuilder};
 pub use error::TraceError;
 pub use event::{EventKind, TraceRecord};
 pub use event::{ProgramTrace, ThreadTrace, TraceSet};
-pub use phases::{
-    cluster_epochs, epoch_signatures, phase_profiles, render_clusters, render_stats_report,
-    splitmix64, ClusterOptions, EpochCluster, EpochClustering, EpochSignature, EpochTerminator,
-    PhaseProfile,
-};
+pub use phases::{phase_profiles, splitmix64, PhaseProfile};
 pub use stats::{ThreadStats, TraceStats};
 pub use stream::{
     sniff_kind, ChunkSource, FileSource, ProgramStream, SetChunk, SetStream, SliceSource,

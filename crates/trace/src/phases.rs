@@ -8,6 +8,10 @@
 //!
 //! A marker with id `k` starts phase `k`; the region before the first
 //! marker is phase `u32::MAX` (labelled "prelude").
+//!
+//! Barrier epochs are fingerprinted and clustered from compiled op
+//! scripts in `extrap_core::repr`, which also renders the full
+//! `extrap stats` report around [`render`].
 
 use crate::event::{EventKind, TraceSet};
 use extrap_time::{DurationNs, TimeNs};
@@ -102,190 +106,6 @@ pub fn render(profiles: &BTreeMap<u32, PhaseProfile>) -> String {
     out
 }
 
-/// How a barrier epoch ends: at a barrier, or at program end (the final
-/// epoch).  Epochs with different terminators never cluster together —
-/// the tail epoch has no barrier cost, so merging it with an interior
-/// epoch would mis-compose barrier statistics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EpochTerminator {
-    /// The epoch ends at a global barrier.
-    Barrier,
-    /// The epoch ends at program end (no trailing barrier).
-    End,
-}
-
-/// The workload fingerprint of one barrier epoch, aggregated across
-/// threads.  Two epochs with near-identical signatures are assumed to
-/// simulate to near-identical costs — the SimPoint hypothesis applied
-/// to barrier-delimited phases instead of instruction intervals.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EpochSignature {
-    /// Computation time summed across threads.
-    pub compute: DurationNs,
-    /// Barrier wait summed across threads (zero for idealized traces).
-    pub barrier_wait: DurationNs,
-    /// Remote element reads issued.
-    pub remote_reads: u64,
-    /// Remote element writes issued.
-    pub remote_writes: u64,
-    /// Declared (compile-time) bytes of all remote accesses.
-    pub declared_bytes: u64,
-    /// Actual (runtime) bytes of all remote accesses.
-    pub actual_bytes: u64,
-    /// How the epoch ends.
-    pub terminator: EpochTerminator,
-}
-
-impl EpochSignature {
-    /// An all-zero signature ending at a barrier.
-    pub fn zero(terminator: EpochTerminator) -> EpochSignature {
-        EpochSignature {
-            compute: DurationNs::ZERO,
-            barrier_wait: DurationNs::ZERO,
-            remote_reads: 0,
-            remote_writes: 0,
-            declared_bytes: 0,
-            actual_bytes: 0,
-            terminator,
-        }
-    }
-
-    /// The signature's numeric features in a fixed order (the distance
-    /// metric and normalization iterate over this).
-    fn features(&self) -> [f64; 6] {
-        [
-            self.compute.as_ns() as f64,
-            self.barrier_wait.as_ns() as f64,
-            self.remote_reads as f64,
-            self.remote_writes as f64,
-            self.declared_bytes as f64,
-            self.actual_bytes as f64,
-        ]
-    }
-}
-
-/// Splits a translated trace into barrier epochs and fingerprints each.
-///
-/// Epoch `k` is everything between global barrier `k-1` and barrier `k`;
-/// the final epoch runs to program end.  [`TraceSet`] validation
-/// guarantees every thread observes the same barrier sequence, so epochs
-/// are globally aligned and the per-thread walks can aggregate into one
-/// shared vector of `barriers + 1` signatures.
-pub fn epoch_signatures(set: &TraceSet) -> Vec<EpochSignature> {
-    let n_epochs = set
-        .threads
-        .first()
-        .map_or(0, |t| t.barrier_sequence().len() + 1);
-    if n_epochs == 0 {
-        return Vec::new();
-    }
-    let mut sigs = vec![EpochSignature::zero(EpochTerminator::Barrier); n_epochs];
-    if let Some(last) = sigs.last_mut() {
-        last.terminator = EpochTerminator::End;
-    }
-    for thread in &set.threads {
-        let mut epoch = 0usize;
-        let mut resume = TimeNs::ZERO;
-        let mut barrier_enter: Option<TimeNs> = None;
-        for rec in &thread.records {
-            let sig = &mut sigs[epoch.min(n_epochs - 1)];
-            match rec.kind {
-                EventKind::ThreadBegin => resume = rec.time,
-                EventKind::Marker { .. } => {}
-                EventKind::BarrierEnter { .. } => {
-                    sig.compute += rec.time.saturating_since(resume);
-                    barrier_enter = Some(rec.time);
-                }
-                EventKind::BarrierExit { .. } => {
-                    if let Some(enter) = barrier_enter.take() {
-                        sig.barrier_wait += rec.time.saturating_since(enter);
-                    }
-                    resume = rec.time;
-                    epoch += 1;
-                }
-                EventKind::RemoteRead {
-                    declared_bytes,
-                    actual_bytes,
-                    ..
-                } => {
-                    sig.remote_reads += 1;
-                    sig.declared_bytes += u64::from(declared_bytes);
-                    sig.actual_bytes += u64::from(actual_bytes);
-                }
-                EventKind::RemoteWrite {
-                    declared_bytes,
-                    actual_bytes,
-                    ..
-                } => {
-                    sig.remote_writes += 1;
-                    sig.declared_bytes += u64::from(declared_bytes);
-                    sig.actual_bytes += u64::from(actual_bytes);
-                }
-                EventKind::ThreadEnd => {
-                    sig.compute += rec.time.saturating_since(resume);
-                    resume = rec.time;
-                }
-            }
-        }
-    }
-    sigs
-}
-
-/// Knobs of [`cluster_epochs`].
-#[derive(Clone, Copy, Debug)]
-pub struct ClusterOptions {
-    /// Upper bound on the number of clusters; exceeding it means the
-    /// trace has no exploitable repetition at this tolerance.
-    pub max_clusters: usize,
-    /// Distance threshold for joining a cluster, in normalized units
-    /// (0 = byte-identical signatures only, 1 = anything goes).
-    pub tolerance: f64,
-}
-
-impl Default for ClusterOptions {
-    fn default() -> ClusterOptions {
-        ClusterOptions {
-            max_clusters: 16,
-            tolerance: 0.05,
-        }
-    }
-}
-
-/// One cluster of near-identical epochs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EpochCluster {
-    /// Index of the representative (medoid) epoch.
-    pub rep: usize,
-    /// How many epochs the cluster covers.
-    pub weight: u64,
-}
-
-/// A deterministic partition of a trace's epochs into clusters of
-/// near-identical signatures.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EpochClustering {
-    /// `assignment[e]` is the cluster index of epoch `e`.
-    pub assignment: Vec<u32>,
-    /// The clusters, in first-seen epoch order.
-    pub clusters: Vec<EpochCluster>,
-}
-
-impl EpochClustering {
-    /// Total epochs partitioned.
-    pub fn n_epochs(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Epochs per cluster: the repetition this clustering exploits.
-    /// `1.0` means no repetition at all.
-    pub fn repetition(&self) -> f64 {
-        if self.clusters.is_empty() {
-            return 1.0;
-        }
-        self.assignment.len() as f64 / self.clusters.len() as f64
-    }
-}
-
 /// SplitMix64: the seeded deterministic PRNG behind medoid sampling and
 /// the synthetic periodic traces in tests.  Public so every consumer
 /// draws from the identical stream regardless of crate.
@@ -295,187 +115,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Mean pairwise *relative* difference over features — `|a-b| /
-/// max(a,b)` per feature, averaged over the features where either side
-/// is nonzero — and infinite when the terminators differ (those epochs
-/// must never merge).
-///
-/// Relative (not max-normalized) distance is what bounds composition
-/// error: every member of a cluster matches its representative to
-/// within ~tolerance *in proportion*, so scaling the representative's
-/// simulated cost by the member count misestimates each epoch by at
-/// most ~tolerance.  Max-normalization would instead call two small
-/// epochs "close" even when one does 4x the other's work.
-fn distance(a: &EpochSignature, b: &EpochSignature) -> f64 {
-    if a.terminator != b.terminator {
-        return f64::INFINITY;
-    }
-    let (fa, fb) = (a.features(), b.features());
-    let mut sum = 0.0;
-    let mut n = 0u32;
-    for i in 0..6 {
-        let denom = fa[i].max(fb[i]);
-        if denom > 0.0 {
-            sum += (fa[i] - fb[i]).abs() / denom;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / f64::from(n)
-    }
-}
-
-/// Greedy-threshold clustering of epoch signatures, SimPoint style.
-///
-/// Each epoch joins the first existing cluster whose representative is
-/// within `tolerance` (mean relative distance), else founds a new
-/// cluster.
-/// A medoid-refinement pass then re-picks each cluster's representative
-/// as the member minimizing total distance to a SplitMix64-sampled
-/// subset (capped at 64 members) of its cluster.  The whole procedure is
-/// a pure function of the signature vector — byte-stable across worker
-/// counts, platforms, and runs.
-///
-/// Returns `None` when more than `max_clusters` clusters would be
-/// needed: the trace has no exploitable repetition at this tolerance and
-/// callers should simulate exactly.
-pub fn cluster_epochs(sigs: &[EpochSignature], opts: &ClusterOptions) -> Option<EpochClustering> {
-    if sigs.is_empty() || opts.max_clusters == 0 {
-        return None;
-    }
-    let mut assignment = vec![0u32; sigs.len()];
-    let mut clusters: Vec<EpochCluster> = Vec::new();
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    for (e, sig) in sigs.iter().enumerate() {
-        let found = clusters
-            .iter()
-            .position(|c| distance(sig, &sigs[c.rep]) <= opts.tolerance);
-        match found {
-            Some(c) => {
-                assignment[e] = c as u32;
-                clusters[c].weight += 1;
-                members[c].push(e);
-            }
-            None => {
-                if clusters.len() == opts.max_clusters {
-                    return None;
-                }
-                assignment[e] = clusters.len() as u32;
-                clusters.push(EpochCluster { rep: e, weight: 1 });
-                members.push(vec![e]);
-            }
-        }
-    }
-
-    // Medoid refinement: the first-fit founder may sit at the edge of
-    // its cluster; re-pick the member closest to everyone else (sampled
-    // when the cluster is large, with a seed derived from the cluster
-    // index so the choice is reproducible).
-    const SAMPLE_CAP: usize = 64;
-    for (c, cluster) in clusters.iter_mut().enumerate() {
-        let m = &members[c];
-        if m.len() <= 2 {
-            continue;
-        }
-        let sample: Vec<usize> = if m.len() <= SAMPLE_CAP {
-            m.clone()
-        } else {
-            let mut rng = 0x5EED_0000_0000_0000 ^ c as u64;
-            (0..SAMPLE_CAP)
-                .map(|_| m[(splitmix64(&mut rng) % m.len() as u64) as usize])
-                .collect()
-        };
-        let best = m
-            .iter()
-            .map(|&cand| {
-                let cost: f64 = sample
-                    .iter()
-                    .map(|&o| distance(&sigs[cand], &sigs[o]))
-                    .sum();
-                (cand, cost)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            .map(|(cand, _)| cand);
-        if let Some(rep) = best {
-            cluster.rep = rep;
-        }
-    }
-
-    Some(EpochClustering {
-        assignment,
-        clusters,
-    })
-}
-
-/// Renders a clustering (with its signatures) as an aligned table — the
-/// `extrap stats --phases` view.
-pub fn render_clusters(sigs: &[EpochSignature], clustering: &EpochClustering) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} epochs in {} clusters (repetition {:.1}x)",
-        clustering.n_epochs(),
-        clustering.clusters.len(),
-        clustering.repetition()
-    );
-    let _ = writeln!(
-        out,
-        "{:>7} {:>7} {:>7} {:>12} {:>8} {:>8} {:>12} {:>5}",
-        "cluster", "weight", "rep", "compute[ms]", "reads", "writes", "bytes", "end"
-    );
-    for (c, cluster) in clustering.clusters.iter().enumerate() {
-        let sig = &sigs[cluster.rep];
-        let _ = writeln!(
-            out,
-            "{:>7} {:>7} {:>7} {:>12.3} {:>8} {:>8} {:>12} {:>5}",
-            c,
-            cluster.weight,
-            cluster.rep,
-            sig.compute.as_us() / 1_000.0,
-            sig.remote_reads,
-            sig.remote_writes,
-            sig.actual_bytes,
-            match sig.terminator {
-                EpochTerminator::Barrier => "bar",
-                EpochTerminator::End => "eof",
-            }
-        );
-    }
-    out
-}
-
-/// Renders the full `extrap stats` report for a trace set: the
-/// marker-phase table, plus (with `phases`) the barrier-epoch cluster
-/// structure under `opts`.
-///
-/// This is the *single* renderer behind both the local `extrap stats`
-/// command and the served `client stats` path — one string builder, so
-/// remote output is byte-identical to local output by construction.
-pub fn render_stats_report(set: &TraceSet, phases: bool, opts: &ClusterOptions) -> String {
-    let mut out = String::from("-- marker phases --\n");
-    out.push_str(&render(&phase_profiles(set)));
-    if phases {
-        let sigs = epoch_signatures(set);
-        out.push_str("-- barrier epochs --\n");
-        match cluster_epochs(&sigs, opts) {
-            Some(clustering) => out.push_str(&render_clusters(&sigs, &clustering)),
-            None => {
-                let _ = writeln!(
-                    out,
-                    "{} epochs; no repetition within {} clusters at tolerance \
-                     {} — `--strategy repr` would fall back to exact simulation",
-                    sigs.len(),
-                    opts.max_clusters,
-                    opts.tolerance
-                );
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -535,92 +174,6 @@ mod tests {
         let text = render(&phase_profiles(&ts));
         assert!(text.contains("prelude"));
         assert!(text.lines().count() >= 4);
-    }
-
-    /// `n_threads` threads, `epochs` barrier-delimited epochs whose
-    /// compute alternates through `pattern` (period = pattern.len()).
-    fn periodic_program(n_threads: usize, epochs: usize, pattern: &[u64]) -> crate::TraceSet {
-        let mut p = crate::builder::PhaseProgram::new(n_threads);
-        for e in 0..epochs {
-            p.push_uniform_phase(DurationNs(pattern[e % pattern.len()]));
-        }
-        crate::translate(&p.record(), Default::default()).unwrap()
-    }
-
-    #[test]
-    fn epoch_signatures_count_and_terminators() {
-        let ts = periodic_program(2, 5, &[100]);
-        let sigs = epoch_signatures(&ts);
-        // PhaseProgram emits one barrier per phase, so 5 phases give 5
-        // barriers and a (possibly empty) tail epoch.
-        assert_eq!(sigs.len(), 6);
-        assert!(sigs[..5]
-            .iter()
-            .all(|s| s.terminator == EpochTerminator::Barrier));
-        assert_eq!(sigs[5].terminator, EpochTerminator::End);
-        // Each interior epoch: 100ns compute on each of 2 threads.
-        assert_eq!(sigs[0].compute, DurationNs(200));
-    }
-
-    #[test]
-    fn periodic_trace_clusters_to_period() {
-        let ts = periodic_program(2, 12, &[100, 900]);
-        let sigs = epoch_signatures(&ts);
-        let clustering = cluster_epochs(&sigs, &ClusterOptions::default()).unwrap();
-        // Two alternating interior signatures plus the tail epoch.
-        assert_eq!(clustering.clusters.len(), 3);
-        let interior: u64 = clustering.clusters[..2].iter().map(|c| c.weight).sum();
-        assert_eq!(interior, 12);
-        assert_eq!(clustering.clusters[2].weight, 1);
-        assert!(clustering.repetition() > 4.0);
-    }
-
-    #[test]
-    fn clustering_is_deterministic() {
-        let ts = periodic_program(4, 40, &[100, 900, 100, 500]);
-        let sigs = epoch_signatures(&ts);
-        let a = cluster_epochs(&sigs, &ClusterOptions::default()).unwrap();
-        let b = cluster_epochs(&sigs, &ClusterOptions::default()).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn non_repeating_signatures_refuse_to_cluster() {
-        // Strictly growing compute: every epoch is its own cluster, so
-        // a small max_clusters bound must bail out.
-        let mut rng = 7u64;
-        let pattern: Vec<u64> = (0..20)
-            .map(|i| 1_000 * (i + 1) + splitmix64(&mut rng) % 10)
-            .collect();
-        let ts = periodic_program(2, 20, &pattern);
-        let sigs = epoch_signatures(&ts);
-        let opts = ClusterOptions {
-            max_clusters: 8,
-            tolerance: 0.001,
-        };
-        assert!(cluster_epochs(&sigs, &opts).is_none());
-    }
-
-    #[test]
-    fn terminator_mismatch_never_merges() {
-        // All-identical compute: interior epochs form one cluster, the
-        // tail epoch (End terminator) must still stand alone.
-        let ts = periodic_program(2, 10, &[250]);
-        let sigs = epoch_signatures(&ts);
-        let clustering = cluster_epochs(&sigs, &ClusterOptions::default()).unwrap();
-        assert_eq!(clustering.clusters.len(), 2);
-        assert_eq!(clustering.clusters[0].weight, 10);
-        assert_eq!(clustering.clusters[1].weight, 1);
-    }
-
-    #[test]
-    fn render_clusters_mentions_weights() {
-        let ts = periodic_program(2, 6, &[100]);
-        let sigs = epoch_signatures(&ts);
-        let clustering = cluster_epochs(&sigs, &ClusterOptions::default()).unwrap();
-        let text = render_clusters(&sigs, &clustering);
-        assert!(text.contains("clusters"));
-        assert!(text.lines().count() >= 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reading translated trace sets from files.
 //!
 //! [`read_set_file`] materializes a whole [`TraceSet`] for the tools
-//! that need one (reports, statistics, timelines, determinism checks).
+//! that need one (reports, statistics, timelines).
 //! Simulation never does: it compiles a set file straight off the
 //! chunked [`SetStream`] (`extrap_core::compile_set_stream`).  Raw,
 //! unvalidated decoding for diagnostics lives in [`crate::format`] and

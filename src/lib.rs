@@ -65,9 +65,8 @@ pub mod prelude {
     pub use extrap_refsim::RefMachine;
     pub use extrap_time::{BarrierId, DurationNs, ElementId, ProcId, ThreadId, TimeNs};
     pub use extrap_trace::{
-        cluster_epochs, determinism_report, epoch_signatures, phase_profiles, splitmix64,
-        translate, ClusterOptions, EpochClustering, EpochSignature, PhaseProgram, ProgramTrace,
-        ThreadTrace, TraceSet, TraceStats, TranslateOptions,
+        phase_profiles, splitmix64, translate, PhaseProgram, ProgramTrace, ThreadTrace, TraceSet,
+        TraceStats, TranslateOptions,
     };
     pub use extrap_workloads::{Bench, Scale};
     pub use pcpp_rt::{
