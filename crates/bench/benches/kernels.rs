@@ -37,6 +37,20 @@ fn main() {
         black_box(trace.records.len())
     });
 
+    // A turn handoff that woke every parked thread would make this row
+    // quadratic in the thread count (seconds, not milliseconds).
+    h.bench("pcpp_runtime_256_threads_8_phases", || {
+        let trace = pcpp_rt::Program::new(256)
+            .with_work_model(pcpp_rt::WorkModel::unit())
+            .run(|ctx| {
+                for _ in 0..8 {
+                    ctx.charge(DurationNs(1_000));
+                    ctx.barrier();
+                }
+            });
+        black_box(trace.records.len())
+    });
+
     {
         let trace = ring_program(32, 64, 10.0, 256);
         h.bench_throughput(

@@ -169,6 +169,24 @@ fn resolve_bench(name: &str) -> Result<Bench, String> {
         .ok_or_else(|| format!("unknown benchmark {name:?}; see `extrap benches`"))
 }
 
+/// Parses a thread count a benchmark can be captured at: 1 to
+/// [`MAX_THREADS`](extrap_trace::format::MAX_THREADS).
+fn parse_threads(text: &str) -> Result<usize, String> {
+    let max = extrap_trace::format::MAX_THREADS;
+    match text.trim().parse::<usize>() {
+        Ok(n @ 1..) if n <= max => Ok(n),
+        Ok(n) => Err(format!("{n} is outside 1..={max}")),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// Parses a comma-separated `--procs` list of thread counts.
+fn parse_procs(list: &str) -> Result<Vec<usize>, String> {
+    list.split(',')
+        .map(|p| parse_threads(p).map_err(|e| format!("bad --procs entry {p:?}: {e}")))
+        .collect()
+}
+
 fn cmd_trace(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("trace", args);
     let scale = take_scale(&mut spec)?;
@@ -176,9 +194,7 @@ fn cmd_trace(args: Vec<String>) -> Result<(), String> {
     let [bench_name, threads] = spec.finish_exact("extrap trace <bench> <threads> -o FILE")?;
     let out: PathBuf = out.ok_or("trace: -o FILE is required")?.into();
     let bench = resolve_bench(&bench_name)?;
-    let threads: usize = threads
-        .parse()
-        .map_err(|e| format!("bad thread count: {e}"))?;
+    let threads = parse_threads(&threads).map_err(|e| format!("bad thread count: {e}"))?;
     let trace = bench.trace(threads, scale);
     extrap_trace::writer::write_program_file(&out, &trace).map_err(|e| e.to_string())?;
     println!(
@@ -357,7 +373,10 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
     let format = spec
         .enumerated("--format", "text, json, csv", extrap_analyze::Format::parse)?
         .unwrap_or(extrap_analyze::Format::Text);
-    let threads = spec.positive("--threads")?.unwrap_or(8);
+    let threads = match spec.value("--threads")? {
+        Some(t) => parse_threads(&t).map_err(|e| format!("analyze: bad --threads: {e}"))?,
+        None => 8,
+    };
     let procs_arg = spec.value("--procs")?;
     let [input] = spec.finish_exact(
         "extrap analyze FILE|BENCH [--threads N] [--procs LIST] [--scale S] \
@@ -377,14 +396,7 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
         let bench = resolve_bench(&input)?;
         let procs: Vec<usize> = match procs_arg {
             None => vec![1, 2, 4, 8, 16, 32],
-            Some(list) => list
-                .split(',')
-                .map(|p| {
-                    p.trim()
-                        .parse::<usize>()
-                        .map_err(|e| format!("bad --procs entry {p:?}: {e}"))
-                })
-                .collect::<Result<_, _>>()?,
+            Some(list) => parse_procs(&list)?,
         };
         let compile_at = |n: usize| -> Result<extrap_core::CompiledProgram, String> {
             let set = extrap_trace::translate(&bench.trace(n, scale), Default::default())
@@ -427,14 +439,7 @@ pub(crate) fn parse_sweep_request(mut spec: ArgSpec) -> Result<SweepRequest, Str
     let scale = take_scale(&mut spec)?;
     let procs: Vec<usize> = match spec.value("--procs")? {
         None => vec![1, 2, 4, 8, 16, 32],
-        Some(list) => list
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad --procs entry {p:?}: {e}"))
-            })
-            .collect::<Result<_, _>>()?,
+        Some(list) => parse_procs(&list)?,
     };
     let jobs = spec
         .positive("--jobs")?

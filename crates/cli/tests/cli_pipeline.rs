@@ -277,13 +277,15 @@ fn bad_inputs_fail_cleanly() {
         "extrap: {badset}: T1 passes a different barrier sequence than thread 0 \
          (program is not deterministically data-parallel)\n"
     );
-    let truncated =
-        format!("extrap: {forged}: malformed trace: truncated while reading thread id\n");
+    let forged_count = format!(
+        "extrap: {forged}: malformed trace: header declares 4294967295 threads, \
+         more than the 4096 supported\n"
+    );
     let absent =
         format!("extrap: {missing}: trace I/O error: No such file or directory (os error 2)\n");
     for (file, err) in [
         (badset, &mismatch),
-        (forged, &truncated),
+        (forged, &forged_count),
         (missing, &absent),
     ] {
         assert_fails_with(&["simulate", file], err);
@@ -675,4 +677,25 @@ fn sweep_rejects_the_removed_stream_flag() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn thread_counts_outside_the_cap_are_usage_errors() {
+    let max = extrap_trace::format::MAX_THREADS;
+    let over = (max + 1).to_string();
+    let dir = tmpdir("thread-cap");
+    let out_file = dir.join("never.xtrp");
+    for args in [
+        vec!["trace", "sort", &over, "-o", out_file.to_str().unwrap()],
+        vec!["trace", "sort", "0", "-o", out_file.to_str().unwrap()],
+        vec!["sweep", "sort", "--scale", "tiny", "--procs", &over],
+        vec!["sweep", "sort", "--scale", "tiny", "--procs", "4,0"],
+        vec!["analyze", "sort", "--scale", "tiny", "--threads", &over],
+    ] {
+        let out = extrap(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("1..={max}")), "{args:?}: {err}");
+    }
+    assert!(!out_file.exists());
 }

@@ -235,17 +235,24 @@ mod tests {
 
     #[test]
     fn set_stream_does_not_trust_the_declared_thread_count() {
-        // A bare 10-byte header declaring u32::MAX threads and no segments.
+        // A bare 10-byte header declaring the most threads a header may
+        // and no segments.
         let mut bytes = format::encode_set(&extrap_trace::TraceSet { threads: vec![] });
-        bytes[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[6..10].copy_from_slice(&(format::MAX_THREADS as u32).to_le_bytes());
         let whole = format::decode_set(&bytes).unwrap_err();
         let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
-        assert_eq!(stream.n_threads(), u32::MAX as usize);
+        assert_eq!(stream.n_threads(), format::MAX_THREADS);
         let streamed = compile_set_stream(&mut stream).unwrap_err();
         assert_eq!(streamed.to_string(), whole.to_string());
         assert_eq!(
             streamed.to_string(),
             "malformed trace: truncated while reading thread id"
         );
+        // Past the cap, both readers refuse the header itself.
+        bytes[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+        let whole = format::decode_set(&bytes).unwrap_err();
+        let streamed = SetStream::new(SliceSource(&bytes)).err().unwrap();
+        assert_eq!(streamed.to_string(), whole.to_string());
+        assert!(whole.to_string().contains("4294967295 threads"), "{whole}");
     }
 }

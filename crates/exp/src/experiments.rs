@@ -6,8 +6,8 @@
 
 use crate::series::Series;
 use extrap_core::{
-    machine, parallel_map, sweep, CachedTrace, CompiledProgram, ExtrapError, Prediction,
-    RecordMode, ServicePolicy, SharedTraceCache, SimParams, SimStrategy, SizeMode, SweepJob,
+    machine, parallel_map, sweep, CachedTrace, ExtrapError, Prediction, RecordMode, ServicePolicy,
+    SharedTraceCache, SimParams, SimStrategy, SizeMode, SweepJob,
 };
 use extrap_trace::{translate, TraceError, TraceSet};
 use extrap_workloads::{matmul, Bench, Scale};
@@ -17,6 +17,11 @@ use std::sync::Arc;
 /// The processor counts of every scaling experiment ("1, 2, 4, 8, 16,
 /// and 32 processors").
 pub const PROCS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
+/// The thread counts of the opt-in `scale` target: far past the paper's
+/// 32 processors, where a one-processor capture saves the most against
+/// a real run.
+pub const SCALE_PROCS: [usize; 2] = [256, 1024];
 
 /// A harness failure, carrying the `(bench, n, params)` coordinates of
 /// the failing job so figure-sized grids do not reduce to an anonymous
@@ -732,7 +737,7 @@ pub fn multithread_sweep(h: &Harness, bench: Bench) -> Result<Vec<Series>, ExpEr
 }
 
 /// One row of the representative-strategy validation table: the same
-/// benchmark swept over [`PROCS`] under `Strategy = exact` and
+/// benchmark swept over a processor list under `Strategy = exact` and
 /// `Strategy = repr` (defaults), compared prediction-by-prediction.
 #[derive(Clone, Debug)]
 pub struct ReprValidation {
@@ -741,7 +746,7 @@ pub struct ReprValidation {
     /// Whether every processor count fell back to exact simulation
     /// (no repetition to exploit — predictions are byte-identical).
     pub fell_back: bool,
-    /// Worst relative execution-time error vs exact across [`PROCS`].
+    /// Worst relative execution-time error vs exact across the sweep.
     pub max_time_err: f64,
     /// Whether ordering the processor counts by predicted speedup gives
     /// the same ranking under both strategies (curve shape preserved).
@@ -752,16 +757,16 @@ pub struct ReprValidation {
 }
 
 /// Error-vs-speedup validation of representative-region simulation: for
-/// each benchmark, sweep [`PROCS`] under both strategies and report the
+/// each benchmark, sweep `procs` under both strategies and report the
 /// metric error alongside the event-count reduction.  Pins strategies
 /// explicitly, so a [`Harness::with_strategy`] override cannot collapse
 /// the comparison.
-pub fn repr_validation(h: &Harness) -> Result<Vec<ReprValidation>, ExpError> {
+pub fn repr_validation(h: &Harness, procs: &[usize]) -> Result<Vec<ReprValidation>, ExpError> {
     let benches = Bench::all();
     let mut jobs = Vec::new();
     for strategy in [SimStrategy::Exact, SimStrategy::representative()] {
         for bench in benches {
-            for &n in PROCS.iter() {
+            for &n in procs {
                 let mut params = machine::default_distributed();
                 params.record_mode = RecordMode::MetricsOnly;
                 params.strategy = strategy;
@@ -778,11 +783,13 @@ pub fn repr_validation(h: &Harness) -> Result<Vec<ReprValidation>, ExpError> {
         .zip(&jobs)
         .map(|(r, job)| r.map_err(|e| ExpError::new(&e.key.0, e.key.1, &job.params, e.error)))
         .collect::<Result<_, _>>()?;
-    let (exact_all, repr_all) = preds.split_at(benches.len() * PROCS.len());
+    let (exact_all, repr_all) = preds.split_at(benches.len() * procs.len());
     let mut rows = Vec::new();
-    for (bi, bench) in benches.iter().enumerate() {
-        let exact = &exact_all[bi * PROCS.len()..(bi + 1) * PROCS.len()];
-        let repr = &repr_all[bi * PROCS.len()..(bi + 1) * PROCS.len()];
+    for (bench, (exact, repr)) in benches.iter().zip(
+        exact_all
+            .chunks(procs.len())
+            .zip(repr_all.chunks(procs.len())),
+    ) {
         let fell_back = exact
             .iter()
             .zip(repr)
@@ -872,27 +879,28 @@ pub struct BoundsTightness {
 }
 
 /// Static-bounds tightness across the full suite (the 7 registry
-/// benchmarks plus a matmul distribution — the paper's 8 codes) at 16
+/// benchmarks plus a matmul distribution — the paper's 8 codes) at `n`
 /// processors on the distributed-memory parameters: how much of the
 /// envelope `span <= T <= upper` the simulator actually uses.  Every
 /// row is itself a soundness check — a simulated time outside its
 /// envelope fails the run.
-pub fn bounds_tightness(h: &Harness) -> Result<Vec<BoundsTightness>, ExpError> {
+pub fn bounds_tightness(h: &Harness, n: usize) -> Result<Vec<BoundsTightness>, ExpError> {
     let mut params = machine::default_distributed();
     params.record_mode = RecordMode::MetricsOnly;
-    let n = 16usize;
     let mut keys: Vec<String> = Bench::all().iter().map(|b| b.name().to_string()).collect();
     keys.push(matmul_label(&matmul::nine_distributions()[0]));
     parallel_map(&keys, h.jobs, |_, key| {
-        let set = h
-            .translate_key(&(key.clone(), n))
-            .map_err(|e| ExpError::translation(key, n, e.into()))?;
-        let program =
-            CompiledProgram::compile(&set).map_err(|e| ExpError::translation(key, n, e.into()))?;
-        let analysis = extrap_analyze::analyze(&program, &params)
+        let key_n = (key.clone(), n);
+        let cached = h
+            .cache
+            .inner
+            .get_or_translate(key_n.clone(), || h.translate_key(&key_n))
+            .map_err(|e| ExpError::translation(key, n, e))?;
+        let program = cached.program();
+        let analysis = extrap_analyze::analyze(program, &params)
             .map_err(|u| ExpError::new(key, n, &params, ExtrapError::Params(u.to_string())))?;
         let sim = extrap_core::Extrapolator::new(params.clone())
-            .run(&program)
+            .run(program)
             .map_err(|e| ExpError::new(key, n, &params, e))?
             .exec_time();
         let (span, upper) = (analysis.span, analysis.upper);
@@ -920,14 +928,20 @@ pub fn bounds_tightness(h: &Harness) -> Result<Vec<BoundsTightness>, ExpError> {
     .collect()
 }
 
-/// Renders the [`bounds_tightness`] rows as a fixed-width table.
+/// Renders the [`bounds_tightness`] rows as a fixed-width table; the
+/// `P` column widens past two digits only when a row needs it.
 pub fn render_bounds_tightness(rows: &[BoundsTightness]) -> String {
-    let mut out = String::from(
-        "workload      P    span (ms)     sim (ms)   upper (ms)   span/sim   sim/upper\n",
+    let w = rows
+        .iter()
+        .map(|r| r.n_procs.to_string().len())
+        .fold(2, usize::max);
+    let mut out = format!(
+        "{:<12} {:>w$}    span (ms)     sim (ms)   upper (ms)   span/sim   sim/upper\n",
+        "workload", "P"
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<12} {:>2}  {:>11.3}  {:>11.3}  {:>11.3}  {:>9.3}  {:>10.3}\n",
+            "{:<12} {:>w$}  {:>11.3}  {:>11.3}  {:>11.3}  {:>9.3}  {:>10.3}\n",
             r.bench,
             r.n_procs,
             r.span_ms,

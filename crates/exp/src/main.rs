@@ -4,7 +4,7 @@
 //! ```text
 //! extrap-exp [--scale tiny|small|paper] [--jobs N] [--out DIR] \
 //!            [--strategy exact|repr[:K[:TOL]]] \
-//!            [table1|table2|table3|fig4|...|fig9|repr|bounds|all]
+//!            [table1|table2|table3|fig4|...|fig9|repr|bounds|scale|all]
 //! ```
 //!
 //! `--jobs N` sets the sweep worker count (default: all available
@@ -12,7 +12,9 @@
 //! produces byte-identical output.  `--strategy` forces the epoch
 //! coverage strategy (repr changes predictions within its tolerance);
 //! the opt-in `repr` target prints the exact-vs-representative
-//! validation table and ignores the flag.
+//! validation table and ignores the flag.  The opt-in `scale` target
+//! runs the bounds sandwich and the exact-vs-repr check at 256 and 1024
+//! threads.
 
 use extrap_core::SimStrategy;
 use extrap_exp::experiments::{self, fig9_ranking, ExpError, Harness};
@@ -72,7 +74,11 @@ fn main() {
                 println!(
                     "usage: extrap-exp [--scale tiny|small|paper] [--jobs N] [--out DIR] \
                      [--strategy exact|repr[:K[:TOL]]] \
-                     [table1|table2|table3|fig4|fig5|fig6|fig7|fig8|fig9|repr|bounds|all]..."
+                     [table1|table2|table3|fig4|fig5|fig6|fig7|fig8|fig9|repr|bounds|scale|all]...\n\n\
+                     `all` runs the tables and figures; repr, bounds and scale are opt-in:\n  \
+                     repr    exact vs representative-region simulation over P = 1..32\n  \
+                     bounds  simulated time inside its static [span, upper] envelope at P = 16\n  \
+                     scale   both checks at P = 256 and 1024 threads"
                 );
                 return;
             }
@@ -276,15 +282,29 @@ fn run(h: &Harness, targets: &[String], out_dir: &Option<PathBuf>) -> Result<(),
         }
     }
     if targets.iter().any(|t| t == "repr") {
-        let rows = experiments::repr_validation(h)?;
+        let rows = experiments::repr_validation(h, &experiments::PROCS)?;
         println!("## Representative-region validation — exact vs repr over P = 1..32");
         print!("{}", experiments::render_repr_validation(&rows));
         println!();
     }
     if targets.iter().any(|t| t == "bounds") {
-        let rows = experiments::bounds_tightness(h)?;
+        let rows = experiments::bounds_tightness(h, 16)?;
         println!("## Static-bounds tightness — simulated time inside [span, upper] at P = 16");
         print!("{}", experiments::render_bounds_tightness(&rows));
+        println!();
+    }
+    if targets.iter().any(|t| t == "scale") {
+        let procs = experiments::SCALE_PROCS.map(|n| n.to_string()).join(", ");
+        let mut rows = Vec::new();
+        for n in experiments::SCALE_PROCS {
+            rows.extend(experiments::bounds_tightness(h, n)?);
+        }
+        println!("## Scale — simulated time inside [span, upper] at P = {procs}");
+        print!("{}", experiments::render_bounds_tightness(&rows));
+        println!();
+        let rows = experiments::repr_validation(h, &experiments::SCALE_PROCS)?;
+        println!("## Scale — exact vs repr over P = {procs}");
+        print!("{}", experiments::render_repr_validation(&rows));
         println!();
     }
     if want("fig9") {

@@ -1,11 +1,13 @@
 //! The non-preemptive run-token scheduler.
 //!
 //! All program threads exist as OS threads, but a single *turn* token
-//! decides which one executes; every other thread is parked on a condition
-//! variable.  The token moves only at the pC++ scheduling points — program
-//! start, barrier entry, barrier release, and thread completion — so the
-//! execution is exactly the "n-thread program on a single processor using
-//! a non-preemptive threads package" of §3.2, and fully deterministic.
+//! decides which one executes; every other thread is parked on its own
+//! condition variable.  The token moves only at the pC++ scheduling
+//! points — program start, barrier entry, barrier release, and thread
+//! completion — so the execution is exactly the "n-thread program on a
+//! single processor using a non-preemptive threads package" of §3.2, and
+//! fully deterministic.  A handoff wakes exactly the thread that receives
+//! the token, so a phase of `n` threads costs O(n) wakeups.
 
 use crate::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,7 +27,8 @@ struct State {
 pub struct Scheduler {
     n: usize,
     state: Mutex<State>,
-    cv: Condvar,
+    /// `cvs[i]` parks thread `i`; only a handoff to `i` notifies it.
+    cvs: Box<[Condvar]>,
     poisoned: AtomicBool,
 }
 
@@ -41,7 +44,7 @@ impl Scheduler {
                 arrived: 0,
                 gen: 0,
             }),
-            cv: Condvar::new(),
+            cvs: (0..n).map(|_| Condvar::new()).collect(),
             poisoned: AtomicBool::new(false),
         }
     }
@@ -58,19 +61,23 @@ impl Scheduler {
     }
 
     /// Marks the run as failed and wakes every parked thread so it can
-    /// unwind.
+    /// unwind.  The panicking thread holds the turn, so every woken
+    /// waiter's predicate fails and it reaches the check at the top of its
+    /// loop — as does a thread that first parks after the poison.
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Relaxed);
         let _guard = self.state.lock();
-        self.cv.notify_all();
+        for cv in self.cvs.iter() {
+            cv.notify_all();
+        }
     }
 
     /// Blocks until it is thread `i`'s turn for the first time.
     pub fn wait_first_turn(&self, i: usize) {
         let mut st = self.state.lock();
         while st.turn != i {
-            self.cv.wait(&mut st);
             self.check_poison();
+            self.cvs[i].wait(&mut st);
         }
     }
 
@@ -88,10 +95,10 @@ impl Scheduler {
         } else {
             st.turn = i + 1;
         }
-        self.cv.notify_all();
+        self.cvs[st.turn].notify_one();
         while !(st.gen > entered_gen && st.turn == i) {
-            self.cv.wait(&mut st);
             self.check_poison();
+            self.cvs[i].wait(&mut st);
         }
     }
 
@@ -100,7 +107,9 @@ impl Scheduler {
         let mut st = self.state.lock();
         debug_assert_eq!(st.turn, i, "thread finished out of turn");
         st.turn = i + 1;
-        self.cv.notify_all();
+        if st.turn < self.n {
+            self.cvs[st.turn].notify_one();
+        }
     }
 }
 
@@ -150,6 +159,43 @@ mod tests {
     #[test]
     fn many_threads_many_phases_are_deterministic() {
         assert_eq!(run_order(8, 5), run_order(8, 5));
+    }
+
+    #[test]
+    fn hundreds_of_threads_serialize_in_id_order() {
+        // A handoff that woke every parked thread would make this take
+        // seconds instead of milliseconds.
+        let (n, phases) = (256, 8);
+        let expected: Vec<(usize, usize)> = (0..=phases)
+            .flat_map(|ph| (0..n).map(move |t| (t, ph)))
+            .collect();
+        assert_eq!(run_order(n, phases), expected);
+    }
+
+    /// Runs 64 threads through `Program::run` where thread 17 panics in
+    /// phase `bad_phase`; returns whether the run re-raised the panic.
+    fn run_panicking_at(bad_phase: usize) -> bool {
+        std::panic::catch_unwind(|| {
+            crate::Program::new(64).run(|ctx| {
+                for ph in 0..6 {
+                    if ctx.id().index() == 17 && ph == bad_phase {
+                        panic!("thread 17 fails in phase {ph}");
+                    }
+                    ctx.barrier();
+                }
+            })
+        })
+        .is_err()
+    }
+
+    #[test]
+    fn poison_reaches_every_parked_thread() {
+        // Phase 3: threads 0..17 are parked in the next barrier and
+        // 18..64 wait for their turn in the current one.
+        assert!(run_panicking_at(3));
+        // Phase 0: threads 0..17 are parked in `barrier`, the rest in
+        // (or still on their way to) `wait_first_turn`.
+        assert!(run_panicking_at(0));
     }
 
     #[test]

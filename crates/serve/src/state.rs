@@ -615,10 +615,11 @@ impl Session {
         if spec.benches.is_empty() {
             return err(ErrorCode::BadRequest, "sweep needs at least one benchmark");
         }
-        if spec.procs.is_empty() || spec.procs.contains(&0) {
+        let max = extrap_trace::format::MAX_THREADS;
+        if spec.procs.is_empty() || spec.procs.iter().any(|&p| p == 0 || p as usize > max) {
             return err(
                 ErrorCode::BadRequest,
-                "sweep needs a non-empty list of positive processor counts",
+                format!("sweep needs a non-empty list of processor counts in 1..={max}"),
             );
         }
         let mut benches = Vec::with_capacity(spec.benches.len());

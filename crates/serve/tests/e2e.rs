@@ -152,6 +152,17 @@ fn bad_requests_are_rejected_with_typed_errors() {
         }
     ));
 
+    // Thread counts past the capture cap are refused at admission, before
+    // any worker starts a capture.
+    let over = extrap_trace::format::MAX_THREADS as u32 + 1;
+    for procs in [&[][..], &[0], &[4, over]] {
+        let e = client.sweep(spec(&["sort"], procs, "tiny")).unwrap_err();
+        assert!(
+            matches!(e, ClientError::Server { code: ErrorCode::BadRequest, ref detail } if detail.contains("processor counts")),
+            "{procs:?}: got {e:?}"
+        );
+    }
+
     let e = client.simulate(extrap_proto::TraceId(999), "").unwrap_err();
     assert!(matches!(
         e,

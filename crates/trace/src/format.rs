@@ -29,6 +29,10 @@ pub const PROGRAM_MAGIC: &[u8; 4] = b"XTRP";
 pub const SET_MAGIC: &[u8; 4] = b"XTPS";
 /// Current format version.
 pub const VERSION: u16 = 1;
+/// The most threads a trace may declare, so every reader can reject a
+/// forged header before allocating per declared thread.  One-processor
+/// capture is still practical at this size.
+pub const MAX_THREADS: usize = 4096;
 
 const KIND_BEGIN: u8 = 0;
 const KIND_END: u8 = 1;
@@ -167,7 +171,7 @@ pub fn decode_program(data: &[u8]) -> Result<ProgramTrace, TraceError> {
 /// violation.
 pub fn decode_program_raw(mut data: &[u8]) -> Result<ProgramTrace, TraceError> {
     check_header(&mut data, PROGRAM_MAGIC)?;
-    let n_threads = get_u32(&mut data, "thread count")? as usize;
+    let n_threads = get_thread_count(&mut data)?;
     let n_records = get_u64(&mut data, "record count")? as usize;
     let mut records = Vec::with_capacity(n_records.min(1 << 20));
     for _ in 0..n_records {
@@ -209,7 +213,7 @@ pub fn decode_set(data: &[u8]) -> Result<TraceSet, TraceError> {
 /// [`decode_program_raw`] counterpart for translated traces).
 pub fn decode_set_raw(mut data: &[u8]) -> Result<TraceSet, TraceError> {
     check_header(&mut data, SET_MAGIC)?;
-    let n_threads = get_u32(&mut data, "thread count")? as usize;
+    let n_threads = get_thread_count(&mut data)?;
     let mut threads = Vec::with_capacity(n_threads.min(1 << 16));
     for _ in 0..n_threads {
         let thread = ThreadId(get_u32(&mut data, "thread id")?);
@@ -248,6 +252,17 @@ pub(crate) fn check_header(data: &mut &[u8], magic: &[u8; 4]) -> Result<(), Trac
     Ok(())
 }
 
+/// Reads a header's thread count and checks it against [`MAX_THREADS`].
+pub(crate) fn get_thread_count(buf: &mut impl Buf) -> Result<usize, TraceError> {
+    let n = get_u32(buf, "thread count")? as usize;
+    if n > MAX_THREADS {
+        return Err(TraceError::Format {
+            detail: format!("header declares {n} threads, more than the {MAX_THREADS} supported"),
+        });
+    }
+    Ok(n)
+}
+
 pub(crate) fn get_u32(buf: &mut impl Buf, what: &str) -> Result<u32, TraceError> {
     if buf.remaining() < 4 {
         return Err(truncated(what));
@@ -269,7 +284,7 @@ fn truncated(what: &str) -> TraceError {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::builder::PhaseProgram;
     use crate::translate::{translate, TranslateOptions};
@@ -288,6 +303,36 @@ mod tests {
         let bytes = encode_program(&pt);
         let back = decode_program(&bytes).unwrap();
         assert_eq!(pt, back);
+    }
+
+    /// A header declaring `n` threads and no records (program layout) or
+    /// no segments (set layout, truncated after the count).
+    pub(crate) fn forged_header(magic: &[u8; 4], n: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_slice(magic);
+        buf.put_u16_le(VERSION);
+        buf.put_u32_le(n);
+        if magic == PROGRAM_MAGIC {
+            buf.put_u64_le(0);
+        }
+        buf
+    }
+
+    #[test]
+    fn thread_count_above_the_cap_is_rejected() {
+        let at_cap = decode_program_raw(&forged_header(PROGRAM_MAGIC, MAX_THREADS as u32));
+        assert_eq!(at_cap.unwrap().n_threads, MAX_THREADS);
+        let over = MAX_THREADS as u32 + 1;
+        for err in [
+            decode_program_raw(&forged_header(PROGRAM_MAGIC, over)).unwrap_err(),
+            decode_set_raw(&forged_header(SET_MAGIC, over)).unwrap_err(),
+            decode_set_raw(&forged_header(SET_MAGIC, u32::MAX)).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, TraceError::Format { detail } if detail.contains("threads")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

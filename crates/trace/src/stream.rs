@@ -272,7 +272,7 @@ impl<S: ChunkSource> ProgramStream<S> {
         let mut cur = feed.available();
         let before = cur.remaining();
         format::check_header(&mut cur, format::PROGRAM_MAGIC)?;
-        let n_threads = format::get_u32(&mut cur, "thread count")? as usize;
+        let n_threads = format::get_thread_count(&mut cur)?;
         let n_records = format::get_u64(&mut cur, "record count")?;
         let used = before - cur.remaining();
         feed.consume(used);
@@ -427,7 +427,7 @@ impl<S: ChunkSource> SetStream<S> {
         let mut cur = feed.available();
         let before = cur.remaining();
         format::check_header(&mut cur, format::SET_MAGIC)?;
-        let n_threads = format::get_u32(&mut cur, "thread count")? as usize;
+        let n_threads = format::get_thread_count(&mut cur)?;
         let used = before - cur.remaining();
         feed.consume(used);
         Ok(SetStream {
@@ -888,6 +888,21 @@ mod tests {
             let back = s.read_to_end().unwrap();
             assert_eq!(back, ts);
         }
+    }
+
+    #[test]
+    fn stream_headers_reject_thread_counts_above_the_cap() {
+        use crate::format::tests::forged_header;
+        let over = format::MAX_THREADS as u32 + 1;
+        let bytes = forged_header(format::PROGRAM_MAGIC, over);
+        let err = ProgramStream::new(SliceSource(&bytes)).err().unwrap();
+        assert!(matches!(err, TraceError::Format { .. }), "{err}");
+        let bytes = forged_header(format::SET_MAGIC, over);
+        let err = SetStream::new(SliceSource(&bytes)).err().unwrap();
+        assert!(matches!(err, TraceError::Format { .. }), "{err}");
+        let at_cap = forged_header(format::PROGRAM_MAGIC, format::MAX_THREADS as u32);
+        let s = ProgramStream::new(SliceSource(&at_cap)).unwrap();
+        assert_eq!(s.n_threads(), format::MAX_THREADS);
     }
 
     #[test]

@@ -119,15 +119,18 @@ impl Bench {
                 .0
             }
             Bench::Grid => {
-                let (size, iters) = match scale {
+                let (size, iters): (usize, usize) = match scale {
                     Scale::Tiny => (80, 10),
                     Scale::Small => (80, 40),
                     Scale::Paper => (160, 100),
                 };
+                // Grid needs a size divisible by the thread grid's side;
+                // rounding up leaves every size that already divides alone.
+                let side = pcpp_rt::distribution::isqrt(n_threads);
                 grid::run(
                     n_threads,
                     &grid::GridConfig {
-                        size,
+                        size: size.next_multiple_of(side),
                         iters,
                         fused: true,
                     },
@@ -203,6 +206,14 @@ mod tests {
         assert_eq!(Bench::all().len(), 7);
         assert_eq!(Bench::Embar.name(), "Embar");
         assert!(Bench::Sparse.description().contains("conjugate gradient"));
+    }
+
+    #[test]
+    fn grid_traces_at_any_thread_count() {
+        // 1024 threads form a 32x32 grid, which 80 does not divide; the
+        // size rounds up to 96 instead of panicking.
+        let trace = Bench::Grid.trace(1024, Scale::Tiny);
+        assert_eq!(trace.n_threads, 1024);
     }
 
     #[test]

@@ -103,3 +103,43 @@ fn extrapolated_times_are_pinned_for_the_cm5() {
         .exec_time();
     assert_eq!(b.as_ns(), expected);
 }
+
+/// 64-bit FNV-1a over the encoded trace bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn capture_digest(bench: Bench, n: usize) -> u64 {
+    fnv1a(&extrap_trace::format::encode_program(
+        &bench.trace(n, Scale::Tiny),
+    ))
+}
+
+#[test]
+fn captured_bytes_are_pinned() {
+    // The turn order of the non-preemptive scheduler fixes every
+    // captured byte; these digests were taken with the original
+    // shared-condvar handoff and must never be re-blessed.
+    let pins: [(Bench, usize, u64); 10] = [
+        (Bench::Embar, 64, 0x619c_652a_cbff_ccb0),
+        (Bench::Cyclic, 64, 0xc765_0cc7_695d_e9aa),
+        (Bench::Sparse, 64, 0xf2a6_51d5_9805_dab8),
+        (Bench::Grid, 64, 0x89a1_d17d_01f7_227b),
+        (Bench::Mgrid, 64, 0x3291_cc27_7d6b_f809),
+        (Bench::Poisson, 64, 0xe664_c957_68fd_903f),
+        (Bench::Sort, 64, 0x3298_699f_2b54_aae6),
+        (Bench::Sort, 256, 0x1888_0fee_2887_4914),
+        (Bench::Mgrid, 256, 0xef2c_389f_e847_3c66),
+        (Bench::Sparse, 256, 0xc125_316e_6b09_495b),
+    ];
+    let moved: Vec<String> = pins
+        .iter()
+        .filter_map(|&(bench, n, want)| {
+            let got = capture_digest(bench, n);
+            (got != want).then(|| format!("{} at {n} threads: {got:#018x}", bench.name()))
+        })
+        .collect();
+    assert!(moved.is_empty(), "captured bytes moved: {moved:?}");
+}
