@@ -418,6 +418,29 @@ fn lint_flags_corruption_and_exits_nonzero() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `lint` and `simulate --params` judge a params file by the same rule
+/// list: every file `simulate` refuses, `lint` flags as `E008`.
+#[test]
+fn lint_flags_every_params_rule_simulate_enforces() {
+    let dir = tmpdir("lint-repr");
+    for (strategy, message) in [
+        ("repr:0", "representative max_clusters must be >= 1"),
+        (
+            "repr:4:-1",
+            "representative tolerance must be non-negative, got -1",
+        ),
+    ] {
+        let cfg = dir.join("repr.cfg");
+        std::fs::write(&cfg, format!("Strategy = {strategy}\n")).unwrap();
+        let out = extrap(&["lint", cfg.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{strategy}: {out:?}");
+        let text = stdout(&out);
+        assert_eq!(text.matches("error[E008]").count(), 1, "{strategy}: {text}");
+        assert!(text.contains(message), "{strategy}: {text}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn lint_codes_listing() {
     let out = extrap(&["lint", "--codes"]);

@@ -62,5 +62,5 @@ pub use session::{Extrapolator, RunInput};
 pub use streaming::{compile_program_stream, compile_set_stream};
 pub use sweep::{
     claim_chunk, parallel_map, parallel_map_with, sweep, sweep_cancellable, CachedTrace,
-    CancelToken, SharedTraceCache, SweepError, SweepGrid, SweepJob, TraceValidator,
+    CancelToken, SharedTraceCache, SweepError, SweepGrid, SweepJob,
 };

@@ -397,22 +397,31 @@ impl Default for SimParams {
 }
 
 impl SimParams {
-    /// Validates ranges (positive ratios, nonzero poll interval, ...).
-    pub fn validate(&self) -> Result<(), String> {
+    /// Every range rule this parameter set breaks, in a fixed order —
+    /// the one statement of what a valid parameter set is.
+    /// [`validate`](SimParams::validate) reports the first; `extrap lint`
+    /// reports each as an `E008`.
+    pub fn violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
         if !(self.mips_ratio.is_finite() && self.mips_ratio > 0.0) {
-            return Err(format!(
-                "MipsRatio must be positive, got {}",
+            out.push(format!(
+                "MipsRatio must be positive and finite, got {}",
                 self.mips_ratio
             ));
         }
         if let ServicePolicy::Poll { interval } = self.policy {
             if interval.is_zero() {
-                return Err("poll interval must be nonzero".to_string());
+                out.push("poll interval must be nonzero".to_string());
             }
         }
         if let BarrierAlgorithm::Tree { arity } = self.barrier.algorithm {
             if arity < 2 {
-                return Err(format!("tree barrier arity must be >= 2, got {arity}"));
+                out.push(format!("tree barrier arity must be >= 2, got {arity}"));
+            }
+        }
+        if let Topology::FatTree { arity } = self.network.topology {
+            if arity < 2 {
+                out.push(format!("fat-tree topology arity must be >= 2, got {arity}"));
             }
         }
         if let SimStrategy::Representative {
@@ -421,19 +430,33 @@ impl SimParams {
         } = self.strategy
         {
             if max_clusters == 0 {
-                return Err("representative max_clusters must be >= 1".to_string());
+                out.push("representative max_clusters must be >= 1".to_string());
             }
             if !(tolerance.is_finite() && tolerance >= 0.0) {
-                return Err(format!(
+                out.push(format!(
                     "representative tolerance must be non-negative, got {tolerance}"
                 ));
             }
         }
-        if self.network.contention.alpha < 0.0 || !self.network.contention.alpha.is_finite() {
-            return Err("contention alpha must be non-negative".to_string());
+        let alpha = self.network.contention.alpha;
+        if !(alpha.is_finite() && alpha >= 0.0) {
+            out.push(format!(
+                "ContentionAlpha must be non-negative and finite, got {alpha}"
+            ));
         }
-        self.multithread.validate()?;
-        Ok(())
+        if let Err(detail) = self.multithread.validate() {
+            out.push(detail);
+        }
+        out
+    }
+
+    /// Validates ranges: `Err` with the first of
+    /// [`violations`](SimParams::violations).
+    pub fn validate(&self) -> Result<(), String> {
+        match self.violations().into_iter().next() {
+            Some(first) => Err(first),
+            None => Ok(()),
+        }
     }
 
     /// Serializes to the `key = value` config text form.

@@ -13,9 +13,9 @@
 //!   compiled program out, translation fused in ([`EpochTranslator`]
 //!   feeding an [`IncrementalCompiler`]); nothing intermediate is held.
 //! * [`compile_set_stream`] — already-translated set (`XTPS`) in,
-//!   compiled program out, enforcing exactly the invariants
-//!   `TraceSet::validate` enforces (and in the same order, so a corrupt
-//!   file reports the same first error either way).
+//!   compiled program out, checked by the same [`SetCheck`] machine
+//!   `TraceSet::validate` drives (so a corrupt file reports the same
+//!   first error either way).
 //!
 //! Both produce programs byte-identical to the whole-trace path by
 //! construction: the per-record fold is shared (see
@@ -25,9 +25,8 @@
 //! [`EpochTranslator`]: extrap_trace::EpochTranslator
 
 use crate::processor::{CompiledProgram, IncrementalCompiler};
-use extrap_time::{BarrierId, ThreadId, TimeNs};
 use extrap_trace::stream::{ChunkSource, ProgramStream, SetChunk, SetStream};
-use extrap_trace::{translate_stream, EventKind, TraceError, TranslateOptions, TranslateStats};
+use extrap_trace::{translate_stream, SetCheck, TraceError, TranslateOptions, TranslateStats};
 
 /// Translates and compiles a raw program-trace stream in one pass.
 ///
@@ -49,100 +48,48 @@ pub fn compile_program_stream<S: ChunkSource>(
 /// Compiles an already-translated trace-set stream in one pass.
 ///
 /// Equivalent to [`CompiledProgram::compile`] on the fully decoded set:
-/// the structural invariants (`TraceSet::validate`) are enforced
-/// record-by-record in the same order, so an invalid file fails with
-/// the identical first error, and a valid one compiles to the identical
-/// program.  Per-thread state grows one segment at a time, so a header
-/// that declares more threads than the file holds costs nothing before
-/// the stream reports the truncation.
+/// the set's invariants are checked record-by-record by the same
+/// [`SetCheck`] machine `TraceSet::validate` drives, so an invalid file
+/// fails with the identical first error, and a valid one compiles to
+/// the identical program.  Per-thread state grows one segment at a
+/// time, so a header that declares more threads than the file holds
+/// costs nothing before the stream reports the truncation.
 pub fn compile_set_stream<S: ChunkSource>(
     stream: &mut SetStream<S>,
 ) -> Result<CompiledProgram, TraceError> {
     let mut compiler = IncrementalCompiler::new(0);
-    // `TraceSet::validate` state, maintained streamingly: thread 0's
-    // barrier sequence is the reference every later segment is compared
-    // against when it ends.
-    let mut reference: Vec<BarrierId> = Vec::new();
-    let mut seq: Vec<BarrierId> = Vec::new();
-    let mut segment: Option<(usize, ThreadId)> = None;
-    let mut prev = TimeNs::ZERO;
-    let mut rec_idx = 0usize;
-    loop {
-        match stream.next_chunk()? {
-            None => break,
-            Some(SetChunk::Thread {
-                position, thread, ..
-            }) => {
-                end_segment(&mut segment, &mut reference, &mut seq)?;
-                if thread.index() != position {
-                    return Err(TraceError::MisplacedThread { position, thread });
-                }
+    let mut check = SetCheck::default();
+    let mut position = 0;
+    while let Some(chunk) = stream.next_chunk()? {
+        match chunk {
+            SetChunk::Thread {
+                position: p,
+                thread,
+                ..
+            } => {
+                check.begin_thread(p, thread)?;
                 compiler.push_thread();
-                segment = Some((position, thread));
-                prev = TimeNs::ZERO;
-                rec_idx = 0;
+                position = p;
             }
-            Some(SetChunk::Records(recs)) => {
-                let Some((position, thread)) = segment else {
-                    return Err(TraceError::Format {
-                        detail: "records before any segment header".to_string(),
-                    });
-                };
+            SetChunk::Records(recs) => {
                 for rec in recs {
-                    if rec.time < prev {
-                        return Err(TraceError::ThreadTimeRegression {
-                            thread,
-                            record: rec_idx,
-                        });
-                    }
-                    prev = rec.time;
-                    if rec.thread != thread {
-                        return Err(TraceError::MisplacedThread {
-                            position,
-                            thread: rec.thread,
-                        });
-                    }
-                    if let EventKind::BarrierEnter { barrier } = rec.kind {
-                        seq.push(barrier);
-                    }
+                    check.record(rec)?;
                     compiler.emit_record(position, rec)?;
-                    rec_idx += 1;
                 }
             }
         }
     }
-    end_segment(&mut segment, &mut reference, &mut seq)?;
+    check.finish()?;
     Ok(compiler.finish())
-}
-
-/// Closes out the current segment: thread 0's barrier sequence becomes
-/// the reference, every later thread's must match it.
-fn end_segment(
-    segment: &mut Option<(usize, ThreadId)>,
-    reference: &mut Vec<BarrierId>,
-    seq: &mut Vec<BarrierId>,
-) -> Result<(), TraceError> {
-    let Some((position, thread)) = segment.take() else {
-        return Ok(());
-    };
-    if position == 0 {
-        *reference = std::mem::take(seq);
-    } else if seq != reference {
-        return Err(TraceError::BarrierMismatch {
-            thread,
-            reference: ThreadId(0),
-        });
-    }
-    seq.clear();
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extrap_time::DurationNs;
+    use extrap_time::{BarrierId, DurationNs, ThreadId, TimeNs};
+    use extrap_trace::reader::read_set_file;
     use extrap_trace::stream::SliceSource;
-    use extrap_trace::{format, translate, PhaseProgram, PhaseWork};
+    use extrap_trace::{format, translate, EventKind, PhaseProgram, PhaseWork, TraceSet};
 
     fn skewed_program(phases: usize) -> extrap_trace::ProgramTrace {
         let mut p = PhaseProgram::new(3);
@@ -215,22 +162,106 @@ mod tests {
         );
     }
 
-    #[test]
-    fn set_stream_rejects_what_validate_rejects() {
-        let pt = skewed_program(2);
-        let mut set = translate(&pt, TranslateOptions::default()).unwrap();
-        // Corrupt thread 2's barrier sequence.
-        for rec in &mut set.threads[2].records {
+    fn shift_barriers(set: &mut TraceSet, t: usize) {
+        for rec in &mut set.threads[t].records {
             if let EventKind::BarrierEnter { barrier } = &mut rec.kind {
                 *barrier = BarrierId(barrier.0 + 7);
             }
         }
-        let whole = CompiledProgram::compile(&set).unwrap_err();
-        let bytes = format::encode_set(&set);
-        let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
-        let streamed = compile_set_stream(&mut stream).unwrap_err();
-        assert_eq!(whole.to_string(), streamed.to_string());
-        assert!(matches!(streamed, TraceError::BarrierMismatch { .. }));
+    }
+
+    fn regress_last(set: &mut TraceSet, t: usize) {
+        let last = set.threads[t].records.last_mut().unwrap();
+        last.time = TimeNs(0);
+    }
+
+    /// Every set-level `TraceError`, plus two sets carrying two
+    /// corruptions each (the earlier one in file order wins), through
+    /// every set reader.  The expected strings are the ones these
+    /// readers printed when each still held its own copy of the checks.
+    #[test]
+    fn set_errors_agree_across_every_set_reader() {
+        const MISMATCH_T1: &str = "T1 passes a different barrier sequence than thread 0 \
+                                   (program is not deterministically data-parallel)";
+        type Corrupt = fn(&mut TraceSet);
+        let cases: [(&str, Corrupt, &str); 7] = [
+            (
+                "misplaced position",
+                |s| s.threads[1].thread = ThreadId(2),
+                "trace at position 1 contains records of T2",
+            ),
+            (
+                "foreign record thread",
+                |s| s.threads[1].records[2].thread = ThreadId(0),
+                "trace at position 1 contains records of T0",
+            ),
+            (
+                "per-thread clock regression",
+                |s| regress_last(s, 2),
+                "timestamp regression in T2 at record 5",
+            ),
+            (
+                "barrier mismatch",
+                |s| shift_barriers(s, 2),
+                "T2 passes a different barrier sequence than thread 0 \
+                 (program is not deterministically data-parallel)",
+            ),
+            (
+                "missing barrier",
+                |s| {
+                    let recs = &mut s.threads[1].records;
+                    let enter = recs
+                        .iter()
+                        .position(|r| matches!(r.kind, EventKind::BarrierEnter { .. }))
+                        .unwrap();
+                    recs.remove(enter);
+                },
+                MISMATCH_T1,
+            ),
+            (
+                "regression before mismatch",
+                |s| {
+                    shift_barriers(s, 1);
+                    regress_last(s, 1);
+                },
+                "timestamp regression in T1 at record 5",
+            ),
+            (
+                "mismatch before later misplacement",
+                |s| {
+                    shift_barriers(s, 1);
+                    s.threads[2].thread = ThreadId(0);
+                },
+                MISMATCH_T1,
+            ),
+        ];
+        let dir = std::env::temp_dir().join(format!("extrap-set-parity-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, (name, corrupt, expected)) in cases.into_iter().enumerate() {
+            let mut set = translate(&skewed_program(2), TranslateOptions::default()).unwrap();
+            corrupt(&mut set);
+            let bytes = format::encode_set(&set);
+            let path = dir.join(format!("case{i}.xtps"));
+            std::fs::write(&path, &bytes).unwrap();
+            let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
+            let errors = [
+                set.validate().unwrap_err(),
+                CompiledProgram::compile(&set).unwrap_err(),
+                compile_set_stream(&mut stream).unwrap_err(),
+                format::decode_set(&bytes).unwrap_err(),
+            ];
+            for e in &errors {
+                assert_eq!(e.to_string(), expected, "{name}");
+            }
+            let filed = read_set_file(&path).unwrap_err();
+            assert_eq!(
+                filed.to_string(),
+                format!("{}: {expected}", path.display()),
+                "{name}"
+            );
+            assert!(matches!(filed, TraceError::InFile { .. }), "{name}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -231,13 +231,6 @@ impl CacheSlot {
 
 type SlotRef = Arc<CacheSlot>;
 
-/// An opt-in validate-on-translate hook: runs over every freshly
-/// translated [`TraceSet`] before it is compiled and cached.  Returning
-/// `Err(detail)` fails the job (and every later job sharing the key)
-/// with [`TraceError::Validation`] instead of feeding a bad trace to the
-/// simulator.  `extrap-lint` provides the canonical implementation.
-pub type TraceValidator = Arc<dyn Fn(&TraceSet) -> Result<(), String> + Send + Sync>;
-
 /// A concurrent translate-once trace cache, shared by `&self`.
 ///
 /// Workers race for the same `(workload, n)` all the time — a Fig-4 grid
@@ -252,7 +245,6 @@ pub struct SharedTraceCache<K = (&'static str, usize)> {
     translations: AtomicUsize,
     evictions: AtomicUsize,
     clock: AtomicU64,
-    validator: Option<TraceValidator>,
 }
 
 impl<K: Eq + Hash + Clone> SharedTraceCache<K> {
@@ -263,26 +255,12 @@ impl<K: Eq + Hash + Clone> SharedTraceCache<K> {
             translations: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
-            validator: None,
         }
     }
 
-    /// Installs a validate-on-translate hook (see [`TraceValidator`]).
-    /// Every trace translated through this cache must pass the check
-    /// before it is compiled; sweeps over a failing key fail fast with
-    /// the hook's diagnostic instead of producing garbage metrics.
-    pub fn with_validator(
-        mut self,
-        validator: impl Fn(&TraceSet) -> Result<(), String> + Send + Sync + 'static,
-    ) -> Self {
-        self.validator = Some(Arc::new(validator));
-        self
-    }
-
     /// The compiled trace for `key`, building it on the first request
-    /// (all concurrent requesters share that one run): `translate`, the
-    /// [`TraceValidator`] hook if installed, then compilation.  The
-    /// translated set is dropped once compiled.
+    /// (all concurrent requesters share that one run): `translate`, then
+    /// compilation.  The translated set is dropped once compiled.
     pub fn get_or_translate(
         &self,
         key: K,
@@ -296,13 +274,6 @@ impl<K: Eq + Hash + Clone> SharedTraceCache<K> {
         let outcome = slot.get_or_init(|| {
             self.translations.fetch_add(1, Ordering::Relaxed);
             translate()
-                .and_then(|ts| match &self.validator {
-                    Some(check) => match check(&ts) {
-                        Ok(()) => Ok(ts),
-                        Err(detail) => Err(TraceError::Validation { detail }),
-                    },
-                    None => Ok(ts),
-                })
                 .and_then(|ts| CompiledProgram::compile(&ts))
                 .map(|program| Arc::new(CachedTrace::new(program)))
                 .map_err(|e| e.to_string())
@@ -835,41 +806,6 @@ mod tests {
             calls.load(Ordering::Relaxed),
             1,
             "failures are memoized too"
-        );
-    }
-
-    #[test]
-    fn validator_rejects_and_memoizes() {
-        let cache: SharedTraceCache<u32> = SharedTraceCache::new().with_validator(|ts| {
-            if ts.n_threads() > 2 {
-                Err(format!("too many threads: {}", ts.n_threads()))
-            } else {
-                Ok(())
-            }
-        });
-        let calls = AtomicUsize::new(0);
-        assert!(cache
-            .get_or_translate(2, || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                uniform(2)
-            })
-            .is_ok());
-        for _ in 0..2 {
-            let err = cache
-                .get_or_translate(4, || {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    uniform(4)
-                })
-                .unwrap_err();
-            assert!(
-                err.to_string().contains("too many threads: 4"),
-                "got: {err}"
-            );
-        }
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            2,
-            "validator rejections are memoized like translation failures"
         );
     }
 

@@ -82,10 +82,11 @@ impl std::error::Error for ExpError {
 /// shared by `&self`; each `(workload, n)` translates exactly once even
 /// when every worker of a sweep demands it simultaneously.
 ///
-/// Every translation is gated by the `extrap-lint` validator: a workload
-/// whose translated trace is not lint-clean fails its jobs immediately
-/// with the rendered diagnostics instead of feeding a questionable trace
-/// to every figure that shares the cache entry.
+/// Every miss goes through one key resolver, which gates each
+/// translation on `extrap-lint`: a workload whose translated trace is
+/// not lint-clean fails its jobs immediately with the rendered
+/// diagnostics instead of feeding a questionable trace to every figure
+/// that shares the cache entry.
 pub struct TraceCache {
     inner: SharedTraceCache<(String, usize)>,
     scale: Scale,
@@ -95,7 +96,7 @@ impl TraceCache {
     /// A cache for one problem scale.
     pub fn new(scale: Scale) -> TraceCache {
         TraceCache {
-            inner: SharedTraceCache::new().with_validator(extrap_lint::validate_set),
+            inner: SharedTraceCache::new(),
             scale,
         }
     }
@@ -107,12 +108,43 @@ impl TraceCache {
 
     /// The translated-and-compiled trace of `bench` at `n` threads.
     pub fn get(&self, bench: Bench, n: usize) -> Result<Arc<CachedTrace>, ExpError> {
-        let scale = self.scale;
-        self.inner
-            .get_or_translate((bench.name().to_string(), n), || {
-                translate(&bench.trace(n, scale), Default::default())
-            })
+        self.get_key(&(bench.name().to_string(), n))
             .map_err(|e| ExpError::translation(bench.name(), n, e))
+    }
+
+    /// The compiled trace of a workload key, resolved on first request.
+    fn get_key(&self, key: &(String, usize)) -> Result<Arc<CachedTrace>, ExtrapError> {
+        self.inner
+            .get_or_translate(key.clone(), || self.resolve(key))
+    }
+
+    /// The cache's one miss path, shared by [`get`](Self::get) and every
+    /// sweep: translates the workload, then gates the set on
+    /// [`extrap_lint::validate_set`].  A rejection is memoized by the
+    /// key's single-flight slot like any other failure.  Benchmark names
+    /// come from [`Bench::all`]; `(R,C)`-style keys are matmul
+    /// distribution labels.
+    fn resolve(&self, key: &(String, usize)) -> Result<TraceSet, TraceError> {
+        let (name, n) = key;
+        let program = if let Some(bench) = Bench::all().into_iter().find(|b| b.name() == name) {
+            bench.trace(*n, self.scale)
+        } else if let Some(dist) = matmul::nine_distributions()
+            .into_iter()
+            .find(|d| matmul_label(d) == *name)
+        {
+            let cfg = matmul::MatmulConfig {
+                n: matmul_order(self.scale),
+                dist,
+            };
+            matmul::run(*n, &cfg).0
+        } else {
+            return Err(TraceError::Format {
+                detail: format!("unknown workload key {name:?}"),
+            });
+        };
+        let set = translate(&program, Default::default())?;
+        extrap_lint::validate_set(&set).map_err(|detail| TraceError::Validation { detail })?;
+        Ok(set)
     }
 
     /// How many translations have actually run (cache misses).
@@ -186,29 +218,6 @@ impl Harness {
         self.jobs
     }
 
-    /// Resolves a workload key to a fresh translated trace (the sweep
-    /// cache's miss path).  Benchmark names come from [`Bench::all`];
-    /// `(R,C)`-style keys are matmul distribution labels.
-    fn translate_key(&self, key: &(String, usize)) -> Result<TraceSet, TraceError> {
-        let (name, n) = key;
-        if let Some(bench) = Bench::all().into_iter().find(|b| b.name() == name.as_str()) {
-            return translate(&bench.trace(*n, self.cache.scale), Default::default());
-        }
-        if let Some(dist) = matmul::nine_distributions()
-            .into_iter()
-            .find(|d| matmul_label(d) == *name)
-        {
-            let cfg = matmul::MatmulConfig {
-                n: matmul_order(self.cache.scale),
-                dist,
-            };
-            return translate(&matmul::run(*n, &cfg).0, Default::default());
-        }
-        Err(TraceError::Format {
-            detail: format!("unknown workload key {name:?}"),
-        })
-    }
-
     /// Runs one sweep over explicit `(workload-key, params)` jobs.
     ///
     /// Figures only consume scalar metrics (times, speedups), so every
@@ -225,7 +234,7 @@ impl Harness {
             }
         }
         let results = sweep(&jobs, self.jobs, &self.cache.inner, |key| {
-            self.translate_key(key)
+            self.cache.resolve(key)
         });
         results
             .into_iter()
@@ -582,8 +591,7 @@ pub fn fig9(h: &Harness) -> Result<(Vec<Series>, Vec<Series>), ExpError> {
         parallel_map(&jobs, h.jobs, |_, job| {
             let traces = h
                 .cache
-                .inner
-                .get_or_translate(job.key.clone(), || h.translate_key(&job.key))
+                .get_key(&job.key)
                 .map_err(|e| ExpError::new(&job.key.0, job.key.1, &params, e))?;
             refmachine
                 .measure(traces.program())
@@ -777,7 +785,7 @@ pub fn repr_validation(h: &Harness, procs: &[usize]) -> Result<Vec<ReprValidatio
             }
         }
     }
-    let results = sweep(&jobs, h.jobs, &h.cache.inner, |key| h.translate_key(key));
+    let results = sweep(&jobs, h.jobs, &h.cache.inner, |key| h.cache.resolve(key));
     let preds: Vec<Prediction> = results
         .into_iter()
         .zip(&jobs)
@@ -890,11 +898,9 @@ pub fn bounds_tightness(h: &Harness, n: usize) -> Result<Vec<BoundsTightness>, E
     let mut keys: Vec<String> = Bench::all().iter().map(|b| b.name().to_string()).collect();
     keys.push(matmul_label(&matmul::nine_distributions()[0]));
     parallel_map(&keys, h.jobs, |_, key| {
-        let key_n = (key.clone(), n);
         let cached = h
             .cache
-            .inner
-            .get_or_translate(key_n.clone(), || h.translate_key(&key_n))
+            .get_key(&(key.clone(), n))
             .map_err(|e| ExpError::translation(key, n, e))?;
         let program = cached.program();
         let analysis = extrap_analyze::analyze(program, &params)
@@ -1021,15 +1027,34 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_key_resolves_once_and_fails_every_job_alike() {
+        let h = harness();
+        let key = ("no-such-workload".to_string(), 2);
+        let jobs: Vec<SweepJob<(String, usize)>> = (0..3)
+            .map(|_| SweepJob {
+                key: key.clone(),
+                params: SimParams::default(),
+            })
+            .collect();
+        let results = sweep(&jobs, h.jobs, &h.cache.inner, |k| h.cache.resolve(k));
+        let messages: Vec<String> = results
+            .iter()
+            .map(|r| r.as_ref().unwrap_err().error.to_string())
+            .collect();
+        assert!(messages[0].contains("unknown workload key"), "{messages:?}");
+        assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
+        assert!(h.cache().get_key(&key).is_err());
+        assert_eq!(h.cache().translations(), 1, "the failure is memoized");
+    }
+
+    #[test]
     fn every_bench_translation_is_lint_clean() {
-        // The cache's validator already rejects unclean traces, so a
-        // successful get() proves cleanliness; re-lint explicitly anyway
-        // so a regression reports the diagnostics instead of an Err.
+        // The cache's resolver already rejects traces with lint errors;
+        // re-lint its output so warnings fail too.
         let h = harness();
         for bench in Bench::all() {
             for n in [2, 4] {
-                h.cache().get(bench, n).unwrap();
-                let traces = h.translate_key(&(bench.name().to_string(), n)).unwrap();
+                let traces = h.cache().resolve(&(bench.name().to_string(), n)).unwrap();
                 let report = extrap_lint::lint_set(&traces);
                 assert!(
                     report.is_clean(),

@@ -255,10 +255,10 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// The outcome of a lint run: all diagnostics, in pass order.
+/// The outcome of a lint run: all diagnostics, in emission order.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Report {
-    /// Everything the passes found.
+    /// Everything the checks found.
     pub diagnostics: Vec<Diagnostic>,
 }
 

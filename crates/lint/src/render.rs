@@ -32,10 +32,10 @@ pub fn summary_line(report: &Report) -> String {
     }
 }
 
-/// A compact multi-line summary of the errors only — used by the
-/// validate-on-load hooks, whose rejection detail becomes the
+/// A compact summary of the errors only — the rejection detail of
+/// [`crate::validate_set`], which callers carry as the
 /// `TraceError::Validation` message.
-pub fn render_errors(report: &Report) -> String {
+pub(crate) fn render_errors(report: &Report) -> String {
     let lines: Vec<String> = report
         .diagnostics
         .iter()

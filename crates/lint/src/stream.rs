@@ -1,19 +1,19 @@
-//! Incremental lint machines: every trace pass as a state machine fed
+//! Incremental lint machines: every trace check as a state machine fed
 //! record-by-record, so multi-gigabyte traces lint in bounded memory.
 //!
-//! [`StreamLinter`] combines the two trace pass families:
+//! [`StreamLinter`] combines the two trace check families:
 //!
-//! * [`WellFormedStream`] — fully streaming well-formedness (`E001`,
+//! * `WellFormedStream` — fully streaming well-formedness (`E001`,
 //!   `E002`, `E003`, `E004`, `E006`, `E009`, `W001`, `W002`, `W003`);
-//! * [`SoundnessStream`] — translation soundness (`E005`, `E007`)
+//! * `SoundnessStream` — translation soundness (`E005`, `E007`)
 //!   keeping only per-thread barrier-sequence digests and the collapsed
 //!   vector clocks (barrier-epoch counters), never the record stream.
 //!
 //! The whole-trace entry points ([`crate::lint_program`] /
-//! [`crate::lint_set`]) are thin adapters that replay in-memory traces
-//! through these machines, so the streaming drivers
-//! ([`lint_program_stream`] / [`lint_set_stream`] / [`lint_trace_file`])
-//! produce **byte-identical** reports by construction.
+//! [`crate::lint_set`]) feed in-memory traces through the same
+//! [`StreamLinter`], so the streaming drivers ([`lint_program_stream`] /
+//! [`lint_set_stream`] / [`lint_trace_file`]) produce **byte-identical**
+//! reports by construction.
 //!
 //! # Memory bound
 //!
@@ -83,8 +83,10 @@ impl ThreadWf {
     }
 }
 
-/// The well-formedness pass as an incremental machine (see module docs).
-pub struct WellFormedStream {
+/// Well-formedness: the structural invariants a trace must satisfy
+/// before any model-level reasoning makes sense (see module docs for
+/// the codes).
+struct WellFormedStream {
     shape: Shape,
     n_threads: usize,
     threads: Vec<ThreadWf>,
@@ -99,7 +101,7 @@ pub struct WellFormedStream {
 
 impl WellFormedStream {
     /// A machine for a 1-processor program trace declaring `n_threads`.
-    pub fn for_program(n_threads: usize) -> WellFormedStream {
+    fn for_program(n_threads: usize) -> WellFormedStream {
         WellFormedStream {
             shape: Shape::Program,
             n_threads,
@@ -115,7 +117,7 @@ impl WellFormedStream {
     }
 
     /// A machine for a trace set declaring `n_threads` segments.
-    pub fn for_set(n_threads: usize) -> WellFormedStream {
+    fn for_set(n_threads: usize) -> WellFormedStream {
         WellFormedStream {
             shape: Shape::Set,
             n_threads,
@@ -129,7 +131,7 @@ impl WellFormedStream {
     }
 
     /// Starts the next per-thread segment (set shape only).
-    pub fn begin_thread(&mut self, position: usize, thread: ThreadId, report: &mut Report) {
+    fn begin_thread(&mut self, position: usize, thread: ThreadId, report: &mut Report) {
         debug_assert_eq!(self.shape, Shape::Set);
         if thread.index() != position {
             report.push(
@@ -146,7 +148,7 @@ impl WellFormedStream {
     /// Feeds one record; returns the `(thread index, span)` the record
     /// was attributed to, or `None` when it belongs to no tracked
     /// thread (out-of-range ids in a program trace).
-    pub fn record(&mut self, r: &TraceRecord, report: &mut Report) -> Option<(usize, Span)> {
+    fn record(&mut self, r: &TraceRecord, report: &mut Report) -> Option<(usize, Span)> {
         match self.shape {
             Shape::Program => {
                 let i = self.next_record;
@@ -340,7 +342,7 @@ impl WellFormedStream {
     /// Emits the end-of-stream diagnostics: per-thread frame (`W003`)
     /// and unclosed-barrier (`E004`) checks, then the cross-thread
     /// marker comparison (`W001`).
-    pub fn finish(&mut self, report: &mut Report) {
+    fn finish(&mut self, report: &mut Report) {
         for tw in &self.threads {
             match (tw.first_kind, tw.last_kind) {
                 (None, _) => report.push(
@@ -391,7 +393,7 @@ impl WellFormedStream {
     }
 
     /// Estimated bytes of resident analysis state (O(1) to compute).
-    pub fn resident_bytes(&self) -> usize {
+    fn resident_bytes(&self) -> usize {
         self.threads.len() * size_of::<ThreadWf>()
             + self.marker_total * size_of::<u32>()
             + self.owners.len() * size_of::<((usize, ElementId), ThreadId)>()
@@ -429,12 +431,33 @@ impl ThreadSound {
     }
 }
 
-/// The translation-soundness pass as an incremental machine: `E005`
-/// barrier-sequence agreement via per-thread digests against the first
-/// thread's reference sequence, and `E007` causality via the collapsed
-/// vector clocks (see the module docs of `passes::soundness` for the
-/// theory).
-pub struct SoundnessStream {
+/// Translation soundness: does the §3.2 translation of this program
+/// preserve its meaning?  Two checks:
+///
+/// * **Static deadlock detection** (`E005`) — every thread must pass the
+///   same barrier sequence.  With global barriers a thread that enters
+///   fewer (or different) barriers than its peers leaves the others
+///   waiting forever; translation would silently manufacture a schedule
+///   for a program that cannot finish.  Each thread's sequence is
+///   compared against the first thread's as a digest (a counter and the
+///   first mismatch), never stored.
+/// * **Causality** (`E007`) — a vector-clock happens-before check that
+///   the translated per-thread replay preserves the dependences of the
+///   original run.  Under the data-parallel model the only inter-thread
+///   ordering is the global barrier, so each thread's vector clock
+///   collapses to its barrier-epoch counter: two accesses on different
+///   threads are ordered iff their epochs differ.  A remote **write**
+///   concurrent (same epoch) with another thread's access to the same
+///   element therefore has no happens-before edge — the value observed
+///   depends on timing, and extrapolated timings are exactly what the
+///   pipeline changes.  This is the paper's §5 determinism condition,
+///   and this machine is the tool's only check of it (`extrap lint
+///   FILE`), reported as a race-detector diagnostic with spans.
+///
+/// Records referencing out-of-range thread ids never reach it:
+/// [`StreamLinter`] routes only the records `WellFormedStream`
+/// attributes to a thread (which reports the rest as `E003`).
+struct SoundnessStream {
     shape: Shape,
     threads: Vec<ThreadSound>,
     /// The first thread's barrier-id sequence (the `E005` reference).
@@ -449,7 +472,7 @@ pub struct SoundnessStream {
 
 impl SoundnessStream {
     /// A machine for a program trace declaring `n_threads`.
-    pub fn for_program(n_threads: usize) -> SoundnessStream {
+    fn for_program(n_threads: usize) -> SoundnessStream {
         SoundnessStream {
             shape: Shape::Program,
             threads: (0..n_threads)
@@ -464,7 +487,7 @@ impl SoundnessStream {
     }
 
     /// A machine for a trace set.
-    pub fn for_set() -> SoundnessStream {
+    fn for_set() -> SoundnessStream {
         SoundnessStream {
             shape: Shape::Set,
             threads: Vec::new(),
@@ -477,14 +500,14 @@ impl SoundnessStream {
     }
 
     /// Starts the next per-thread segment (set shape only).
-    pub fn begin_thread(&mut self, thread: ThreadId) {
+    fn begin_thread(&mut self, thread: ThreadId) {
         debug_assert_eq!(self.shape, Shape::Set);
         self.threads.push(ThreadSound::new(thread));
     }
 
     /// Feeds one record attributed to thread index `idx` (program:
     /// `r.thread`'s index; set: the segment position) at `span`.
-    pub fn record(&mut self, idx: usize, span: Span, r: &TraceRecord) {
+    fn record(&mut self, idx: usize, span: Span, r: &TraceRecord) {
         match r.kind {
             EventKind::BarrierEnter { barrier } => {
                 let t = &mut self.threads[idx];
@@ -526,8 +549,8 @@ impl SoundnessStream {
         }
         if write {
             // "First writer" in view order = minimal (view index, record
-            // index), matching the whole-trace pass even when the global
-            // stream interleaves threads.
+            // index), so a program stream that interleaves threads picks
+            // the writer a thread-by-thread reading would.
             let key = (idx, span.record.unwrap_or(0));
             match acc.writer {
                 Some((_, _, k)) if k <= key => {}
@@ -582,7 +605,7 @@ impl SoundnessStream {
 
     /// Emits the end-of-stream diagnostics: `E005` per disagreeing
     /// thread, then every `E007` race in `(epoch, element)` order.
-    pub fn finish(&mut self, report: &mut Report) {
+    fn finish(&mut self, report: &mut Report) {
         if self.threads.is_empty() {
             return;
         }
@@ -640,7 +663,7 @@ impl SoundnessStream {
 
     /// Estimated bytes of resident analysis state (O(1) to compute;
     /// excludes buffered diagnostics, which are output, not state).
-    pub fn resident_bytes(&self) -> usize {
+    fn resident_bytes(&self) -> usize {
         self.threads.len() * size_of::<ThreadSound>()
             + self.reference.len() * size_of::<u32>()
             + self.pending_total * size_of::<(usize, u32)>()
@@ -649,7 +672,7 @@ impl SoundnessStream {
     }
 }
 
-/// Both trace pass families behind one record-at-a-time interface,
+/// Both trace check families behind one record-at-a-time interface,
 /// producing the same [`Report`] as [`crate::lint_program`] /
 /// [`crate::lint_set`] (see module docs).
 pub struct StreamLinter {

@@ -1,5 +1,10 @@
 //! The worker pool: pops admitted jobs off the queue and executes them,
 //! coalescing compatible sweeps into one shared grid per batch.
+//!
+//! A job's compute runs under `catch_unwind`: a panic (the bounds
+//! sanitizer tripping, or any engine bug a submitted trace reaches)
+//! fails that job — or every live member of its coalesced batch — with
+//! `Internal`, and the worker goes on serving.
 
 use crate::state::{JobPayload, Service, SimWork, SweepKey, SweepWork, Work};
 use extrap_core::sweep::{sweep_cancellable, SweepJob};
@@ -7,6 +12,7 @@ use extrap_core::{ExtrapError, Extrapolator};
 use extrap_proto::{ErrorCode, JobId, PredictionSummary, SweepRow};
 use pcpp_rt::sync::Instant;
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 
 /// One worker thread's life: execute jobs until shutdown drains the
 /// queue.
@@ -40,11 +46,27 @@ fn run_simulate(service: &Service, sim: SimWork, deadline: Instant) {
     if expired(service, sim.job, deadline) {
         return;
     }
-    let outcome = Extrapolator::new(sim.params)
-        .run(sim.trace.program())
-        .map(|p| JobPayload::Prediction(PredictionSummary::from(&p)))
-        .map_err(|e| (ErrorCode::Internal, e.to_string()));
+    let outcome =
+        isolate(|| Extrapolator::new(sim.params).run(sim.trace.program())).and_then(|run| {
+            run.map(|p| JobPayload::Prediction(PredictionSummary::from(&p)))
+                .map_err(|e| (ErrorCode::Internal, e.to_string()))
+        });
     service.complete(sim.job, outcome);
+}
+
+/// Runs a job's compute, turning a panic into the `Internal` failure
+/// the job completes with.
+fn isolate<R>(compute: impl FnOnce() -> R) -> Result<R, (ErrorCode, String)> {
+    std::panic::catch_unwind(AssertUnwindSafe(compute)).map_err(|payload| {
+        let msg = match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => match payload.downcast::<&'static str>() {
+                Ok(msg) => msg.to_string(),
+                Err(_) => "non-string panic payload".to_string(),
+            },
+        };
+        (ErrorCode::Internal, format!("job panicked: {msg}"))
+    })
 }
 
 /// Executes one sweep batch: linger for `batch_window` so concurrent
@@ -95,33 +117,38 @@ fn run_sweep_batch(service: &Service, first: SweepWork, first_deadline: Instant)
     }
 
     let scale = live[0].scale;
-    let results = sweep_cancellable(
-        &jobs,
-        service.config().sweep_workers,
-        service.sweep_cache(),
-        |(name, n, _)| {
-            let bench = extrap_workloads::Bench::all()
-                .into_iter()
-                .find(|b| b.name() == name.as_str())
-                .expect("benchmark validated at admission");
-            extrap_trace::translate(&bench.trace(*n, scale), Default::default())
-        },
-        service.cancel_token(),
-    );
+    let results = isolate(|| {
+        sweep_cancellable(
+            &jobs,
+            service.config().sweep_workers,
+            service.sweep_cache(),
+            |(name, n, _)| {
+                let bench = extrap_workloads::Bench::all()
+                    .into_iter()
+                    .find(|b| b.name() == name.as_str())
+                    .expect("benchmark validated at admission");
+                extrap_trace::translate(&bench.trace(*n, scale), Default::default())
+            },
+            service.cancel_token(),
+        )
+    });
 
     // Exact integer nanoseconds per grid point; clients re-derive any
     // float rendering from these, byte-identically to the in-process
-    // pipeline.
-    let points: Vec<Result<u64, (ErrorCode, String)>> = results
-        .iter()
-        .map(|r| match r {
-            Ok(p) => Ok(p.exec_time().as_ns()),
-            Err(e) => Err(match e.error {
-                ExtrapError::Cancelled => (ErrorCode::ShuttingDown, e.to_string()),
-                _ => (ErrorCode::Internal, e.to_string()),
-            }),
-        })
-        .collect();
+    // pipeline.  A panic fails every point, so every live member.
+    let points: Vec<Result<u64, (ErrorCode, String)>> = match results {
+        Ok(results) => results
+            .iter()
+            .map(|r| match r {
+                Ok(p) => Ok(p.exec_time().as_ns()),
+                Err(e) => Err(match e.error {
+                    ExtrapError::Cancelled => (ErrorCode::ShuttingDown, e.to_string()),
+                    _ => (ErrorCode::Internal, e.to_string()),
+                }),
+            })
+            .collect(),
+        Err(panicked) => vec![Err(panicked); jobs.len()],
+    };
 
     for s in &live {
         let mut rows = Vec::with_capacity(s.benches.len() * s.procs.len());

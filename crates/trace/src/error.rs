@@ -61,8 +61,8 @@ pub enum TraceError {
         /// Description of the corruption.
         detail: String,
     },
-    /// A caller-supplied validation hook rejected the trace (e.g. a lint
-    /// pass found errors on load).
+    /// A caller's gate rejected the trace (e.g. the experiment harness
+    /// found lint errors in a fresh translation).
     Validation {
         /// Rendered description of the rejection.
         detail: String,

@@ -216,46 +216,124 @@ impl TraceSet {
     }
 
     /// Validates the data-parallel determinism assumption the paper's
-    /// extrapolation relies on: every thread passes the same barrier
-    /// sequence, per-thread timestamps are monotone, and thread ids match
-    /// positions.
+    /// extrapolation relies on (see [`SetCheck`], which this drives).
     pub fn validate(&self) -> Result<(), crate::TraceError> {
-        let reference = self
-            .threads
-            .first()
-            .map(|t| t.barrier_sequence())
-            .unwrap_or_default();
+        let mut check = SetCheck::default();
         for (i, t) in self.threads.iter().enumerate() {
-            if t.thread.index() != i {
-                return Err(crate::TraceError::MisplacedThread {
-                    position: i,
-                    thread: t.thread,
-                });
-            }
-            let mut prev = TimeNs::ZERO;
-            for (j, r) in t.records.iter().enumerate() {
-                if r.time < prev {
-                    return Err(crate::TraceError::ThreadTimeRegression {
-                        thread: t.thread,
-                        record: j,
-                    });
-                }
-                prev = r.time;
-                if r.thread != t.thread {
-                    return Err(crate::TraceError::MisplacedThread {
-                        position: i,
-                        thread: r.thread,
-                    });
-                }
-            }
-            if t.barrier_sequence() != reference {
-                return Err(crate::TraceError::BarrierMismatch {
-                    thread: t.thread,
-                    reference: ThreadId(0),
-                });
+            check.begin_thread(i, t.thread)?;
+            for r in &t.records {
+                check.record(r)?;
             }
         }
+        check.finish()
+    }
+}
+
+/// The structural invariants of a trace set, checked one record at a
+/// time: thread ids match positions, every record belongs to its
+/// segment's thread, per-thread timestamps are monotone, and every
+/// thread passes thread 0's barrier sequence (the §5 determinism
+/// condition).  The first violation is the error; a segment's barrier
+/// sequence counts as violated where the segment ends.
+///
+/// This is the one statement of set validity: [`TraceSet::validate`]
+/// feeds it an in-memory set and `extrap_core::compile_set_stream` a
+/// chunked file, so both report the same first error by construction.
+/// State is thread 0's barrier sequence plus one segment cursor.
+#[derive(Debug, Default)]
+pub struct SetCheck {
+    /// Thread 0's barrier sequence, the reference for every later thread.
+    reference: Vec<BarrierId>,
+    segment: Option<Segment>,
+}
+
+/// The open segment's cursor.
+#[derive(Debug)]
+struct Segment {
+    position: usize,
+    thread: ThreadId,
+    prev: TimeNs,
+    records: usize,
+    /// Barrier enters seen so far.
+    barriers: usize,
+    /// Whether an enter already disagreed with the reference.
+    diverged: bool,
+}
+
+impl SetCheck {
+    /// Closes the previous segment and opens the one at `position`,
+    /// whose header declares `thread`.
+    #[inline]
+    pub fn begin_thread(
+        &mut self,
+        position: usize,
+        thread: ThreadId,
+    ) -> Result<(), crate::TraceError> {
+        self.end_segment()?;
+        if thread.index() != position {
+            return Err(crate::TraceError::MisplacedThread { position, thread });
+        }
+        self.segment = Some(Segment {
+            position,
+            thread,
+            prev: TimeNs::ZERO,
+            records: 0,
+            barriers: 0,
+            diverged: false,
+        });
         Ok(())
+    }
+
+    /// Checks the open segment's next record.
+    #[inline]
+    pub fn record(&mut self, r: &TraceRecord) -> Result<(), crate::TraceError> {
+        let Some(seg) = self.segment.as_mut() else {
+            return Err(crate::TraceError::Format {
+                detail: "records before any segment header".to_string(),
+            });
+        };
+        if r.time < seg.prev {
+            return Err(crate::TraceError::ThreadTimeRegression {
+                thread: seg.thread,
+                record: seg.records,
+            });
+        }
+        seg.prev = r.time;
+        if r.thread != seg.thread {
+            return Err(crate::TraceError::MisplacedThread {
+                position: seg.position,
+                thread: r.thread,
+            });
+        }
+        if let EventKind::BarrierEnter { barrier } = r.kind {
+            if seg.position == 0 {
+                self.reference.push(barrier);
+            } else if self.reference.get(seg.barriers) != Some(&barrier) {
+                seg.diverged = true;
+            }
+            seg.barriers += 1;
+        }
+        seg.records += 1;
+        Ok(())
+    }
+
+    /// Closes the last segment.
+    pub fn finish(mut self) -> Result<(), crate::TraceError> {
+        self.end_segment()
+    }
+
+    /// Judges the open segment's barrier sequence, now that it is
+    /// complete (so an earlier record's violation in it wins).
+    fn end_segment(&mut self) -> Result<(), crate::TraceError> {
+        match self.segment.take() {
+            Some(seg) if seg.diverged || seg.barriers != self.reference.len() => {
+                Err(crate::TraceError::BarrierMismatch {
+                    thread: seg.thread,
+                    reference: ThreadId(0),
+                })
+            }
+            _ => Ok(()),
+        }
     }
 }
 

@@ -26,7 +26,7 @@ pub mod writer;
 pub use builder::{PhaseAccess, PhaseProgram, PhaseWork, ProgramTraceBuilder};
 pub use error::TraceError;
 pub use event::{EventKind, TraceRecord};
-pub use event::{ProgramTrace, ThreadTrace, TraceSet};
+pub use event::{ProgramTrace, SetCheck, ThreadTrace, TraceSet};
 pub use phases::{phase_profiles, splitmix64, PhaseProfile};
 pub use stats::{ThreadStats, TraceStats};
 pub use stream::{
