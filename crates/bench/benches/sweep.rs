@@ -7,7 +7,8 @@
 
 use extrap_bench::harness::{Harness, Throughput};
 use extrap_core::{machine, sweep, RecordMode, SharedTraceCache, SweepGrid};
-use extrap_trace::translate;
+use extrap_time::{DurationNs, ElementId, ThreadId};
+use extrap_trace::{translate, PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace};
 use extrap_workloads::{Bench, Scale};
 use std::hint::black_box;
 use std::time::Instant;
@@ -39,6 +40,41 @@ fn run_grid_mode(
 
 fn run_grid(workers: usize, cache: &SharedTraceCache<(Bench, usize)>, scale: Scale) -> usize {
     run_grid_mode(workers, cache, RecordMode::Full, scale)
+}
+
+/// The wide lint shape: 128 threads, 64 barrier epochs and 8 remote
+/// accesses per thread and epoch — six reads of elements their owner
+/// shares with every reader, two writes to the writer's own element of
+/// that owner — so every live epoch holds ~1k cells and the trace lints
+/// clean.  Elements are `owner * 256 + slot`, so ownership is
+/// consistent by construction.
+fn wide_lint_program() -> ProgramTrace {
+    const THREADS: usize = 128;
+    let mut p = PhaseProgram::new(THREADS);
+    for epoch in 0..64 {
+        let phase = (0..THREADS)
+            .map(|t| PhaseWork {
+                compute: DurationNs(100_000 + 1_000 * (t % 7) as u64),
+                accesses: (0..8)
+                    .map(|k| {
+                        let owner = (t + 1 + (epoch * 7 + k * 13) % (THREADS - 1)) % THREADS;
+                        let write = k >= 6;
+                        let slot = if write { 64 + t } else { (t + k + epoch) % 64 };
+                        PhaseAccess {
+                            after: DurationNs(10_000 * (k as u64 + 1)),
+                            owner: ThreadId::from_index(owner),
+                            element: ElementId((owner * 256 + slot) as u32),
+                            declared_bytes: 64,
+                            actual_bytes: 64,
+                            write,
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        p.push_phase(phase);
+    }
+    p.record()
 }
 
 fn timed(label: &str, runs: usize, mut f: impl FnMut() -> usize) -> f64 {
@@ -128,23 +164,23 @@ fn main() {
 
     // Streaming lint: the chunked-reader + incremental-pass hot path
     // behind `extrap lint`, over an in-memory Fig-4-sized program trace
-    // (arena recycled across iterations, as the CLI does across files).
-    let lint_trace = Bench::Grid.trace(8, scale);
-    let lint_bytes = extrap_trace::format::encode_program(&lint_trace);
+    // and the wide shape (arena recycled across iterations, as the CLI
+    // does across files).
     let mut lint_arena = extrap_trace::stream::StreamArena::new();
-    h.bench_throughput(
-        "lint_stream",
-        Throughput::Bytes(lint_bytes.len() as u64),
-        || {
-            let src = extrap_trace::stream::SliceSource(&lint_bytes);
-            let arena =
-                std::mem::replace(&mut lint_arena, extrap_trace::stream::StreamArena::new());
+    for (name, trace) in [
+        ("lint_stream", Bench::Grid.trace(8, scale)),
+        ("lint_stream_wide", wide_lint_program()),
+    ] {
+        let bytes = extrap_trace::format::encode_program(&trace);
+        h.bench_throughput(name, Throughput::Bytes(bytes.len() as u64), || {
+            let src = extrap_trace::stream::SliceSource(&bytes);
+            let arena = std::mem::take(&mut lint_arena);
             let mut s = extrap_trace::stream::ProgramStream::with_arena(src, arena).unwrap();
             let report = extrap_lint::lint_program_stream(&mut s).unwrap();
-            let n = report.diagnostics.len();
+            assert!(report.is_clean(), "{name}: the bench trace must lint clean");
             lint_arena = s.into_arena();
-            n
-        },
-    );
+            report.diagnostics.len()
+        });
+    }
     h.finish();
 }

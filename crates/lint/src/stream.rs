@@ -5,9 +5,12 @@
 //!
 //! * `WellFormedStream` — fully streaming well-formedness (`E001`,
 //!   `E002`, `E003`, `E004`, `E006`, `E009`, `W001`, `W002`, `W003`);
-//! * `SoundnessStream` — translation soundness (`E005`, `E007`)
-//!   keeping only per-thread barrier-sequence digests and the collapsed
-//!   vector clocks (barrier-epoch counters), never the record stream.
+//! * `SoundnessStream` — translation soundness (`E005`, `E007`; its
+//!   docs give the §5 argument), keeping only per-thread
+//!   barrier-sequence digests;
+//! * `EpochCells` — the collapsed vector clocks (barrier-epoch
+//!   counters) and the per-epoch element cells that `E006` and `E007`
+//!   share, never the record stream.
 //!
 //! The whole-trace entry points ([`crate::lint_program`] /
 //! [`crate::lint_set`]) feed in-memory traces through the same
@@ -20,24 +23,32 @@
 //! Resident analysis state is `O(threads + live epochs + sync events)`,
 //! independent of the record count:
 //!
-//! * per thread: a constant-size cursor (clock, barrier-protocol cell,
-//!   epoch counter) plus its phase-marker sequence (markers are rare —
-//!   one per program phase — and `W001`'s message prints the full
-//!   sequences, so they are retained);
-//! * the element-ownership and causality maps are keyed by
-//!   `(epoch, element)`; for program traces (global time order, so
-//!   epochs advance together) entries whose epoch every thread has left
-//!   are pruned as the stream advances, leaving only **live** epochs;
-//!   for trace sets the epoch counter restarts with every segment, so
-//!   entries persist but are still bounded by distinct
-//!   `(epoch, element)` pairs, not records;
+//! * per thread: a constant-size cursor (clock, barrier-protocol cell)
+//!   plus its phase-marker sequence (markers are rare — one per program
+//!   phase — and `W001`'s message prints the full sequences, so they
+//!   are retained);
+//! * `EpochCells` holds each thread's barrier epoch once, for both
+//!   checks, and **one table of cells per live epoch**: a cell is one
+//!   element's accesses in that epoch (first claimed owner for `E006`;
+//!   first writer and sorted participants for `E007`).  For program
+//!   traces (global time order, so epochs advance together) a
+//!   per-epoch thread count gives the minimum epoch in O(1); when every
+//!   thread has left an epoch its table is decided, cleared and reused,
+//!   so only **live** epochs hold cells.  For trace sets the epoch
+//!   counter restarts with every segment, so tables are never pruned
+//!   and stay bounded by distinct `(epoch, element)` pairs, not records;
 //! * the `E005` digest keeps the first thread's barrier-id sequence as
 //!   the reference plus, per other thread, a counter, the first
 //!   mismatch, and any enters that arrived before the reference grew.
 //!
+//! The tables hash element ids with a fixed hasher, and a table's races
+//! are sorted by element before they are reported, so `E007`s come out
+//! in `(epoch, element)` order and hash order never reaches the output.
+//!
 //! [`StreamLinter::peak_resident_bytes`] reports an estimate of that
-//! state (analysis state only, excluding emitted diagnostics), which
-//! tests pin to show the bound holds as traces grow.
+//! state (analysis state only, excluding emitted diagnostics; reused
+//! tables and participant vectors count at their capacity), which tests
+//! pin to show the bound holds as traces grow.
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use extrap_time::{BarrierId, ElementId, ThreadId, TimeNs};
@@ -45,7 +56,8 @@ use extrap_trace::stream::{
     sniff_kind, ChunkSource, ProgramStream, SetChunk, SetStream, StreamArena, TraceKind,
 };
 use extrap_trace::{EventKind, TraceError, TraceRecord};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::mem::size_of;
 use std::path::Path;
 
@@ -63,7 +75,6 @@ struct ThreadWf {
     first_kind: Option<EventKind>,
     last_kind: Option<EventKind>,
     open: Option<(BarrierId, Span)>,
-    epoch: usize,
     markers: Vec<u32>,
     prev_time: TimeNs,
 }
@@ -76,7 +87,6 @@ impl ThreadWf {
             first_kind: None,
             last_kind: None,
             open: None,
-            epoch: 0,
             markers: Vec::new(),
             prev_time: TimeNs::ZERO,
         }
@@ -93,9 +103,6 @@ struct WellFormedStream {
     current: usize,
     next_record: usize,
     prev_time: TimeNs,
-    /// First claimed owner per `(epoch, element)`; shared across
-    /// threads, pruned to live epochs for program traces.
-    owners: BTreeMap<(usize, ElementId), ThreadId>,
     marker_total: usize,
 }
 
@@ -111,7 +118,6 @@ impl WellFormedStream {
             current: 0,
             next_record: 0,
             prev_time: TimeNs::ZERO,
-            owners: BTreeMap::new(),
             marker_total: 0,
         }
     }
@@ -125,7 +131,6 @@ impl WellFormedStream {
             current: 0,
             next_record: 0,
             prev_time: TimeNs::ZERO,
-            owners: BTreeMap::new(),
             marker_total: 0,
         }
     }
@@ -145,10 +150,15 @@ impl WellFormedStream {
         self.next_record = 0;
     }
 
-    /// Feeds one record; returns the `(thread index, span)` the record
-    /// was attributed to, or `None` when it belongs to no tracked
+    /// Feeds one record; returns the thread index the record was
+    /// attributed to, or `None` when it belongs to no tracked
     /// thread (out-of-range ids in a program trace).
-    fn record(&mut self, r: &TraceRecord, report: &mut Report) -> Option<(usize, Span)> {
+    fn record(
+        &mut self,
+        r: &TraceRecord,
+        cells: &mut EpochCells,
+        report: &mut Report,
+    ) -> Option<usize> {
         match self.shape {
             Shape::Program => {
                 let i = self.next_record;
@@ -179,8 +189,8 @@ impl WellFormedStream {
                 if r.thread.index() < self.n_threads {
                     let idx = r.thread.index();
                     let span = Span::at(r.thread, i);
-                    self.step(idx, span, r, report);
-                    Some((idx, span))
+                    self.step(idx, span, r, cells, report);
+                    Some(idx)
                 } else {
                     None
                 }
@@ -209,21 +219,28 @@ impl WellFormedStream {
                     );
                 }
                 self.threads[idx].prev_time = r.time;
-                self.step(idx, span, r, report);
-                Some((idx, span))
+                self.step(idx, span, r, cells, report);
+                Some(idx)
             }
         }
     }
 
     /// The shape-independent per-thread protocol checks.
-    fn step(&mut self, idx: usize, span: Span, r: &TraceRecord, report: &mut Report) {
+    fn step(
+        &mut self,
+        idx: usize,
+        span: Span,
+        r: &TraceRecord,
+        cells: &mut EpochCells,
+        report: &mut Report,
+    ) {
         let tw = &mut self.threads[idx];
         tw.count += 1;
         if tw.first_kind.is_none() {
             tw.first_kind = Some(r.kind);
         }
         tw.last_kind = Some(r.kind);
-        let (owner, element) = match r.kind {
+        let (owner, element, write) = match r.kind {
             EventKind::BarrierEnter { barrier } => {
                 if let Some((inside, _)) = tw.open {
                     report.push(
@@ -238,10 +255,7 @@ impl WellFormedStream {
                     );
                 }
                 tw.open = Some((barrier, span));
-                tw.epoch += 1;
-                if self.shape == Shape::Program {
-                    self.prune_dead_epochs();
-                }
+                cells.enter(idx);
                 return;
             }
             EventKind::BarrierExit { barrier } => {
@@ -274,15 +288,15 @@ impl WellFormedStream {
                 self.marker_total += 1;
                 return;
             }
-            EventKind::RemoteRead { owner, element, .. }
-            | EventKind::RemoteWrite { owner, element, .. } => (owner, element),
+            EventKind::RemoteRead { owner, element, .. } => (owner, element, false),
+            EventKind::RemoteWrite { owner, element, .. } => (owner, element, true),
             _ => return,
         };
         // Ownership is only required to be consistent *within* a barrier
         // epoch: programs redistribute arrays (and multigrid codes reuse
         // element ids across levels), but two same-epoch accesses naming
         // different owners for one element cannot both be right.
-        let (thread, epoch) = (tw.thread, tw.epoch);
+        let thread = tw.thread;
         if owner.index() >= self.n_threads {
             report.push(
                 Code::E006DanglingElement,
@@ -305,37 +319,18 @@ impl WellFormedStream {
                 ),
             );
         }
-        match self.owners.get(&(epoch, element)) {
-            None => {
-                self.owners.insert((epoch, element), owner);
-            }
-            Some(&first) if first != owner => {
-                report.push(
-                    Code::E006DanglingElement,
-                    span,
-                    format!(
-                        "element {} accessed with owner {owner} but an access in the same \
-                         barrier epoch names owner {first} (inconsistent ownership)",
-                        element.index()
-                    ),
-                );
-            }
-            Some(_) => {}
-        }
-    }
-
-    /// Drops ownership entries for epochs every thread has left.  Only
-    /// sound for program traces: the global stream is consumed in time
-    /// order, so once the minimum per-thread epoch passes `e`, no
-    /// further record can land in epoch `e`.
-    fn prune_dead_epochs(&mut self) {
-        let min_epoch = self.threads.iter().map(|t| t.epoch).min().unwrap_or(0);
-        while self
-            .owners
-            .first_key_value()
-            .is_some_and(|(k, _)| k.0 < min_epoch)
-        {
-            self.owners.pop_first();
+        let record = span.record.unwrap_or(0);
+        let first = cells.access(idx, thread, record, owner, element, write);
+        if first != owner {
+            report.push(
+                Code::E006DanglingElement,
+                span,
+                format!(
+                    "element {} accessed with owner {owner} but an access in the same \
+                     barrier epoch names owner {first} (inconsistent ownership)",
+                    element.index()
+                ),
+            );
         }
     }
 
@@ -394,24 +389,273 @@ impl WellFormedStream {
 
     /// Estimated bytes of resident analysis state (O(1) to compute).
     fn resident_bytes(&self) -> usize {
-        self.threads.len() * size_of::<ThreadWf>()
-            + self.marker_total * size_of::<u32>()
-            + self.owners.len() * size_of::<((usize, ElementId), ThreadId)>()
+        self.threads.len() * size_of::<ThreadWf>() + self.marker_total * size_of::<u32>()
     }
 }
 
-/// One element's accesses within one barrier epoch, collapsed to the
-/// digest `E007` needs: the first writer (in view order) and the set of
-/// participating threads.
-struct EpochAccess {
-    writer: Option<(ThreadId, Span, (usize, usize))>,
-    participants: BTreeSet<ThreadId>,
+/// The element-id hasher of the cell tables: one folded multiply with a
+/// fixed constant (no per-process seed, unlike `RandomState`).  Hash
+/// order never reaches the output: a table's races are sorted by
+/// element before they are reported.
+#[derive(Default, Clone, Copy)]
+struct ElementHasher(u64);
+
+impl Hasher for ElementHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+}
+
+/// One epoch's cells, keyed by element.
+type Table = HashMap<ElementId, Cell, BuildHasherDefault<ElementHasher>>;
+
+/// One element's accesses within one barrier epoch, as both checks need
+/// them: the first claimed owner (`E006`), and for `E007` the first
+/// writer in view order plus the participating threads, sorted.
+struct Cell {
+    owner: ThreadId,
+    writer: Option<Writer>,
+    participants: Vec<ThreadId>,
+}
+
+/// A cell's first writer and its place in view order: `(view index,
+/// record index)`, where the view index is the thread's (program) or
+/// the segment's position (set), so a program stream that interleaves
+/// threads picks the writer a thread-by-thread reading would.
+#[derive(Clone, Copy)]
+struct Writer {
+    thread: ThreadId,
+    view: (usize, usize),
+}
+
+/// The live-epoch window both checks share: each thread's barrier
+/// epoch, and one table of [`Cell`]s per epoch from the oldest live one
+/// to the newest accessed.
+///
+/// In program shape a per-epoch thread count gives the minimum epoch in
+/// O(1).  When it passes an epoch no further record can land there (the
+/// global stream is in time order), so the epoch's races are decided and
+/// its table is cleared and kept for reuse, as are the participant
+/// vectors of its cells.  In set shape epochs restart per segment, so
+/// the window starts at 0 and nothing is pruned.
+struct EpochCells {
+    shape: Shape,
+    /// Per thread (program) or segment (set): its barrier epoch.
+    epochs: Vec<usize>,
+    /// The oldest live epoch: the minimum of `epochs` (program), 0 (set).
+    base: usize,
+    /// Program shape: threads per epoch, indexed by `epoch - base`.
+    counts: VecDeque<usize>,
+    /// Cells per epoch, indexed by `epoch - base`.
+    tables: VecDeque<Table>,
+    spare_tables: Vec<Table>,
+    spare_participants: Vec<Vec<ThreadId>>,
+    /// `E007`s of pruned epochs, in `(epoch, element)` order; buffered
+    /// so they still render after the `E005`s.
+    races: Vec<Diagnostic>,
+    /// Capacity ever allocated to tables and participant vectors (reuse
+    /// keeps it, so it only grows).
+    table_slots: usize,
+    participant_slots: usize,
+}
+
+impl EpochCells {
+    /// The window of a program trace declaring `n_threads`, all in epoch 0.
+    fn for_program(n_threads: usize) -> EpochCells {
+        let mut cells = EpochCells::for_set();
+        cells.shape = Shape::Program;
+        cells.epochs = vec![0; n_threads];
+        if n_threads > 0 {
+            cells.counts.push_back(n_threads);
+        }
+        cells
+    }
+
+    /// The window of a trace set: segments arrive via `begin_thread`.
+    fn for_set() -> EpochCells {
+        EpochCells {
+            shape: Shape::Set,
+            epochs: Vec::new(),
+            base: 0,
+            counts: VecDeque::new(),
+            tables: VecDeque::new(),
+            spare_tables: Vec::new(),
+            spare_participants: Vec::new(),
+            races: Vec::new(),
+            table_slots: 0,
+            participant_slots: 0,
+        }
+    }
+
+    /// Starts the next per-thread segment (set shape only), in epoch 0.
+    fn begin_thread(&mut self) {
+        self.epochs.push(0);
+    }
+
+    /// Thread `idx` enters a barrier: it moves to the next epoch, and in
+    /// program shape every epoch the minimum passes is decided.
+    fn enter(&mut self, idx: usize) {
+        let epoch = self.epochs[idx];
+        self.epochs[idx] = epoch + 1;
+        if self.shape == Shape::Set {
+            return;
+        }
+        let slot = epoch - self.base;
+        self.counts[slot] -= 1;
+        if self.counts.len() == slot + 1 {
+            self.counts.push_back(0);
+        }
+        self.counts[slot + 1] += 1;
+        while self.counts.front() == Some(&0) {
+            self.counts.pop_front();
+            if let Some(mut table) = self.tables.pop_front() {
+                decide(
+                    self.base,
+                    &mut table,
+                    &mut self.spare_participants,
+                    &mut self.races,
+                );
+                self.spare_tables.push(table);
+            }
+            self.base += 1;
+        }
+    }
+
+    /// Records thread `idx`'s access to `element` naming `owner` in its
+    /// current epoch; returns the owner the cell's first access named.
+    fn access(
+        &mut self,
+        idx: usize,
+        thread: ThreadId,
+        record: usize,
+        owner: ThreadId,
+        element: ElementId,
+        write: bool,
+    ) -> ThreadId {
+        let slot = self.epochs[idx] - self.base;
+        while self.tables.len() <= slot {
+            let table = self.spare_tables.pop().unwrap_or_default();
+            self.tables.push_back(table);
+        }
+        let table = &mut self.tables[slot];
+        let capacity = table.capacity();
+        let spare = &mut self.spare_participants;
+        let cell = table.entry(element).or_insert_with(|| Cell {
+            owner,
+            writer: None,
+            participants: spare.pop().unwrap_or_default(),
+        });
+        let participants = &mut cell.participants;
+        if let Err(pos) = participants.binary_search(&thread) {
+            let had = participants.capacity();
+            participants.insert(pos, thread);
+            self.participant_slots += participants.capacity() - had;
+        }
+        if write {
+            let view = (idx, record);
+            match cell.writer {
+                Some(w) if w.view <= view => {}
+                _ => cell.writer = Some(Writer { thread, view }),
+            }
+        }
+        let first = cell.owner;
+        self.table_slots += table.capacity() - capacity;
+        first
+    }
+
+    /// Emits every `E007`: the pruned epochs' first, then each live
+    /// epoch's in turn — together, ascending `(epoch, element)` order.
+    fn finish(&mut self, report: &mut Report) {
+        report.diagnostics.append(&mut self.races);
+        for (i, table) in self.tables.iter_mut().enumerate() {
+            decide(
+                self.base + i,
+                table,
+                &mut self.spare_participants,
+                &mut report.diagnostics,
+            );
+        }
+    }
+
+    /// Estimated bytes of resident analysis state (O(1) to compute);
+    /// spare tables and vectors count at their capacity.
+    fn resident_bytes(&self) -> usize {
+        (self.epochs.capacity() + self.counts.capacity()) * size_of::<usize>()
+            + (self.tables.capacity() + self.spare_tables.capacity()) * size_of::<Table>()
+            + self.table_slots * (size_of::<(ElementId, Cell)>() + 1)
+            + self.spare_participants.capacity() * size_of::<Vec<ThreadId>>()
+            + self.participant_slots * size_of::<ThreadId>()
+    }
+}
+
+/// Decides one epoch: drains its table, appends its races to `out`
+/// sorted by element, and keeps each cell's participant vector, cleared,
+/// in `spare`.
+fn decide(
+    epoch: usize,
+    table: &mut Table,
+    spare: &mut Vec<Vec<ThreadId>>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut races = Vec::new();
+    for (element, mut cell) in table.drain() {
+        if let Some(d) = race_diagnostic(epoch, element, &cell) {
+            races.push((element, d));
+        }
+        cell.participants.clear();
+        spare.push(cell.participants);
+    }
+    races.sort_unstable_by_key(|&(element, _)| element);
+    out.extend(races.into_iter().map(|(_, d)| d));
+}
+
+/// One cell's `E007` diagnostic, if it is a race (a writer plus at
+/// least one other participant).
+fn race_diagnostic(epoch: usize, element: ElementId, cell: &Cell) -> Option<Diagnostic> {
+    let Writer {
+        thread: writer,
+        view,
+    } = cell.writer?;
+    if cell.participants.len() <= 1 {
+        return None;
+    }
+    let others: Vec<String> = cell
+        .participants
+        .iter()
+        .filter(|&&t| t != writer)
+        .map(|t| t.to_string())
+        .collect();
+    Some(Diagnostic::new(
+        Code::E007CausalityViolation,
+        Span::at(writer, view.1),
+        format!(
+            "write to element {} by {writer} is concurrent with accesses by {} in \
+             barrier epoch {epoch} — no happens-before edge orders them, so the \
+             trace does not transfer across timings (§5)",
+            element.index(),
+            others.join(", "),
+        ),
+    ))
 }
 
 /// Per-thread soundness digest.
 struct ThreadSound {
     thread: ThreadId,
-    epoch: usize,
     entered: usize,
     first_mismatch: Option<(usize, u32, u32)>,
     /// Barrier enters that arrived before the reference sequence grew
@@ -423,7 +667,6 @@ impl ThreadSound {
     fn new(thread: ThreadId) -> ThreadSound {
         ThreadSound {
             thread,
-            epoch: 0,
             entered: 0,
             first_mismatch: None,
             pending: Vec::new(),
@@ -440,7 +683,7 @@ impl ThreadSound {
 ///   waiting forever; translation would silently manufacture a schedule
 ///   for a program that cannot finish.  Each thread's sequence is
 ///   compared against the first thread's as a digest (a counter and the
-///   first mismatch), never stored.
+///   first mismatch), never stored.  This machine holds that digest.
 /// * **Causality** (`E007`) — a vector-clock happens-before check that
 ///   the translated per-thread replay preserves the dependences of the
 ///   original run.  Under the data-parallel model the only inter-thread
@@ -451,160 +694,69 @@ impl ThreadSound {
 ///   element therefore has no happens-before edge — the value observed
 ///   depends on timing, and extrapolated timings are exactly what the
 ///   pipeline changes.  This is the paper's §5 determinism condition,
-///   and this machine is the tool's only check of it (`extrap lint
-///   FILE`), reported as a race-detector diagnostic with spans.
+///   and it is the tool's only check of it (`extrap lint FILE`),
+///   reported as a race-detector diagnostic with spans.  The epoch
+///   counters and per-epoch cells live in `EpochCells`, shared with
+///   `E006`.
 ///
 /// Records referencing out-of-range thread ids never reach it:
 /// [`StreamLinter`] routes only the records `WellFormedStream`
 /// attributes to a thread (which reports the rest as `E003`).
 struct SoundnessStream {
-    shape: Shape,
     threads: Vec<ThreadSound>,
     /// The first thread's barrier-id sequence (the `E005` reference).
     reference: Vec<u32>,
-    accesses: BTreeMap<(usize, ElementId), EpochAccess>,
-    /// `E007` diagnostics for epochs already pruned (program shape);
-    /// buffered so they still render after the `E005`s, in key order.
-    early_e007: Vec<Diagnostic>,
     pending_total: usize,
-    participants_total: usize,
 }
 
 impl SoundnessStream {
     /// A machine for a program trace declaring `n_threads`.
     fn for_program(n_threads: usize) -> SoundnessStream {
         SoundnessStream {
-            shape: Shape::Program,
             threads: (0..n_threads)
                 .map(|t| ThreadSound::new(ThreadId(t as u32)))
                 .collect(),
-            reference: Vec::new(),
-            accesses: BTreeMap::new(),
-            early_e007: Vec::new(),
-            pending_total: 0,
-            participants_total: 0,
+            ..SoundnessStream::for_set()
         }
     }
 
     /// A machine for a trace set.
     fn for_set() -> SoundnessStream {
         SoundnessStream {
-            shape: Shape::Set,
             threads: Vec::new(),
             reference: Vec::new(),
-            accesses: BTreeMap::new(),
-            early_e007: Vec::new(),
             pending_total: 0,
-            participants_total: 0,
         }
     }
 
     /// Starts the next per-thread segment (set shape only).
     fn begin_thread(&mut self, thread: ThreadId) {
-        debug_assert_eq!(self.shape, Shape::Set);
         self.threads.push(ThreadSound::new(thread));
     }
 
     /// Feeds one record attributed to thread index `idx` (program:
-    /// `r.thread`'s index; set: the segment position) at `span`.
-    fn record(&mut self, idx: usize, span: Span, r: &TraceRecord) {
-        match r.kind {
-            EventKind::BarrierEnter { barrier } => {
-                let t = &mut self.threads[idx];
-                let pos = t.entered;
-                t.entered += 1;
-                t.epoch += 1;
-                if idx == 0 {
-                    self.reference.push(barrier.0);
-                } else if pos < self.reference.len() {
-                    if self.reference[pos] != barrier.0 && t.first_mismatch.is_none() {
-                        t.first_mismatch = Some((pos, barrier.0, self.reference[pos]));
-                    }
-                } else {
-                    t.pending.push((pos, barrier.0));
-                    self.pending_total += 1;
-                }
-                if self.shape == Shape::Program {
-                    self.prune_dead_epochs();
-                }
+    /// `r.thread`'s index; set: the segment position).
+    fn record(&mut self, idx: usize, r: &TraceRecord) {
+        let EventKind::BarrierEnter { barrier } = r.kind else {
+            return;
+        };
+        let t = &mut self.threads[idx];
+        let pos = t.entered;
+        t.entered += 1;
+        if idx == 0 {
+            self.reference.push(barrier.0);
+        } else if pos < self.reference.len() {
+            if self.reference[pos] != barrier.0 && t.first_mismatch.is_none() {
+                t.first_mismatch = Some((pos, barrier.0, self.reference[pos]));
             }
-            EventKind::RemoteRead { element, .. } => self.note_access(idx, span, element, false),
-            EventKind::RemoteWrite { element, .. } => self.note_access(idx, span, element, true),
-            _ => {}
-        }
-    }
-
-    fn note_access(&mut self, idx: usize, span: Span, element: ElementId, write: bool) {
-        let t = &self.threads[idx];
-        let (thread, epoch) = (t.thread, t.epoch);
-        let acc = self
-            .accesses
-            .entry((epoch, element))
-            .or_insert_with(|| EpochAccess {
-                writer: None,
-                participants: BTreeSet::new(),
-            });
-        if acc.participants.insert(thread) {
-            self.participants_total += 1;
-        }
-        if write {
-            // "First writer" in view order = minimal (view index, record
-            // index), so a program stream that interleaves threads picks
-            // the writer a thread-by-thread reading would.
-            let key = (idx, span.record.unwrap_or(0));
-            match acc.writer {
-                Some((_, _, k)) if k <= key => {}
-                _ => acc.writer = Some((thread, span, key)),
-            }
-        }
-    }
-
-    /// Converts one collapsed access cell into its `E007` diagnostic,
-    /// if it is a race (a writer plus at least one other participant).
-    fn race_diagnostic(key: (usize, ElementId), acc: &EpochAccess) -> Option<Diagnostic> {
-        let (epoch, element) = key;
-        let (writer, span, _) = acc.writer?;
-        if acc.participants.len() <= 1 {
-            return None;
-        }
-        let others: Vec<String> = acc
-            .participants
-            .iter()
-            .filter(|&&t| t != writer)
-            .map(|t| t.to_string())
-            .collect();
-        Some(Diagnostic::new(
-            Code::E007CausalityViolation,
-            span,
-            format!(
-                "write to element {} by {writer} is concurrent with accesses by {} in \
-                 barrier epoch {epoch} — no happens-before edge orders them, so the \
-                 trace does not transfer across timings (§5)",
-                element.index(),
-                others.join(", "),
-            ),
-        ))
-    }
-
-    /// Evaluates and drops access cells for epochs every thread has
-    /// left (program shape; see [`WellFormedStream::prune_dead_epochs`]).
-    fn prune_dead_epochs(&mut self) {
-        let min_epoch = self.threads.iter().map(|t| t.epoch).min().unwrap_or(0);
-        while self
-            .accesses
-            .first_key_value()
-            .is_some_and(|(k, _)| k.0 < min_epoch)
-        {
-            let (key, acc) = self.accesses.pop_first().expect("peeked non-empty");
-            self.participants_total -= acc.participants.len();
-            if let Some(d) = SoundnessStream::race_diagnostic(key, &acc) {
-                self.early_e007.push(d);
-            }
+        } else {
+            t.pending.push((pos, barrier.0));
+            self.pending_total += 1;
         }
     }
 
     /// Emits the end-of-stream diagnostics: `E005` per disagreeing
-    /// thread, then every `E007` race in `(epoch, element)` order.
+    /// thread.
     fn finish(&mut self, report: &mut Report) {
         if self.threads.is_empty() {
             return;
@@ -649,26 +801,13 @@ impl SoundnessStream {
                 );
             }
         }
-        // Pruned epochs first (lower keys), then the still-live cells:
-        // together, ascending (epoch, element) order.
-        for d in self.early_e007.drain(..) {
-            report.diagnostics.push(d);
-        }
-        for (&key, acc) in &self.accesses {
-            if let Some(d) = SoundnessStream::race_diagnostic(key, acc) {
-                report.diagnostics.push(d);
-            }
-        }
     }
 
-    /// Estimated bytes of resident analysis state (O(1) to compute;
-    /// excludes buffered diagnostics, which are output, not state).
+    /// Estimated bytes of resident analysis state (O(1) to compute).
     fn resident_bytes(&self) -> usize {
         self.threads.len() * size_of::<ThreadSound>()
             + self.reference.len() * size_of::<u32>()
             + self.pending_total * size_of::<(usize, u32)>()
-            + self.accesses.len() * size_of::<((usize, ElementId), EpochAccess)>()
-            + self.participants_total * size_of::<ThreadId>()
     }
 }
 
@@ -678,6 +817,7 @@ impl SoundnessStream {
 pub struct StreamLinter {
     wf: WellFormedStream,
     sound: SoundnessStream,
+    cells: EpochCells,
     report: Report,
     peak_resident: usize,
 }
@@ -688,6 +828,7 @@ impl StreamLinter {
         let mut lt = StreamLinter {
             wf: WellFormedStream::for_program(n_threads),
             sound: SoundnessStream::for_program(n_threads),
+            cells: EpochCells::for_program(n_threads),
             report: Report::new(),
             peak_resident: 0,
         };
@@ -700,6 +841,7 @@ impl StreamLinter {
         let mut lt = StreamLinter {
             wf: WellFormedStream::for_set(n_threads),
             sound: SoundnessStream::for_set(),
+            cells: EpochCells::for_set(),
             report: Report::new(),
             peak_resident: 0,
         };
@@ -711,13 +853,14 @@ impl StreamLinter {
     pub fn begin_thread(&mut self, position: usize, thread: ThreadId) {
         self.wf.begin_thread(position, thread, &mut self.report);
         self.sound.begin_thread(thread);
+        self.cells.begin_thread();
         self.note_peak();
     }
 
     /// Feeds one record through both machines.
     pub fn record(&mut self, r: &TraceRecord) {
-        if let Some((idx, span)) = self.wf.record(r, &mut self.report) {
-            self.sound.record(idx, span, r);
+        if let Some(idx) = self.wf.record(r, &mut self.cells, &mut self.report) {
+            self.sound.record(idx, r);
         }
         self.note_peak();
     }
@@ -726,6 +869,7 @@ impl StreamLinter {
     pub fn finish(mut self) -> Report {
         self.wf.finish(&mut self.report);
         self.sound.finish(&mut self.report);
+        self.cells.finish(&mut self.report);
         self.report
     }
 
@@ -738,7 +882,7 @@ impl StreamLinter {
 
     /// Estimated bytes of resident analysis state right now.
     pub fn resident_bytes(&self) -> usize {
-        self.wf.resident_bytes() + self.sound.resident_bytes()
+        self.wf.resident_bytes() + self.sound.resident_bytes() + self.cells.resident_bytes()
     }
 
     /// The high-water mark of [`resident_bytes`](Self::resident_bytes)

@@ -2,7 +2,8 @@
 //! renderers) to the whole-trace path — on the shipped example traces,
 //! and on every corruption class from the fixture battery re-encoded to
 //! bytes.  Also pins the streaming memory bound: resident analysis
-//! state must not grow with the record count.
+//! state must grow neither with the record count nor with the number of
+//! barrier epochs, and reused tables must stay counted.
 
 use extrap_lint::{
     lint_program, lint_program_stream, lint_set, lint_set_stream, lint_trace_file, render_json,
@@ -320,4 +321,114 @@ fn streaming_memory_is_bounded_by_structure_not_records() {
         "streaming lint state grew with record count: {small_peak} -> {big_peak} \
          bytes for {small_len} -> {big_len} records"
     );
+}
+
+/// Builds a program whose barrier-epoch count scales with `epochs` while
+/// its threads and the elements each epoch touches stay fixed: every
+/// thread reads four elements its neighbour owns and writes one of its
+/// own there, so the trace lints clean and each epoch holds 40 cells.
+fn long_program(epochs: usize) -> ProgramTrace {
+    let threads = 8u32;
+    let mut p = PhaseProgram::new(threads as usize);
+    for _ in 0..epochs {
+        let phase: Vec<PhaseWork> = (0..threads)
+            .map(|t| {
+                let owner = (t + 1) % threads;
+                let mut accesses: Vec<PhaseAccess> = (0..4)
+                    .map(|k| access(owner, owner * 64 + k, false))
+                    .collect();
+                accesses.push(access(owner, owner * 64 + 8 + t, true));
+                for (i, a) in accesses.iter_mut().enumerate() {
+                    a.after = DurationNs(10 * (i as u64 + 1));
+                }
+                work(100, accesses)
+            })
+            .collect();
+        p.push_phase(phase);
+    }
+    p.record()
+}
+
+#[test]
+fn streaming_memory_is_bounded_by_live_epochs_not_epoch_count() {
+    let probe = |pt: &ProgramTrace| -> usize {
+        let mut lt = StreamLinter::for_program(pt.n_threads);
+        for r in &pt.records {
+            lt.record(r);
+        }
+        let peak = lt.peak_resident_bytes();
+        assert!(lt.finish().is_clean(), "probe trace must lint clean");
+        peak
+    };
+    let (short, long) = (long_program(12), long_program(120));
+    assert!(long.records.len() >= short.records.len() * 9);
+    let (small_peak, big_peak) = (probe(&short), probe(&long));
+    // Pruned epochs' tables are reused, so ten times the epochs must not
+    // mean ten times the tables.
+    assert!(
+        big_peak <= small_peak * 2,
+        "streaming lint state grew with epoch count: {small_peak} -> {big_peak} bytes \
+         for 12 -> 120 epochs"
+    );
+}
+
+#[test]
+fn reused_tables_stay_counted_at_their_capacity() {
+    // One wide epoch (every thread touches 256 elements), then narrow
+    // ones: the wide epoch's table is cleared and reused, and its
+    // capacity must stay in `resident_bytes` rather than vanish.
+    let threads = 4u32;
+    let mut p = PhaseProgram::new(threads as usize);
+    p.push_phase(
+        (0..threads)
+            .map(|t| {
+                let owner = (t + 1) % threads;
+                let accesses = (0..256)
+                    .map(|k| PhaseAccess {
+                        after: DurationNs(k as u64),
+                        ..access(owner, owner * 1024 + k, false)
+                    })
+                    .collect();
+                work(1_000, accesses)
+            })
+            .collect(),
+    );
+    for _ in 0..8 {
+        p.push_uniform_phase(DurationNs(100));
+    }
+    let pt = p.record();
+    // The last thread's first barrier enter prunes the wide epoch.
+    let prune = pt
+        .records
+        .iter()
+        .position(|r| {
+            r.thread == ThreadId(threads - 1) && matches!(r.kind, EventKind::BarrierEnter { .. })
+        })
+        .unwrap();
+    let mut lt = StreamLinter::for_program(pt.n_threads);
+    let mut wide = 0;
+    for (i, r) in pt.records.iter().enumerate() {
+        if i == prune {
+            wide = lt.resident_bytes();
+        }
+        lt.record(r);
+    }
+    let after = lt.resident_bytes();
+    let narrow = {
+        let mut lt = StreamLinter::for_program(pt.n_threads);
+        for r in &clean_program().records {
+            lt.record(r);
+        }
+        lt.peak_resident_bytes()
+    };
+    assert!(
+        wide > narrow * 4,
+        "the wide epoch must show in resident state: {wide} vs {narrow}"
+    );
+    assert!(
+        after >= wide,
+        "reused tables must keep counting: {wide} bytes while epoch 0 was live, \
+         {after} after it was pruned"
+    );
+    assert!(lt.finish().is_clean());
 }
