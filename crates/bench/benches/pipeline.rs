@@ -1,7 +1,7 @@
 //! The out-of-core streaming pipeline, end to end: a synthetic program
 //! trace on disk → chunked [`ProgramStream`] over a [`FileSource`] →
-//! fused epoch-translate + incremental compile
-//! ([`compile_program_stream`]) → one extrapolation run.  Reported as
+//! epoch-translate ([`translate_stream`]) straight into an
+//! [`IncrementalCompiler`] → one extrapolation run.  Reported as
 //! MB/s over the on-disk trace bytes, plus the streaming machinery's
 //! peak resident bytes for the small and huge inputs.
 //!
@@ -17,11 +17,11 @@
 //! probe meaningful at any scale.
 
 use extrap_bench::harness::{Harness, Throughput};
-use extrap_core::{compile_program_stream, machine, Extrapolator};
+use extrap_core::{machine, Extrapolator, IncrementalCompiler};
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::builder::{PhaseAccess, PhaseProgram, PhaseWork};
 use extrap_trace::stream::ProgramStream;
-use extrap_trace::{ProgramTrace, SpillSink};
+use extrap_trace::{translate_stream, ProgramTrace, SpillSink};
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -85,8 +85,10 @@ fn write_temp(trace: &ProgramTrace, tag: &str) -> (PathBuf, u64) {
 /// makespan ns, machinery peak resident bytes).
 fn run_pipeline(path: &PathBuf) -> (u64, usize) {
     let mut stream = ProgramStream::open(path).expect("open trace stream");
-    let (program, stats) =
-        compile_program_stream(&mut stream, Default::default()).expect("streaming compile");
+    let mut compiler = IncrementalCompiler::new(stream.n_threads());
+    let stats = translate_stream(&mut stream, Default::default(), &mut compiler)
+        .expect("streaming compile");
+    let program = compiler.finish();
     let pred = Extrapolator::new(machine::default_distributed())
         .run(&program)
         .expect("extrapolate");

@@ -50,27 +50,7 @@ impl Harness {
     /// budget, `--json <path>` writes machine-readable results, and
     /// cargo's own `--bench` flag is ignored.
     pub fn from_args(target: &str) -> Harness {
-        let mut filters = Vec::new();
-        let mut quick = false;
-        let mut json_path = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--bench" | "--exact" => {}
-                "--quick" => quick = true,
-                "--json" => json_path = args.next(),
-                // Value-taking flags parsed by the bench targets
-                // themselves (e.g. `sweep`'s pool size and problem
-                // scale, `serve`'s client count); consume the value
-                // here so it is not mistaken for a benchmark-name
-                // filter.
-                "--workers" | "--scale" | "--clients" => {
-                    let _ = args.next();
-                }
-                a if a.starts_with("--") => {}
-                other => filters.push(other.to_string()),
-            }
-        }
+        let (filters, quick, json_path) = parse_args(std::env::args().skip(1));
         println!("## {target}");
         Harness {
             target: target.to_string(),
@@ -252,6 +232,31 @@ impl Harness {
     }
 }
 
+/// Splits bench arguments into `(filters, quick, json_path)`.
+fn parse_args(mut args: impl Iterator<Item = String>) -> (Vec<String>, bool, Option<String>) {
+    let mut filters = Vec::new();
+    let mut quick = false;
+    let mut json_path = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--bench" | "--exact" => {}
+            "--quick" => quick = true,
+            "--json" => json_path = args.next(),
+            // Value-taking flags parsed by the bench targets themselves
+            // (`sweep`'s and `repr`'s pool size and problem scale,
+            // `repr`'s program list, `serve`'s client count); consume the
+            // value here so it is not mistaken for a benchmark-name
+            // filter.
+            "--workers" | "--scale" | "--benches" | "--clients" => {
+                let _ = args.next();
+            }
+            a if a.starts_with("--") => {}
+            other => filters.push(other.to_string()),
+        }
+    }
+    (filters, quick, json_path)
+}
+
 fn escape_json(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
@@ -290,6 +295,21 @@ mod tests {
             json_path: None,
             results: Vec::new(),
         }
+    }
+
+    #[test]
+    fn value_flags_are_not_filters() {
+        let args = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
+        let (filters, quick, json) =
+            parse_args(args("--bench --scale paper --benches mgrid,poisson --json x").into_iter());
+        assert!(filters.is_empty(), "{filters:?}");
+        assert!(!quick);
+        assert_eq!(json.as_deref(), Some("x"));
+        let (filters, quick, json) =
+            parse_args(args("--quick --workers 4 repr_grid --clients 8").into_iter());
+        assert_eq!(filters, ["repr_grid"]);
+        assert!(quick);
+        assert_eq!(json, None);
     }
 
     #[test]

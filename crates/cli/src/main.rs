@@ -285,7 +285,8 @@ fn ingest_error(path: &str) -> impl Fn(extrap_trace::TraceError) -> String + '_ 
 
 /// Compiles a translated set file straight off the chunked set stream,
 /// without holding the decoded set — the one way `simulate`, `analyze`
-/// and `diff` load their input.
+/// and `diff` load their input (`stats` runs the same walk with the
+/// phase fold).
 fn load_program(path: &str) -> Result<extrap_core::CompiledProgram, String> {
     let mut stream = extrap_trace::stream::SetStream::open(path).map_err(ingest_error(path))?;
     extrap_core::compile_set_stream(&mut stream).map_err(ingest_error(path))
@@ -565,17 +566,10 @@ fn cmd_stats(args: Vec<String>) -> Result<(), String> {
     let epochs = take_epoch_flags(&mut spec)?;
     let [input] =
         spec.finish_exact("extrap stats FILE [--phases] [--max-clusters K] [--tolerance F]")?;
-    let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
-    let profiles = extrap_trace::phase_profiles(&set);
-    // The marker table needs only the set; compile for the epoch plan alone.
-    let program = epochs
-        .map(|_| extrap_core::CompiledProgram::compile(&set))
-        .transpose()
-        .map_err(|e| e.to_string())?;
-    drop(set);
-    let epochs = epochs
-        .zip(program.as_ref())
-        .map(|((k, tol), p)| (p, k, tol));
+    let mut stream = extrap_trace::stream::SetStream::open(&input).map_err(ingest_error(&input))?;
+    let (program, profiles) =
+        extrap_core::compile_set_stream_with_phases(&mut stream).map_err(ingest_error(&input))?;
+    let epochs = epochs.map(|(k, tol)| (&program, k, tol));
     print!("{}", extrap_core::render_stats_report(&profiles, epochs));
     Ok(())
 }

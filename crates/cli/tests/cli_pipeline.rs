@@ -263,6 +263,20 @@ fn bad_inputs_fail_cleanly() {
         threads: vec![thread(0, 0), thread(1, 5)],
     };
     std::fs::write(&badset, format::encode_set(&set)).unwrap();
+    // A set whose thread 1 clock runs backwards at its last record, and
+    // a clean set cut off inside thread 1's records.
+    let regress = dir.join("regress.xtps");
+    let mut regressed = TraceSet {
+        threads: vec![thread(0, 0), thread(1, 0)],
+    };
+    regressed.threads[1].records[3].time = TimeNs(5);
+    std::fs::write(&regress, format::encode_set(&regressed)).unwrap();
+    let truncated = dir.join("truncated.xtps");
+    let mut cut = format::encode_set(&TraceSet {
+        threads: vec![thread(0, 0), thread(1, 0)],
+    });
+    cut.truncate(cut.len() - 7);
+    std::fs::write(&truncated, cut).unwrap();
     // A bare set header that declares u32::MAX threads.
     let forged = dir.join("forged.xtps");
     let mut header = format::encode_set(&TraceSet { threads: vec![] });
@@ -273,6 +287,11 @@ fn bad_inputs_fail_cleanly() {
     let badset = badset.to_str().unwrap();
     let forged = forged.to_str().unwrap();
     let missing = missing.to_str().unwrap();
+    let regress = regress.to_str().unwrap();
+    let truncated = truncated.to_str().unwrap();
+    let regression = format!("extrap: {regress}: timestamp regression in T1 at record 3\n");
+    let cut_short =
+        format!("extrap: {truncated}: malformed trace: truncated while reading record header\n");
     let mismatch = format!(
         "extrap: {badset}: T1 passes a different barrier sequence than thread 0 \
          (program is not deterministically data-parallel)\n"
@@ -287,7 +306,13 @@ fn bad_inputs_fail_cleanly() {
         (badset, &mismatch),
         (forged, &forged_count),
         (missing, &absent),
+        (regress, &regression),
+        (truncated, &cut_short),
     ] {
+        // `stats` reads the same walk as `simulate` and prints the
+        // same first error, with or without the epoch section.
+        assert_fails_with(&["stats", file], err);
+        assert_fails_with(&["stats", file, "--phases"], err);
         assert_fails_with(&["simulate", file], err);
         assert_fails_with(&["diff", file, "cm5", "ideal"], err);
         if file != missing {

@@ -1,49 +1,26 @@
-//! Out-of-core trace→program compilation: one-pass pipelines that fold
-//! a chunked trace stream straight into a [`CompiledProgram`].
+//! Out-of-core set compilation: the one walk over an already-translated
+//! trace-set stream (`XTPS`), folding it straight into a
+//! [`CompiledProgram`] and, for callers that ask, the marker-phase
+//! profiles, without holding the set.
 //!
-//! The whole-trace path materializes three containers on the way to a
-//! simulation — `ProgramTrace` → `TraceSet` → `CompiledProgram` — so
-//! trace size, not simulation cost, bounds the inputs a host can
-//! extrapolate.  These entry points keep only the streaming machinery
-//! resident (decode window + epoch translator + per-thread fold state,
-//! O(threads + live-epoch)) plus the compiled program itself, which is
-//! the pipeline's product:
+//! Resident state is the decode window, one [`SetCheck`] segment cursor
+//! and the per-thread folds, plus the compiled program itself, which is
+//! the walk's product.  The set is checked record by record by the same
+//! [`SetCheck`] machine `TraceSet::validate` drives, so a corrupt file
+//! reports the same first error either way, and the per-record compile
+//! fold is the one [`CompiledProgram::compile`] runs (see
+//! [`IncrementalCompiler`]), so the program is identical by
+//! construction.
 //!
-//! * [`compile_program_stream`] — raw 1-processor trace (`XTRP`) in,
-//!   compiled program out, translation fused in ([`EpochTranslator`]
-//!   feeding an [`IncrementalCompiler`]); nothing intermediate is held.
-//! * [`compile_set_stream`] — already-translated set (`XTPS`) in,
-//!   compiled program out, checked by the same [`SetCheck`] machine
-//!   `TraceSet::validate` drives (so a corrupt file reports the same
-//!   first error either way).
-//!
-//! Both produce programs byte-identical to the whole-trace path by
-//! construction: the per-record fold is shared (see
-//! [`IncrementalCompiler`]), and `extrap_trace::translate` is itself an
-//! adapter over the same epoch translator.
-//!
-//! [`EpochTranslator`]: extrap_trace::EpochTranslator
+//! A raw 1-processor trace (`XTRP`) needs no walk here: drive
+//! `extrap_trace::translate_stream` into an [`IncrementalCompiler`]
+//! (plus a [`PhaseFold`] where profiles are wanted) through a closure
+//! sink.
 
 use crate::processor::{CompiledProgram, IncrementalCompiler};
-use extrap_trace::stream::{ChunkSource, ProgramStream, SetChunk, SetStream};
-use extrap_trace::{translate_stream, SetCheck, TraceError, TranslateOptions, TranslateStats};
-
-/// Translates and compiles a raw program-trace stream in one pass.
-///
-/// Equivalent to `translate(&stream.read_to_end()?, options)` followed
-/// by [`CompiledProgram::compile`], without ever holding the
-/// `ProgramTrace` or the `TraceSet`.  The returned [`TranslateStats`]
-/// carry the translate machinery's peak residency (the part this
-/// pipeline bounds; the compiled program is the output and scales with
-/// program structure).
-pub fn compile_program_stream<S: ChunkSource>(
-    stream: &mut ProgramStream<S>,
-    options: TranslateOptions,
-) -> Result<(CompiledProgram, TranslateStats), TraceError> {
-    let mut compiler = IncrementalCompiler::new(stream.n_threads());
-    let stats = translate_stream(stream, options, &mut compiler)?;
-    Ok((compiler.finish(), stats))
-}
+use extrap_trace::stream::{ChunkSource, SetChunk, SetStream};
+use extrap_trace::{PhaseFold, PhaseProfile, SetCheck, TraceError, TraceRecord};
+use std::collections::BTreeMap;
 
 /// Compiles an already-translated trace-set stream in one pass.
 ///
@@ -56,6 +33,27 @@ pub fn compile_program_stream<S: ChunkSource>(
 /// costs nothing before the stream reports the truncation.
 pub fn compile_set_stream<S: ChunkSource>(
     stream: &mut SetStream<S>,
+) -> Result<CompiledProgram, TraceError> {
+    walk_set(stream, |_, _| {})
+}
+
+/// [`compile_set_stream`] that also folds every record into a
+/// [`PhaseFold`] in the same pass, returning the program and the
+/// marker-phase profiles: what `extrap stats` and the daemon's
+/// `SubmitTrace` keep of a set.
+pub fn compile_set_stream_with_phases<S: ChunkSource>(
+    stream: &mut SetStream<S>,
+) -> Result<(CompiledProgram, BTreeMap<u32, PhaseProfile>), TraceError> {
+    let mut fold = PhaseFold::default();
+    let program = walk_set(stream, |t, rec| fold.record(t, rec))?;
+    Ok((program, fold.into_profiles()))
+}
+
+/// The set walk: checks, compiles, and hands each checked record to
+/// `also` (a no-op closure compiles away).
+fn walk_set<S: ChunkSource>(
+    stream: &mut SetStream<S>,
+    mut also: impl FnMut(usize, &TraceRecord),
 ) -> Result<CompiledProgram, TraceError> {
     let mut compiler = IncrementalCompiler::new(0);
     let mut check = SetCheck::default();
@@ -75,6 +73,7 @@ pub fn compile_set_stream<S: ChunkSource>(
                 for rec in recs {
                     check.record(rec)?;
                     compiler.emit_record(position, rec)?;
+                    also(position, rec);
                 }
             }
         }
@@ -88,8 +87,9 @@ mod tests {
     use super::*;
     use extrap_time::{BarrierId, DurationNs, ThreadId, TimeNs};
     use extrap_trace::reader::read_set_file;
-    use extrap_trace::stream::SliceSource;
-    use extrap_trace::{format, translate, EventKind, PhaseProgram, PhaseWork, TraceSet};
+    use extrap_trace::stream::{ProgramStream, SliceSource};
+    use extrap_trace::{format, translate, translate_stream, TranslateOptions};
+    use extrap_trace::{EventKind, PhaseProgram, PhaseWork, TraceSet};
 
     fn skewed_program(phases: usize) -> extrap_trace::ProgramTrace {
         let mut p = PhaseProgram::new(3);
@@ -112,14 +112,25 @@ mod tests {
         p.record()
     }
 
+    /// Translates and compiles `pt`'s encoded bytes in one pass, the way
+    /// the daemon ingests an `XTRP` payload.
+    fn translate_compile(
+        pt: &extrap_trace::ProgramTrace,
+        opts: TranslateOptions,
+    ) -> (CompiledProgram, extrap_trace::TranslateStats) {
+        let bytes = format::encode_program(pt);
+        let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
+        let mut compiler = IncrementalCompiler::new(stream.n_threads());
+        let stats = translate_stream(&mut stream, opts, &mut compiler).unwrap();
+        (compiler.finish(), stats)
+    }
+
     #[test]
     fn program_stream_compiles_identically() {
         let pt = skewed_program(5);
         let opts = TranslateOptions::default();
         let expected = CompiledProgram::compile(&translate(&pt, opts).unwrap()).unwrap();
-        let bytes = format::encode_program(&pt);
-        let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-        let (program, stats) = compile_program_stream(&mut stream, opts).unwrap();
+        let (program, stats) = translate_compile(&pt, opts);
         assert_eq!(program, expected);
         assert_eq!(stats.records, pt.records.len() as u64);
     }
@@ -133,6 +144,20 @@ mod tests {
         let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
         let program = compile_set_stream(&mut stream).unwrap();
         assert_eq!(program, expected);
+
+        // The profiling walk compiles the same program and folds every
+        // record of every thread.
+        let mut fold = PhaseFold::default();
+        for (t, thread) in set.threads.iter().enumerate() {
+            for rec in &thread.records {
+                fold.record(t, rec);
+            }
+        }
+        let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
+        let (program, profiles) = compile_set_stream_with_phases(&mut stream).unwrap();
+        assert_eq!(program, expected);
+        assert_eq!(profiles, fold.into_profiles());
+        assert_eq!(profiles[&extrap_trace::phases::PRELUDE].barriers, 3 * 4);
     }
 
     /// The machinery-residency probe (mirroring the streaming-lint
@@ -144,9 +169,7 @@ mod tests {
     fn streaming_residency_is_bounded_by_structure_not_records() {
         let probe = |phases: usize| -> (usize, usize) {
             let pt = skewed_program(phases);
-            let bytes = format::encode_program(&pt);
-            let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-            let (_, stats) = compile_program_stream(&mut stream, Default::default()).unwrap();
+            let (_, stats) = translate_compile(&pt, Default::default());
             (stats.peak_resident_bytes, pt.records.len())
         };
         let (small_peak, small_len) = probe(30);
@@ -243,11 +266,12 @@ mod tests {
             let bytes = format::encode_set(&set);
             let path = dir.join(format!("case{i}.xtps"));
             std::fs::write(&path, &bytes).unwrap();
-            let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
+            let stream = || SetStream::new(SliceSource(&bytes)).unwrap();
             let errors = [
                 set.validate().unwrap_err(),
                 CompiledProgram::compile(&set).unwrap_err(),
-                compile_set_stream(&mut stream).unwrap_err(),
+                compile_set_stream(&mut stream()).unwrap_err(),
+                compile_set_stream_with_phases(&mut stream()).unwrap_err(),
                 format::decode_set(&bytes).unwrap_err(),
             ];
             for e in &errors {

@@ -7,21 +7,24 @@
 //! * spill/merge translate (`translate_stream` into a [`SpillSink`],
 //!   replayed to an `XTPS` file) produces exactly the bytes
 //!   `encode_set(translate(whole_trace))` produces;
-//! * the fused translate+compile ([`compile_program_stream`]) produces
-//!   a [`CompiledProgram`] equal to compiling the whole-trace set;
+//! * translating straight into an [`IncrementalCompiler`] and a
+//!   [`PhaseFold`] (how the daemon ingests a raw trace) produces a
+//!   [`CompiledProgram`] equal to compiling the whole-trace set;
 //! * compiling the translated set from a chunked stream
-//!   ([`compile_set_stream`]) produces the same program — and, spot
-//!   checked, the same extrapolated prediction.
+//!   ([`compile_set_stream`], and [`compile_set_stream_with_phases`]
+//!   with the same phase profiles) produces the same program — and,
+//!   spot checked, the same extrapolated prediction.
 //!
 //! Driven by a deterministic SplitMix64 case generator instead of
 //! `proptest` (crates.io is unreachable in the build environment).
 
-use extrap_core::{compile_program_stream, compile_set_stream, machine, CompiledProgram};
+use extrap_core::processor::IncrementalCompiler;
+use extrap_core::{compile_set_stream, compile_set_stream_with_phases, machine, CompiledProgram};
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, StreamArena};
 use extrap_trace::{
-    format, translate, translate_stream, PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace,
-    SpillSink, TranslateOptions,
+    format, translate, translate_stream, PhaseAccess, PhaseFold, PhaseProgram, PhaseWork,
+    ProgramTrace, SpillSink, TraceRecord, TranslateOptions,
 };
 
 const CASES: u64 = 96;
@@ -137,11 +140,19 @@ fn streaming_pipeline_matches_whole_trace_path() {
             "spilled set file differs from whole-trace bytes ({what})"
         );
 
-        // Fused translate+compile: equal program, all records seen.
+        // Translate straight into the compiler and the phase fold:
+        // equal program, all records seen.
         let mut stream =
             ProgramStream::with_options(SliceSource(&raw), StreamArena::new(), window, chunk)
                 .unwrap();
-        let (program, stats) = compile_program_stream(&mut stream, opts).unwrap();
+        let mut compiler = IncrementalCompiler::new(stream.n_threads());
+        let mut fold = PhaseFold::default();
+        let mut sink = |t: usize, rec: TraceRecord| {
+            fold.record(t, &rec);
+            compiler.emit_record(t, &rec)
+        };
+        let stats = translate_stream(&mut stream, opts, &mut sink).unwrap();
+        let program = compiler.finish();
         assert_eq!(program, expected_program, "fused compile differs ({what})");
         assert_eq!(stats.records, pt.records.len() as u64, "{what}");
 
@@ -157,6 +168,23 @@ fn streaming_pipeline_matches_whole_trace_path() {
         assert_eq!(
             from_set, expected_program,
             "set-stream compile differs ({what})"
+        );
+        let mut stream = SetStream::with_options(
+            SliceSource(&expected_bytes),
+            StreamArena::new(),
+            window,
+            chunk,
+        )
+        .unwrap();
+        let (from_set, profiles) = compile_set_stream_with_phases(&mut stream).unwrap();
+        assert_eq!(
+            from_set, expected_program,
+            "profiling walk differs ({what})"
+        );
+        assert_eq!(
+            profiles,
+            fold.into_profiles(),
+            "phase profiles differ ({what})"
         );
 
         // Spot-check metric identity end to end: the streamed program

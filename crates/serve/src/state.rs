@@ -4,12 +4,14 @@
 
 use crate::ServeConfig;
 use extrap_core::sweep::CachedTrace;
-use extrap_core::{machine, CancelToken, CompiledProgram, RecordMode, SharedTraceCache, SimParams};
+use extrap_core::{compile_set_stream_with_phases, IncrementalCompiler};
+use extrap_core::{machine, CancelToken, RecordMode, SharedTraceCache, SimParams};
 use extrap_proto::{
     ErrorCode, JobId, PredictionSummary, Request, Response, ServerStats, SweepRow, SweepSpec,
     TraceId,
 };
-use extrap_trace::PhaseProfile;
+use extrap_trace::stream::{ProgramStream, SetStream, SliceSource};
+use extrap_trace::{PhaseFold, PhaseProfile, TraceRecord};
 use extrap_workloads::{Bench, Scale};
 use pcpp_rt::sync::{AtomicFlag, Condvar, Instant, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -145,8 +147,8 @@ struct JobTable {
 struct StoredTrace {
     /// The label the client submitted under (synchronous renders print it).
     name: String,
-    /// The marker-phase profiles of the submitted set, computed once at
-    /// submit for `Phases` reports; the set itself is dropped.
+    /// The marker-phase profiles of the submitted trace, folded once at
+    /// submit for `Phases` reports.
     profiles: Arc<BTreeMap<u32, PhaseProfile>>,
     cached: Arc<CachedTrace>,
     last_used: u64,
@@ -533,34 +535,39 @@ impl Session {
         if self.service.is_shutting_down() {
             return err(ErrorCode::ShuttingDown, "server is draining");
         }
+        // One streaming pass over the payload yields the compiled program
+        // and the marker-phase profiles, the only things that outlive
+        // this call: admission peak memory is the payload plus the
+        // program, never a decoded trace or translated set.  Both walks
+        // are the ones local ingest runs, so a corrupt payload draws the
+        // error text a local reader prints.
         let built = match payload.get(..4) {
-            // Raw traces stream through the epoch translator instead of
-            // materializing the whole `ProgramTrace` first: admission
-            // peak memory is the payload plus the translated set, not
-            // payload + decoded records + set.  Only the compiled program
-            // and the set's marker-phase profiles outlive this call.
-            Some(b"XTRP") => extrap_trace::stream::ProgramStream::new(
-                extrap_trace::stream::SliceSource(&payload),
-            )
-            .and_then(|mut stream| {
+            Some(b"XTRP") => ProgramStream::new(SliceSource(&payload)).and_then(|mut stream| {
                 self.service
                     .counters
                     .submit_translations
                     .fetch_add(1, Ordering::Relaxed);
-                extrap_trace::translate_stream_to_set(&mut stream, Default::default(), usize::MAX)
-            })
-            .map_err(|e| e.to_string())
-            .map(|(set, _stats)| set),
-            Some(b"XTPS") => extrap_trace::format::decode_set(&payload).map_err(|e| e.to_string()),
-            _ => Err("not a trace image (expected XTRP or XTPS magic)".to_string()),
-        }
-        .and_then(|set| match CompiledProgram::compile(&set) {
-            Ok(program) => Ok((extrap_trace::phase_profiles(&set), program)),
-            Err(e) => Err(e.to_string()),
-        });
-        let (profiles, program) = match built {
+                let mut compiler = IncrementalCompiler::new(stream.n_threads());
+                let mut fold = PhaseFold::default();
+                let mut sink = |t: usize, rec: TraceRecord| {
+                    fold.record(t, &rec);
+                    compiler.emit_record(t, &rec)
+                };
+                extrap_trace::translate_stream(&mut stream, Default::default(), &mut sink)?;
+                Ok((compiler.finish(), fold.into_profiles()))
+            }),
+            Some(b"XTPS") => SetStream::new(SliceSource(&payload))
+                .and_then(|mut stream| compile_set_stream_with_phases(&mut stream)),
+            _ => {
+                return err(
+                    ErrorCode::BadRequest,
+                    "not a trace image (expected XTRP or XTPS magic)",
+                )
+            }
+        };
+        let (program, profiles) = match built {
             Ok(built) => built,
-            Err(detail) => return err(ErrorCode::BadRequest, detail),
+            Err(e) => return err(ErrorCode::BadRequest, e.to_string()),
         };
         let id = TraceId(self.service.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
         let mut stored = StoredTrace {

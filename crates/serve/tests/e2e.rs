@@ -352,15 +352,27 @@ fn served_phases_report_is_byte_identical_to_local_stats() {
         (Bench::Mgrid, true),
         (Bench::Embar, false),
     ] {
-        let set = extrap_trace::translate(&bench.trace(4, Scale::Tiny), Default::default())
-            .expect("translate");
-        let program = extrap_core::CompiledProgram::compile(&set).expect("compile");
-        let profiles = extrap_trace::phase_profiles(&set);
-        let bytes = extrap_trace::format::encode_set(&set);
-        let (trace, _, resident_bytes) = client.submit_trace(bench.name(), bytes).unwrap();
+        let raw = bench.trace(4, Scale::Tiny);
+        let set = extrap_trace::translate(&raw, Default::default()).expect("translate");
+        let set_bytes = extrap_trace::format::encode_set(&set);
+        // The local side is what `extrap stats` runs over the set file.
+        let mut stream =
+            extrap_trace::stream::SetStream::new(extrap_trace::stream::SliceSource(&set_bytes))
+                .expect("set header");
+        let (program, profiles) =
+            extrap_core::compile_set_stream_with_phases(&mut stream).expect("compile");
+        let (set_trace, set_threads, set_resident) =
+            client.submit_trace(bench.name(), set_bytes).unwrap();
+        // The raw trace, translated by the daemon, is the same trace.
+        let raw_bytes = extrap_trace::format::encode_program(&raw);
+        let (raw_trace, raw_threads, raw_resident) =
+            client.submit_trace(bench.name(), raw_bytes).unwrap();
+        assert_eq!(set_threads, 4);
+        assert_eq!(raw_threads, set_threads, "{}", bench.name());
+        assert_eq!(raw_resident, set_resident, "{}", bench.name());
         // The daemon keeps the compiled program and the marker-phase
         // profiles, never the translated set.
-        let resident_bytes = resident_bytes as usize;
+        let resident_bytes = set_resident as usize;
         assert!(resident_bytes >= program.resident_bytes());
         assert!(
             resident_bytes < program.resident_bytes() + set.resident_bytes(),
@@ -374,15 +386,17 @@ fn served_phases_report_is_byte_identical_to_local_stats() {
                 &profiles,
                 epochs.map(|(k, tol)| (&program, k, tol)),
             );
-            let served = client.phases(trace, epochs).unwrap();
-            assert_eq!(
-                served,
-                local,
-                "{} {epochs:?}: served text must match local",
-                bench.name()
-            );
+            for (trace, what) in [(set_trace, "XTPS"), (raw_trace, "XTRP")] {
+                let served = client.phases(trace, epochs).unwrap();
+                assert_eq!(
+                    served,
+                    local,
+                    "{} {what} {epochs:?}: served text must match local",
+                    bench.name()
+                );
+            }
         }
-        let report = client.phases(trace, Some((64, 0.05))).unwrap();
+        let report = client.phases(set_trace, Some((64, 0.05))).unwrap();
         assert_eq!(
             report.contains("falls back"),
             !engages,
@@ -448,5 +462,146 @@ fn served_analyze_is_byte_identical_to_local_render() {
             ..
         }
     ));
+    server.shutdown_and_join();
+}
+
+/// Every corrupt `SubmitTrace` payload draws `BadRequest` with the
+/// exact `detail` a local reader prints: the set corruptions each set
+/// reader rejects, the program traces the translator rejects, and
+/// images that are neither.  The strings are pinned verbatim so a
+/// change to the ingest path cannot reword them.
+#[test]
+fn corrupt_payloads_are_rejected_with_pinned_details() {
+    use extrap_time::{BarrierId, ThreadId};
+    use extrap_trace::{format, EventKind, ProgramTrace, TraceRecord, TraceSet};
+
+    let set_with = |corrupt: fn(&mut TraceSet)| {
+        let mut p = extrap_trace::PhaseProgram::new(3);
+        p.push_uniform_phase(DurationNs(100));
+        p.push_uniform_phase(DurationNs(250));
+        let mut set = extrap_trace::translate(&p.record(), Default::default()).expect("translate");
+        corrupt(&mut set);
+        format::encode_set(&set)
+    };
+    let program = |n_threads: usize, recs: &[(u64, u32, EventKind)]| {
+        let mut pt = ProgramTrace::new(n_threads);
+        pt.records = recs
+            .iter()
+            .map(|&(time, thread, kind)| TraceRecord {
+                time: TimeNs(time),
+                thread: ThreadId(thread),
+                kind,
+            })
+            .collect();
+        format::encode_program(&pt)
+    };
+    let enter = EventKind::BarrierEnter {
+        barrier: BarrierId(0),
+    };
+    let exit = EventKind::BarrierExit {
+        barrier: BarrierId(0),
+    };
+    let (begin, end) = (EventKind::ThreadBegin, EventKind::ThreadEnd);
+    let mut truncated = set_with(|_| {});
+    truncated.truncate(truncated.len() - 7);
+    let mut unknown_magic = set_with(|_| {});
+    unknown_magic[..4].copy_from_slice(b"XTPQ");
+
+    let mut trailing = set_with(|_| {});
+    trailing.extend_from_slice(&[0, 1, 2]);
+
+    let cases: [(&str, Vec<u8>, &str); 14] = [
+        (
+            "misplaced position",
+            set_with(|s| s.threads[1].thread = ThreadId(2)),
+            "trace at position 1 contains records of T2",
+        ),
+        (
+            "foreign record",
+            set_with(|s| s.threads[1].records[2].thread = ThreadId(0)),
+            "trace at position 1 contains records of T0",
+        ),
+        (
+            "clock regression",
+            set_with(|s| s.threads[2].records.last_mut().unwrap().time = TimeNs(0)),
+            "timestamp regression in T2 at record 5",
+        ),
+        (
+            "barrier mismatch",
+            set_with(|s| {
+                for rec in &mut s.threads[2].records {
+                    if let EventKind::BarrierEnter { barrier } = &mut rec.kind {
+                        *barrier = BarrierId(barrier.0 + 7);
+                    }
+                }
+            }),
+            "T2 passes a different barrier sequence than thread 0 \
+             (program is not deterministically data-parallel)",
+        ),
+        (
+            "truncated segment",
+            truncated,
+            "malformed trace: truncated while reading record header",
+        ),
+        (
+            "trailing bytes",
+            trailing,
+            "malformed trace: 3 trailing bytes after records",
+        ),
+        (
+            "thread out of range",
+            program(1, &[(0, 0, begin), (1, 3, begin)]),
+            "record 1 references T3 but the trace has 1 threads",
+        ),
+        (
+            "global regression",
+            program(1, &[(5, 0, begin), (3, 0, end)]),
+            "global timestamp regression at record 1",
+        ),
+        (
+            "exit without entry",
+            program(1, &[(0, 0, begin), (5, 0, exit)]),
+            "barrier protocol violation in T0: exited B0 without entering it",
+        ),
+        (
+            "never exited",
+            program(1, &[(0, 0, begin), (5, 0, enter), (6, 0, end)]),
+            "barrier protocol violation in T0: never exited B0",
+        ),
+        (
+            "unknown magic",
+            unknown_magic,
+            "not a trace image (expected XTRP or XTPS magic)",
+        ),
+        (
+            "short image",
+            b"XT".to_vec(),
+            "not a trace image (expected XTRP or XTPS magic)",
+        ),
+        (
+            "bare magic",
+            b"XTPS".to_vec(),
+            "malformed trace: truncated while reading file header",
+        ),
+        (
+            "bare program magic",
+            b"XTRP".to_vec(),
+            "malformed trace: truncated while reading file header",
+        ),
+    ];
+
+    let server = start(ServeConfig::default());
+    let mut client = connect(&server);
+    let mut wrong = Vec::new();
+    for (name, payload, expected) in cases {
+        match client.submit_trace(name, payload) {
+            Err(ClientError::Server {
+                code: ErrorCode::BadRequest,
+                detail,
+            }) if detail == expected => {}
+            other => wrong.push(format!("{name}: {other:?}")),
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
     server.shutdown_and_join();
 }

@@ -27,13 +27,12 @@ pub use builder::{PhaseAccess, PhaseProgram, PhaseWork, ProgramTraceBuilder};
 pub use error::TraceError;
 pub use event::{EventKind, TraceRecord};
 pub use event::{ProgramTrace, SetCheck, ThreadTrace, TraceSet};
-pub use phases::{phase_profiles, splitmix64, PhaseProfile};
+pub use phases::{splitmix64, PhaseFold, PhaseProfile};
 pub use stats::{ThreadStats, TraceStats};
 pub use stream::{
     sniff_kind, ChunkSource, FileSource, ProgramStream, SetChunk, SetStream, SliceSource,
     SpillSink, StreamArena, TraceKind,
 };
 pub use translate::{
-    translate, translate_stream, translate_stream_to_set, EpochTranslator, TranslateOptions,
-    TranslateSink, TranslateStats,
+    translate, translate_stream, EpochTranslator, TranslateOptions, TranslateSink, TranslateStats,
 };

@@ -1,11 +1,12 @@
 //! Reading translated trace sets from files.
 //!
 //! [`read_set_file`] materializes a whole [`TraceSet`] for the tools
-//! that need one (reports, statistics, timelines).
-//! Simulation never does: it compiles a set file straight off the
-//! chunked [`SetStream`] (`extrap_core::compile_set_stream`).  Raw,
-//! unvalidated decoding for diagnostics lives in [`crate::format`] and
-//! [`crate::stream`].
+//! that need one (`extrap report`, timelines).
+//! Simulation and statistics never do: they walk a set file straight
+//! off the chunked [`SetStream`] (`extrap_core::compile_set_stream`,
+//! which the marker-phase statistics ride as a
+//! [`PhaseFold`](crate::PhaseFold)).  Raw, unvalidated decoding for
+//! diagnostics lives in [`crate::format`] and [`crate::stream`].
 
 use crate::error::TraceError;
 use crate::event::TraceSet;

@@ -5,7 +5,8 @@
 //! barriers (only 650)", per-access transfer sizes, and the computation /
 //! communication balance.
 
-use crate::event::{EventKind, ThreadTrace, TraceSet};
+use crate::event::TraceSet;
+use crate::phases::PhaseFold;
 use extrap_time::{DurationNs, ThreadId, TimeNs};
 
 /// Per-thread summary numbers.
@@ -39,65 +40,11 @@ pub struct TraceStats {
     pub per_thread: Vec<ThreadStats>,
 }
 
-impl ThreadStats {
-    /// Computes stats for one (translated) thread trace.
-    pub fn from_thread(trace: &ThreadTrace) -> ThreadStats {
-        let mut s = ThreadStats {
-            events: trace.records.len(),
-            end_time: trace.end_time(),
-            ..ThreadStats::default()
-        };
-        let mut resume = TimeNs::ZERO;
-        let mut barrier_enter: Option<TimeNs> = None;
-        for r in &trace.records {
-            match r.kind {
-                EventKind::BarrierEnter { .. } => {
-                    s.barriers += 1;
-                    s.compute += r.time.saturating_since(resume);
-                    barrier_enter = Some(r.time);
-                }
-                EventKind::BarrierExit { .. } => {
-                    if let Some(enter) = barrier_enter.take() {
-                        s.barrier_wait += r.time.saturating_since(enter);
-                    }
-                    resume = r.time;
-                }
-                EventKind::RemoteRead {
-                    declared_bytes,
-                    actual_bytes,
-                    ..
-                } => {
-                    s.remote_reads += 1;
-                    s.declared_bytes += u64::from(declared_bytes);
-                    s.actual_bytes += u64::from(actual_bytes);
-                }
-                EventKind::RemoteWrite {
-                    declared_bytes,
-                    actual_bytes,
-                    ..
-                } => {
-                    s.remote_writes += 1;
-                    s.declared_bytes += u64::from(declared_bytes);
-                    s.actual_bytes += u64::from(actual_bytes);
-                }
-                EventKind::ThreadBegin => resume = r.time,
-                EventKind::ThreadEnd => {
-                    s.compute += r.time.saturating_since(resume);
-                    resume = r.time;
-                }
-                EventKind::Marker { .. } => {}
-            }
-        }
-        s
-    }
-}
-
 impl TraceStats {
-    /// Computes stats for a whole translated trace set.
+    /// Computes stats for a whole translated trace set (an adapter over
+    /// [`PhaseFold`], the fold behind the marker-phase profiles too).
     pub fn from_set(set: &TraceSet) -> TraceStats {
-        TraceStats {
-            per_thread: set.threads.iter().map(ThreadStats::from_thread).collect(),
-        }
+        PhaseFold::from_set(set).into_stats()
     }
 
     /// Stats for one thread.

@@ -25,7 +25,7 @@
 
 use crate::error::TraceError;
 use crate::event::{EventKind, ProgramTrace, ThreadTrace, TraceRecord, TraceSet};
-use crate::stream::{ChunkSource, ProgramStream, SpillSink};
+use crate::stream::{ChunkSource, ProgramStream};
 use extrap_time::{BarrierId, DurationNs, ThreadId, TimeNs};
 use std::collections::VecDeque;
 use std::mem::size_of;
@@ -560,24 +560,6 @@ pub fn translate_stream<S: ChunkSource>(
     })
 }
 
-/// Out-of-core streaming translation to a [`TraceSet`]: per-thread output
-/// runs go through a budget-capped [`SpillSink`] (in-memory until
-/// `mem_budget` bytes of translated records are resident, spilled to a
-/// tempfile-backed `SpillDir` beyond that) and are merged back
-/// thread-by-thread at the end.  The result — validated like
-/// [`translate`]'s — is byte-identical to the whole-trace path.
-pub fn translate_stream_to_set<S: ChunkSource>(
-    stream: &mut ProgramStream<S>,
-    options: TranslateOptions,
-    mem_budget: usize,
-) -> Result<(TraceSet, TranslateStats), TraceError> {
-    let mut sink = SpillSink::new(stream.n_threads(), mem_budget);
-    let stats = translate_stream(stream, options, &mut sink)?;
-    let set = sink.into_set()?;
-    set.validate()?;
-    Ok((set, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -833,42 +815,35 @@ mod tests {
         p.record()
     }
 
+    /// The spilling sink writes the whole-trace set's bytes at every
+    /// budget: 0 spills every batch, 64 some, `usize::MAX` none.
     #[test]
     fn streaming_translate_matches_whole_trace() {
-        use crate::stream::{ProgramStream, SliceSource};
+        use crate::stream::{ProgramStream, SliceSource, SpillSink};
         let pt = sample_remote_program();
         let opts = TranslateOptions {
             event_overhead: DurationNs(3),
             switch_overhead: DurationNs(5),
         };
-        let expected = translate(&pt, opts).unwrap();
-        let bytes = crate::format::encode_program(&pt);
-        for budget in [0usize, 64, usize::MAX] {
-            let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-            let (set, stats) = translate_stream_to_set(&mut stream, opts, budget).unwrap();
-            assert_eq!(set, expected, "budget {budget}");
-            assert_eq!(stats.records, pt.records.len() as u64);
-            assert!(stats.peak_resident_bytes > 0);
-        }
-    }
-
-    #[test]
-    fn streaming_write_set_file_is_byte_identical() {
-        use crate::stream::{ProgramStream, SliceSource, SpillSink};
-        let pt = sample_remote_program();
-        let opts = TranslateOptions::default();
         let expected = crate::format::encode_set(&translate(&pt, opts).unwrap());
         let bytes = crate::format::encode_program(&pt);
         let dir = std::env::temp_dir().join(format!("extrap-xlate-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.xtps");
-        // Budget 0 forces every batch through the spill files.
-        let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-        let mut sink = SpillSink::new(stream.n_threads(), 0);
-        translate_stream(&mut stream, opts, &mut sink).unwrap();
-        assert!(sink.spill_count() > 0);
-        sink.write_set_file(&path).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        for budget in [0usize, 64, usize::MAX] {
+            let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
+            let mut sink = SpillSink::new(stream.n_threads(), budget);
+            let stats = translate_stream(&mut stream, opts, &mut sink).unwrap();
+            assert_eq!(stats.records, pt.records.len() as u64);
+            assert!(stats.peak_resident_bytes > 0);
+            assert_eq!(
+                sink.spill_count() > 0,
+                budget < usize::MAX,
+                "budget {budget}"
+            );
+            sink.write_set_file(&path).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), expected, "budget {budget}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -888,7 +863,7 @@ mod tests {
 
     #[test]
     fn streaming_translate_rejects_what_whole_trace_rejects() {
-        use crate::stream::{ProgramStream, SliceSource};
+        use crate::stream::{ProgramStream, SliceSource, SpillSink};
         use EventKind::{ThreadBegin as Begin, ThreadEnd as End};
         let enter = |b: u32| EventKind::BarrierEnter {
             barrier: BarrierId(b),
@@ -979,14 +954,22 @@ mod tests {
                 .expect_err(what)
                 .to_string();
             let bytes = crate::format::encode_program(pt);
-            for budget in [0, usize::MAX] {
-                let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-                let streamed =
-                    translate_stream_to_set(&mut stream, TranslateOptions::default(), budget)
-                        .expect_err(what)
-                        .to_string();
-                assert_eq!(whole, streamed, "{what}, budget {budget}");
-            }
+            let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
+            let mut collected = Vec::new();
+            let mut collect = |t: usize, rec: TraceRecord| {
+                collected.push((t, rec));
+                Ok(())
+            };
+            let bare = translate_stream(&mut stream, TranslateOptions::default(), &mut collect)
+                .expect_err(what)
+                .to_string();
+            assert_eq!(whole, bare, "{what}, collecting sink");
+            let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
+            let mut spill = SpillSink::new(stream.n_threads(), 0);
+            let spilled = translate_stream(&mut stream, TranslateOptions::default(), &mut spill)
+                .expect_err(what)
+                .to_string();
+            assert_eq!(whole, spilled, "{what}, spilling sink");
         }
         // The reference is the first thread to reach the epoch.
         let first = translate(&cases[0].1, TranslateOptions::default()).unwrap_err();

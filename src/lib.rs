@@ -65,8 +65,8 @@ pub mod prelude {
     pub use extrap_refsim::RefMachine;
     pub use extrap_time::{BarrierId, DurationNs, ElementId, ProcId, ThreadId, TimeNs};
     pub use extrap_trace::{
-        phase_profiles, splitmix64, translate, PhaseProgram, ProgramTrace, ThreadTrace, TraceSet,
-        TraceStats, TranslateOptions,
+        splitmix64, translate, PhaseProgram, ProgramTrace, ThreadTrace, TraceSet, TraceStats,
+        TranslateOptions,
     };
     pub use extrap_workloads::{Bench, Scale};
     pub use pcpp_rt::{
