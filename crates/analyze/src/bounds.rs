@@ -2,6 +2,11 @@
 //! [`CompiledProgram`] under one [`SimParams`] into closed-form
 //! lower/upper execution-time bounds.
 //!
+//! Both bounds walk the program one barrier epoch at a time, over the
+//! borrowed op slices of
+//! [`CompiledThread::epochs`](extrap_core::CompiledThread::epochs) — the
+//! one epoch definition, shared with representative-region planning.
+//!
 //! The derivation mirrors the engine's cost formulas term by term:
 //!
 //! * **Lower bound (span).**  Each thread's serial chain is replayed
@@ -159,27 +164,28 @@ pub struct Envelope {
 // Epoch decomposition
 // ---------------------------------------------------------------------
 
-/// One thread's slice of one epoch.
-#[derive(Default)]
-struct Segment {
-    /// Unscaled compute atoms (scaled per-atom at evaluation time, the
-    /// way the engine scales each `Op::Compute` at dispatch).
-    atoms: Vec<DurationNs>,
-    /// `(owner, modelled transfer bytes)` per blocking read.
-    reads: Vec<(ThreadId, u32)>,
-    /// Non-blocking write count.
-    writes: u64,
-}
-
-struct Decomp {
+/// The program split into its barrier epochs, borrowed straight from
+/// the compiled scripts.
+struct Decomp<'a> {
     n_threads: usize,
     n_procs: usize,
     barriers: Vec<BarrierId>,
     /// `segs[thread][epoch]`, `barriers.len() + 1` epochs per thread.
-    segs: Vec<Vec<Segment>>,
+    segs: Vec<Vec<&'a [Op]>>,
 }
 
-fn decompose(program: &CompiledProgram, params: &SimParams) -> Result<Decomp, Unsupported> {
+/// The barrier ids that end a thread's epochs, in order.
+fn barrier_ids<'s>(epochs: &'s [&[Op]]) -> impl Iterator<Item = BarrierId> + 's {
+    epochs.iter().filter_map(|seg| match seg.last() {
+        Some(Op::Barrier(b)) => Some(*b),
+        _ => None,
+    })
+}
+
+fn decompose<'a>(
+    program: &'a CompiledProgram,
+    params: &SimParams,
+) -> Result<Decomp<'a>, Unsupported> {
     if params.multithread.mapping != ThreadMapping::OnePerProc {
         return Err(unsupported(format!(
             "thread mapping {:?} multiplexes processors; bounds cover one-per-proc only",
@@ -189,8 +195,7 @@ fn decompose(program: &CompiledProgram, params: &SimParams) -> Result<Decomp, Un
     let n_threads = program.n_threads();
     let n_procs = params.multithread.mapping.n_procs(n_threads.max(1));
 
-    let mut barriers: Option<Vec<BarrierId>> = None;
-    let mut segs = Vec::with_capacity(n_threads);
+    let mut segs: Vec<Vec<&[Op]>> = Vec::with_capacity(n_threads);
     for (ti, th) in program.threads().iter().enumerate() {
         if th.thread != ThreadId(ti as u32) {
             return Err(unsupported(format!(
@@ -198,63 +203,36 @@ fn decompose(program: &CompiledProgram, params: &SimParams) -> Result<Decomp, Un
                 th.thread
             )));
         }
-        let mut my_barriers = Vec::new();
-        let mut epochs = vec![Segment::default()];
         for op in &th.ops {
-            match *op {
-                Op::Compute(d) => epochs.last_mut().expect("nonempty").atoms.push(d),
-                Op::RemoteRead {
-                    owner,
-                    declared_bytes,
-                    actual_bytes,
-                    ..
-                } => {
-                    if owner.index() >= n_threads {
-                        return Err(unsupported(format!(
-                            "read owner {owner:?} outside the {n_threads}-thread program"
-                        )));
-                    }
-                    let bytes = match params.size_mode {
-                        extrap_core::SizeMode::Declared => declared_bytes,
-                        extrap_core::SizeMode::Actual => actual_bytes,
-                    };
-                    epochs
-                        .last_mut()
-                        .expect("nonempty")
-                        .reads
-                        .push((owner, bytes));
-                }
-                Op::RemoteWrite { owner, .. } => {
-                    if owner.index() >= n_threads {
-                        return Err(unsupported(format!(
-                            "write owner {owner:?} outside the {n_threads}-thread program"
-                        )));
-                    }
-                    epochs.last_mut().expect("nonempty").writes += 1;
-                }
-                Op::Barrier(b) => {
-                    my_barriers.push(b);
-                    epochs.push(Segment::default());
-                }
-                Op::End => break,
+            let (kind, owner) = match *op {
+                Op::RemoteRead { owner, .. } => ("read", owner),
+                Op::RemoteWrite { owner, .. } => ("write", owner),
+                _ => continue,
+            };
+            if owner.index() >= n_threads {
+                return Err(unsupported(format!(
+                    "{kind} owner {owner:?} outside the {n_threads}-thread program"
+                )));
             }
         }
-        match &barriers {
-            None => barriers = Some(my_barriers),
-            Some(b) if *b == my_barriers => {}
-            Some(_) => {
+        let epochs: Vec<&[Op]> = th.epochs().collect();
+        if let Some(first) = segs.first() {
+            if !barrier_ids(&epochs).eq(barrier_ids(first)) {
                 return Err(unsupported(
                     "threads disagree on the barrier sequence; per-epoch bounds need \
                      globally aligned barriers",
-                ))
+                ));
             }
         }
         segs.push(epochs);
     }
+    let barriers = segs
+        .first()
+        .map_or_else(Vec::new, |e| barrier_ids(e).collect());
     Ok(Decomp {
         n_threads,
         n_procs,
-        barriers: barriers.unwrap_or_default(),
+        barriers,
         segs,
     })
 }
@@ -330,36 +308,64 @@ impl Costs<'_> {
             + self.wire(owner, t, bytes + self.p.comm.reply_header_bytes, self.fmax)
             + self.p.comm.receive
     }
-}
 
-/// Scaled serial cost of one segment under `eval`-supplied read costs.
-fn segment_cost(
-    seg: &Segment,
-    mips_ratio: f64,
-    send_oh: DurationNs,
-    mut read_cost: impl FnMut(&(ThreadId, u32)) -> DurationNs,
-) -> DurationNs {
-    let mut total = DurationNs::ZERO;
-    for &d in &seg.atoms {
-        total += d.scale(mips_ratio);
+    /// Serial cost of one thread's epoch slice, with each read charged
+    /// `read_cost(owner, modelled bytes)`.  Every compute atom is scaled
+    /// on its own, the way the engine scales each `Op::Compute` at
+    /// dispatch.
+    fn serial(
+        &self,
+        seg: &[Op],
+        mut read_cost: impl FnMut(ThreadId, u32) -> DurationNs,
+    ) -> DurationNs {
+        let mut total = DurationNs::ZERO;
+        for op in seg {
+            total += match *op {
+                Op::Compute(d) => d.scale(self.p.mips_ratio),
+                Op::RemoteRead {
+                    owner,
+                    declared_bytes,
+                    actual_bytes,
+                    ..
+                } => read_cost(
+                    owner,
+                    match self.p.size_mode {
+                        extrap_core::SizeMode::Declared => declared_bytes,
+                        extrap_core::SizeMode::Actual => actual_bytes,
+                    },
+                ),
+                Op::RemoteWrite { .. } => self.send_oh(),
+                Op::Barrier(_) | Op::End => DurationNs::ZERO,
+            };
+        }
+        total
     }
-    for r in &seg.reads {
-        total += read_cost(r);
-    }
-    total + send_oh * seg.writes
 }
 
 // ---------------------------------------------------------------------
 // Message census (fmax) and global slack (G)
 // ---------------------------------------------------------------------
 
-/// Message census: `(total, concurrent)`.
+/// One count pass over every remote op, feeding the contention ceiling
+/// `fmax` and the global service slack `G`.
+struct Census {
+    /// Blocking reads in the run.
+    reads: u64,
+    /// Non-blocking writes in the run.
+    writes: u64,
+    /// Every cross-processor message the run will inject.
+    messages: u64,
+    /// How many of them can be in flight at once.
+    concurrent: u64,
+}
+
+/// Counts the run's remote ops and messages.
 ///
-/// `total` counts every cross-processor message the run will inject:
-/// two per cross-proc read, one per cross-proc write, and — in
-/// message-mode linear barriers — `2 × (n − 1)` per barrier (arrives +
-/// releases).  Tree barriers are analytic (never injected) and
-/// hardware/flag barriers send nothing.
+/// `messages` counts every cross-processor message the run will inject:
+/// two per cross-proc read, one per write, and — in message-mode linear
+/// barriers — `2 × (n − 1)` per barrier (arrives + releases).  Tree
+/// barriers are analytic (never injected) and hardware/flag barriers
+/// send nothing.
 ///
 /// `concurrent` bounds how many can be *in flight at once*, which is
 /// what the engine's delay factor actually sees: a reading thread
@@ -367,21 +373,27 @@ fn segment_cost(
 /// message per reading thread; a message-mode barrier keeps at most one
 /// arrive-or-release per slave in flight per adjacent barrier pair
 /// (`2 × (n − 1)`); writes are fire-and-forget and keep their total.
-fn message_census(dec: &Decomp, params: &SimParams) -> (u64, u64) {
+fn message_census(dec: &Decomp<'_>, params: &SimParams) -> Census {
+    let mut reads = 0u64;
+    let mut writes = 0u64;
     let mut total = 0u64;
     let mut concurrent = 0u64;
-    let mut writes = 0u64;
     for (ti, epochs) in dec.segs.iter().enumerate() {
         let mut cross_reads = 0u64;
-        for seg in epochs {
-            for &(owner, _) in &seg.reads {
-                if owner.index() != ti {
-                    cross_reads += 1;
+        for op in epochs.iter().copied().flatten() {
+            match op {
+                Op::RemoteRead { owner, .. } => {
+                    reads += 1;
+                    if owner.index() != ti {
+                        cross_reads += 1;
+                    }
                 }
+                // A write to self stays on-proc, but every write counts
+                // as cross-processor: over-counting keeps `fmax` a
+                // ceiling and the committed analyze goldens unchanged.
+                Op::RemoteWrite { .. } => writes += 1,
+                _ => {}
             }
-            // Writes to self stay on-proc; the segment stores only the
-            // count, so all writes are conservatively counted as cross.
-            writes += seg.writes;
         }
         total += 2 * cross_reads;
         concurrent += cross_reads.min(1);
@@ -396,7 +408,12 @@ fn message_census(dec: &Decomp, params: &SimParams) -> (u64, u64) {
         total += dec.barriers.len() as u64 * 2 * (dec.n_threads as u64 - 1);
         concurrent += 2 * (dec.n_threads as u64 - 1);
     }
-    (total, concurrent.min(total))
+    Census {
+        reads,
+        writes,
+        messages: total,
+        concurrent: concurrent.min(total),
+    }
 }
 
 fn contention_ceiling(params: &SimParams, n_procs: usize, concurrent: u64) -> f64 {
@@ -411,16 +428,8 @@ fn contention_ceiling(params: &SimParams, n_procs: usize, concurrent: u64) -> f6
 /// run.  Each service interval occupies one thread for one bounded span
 /// and can intersect a single causal chain at most once, so charging
 /// the full sum once bounds all backlog-induced stalls.
-fn global_slack(dec: &Decomp, costs: &Costs<'_>) -> DurationNs {
-    let mut reads = 0u64;
-    let mut writes = 0u64;
-    for epochs in &dec.segs {
-        for seg in epochs {
-            reads += seg.reads.len() as u64;
-            writes += seg.writes;
-        }
-    }
-    (costs.svc() + costs.send_oh()) * reads + costs.svc() * writes
+fn global_slack(census: &Census, costs: &Costs<'_>) -> DurationNs {
+    (costs.svc() + costs.send_oh()) * census.reads + costs.svc() * census.writes
 }
 
 // ---------------------------------------------------------------------
@@ -428,7 +437,7 @@ fn global_slack(dec: &Decomp, costs: &Costs<'_>) -> DurationNs {
 // ---------------------------------------------------------------------
 
 /// Per-thread end-time floors via the contention-free critical path.
-fn lower_chain(dec: &Decomp, costs: &Costs<'_>) -> Vec<TimeNs> {
+fn lower_chain(dec: &Decomp<'_>, costs: &Costs<'_>) -> Vec<TimeNs> {
     let n = dec.n_threads;
     let bp = &costs.p.barrier;
     let mut lam = vec![TimeNs::ZERO; n];
@@ -437,12 +446,9 @@ fn lower_chain(dec: &Decomp, costs: &Costs<'_>) -> Vec<TimeNs> {
         // Serial floor of each thread's epoch-e segment.
         let mut done = vec![TimeNs::ZERO; n];
         for t in 0..n {
-            let serial = segment_cost(
-                &dec.segs[t][e],
-                costs.p.mips_ratio,
-                costs.send_oh(),
-                |&(owner, bytes)| costs.read_floor(ThreadId(t as u32), owner, bytes),
-            );
+            let serial = costs.serial(dec.segs[t][e], |owner, bytes| {
+                costs.read_floor(ThreadId(t as u32), owner, bytes)
+            });
             done[t] = lam[t] + serial;
         }
         if e == dec.barriers.len() {
@@ -573,11 +579,11 @@ fn barrier_ceiling(costs: &Costs<'_>, n: usize) -> (DurationNs, DurationNs) {
     }
 }
 
-/// Scalar epoch chain: `(per-thread ceilings, exec ceiling)`.
-fn upper_chain(dec: &Decomp, costs: &Costs<'_>) -> (Vec<TimeNs>, TimeNs) {
+/// Scalar epoch chain: `(per-thread ceilings, exec ceiling)`, with the
+/// global service slack charged once.
+fn upper_chain(dec: &Decomp<'_>, costs: &Costs<'_>, slack: DurationNs) -> (Vec<TimeNs>, TimeNs) {
     let n = dec.n_threads;
     let bp = &costs.p.barrier;
-    let slack = global_slack(dec, costs);
     let (completion, barrier_spread) = barrier_ceiling(costs, n);
     let mut u = TimeNs::ZERO;
     let mut spread_prev = DurationNs::ZERO;
@@ -588,8 +594,10 @@ fn upper_chain(dec: &Decomp, costs: &Costs<'_>) -> (Vec<TimeNs>, TimeNs) {
         // (NoInterrupt runs it out; Poll ticks within it).
         let mut segmax = DurationNs::ZERO;
         for epochs in &dec.segs {
-            for &d in &epochs[e].atoms {
-                segmax = segmax.max(d.scale(costs.p.mips_ratio));
+            for op in epochs[e] {
+                if let Op::Compute(d) = *op {
+                    segmax = segmax.max(d.scale(costs.p.mips_ratio));
+                }
             }
         }
         // Worst direct wait: owner mid-atom, owner's barrier-entry
@@ -603,12 +611,9 @@ fn upper_chain(dec: &Decomp, costs: &Costs<'_>) -> (Vec<TimeNs>, TimeNs) {
         let mut smax = DurationNs::ZERO;
         let mut serial = vec![DurationNs::ZERO; n];
         for (t, s) in serial.iter_mut().enumerate() {
-            *s = segment_cost(
-                &dec.segs[t][e],
-                costs.p.mips_ratio,
-                costs.send_oh(),
-                |&(owner, bytes)| costs.read_ceiling(ThreadId(t as u32), owner, bytes, wait_direct),
-            );
+            *s = costs.serial(dec.segs[t][e], |owner, bytes| {
+                costs.read_ceiling(ThreadId(t as u32), owner, bytes, wait_direct)
+            });
             smax = smax.max(*s);
         }
         if e == dec.barriers.len() {
@@ -646,8 +651,8 @@ pub fn analyze(program: &CompiledProgram, params: &SimParams) -> Result<Analysis
             messages: 0,
         });
     }
-    let (messages, concurrent) = message_census(&dec, params);
-    let fmax = contention_ceiling(params, dec.n_procs, concurrent);
+    let census = message_census(&dec, params);
+    let fmax = contention_ceiling(params, dec.n_procs, census.concurrent);
     let floor = Costs {
         p: params,
         n_procs: dec.n_procs,
@@ -659,7 +664,8 @@ pub fn analyze(program: &CompiledProgram, params: &SimParams) -> Result<Analysis
         fmax,
     };
     let thread_lower = lower_chain(&dec, &floor);
-    let (thread_upper, upper) = upper_chain(&dec, &ceil);
+    let slack = global_slack(&census, &ceil);
+    let (thread_upper, upper) = upper_chain(&dec, &ceil, slack);
     let span = thread_lower.iter().copied().max().unwrap_or(TimeNs::ZERO);
 
     let mut epochs = Vec::with_capacity(dec.barriers.len() + 1);
@@ -670,15 +676,17 @@ pub fn analyze(program: &CompiledProgram, params: &SimParams) -> Result<Analysis
         let mut reads = 0u64;
         let mut writes = 0u64;
         for epochs_t in &dec.segs {
-            let seg = &epochs_t[e];
             let mut mine = DurationNs::ZERO;
-            for &d in &seg.atoms {
-                mine += d.scale(params.mips_ratio);
+            for op in epochs_t[e] {
+                match *op {
+                    Op::Compute(d) => mine += d.scale(params.mips_ratio),
+                    Op::RemoteRead { .. } => reads += 1,
+                    Op::RemoteWrite { .. } => writes += 1,
+                    Op::Barrier(_) | Op::End => {}
+                }
             }
             busiest = busiest.max(mine);
             work += mine;
-            reads += seg.reads.len() as u64;
-            writes += seg.writes;
         }
         total_work += work;
         let mean = work.as_ns() as f64 / dec.n_threads as f64;
@@ -707,8 +715,8 @@ pub fn analyze(program: &CompiledProgram, params: &SimParams) -> Result<Analysis
         thread_upper,
         epochs,
         fmax,
-        slack: global_slack(&dec, &ceil),
-        messages,
+        slack,
+        messages: census.messages,
     })
 }
 

@@ -20,7 +20,8 @@ use extrap_trace::{EventKind, TraceError, TraceRecord, TraceSet, TranslateSink};
 /// One step of a thread's script.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Op {
-    /// Compute for the given (already `MipsRatio`-scaled) duration.
+    /// Compute for the given duration in **host** (unscaled) time; the
+    /// engine scales it by `MipsRatio` when it dispatches the op.
     Compute(DurationNs),
     /// Issue a blocking remote element read owned by `owner`.  The engine
     /// selects the modelled transfer size from the two recorded sizes per
@@ -95,15 +96,14 @@ fn fold_record(ops: &mut Vec<Op>, prev: &mut Option<TimeNs>, rec: &TraceRecord) 
     }
 }
 
-/// Every script ends in [`Op::End`], even for an empty thread.
-fn seal_script(ops: &mut Vec<Op>) {
-    if !matches!(ops.last(), Some(Op::End)) {
-        ops.push(Op::End);
-    }
-}
-
 /// One thread of a [`CompiledProgram`]: the op script (unscaled compute)
 /// plus the counts the engine uses for exact buffer pre-reservation.
+///
+/// Every script ends in [`Op::End`]: [`CompiledProgram`] is only ever
+/// assembled from scripts sealed by `CompiledThread::new`, which is what
+/// [`epochs`] relies on.
+///
+/// [`epochs`]: CompiledThread::epochs
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompiledThread {
     /// The thread this script belongs to (drives processor placement).
@@ -114,6 +114,38 @@ pub struct CompiledThread {
     /// (begin + end + one per remote op + two per barrier), so `Full`
     /// record mode reserves once and never regrows.
     pub predicted_records: usize,
+}
+
+impl CompiledThread {
+    /// Seals `ops` (every script ends in [`Op::End`], even for an empty
+    /// thread) and counts its exact predicted records: begin + end + one
+    /// per remote op + two per barrier.
+    pub(crate) fn new(thread: ThreadId, mut ops: Vec<Op>) -> CompiledThread {
+        if !matches!(ops.last(), Some(Op::End)) {
+            ops.push(Op::End);
+        }
+        let predicted_records = 2 + ops
+            .iter()
+            .map(|op| match op {
+                Op::RemoteRead { .. } | Op::RemoteWrite { .. } => 1,
+                Op::Barrier(_) => 2,
+                Op::Compute(_) | Op::End => 0,
+            })
+            .sum::<usize>();
+        CompiledThread {
+            thread,
+            ops,
+            predicted_records,
+        }
+    }
+
+    /// The script's barrier epochs, in order — the one definition of
+    /// where an epoch starts and ends.  Epoch `k` ends with the thread's
+    /// `k`-th [`Op::Barrier`], counting from 0; the tail epoch ends with
+    /// [`Op::End`].  A script with `b` barriers has `b + 1` epochs.
+    pub fn epochs(&self) -> impl Iterator<Item = &[Op]> {
+        self.ops.split_inclusive(|op| matches!(op, Op::Barrier(_)))
+    }
 }
 
 /// A whole trace set compiled once into per-thread op scripts.
@@ -147,29 +179,26 @@ impl CompiledProgram {
         Ok(compiler.finish())
     }
 
-    /// Assembles a program from already-compiled thread scripts.  The
+    /// Assembles a program from sealed thread scripts.  The
     /// representative-region path slices a full compiled program at
-    /// barrier boundaries into per-cluster mini-programs; callers must
-    /// hand over scripts shaped like [`compile`](CompiledProgram::compile)
-    /// produces them (trailing [`Op::End`], globally aligned barriers).
-    pub fn from_threads(threads: Vec<CompiledThread>) -> CompiledProgram {
-        // Per-epoch (between-barrier) remote-write counts, summed across
-        // threads: non-blocking writes are the only ops that can pile up
-        // in the event queue faster than they drain, and a barrier
-        // flushes them, so the busiest epoch bounds the write backlog.
+    /// barrier boundaries into per-cluster mini-programs; every script
+    /// must end in [`Op::End`] and the barriers must align globally, as
+    /// [`compile`](CompiledProgram::compile) produces them.
+    pub(crate) fn from_threads(threads: Vec<CompiledThread>) -> CompiledProgram {
+        // Per-epoch remote-write counts, summed across threads:
+        // non-blocking writes are the only ops that can pile up in the
+        // event queue faster than they drain, and a barrier flushes them,
+        // so the busiest epoch bounds the write backlog.
         let mut epoch_writes: Vec<usize> = Vec::new();
         for t in &threads {
-            let mut epoch = 0usize;
-            for op in &t.ops {
-                match op {
-                    Op::Barrier(_) => epoch += 1,
-                    Op::RemoteWrite { .. } => {
-                        if epoch_writes.len() <= epoch {
-                            epoch_writes.resize(epoch + 1, 0);
-                        }
-                        epoch_writes[epoch] += 1;
-                    }
-                    _ => {}
+            for (e, ops) in t.epochs().enumerate() {
+                let writes = ops
+                    .iter()
+                    .filter(|op| matches!(op, Op::RemoteWrite { .. }))
+                    .count();
+                match epoch_writes.get_mut(e) {
+                    Some(w) => *w += writes,
+                    None => epoch_writes.push(writes),
                 }
             }
         }
@@ -294,23 +323,7 @@ impl IncrementalCompiler {
             .threads
             .into_iter()
             .enumerate()
-            .map(|(i, mut fold)| {
-                seal_script(&mut fold.ops);
-                let predicted_records = 2 + fold
-                    .ops
-                    .iter()
-                    .map(|op| match op {
-                        Op::RemoteRead { .. } | Op::RemoteWrite { .. } => 1,
-                        Op::Barrier(_) => 2,
-                        Op::Compute(_) | Op::End => 0,
-                    })
-                    .sum::<usize>();
-                CompiledThread {
-                    thread: ThreadId::from_index(i),
-                    ops: fold.ops,
-                    predicted_records,
-                }
-            })
+            .map(|(i, fold)| CompiledThread::new(ThreadId::from_index(i), fold.ops))
             .collect();
         CompiledProgram::from_threads(threads)
     }
@@ -457,5 +470,101 @@ mod tests {
     fn end_op_is_guaranteed() {
         let program = IncrementalCompiler::new(1).finish();
         assert_eq!(program.threads()[0].ops, vec![Op::End]);
+    }
+
+    /// A random sealed script of up to 40 ops drawn from `rng`.
+    fn random_thread(rng: &mut u64) -> CompiledThread {
+        use extrap_trace::phases::splitmix64;
+        let len = splitmix64(rng) % 41;
+        let ops = (0..len)
+            .map(|_| {
+                let r = splitmix64(rng);
+                match r % 5 {
+                    0 => Op::Barrier(BarrierId((r >> 8) as u32 % 4)),
+                    1 => Op::RemoteRead {
+                        owner: ThreadId(1),
+                        element: ElementId(0),
+                        declared_bytes: 64,
+                        actual_bytes: 8,
+                    },
+                    2 => Op::RemoteWrite {
+                        owner: ThreadId(1),
+                        element: ElementId(0),
+                        declared_bytes: 64,
+                        actual_bytes: 8,
+                    },
+                    _ => Op::Compute(DurationNs(r >> 40)),
+                }
+            })
+            .collect();
+        CompiledThread::new(ThreadId(0), ops)
+    }
+
+    #[test]
+    fn epochs_split_sealed_scripts_at_every_barrier() {
+        let mut rng = 0xE90C_u64;
+        for _ in 0..500 {
+            let thread = random_thread(&mut rng);
+            let epochs: Vec<&[Op]> = thread.epochs().collect();
+            assert_eq!(epochs.concat(), thread.ops);
+            let barriers = thread
+                .ops
+                .iter()
+                .filter(|op| matches!(op, Op::Barrier(_)))
+                .count();
+            assert_eq!(epochs.len(), barriers + 1, "{:?}", thread.ops);
+            let (tail, interior) = epochs.split_last().unwrap();
+            for epoch in interior {
+                let n = epoch
+                    .iter()
+                    .filter(|op| matches!(op, Op::Barrier(_)))
+                    .count();
+                assert_eq!(n, 1, "{epoch:?}");
+                assert!(matches!(epoch.last(), Some(Op::Barrier(_))), "{epoch:?}");
+            }
+            assert!(!tail.iter().any(|op| matches!(op, Op::Barrier(_))));
+            assert_eq!(tail.last(), Some(&Op::End));
+        }
+    }
+
+    #[test]
+    fn repr_mini_programs_count_their_predicted_records_exactly() {
+        let mut p = PhaseProgram::new(2);
+        for e in 0..24u32 {
+            p.push_phase(vec![
+                PhaseWork {
+                    compute: DurationNs(1_000 + 500 * u64::from(e % 2)),
+                    accesses: vec![PhaseAccess {
+                        after: DurationNs(200),
+                        owner: ThreadId(1),
+                        element: ElementId(e),
+                        declared_bytes: 256,
+                        actual_bytes: 32,
+                        write: e % 3 == 0,
+                    }],
+                },
+                PhaseWork {
+                    compute: DurationNs(800),
+                    accesses: vec![],
+                },
+            ]);
+        }
+        let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+        let program = CompiledProgram::compile(&ts).unwrap();
+        let plan = crate::ReprPlan::from_program(&program, 16, 0.05).unwrap();
+        let params = crate::SimParams::default();
+        assert_eq!(params.record_mode, crate::params::RecordMode::Full);
+        let run = |program: &CompiledProgram| {
+            let pred = crate::Extrapolator::new(params.clone())
+                .run(program)
+                .unwrap();
+            for (thread, trace) in program.threads().iter().zip(&pred.predicted.threads) {
+                assert_eq!(thread.predicted_records, trace.records.len());
+            }
+        };
+        run(plan.baseline());
+        for cluster in plan.clusters() {
+            run(cluster.program());
+        }
     }
 }

@@ -4,11 +4,13 @@
 //! Iterative programs (Mgrid, Poisson, Grid) repeat near-identical
 //! barrier epochs hundreds of times; replaying every one is the
 //! dominant cost of a paper-scale sweep.  This module applies
-//! SimPoint-style region selection to barrier epochs: fingerprint each
-//! epoch from the compiled op scripts, cluster the fingerprints
-//! deterministically, simulate **one representative epoch per
-//! cluster** through the unmodified exact engine, and compose full-run
-//! metrics from the cluster weights.
+//! SimPoint-style region selection to barrier epochs (the slices
+//! [`CompiledThread::epochs`] yields, the one epoch definition it
+//! shares with the static bounds analyzer): fingerprint each epoch from
+//! the compiled op scripts, cluster the fingerprints deterministically,
+//! simulate **one representative epoch per cluster** through the
+//! unmodified exact engine, and compose full-run metrics from the
+//! cluster weights.
 //!
 //! The fingerprint and the clustering live only here: `extrap stats
 //! --phases` prints the plan this module builds
@@ -118,13 +120,13 @@ impl ReprPlan {
         if program.is_empty() {
             return None;
         }
-        let spans: Vec<Vec<(usize, usize)>> = program
+        let epochs: Vec<Vec<&[Op]>> = program
             .threads()
             .iter()
-            .map(|t| epoch_spans(&t.ops))
+            .map(|t| t.epochs().collect())
             .collect();
-        let n_epochs = spans[0].len();
-        if n_epochs < MIN_EPOCHS || spans.iter().any(|s| s.len() != n_epochs) {
+        let n_epochs = epochs[0].len();
+        if n_epochs < MIN_EPOCHS || epochs.iter().any(|e| e.len() != n_epochs) {
             return None;
         }
 
@@ -132,9 +134,9 @@ impl ReprPlan {
         if let Some(last) = sigs.last_mut() {
             last.terminator = EpochTerminator::End;
         }
-        for (t, thread) in program.threads().iter().enumerate() {
-            for (e, &(start, end)) in spans[t].iter().enumerate() {
-                accumulate_signature(&mut sigs[e], &thread.ops[start..end]);
+        for thread in &epochs {
+            for (sig, ops) in sigs.iter_mut().zip(thread) {
+                accumulate_signature(sig, ops);
             }
         }
 
@@ -149,18 +151,14 @@ impl ReprPlan {
                 rep_epoch: c.rep,
                 weight: c.weight,
                 signature: sigs[c.rep],
-                program: slice_epoch(program, &spans, c.rep),
+                program: slice_epoch(program, &epochs, c.rep),
             })
             .collect();
         let baseline = CompiledProgram::from_threads(
             program
                 .threads()
                 .iter()
-                .map(|t| CompiledThread {
-                    thread: t.thread,
-                    ops: vec![Op::Barrier(BarrierId(0)), Op::End],
-                    predicted_records: 4,
-                })
+                .map(|t| CompiledThread::new(t.thread, vec![Op::Barrier(BarrierId(0))]))
                 .collect(),
         );
         Some(ReprPlan {
@@ -232,25 +230,6 @@ impl ReprPlan {
         out.predicted = TraceSet { threads: vec![] };
         Ok(out)
     }
-}
-
-/// Splits a thread's op script into per-epoch `[start, end)` spans.
-/// Epoch `k`'s span ends just after its `Op::Barrier`; the final span
-/// ends just before `Op::End`.
-fn epoch_spans(ops: &[Op]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut start = 0usize;
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Barrier(_) => {
-                spans.push((start, i + 1));
-                start = i + 1;
-            }
-            Op::End => spans.push((start, i)),
-            _ => {}
-        }
-    }
-    spans
 }
 
 /// Folds an op slice into an epoch signature.
@@ -474,10 +453,7 @@ pub fn render_stats_report(
     };
     out.push_str("-- barrier epochs --\n");
     let Some(plan) = ReprPlan::from_program(program, max_clusters, tolerance) else {
-        let n_epochs = program
-            .threads()
-            .first()
-            .map_or(0, |t| epoch_spans(&t.ops).len());
+        let n_epochs = program.threads().first().map_or(0, |t| t.epochs().count());
         let _ = writeln!(
             out,
             "{n_epochs} epochs; no plan with at least {MIN_EPOCHS} epochs and \
@@ -523,37 +499,19 @@ pub fn render_stats_report(
 /// leading warmup barrier (`BarrierId(0)`, reproducing the staggered
 /// start the epoch sees in the full run), the epoch's ops with its own
 /// barrier remapped to `BarrierId(1)` (the coordinator sizes its state
-/// by barrier index), and a trailing `Op::End`.
-fn slice_epoch(
-    program: &CompiledProgram,
-    spans: &[Vec<(usize, usize)>],
-    e: usize,
-) -> CompiledProgram {
+/// by barrier index), and the `Op::End` that sealing leaves last.
+fn slice_epoch(program: &CompiledProgram, epochs: &[Vec<&[Op]>], e: usize) -> CompiledProgram {
     let threads = program
         .threads()
         .iter()
-        .enumerate()
-        .map(|(t, thread)| {
-            let (start, end) = spans[t][e];
+        .zip(epochs)
+        .map(|(thread, thread_epochs)| {
             let mut ops = vec![Op::Barrier(BarrierId(0))];
-            ops.extend(thread.ops[start..end].iter().map(|op| match op {
+            ops.extend(thread_epochs[e].iter().map(|op| match op {
                 Op::Barrier(_) => Op::Barrier(BarrierId(1)),
                 other => *other,
             }));
-            ops.push(Op::End);
-            let predicted_records = 2 + ops
-                .iter()
-                .map(|op| match op {
-                    Op::RemoteRead { .. } | Op::RemoteWrite { .. } => 1,
-                    Op::Barrier(_) => 2,
-                    Op::Compute(_) | Op::End => 0,
-                })
-                .sum::<usize>();
-            CompiledThread {
-                thread: thread.thread,
-                ops,
-                predicted_records,
-            }
+            CompiledThread::new(thread.thread, ops)
         })
         .collect();
     CompiledProgram::from_threads(threads)
