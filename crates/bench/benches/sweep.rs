@@ -173,9 +173,16 @@ fn main() {
     ] {
         let bytes = extrap_trace::format::encode_program(&trace);
         h.bench_throughput(name, Throughput::Bytes(bytes.len() as u64), || {
-            let src = extrap_trace::stream::SliceSource(&bytes);
+            use extrap_trace::stream::{ProgramStream, SliceSource};
+            use extrap_trace::stream::{DEFAULT_CHUNK_RECORDS, DEFAULT_WINDOW_BYTES};
             let arena = std::mem::take(&mut lint_arena);
-            let mut s = extrap_trace::stream::ProgramStream::with_arena(src, arena).unwrap();
+            let mut s = ProgramStream::with_options(
+                SliceSource(&bytes),
+                arena,
+                DEFAULT_WINDOW_BYTES,
+                DEFAULT_CHUNK_RECORDS,
+            )
+            .unwrap();
             let report = extrap_lint::lint_program_stream(&mut s).unwrap();
             assert!(report.is_clean(), "{name}: the bench trace must lint clean");
             lint_arena = s.into_arena();

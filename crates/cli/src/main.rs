@@ -5,7 +5,7 @@
 //! extrap trace     <bench> <threads> [--scale S] -o trace.xtrp
 //! extrap translate trace.xtrp -o traces.xtps [--event-overhead US] [--switch-overhead US] \
 //!                  [--mem-budget BYTES]     # out-of-core: spills past the budget
-//! extrap simulate  traces.xtps [--machine M | --params FILE] [--set KEY=VALUE]... \
+//! extrap simulate  FILE [--machine M | --params FILE] [--set KEY=VALUE]... \
 //!                  [--check-bounds] [--predicted OUT]
 //! extrap analyze   FILE|BENCH [--threads N] [--procs LIST] [--format text|json|csv]
 //! extrap sweep     <bench>[,<bench>...] [--procs 1,2,...] [--jobs N] [--csv] [--check-bounds]
@@ -13,14 +13,16 @@
 //! extrap client    sweep|simulate|stats|shutdown [--addr HOST:PORT] ...
 //! extrap check     [--scenarios] [--scenario NAME] [--replay CERT]   # model-check the
 //!                  [--schedules N] [--seed N] [--max-steps N]        # concurrent core
-//! extrap report    traces.xtps            # trace statistics
-//! extrap stats     traces.xtps [--phases]  # marker phases + the repr epoch plan
+//! extrap report    FILE                   # trace statistics
+//! extrap stats     FILE [--phases]        # marker phases + the repr epoch plan
 //! extrap lint      FILE|DIR... [--jobs N] [--format json] [--deny-warnings] [--allow CODE]...
 //!                                         # includes the §5 determinism check (E007)
 //! extrap lint      --fix FILE [--out FILE] [--dry-run]   # repair fixable diagnostics
 //! extrap params    [--machine M]          # print a parameter file
 //! extrap benches                          # list benchmarks
 //! ```
+//!
+//! A trace `FILE` is a raw capture (`.xtrp`) or a translated set (`.xtps`).
 
 mod args;
 mod remote;
@@ -28,7 +30,7 @@ mod remote;
 use args::ArgSpec;
 use extrap_core::{machine, Extrapolator, SharedTraceCache, SimParams, SimStrategy, SweepGrid};
 use extrap_time::{DurationNs, TimeNs};
-use extrap_trace::{TraceRecord, TraceStats, TranslateOptions, TranslateSink};
+use extrap_trace::{PhaseFold, TraceRecord, TranslateOptions, TranslateSink};
 use extrap_workloads::{Bench, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -102,7 +104,9 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  [--deny-warnings] [--allow CODE]...\n  \
                  extrap lint --fix FILE [--out FILE] [--dry-run] | extrap lint --codes\n  \
                  extrap diff FILE <machineA> <machineB>\n  \
-                 extrap params [--machine M]\n  extrap benches"
+                 extrap params [--machine M]\n  extrap benches\n\n\
+                 simulate, analyze, diff, stats and report take a raw (.xtrp) or \
+                 translated (.xtps) trace FILE."
             );
             Ok(())
         }
@@ -283,13 +287,15 @@ fn ingest_error(path: &str) -> impl Fn(extrap_trace::TraceError) -> String + '_ 
     move |e| e.in_file(path).to_string()
 }
 
-/// Compiles a translated set file straight off the chunked set stream,
-/// without holding the decoded set — the one way `simulate`, `analyze`
-/// and `diff` load their input (`stats` runs the same walk with the
-/// phase fold).
-fn load_program(path: &str) -> Result<extrap_core::CompiledProgram, String> {
-    let mut stream = extrap_trace::stream::SetStream::open(path).map_err(ingest_error(path))?;
-    extrap_core::compile_set_stream(&mut stream).map_err(ingest_error(path))
+/// Compiles a raw or translated trace file in one pass through the
+/// front door, handing every translated record to `also` — the one way
+/// `simulate`, `analyze`, `diff`, `stats` and `report` load their input.
+fn load_program(
+    path: &str,
+    also: impl FnMut(usize, &TraceRecord),
+) -> Result<extrap_core::CompiledProgram, String> {
+    let stream = extrap_trace::TraceStream::open(path).map_err(ingest_error(path))?;
+    extrap_core::compile_trace_stream(stream, also).map_err(ingest_error(path))
 }
 
 /// A [`TranslateSink`] adapter that tracks the translated makespan (the
@@ -316,7 +322,7 @@ fn cmd_simulate(args: Vec<String>) -> Result<(), String> {
     let predicted_out = spec.value("--predicted")?;
     let [input] = spec.finish_exact("extrap simulate FILE [--machine M]")?;
     let pred = Extrapolator::new(params)
-        .run(&load_program(&input)?)
+        .run(&load_program(&input, |_, _| {})?)
         .map_err(|e| e.to_string())?;
     println!(
         "predicted execution time: {:.3} ms",
@@ -365,7 +371,7 @@ fn cmd_simulate(args: Vec<String>) -> Result<(), String> {
 /// and load imbalance, the contention-free critical path, and
 /// closed-form exec-time/speedup bounds, all without running the
 /// simulator.  The positional is sniffed: an existing file is read as a
-/// translated trace set; anything else resolves as a benchmark name,
+/// raw or translated trace; anything else resolves as a benchmark name,
 /// which additionally produces bound *curves* over `--procs`.
 fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("analyze", args);
@@ -392,7 +398,7 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
                     .to_string(),
             );
         }
-        (input.clone(), load_program(&input)?, Vec::new())
+        (input.clone(), load_program(&input, |_, _| {})?, Vec::new())
     } else {
         let bench = resolve_bench(&input)?;
         let procs: Vec<usize> = match procs_arg {
@@ -526,9 +532,10 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
 
 fn cmd_report(args: Vec<String>) -> Result<(), String> {
     let [input] = ArgSpec::new("report", args).finish_exact("extrap report FILE")?;
-    let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
-    let stats = TraceStats::from_set(&set);
-    println!("threads:           {}", set.n_threads());
+    let mut fold = PhaseFold::default();
+    let n_threads = load_program(&input, |t, rec| fold.record(t, rec))?.n_threads();
+    let stats = fold.into_stats(n_threads);
+    println!("threads:           {n_threads}");
     println!("makespan:          {:.3} ms", stats.makespan().as_ms());
     println!("barriers:          {}", stats.barriers());
     println!("remote accesses:   {}", stats.total_remote_accesses());
@@ -557,7 +564,7 @@ fn take_epoch_flags(spec: &mut ArgSpec) -> Result<Option<(u32, f64)>, String> {
     Ok(phases.then_some((max_clusters, tolerance)))
 }
 
-/// `extrap stats`: phase-level statistics of a translated trace — the
+/// `extrap stats`: phase-level statistics of a trace — the
 /// marker-delimited phase profiles, plus (with `--phases`) the
 /// barrier-epoch plan `--strategy repr:K:TOL` builds, so repetition can
 /// be inspected before opting in.
@@ -566,9 +573,9 @@ fn cmd_stats(args: Vec<String>) -> Result<(), String> {
     let epochs = take_epoch_flags(&mut spec)?;
     let [input] =
         spec.finish_exact("extrap stats FILE [--phases] [--max-clusters K] [--tolerance F]")?;
-    let mut stream = extrap_trace::stream::SetStream::open(&input).map_err(ingest_error(&input))?;
-    let (program, profiles) =
-        extrap_core::compile_set_stream_with_phases(&mut stream).map_err(ingest_error(&input))?;
+    let mut fold = PhaseFold::default();
+    let program = load_program(&input, |t, rec| fold.record(t, rec))?;
+    let profiles = fold.into_profiles();
     let epochs = epochs.map(|(k, tol)| (&program, k, tol));
     print!("{}", extrap_core::render_stats_report(&profiles, epochs));
     Ok(())
@@ -881,27 +888,22 @@ fn cmd_lint_fix(
 ) -> Result<(), String> {
     use extrap_lint::Severity;
 
-    let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
     enum Fixed {
         Program(extrap_trace::ProgramTrace),
         Set(extrap_trace::TraceSet),
     }
-    let (fixed, notes, report) = match data.get(..4) {
-        Some(b"XTRP") => {
-            let trace = extrap_trace::format::decode_program_raw(&data)
-                .map_err(|e| format!("{input}: {e}"))?;
-            let out = extrap_lint::fix_program(&trace);
+    let stream = extrap_trace::TraceStream::open(input).map_err(|e| e.to_string())?;
+    let (fixed, notes, report) = match stream {
+        extrap_trace::TraceStream::Program(mut stream) => {
+            let out = extrap_lint::fix_program(&stream.read_to_end().map_err(|e| e.to_string())?);
             let report = extrap_lint::lint_program(&out.value);
             (Fixed::Program(out.value), out.notes, report)
         }
-        Some(b"XTPS") => {
-            let set =
-                extrap_trace::format::decode_set_raw(&data).map_err(|e| format!("{input}: {e}"))?;
-            let out = extrap_lint::fix_set(&set);
+        extrap_trace::TraceStream::Set(mut stream) => {
+            let out = extrap_lint::fix_set(&stream.read_to_end().map_err(|e| e.to_string())?);
             let report = extrap_lint::lint_set(&out.value);
             (Fixed::Set(out.value), out.notes, report)
         }
-        _ => return Err(format!("{input}: --fix needs a binary trace file")),
     };
     let report = apply_allow(report, allow);
 
@@ -978,7 +980,7 @@ fn json_escape(s: &str) -> String {
 fn cmd_diff(args: Vec<String>) -> Result<(), String> {
     let [input, ma, mb] =
         ArgSpec::new("diff", args).finish_exact("extrap diff FILE <machineA> <machineB>")?;
-    let program = load_program(&input)?;
+    let program = load_program(&input, |_, _| {})?;
     let pa = parse_machine(Some(ma.clone()))?;
     let pb = parse_machine(Some(mb.clone()))?;
     let a = Extrapolator::new(pa)

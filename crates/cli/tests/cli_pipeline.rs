@@ -11,6 +11,15 @@ fn extrap(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
+/// Runs `extrap args` with `dir` as the working directory.
+fn extrap_in(dir: &std::path::Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_extrap"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("binary runs")
+}
+
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).to_string()
 }
@@ -216,6 +225,52 @@ fn diff_compares_two_machines() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every trace reader takes a raw capture as well as its translation
+/// and prints the same bytes for both.  Each command runs once in a
+/// directory holding the raw trace and once in one holding the set,
+/// under the same file name, so path-bearing output lines agree too.
+#[test]
+fn raw_and_translated_inputs_print_identical_output() {
+    let dir = tmpdir("raw-vs-set");
+    for bench in ["grid", "mgrid", "embar"] {
+        let raw_dir = dir.join(format!("{bench}-raw"));
+        let set_dir = dir.join(format!("{bench}-set"));
+        std::fs::create_dir_all(&raw_dir).unwrap();
+        std::fs::create_dir_all(&set_dir).unwrap();
+        let raw = raw_dir.join("trace");
+        let set = set_dir.join("trace");
+        let (raw, set) = (raw.to_str().unwrap(), set.to_str().unwrap());
+        let out = extrap(&["trace", bench, "4", "--scale", "tiny", "-o", raw]);
+        assert!(out.status.success(), "{out:?}");
+        let out = extrap(&["translate", raw, "-o", set]);
+        assert!(out.status.success(), "{out:?}");
+        for args in [
+            &["simulate", "trace", "--predicted", "predicted.xtps"][..],
+            &["analyze", "trace", "--format", "json"],
+            &["stats", "trace"],
+            &["stats", "trace", "--phases"],
+            &["report", "trace"],
+            &["diff", "trace", "cm5", "ideal"],
+        ] {
+            let from_raw = extrap_in(&raw_dir, args);
+            let from_set = extrap_in(&set_dir, args);
+            assert!(from_raw.status.success(), "{bench} {args:?}: {from_raw:?}");
+            assert!(from_set.status.success(), "{bench} {args:?}: {from_set:?}");
+            assert_eq!(
+                stdout(&from_raw),
+                stdout(&from_set),
+                "{bench} {args:?}: raw and translated output differ"
+            );
+        }
+        assert_eq!(
+            std::fs::read(raw_dir.join("predicted.xtps")).unwrap(),
+            std::fs::read(set_dir.join("predicted.xtps")).unwrap(),
+            "{bench}: predicted traces differ"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Runs `extrap args`, expecting exit code 1 and exactly `stderr`.
 fn assert_fails_with(args: &[&str], stderr: &str) {
     let out = extrap(args);
@@ -315,6 +370,7 @@ fn bad_inputs_fail_cleanly() {
         assert_fails_with(&["stats", file, "--phases"], err);
         assert_fails_with(&["simulate", file], err);
         assert_fails_with(&["diff", file, "cm5", "ideal"], err);
+        assert_fails_with(&["report", file], err);
         if file != missing {
             // A path that is not a file resolves as a benchmark name.
             assert_fails_with(&["analyze", file], err);
@@ -352,6 +408,27 @@ fn bad_inputs_fail_cleanly() {
             "extrap: {missing_xtrp}: trace I/O error: No such file or directory (os error 2)\n"
         ),
     );
+    // A raw capture cut off inside a record fails in the decoder.
+    let cut_xtrp = dir.join("cut.xtrp");
+    let mut cut = format::encode_program(&pt);
+    cut.truncate(cut.len() - 3);
+    std::fs::write(&cut_xtrp, cut).unwrap();
+    let cut_xtrp = cut_xtrp.to_str().unwrap();
+    assert_fails_with(
+        &["translate", cut_xtrp, "-o", out_path],
+        &format!("extrap: {cut_xtrp}: malformed trace: truncated while reading barrier id\n"),
+    );
+    // Every reader of raw captures prints what `translate` prints.
+    for file in [xtrp, cut_xtrp] {
+        let translated = extrap(&["translate", file, "-o", out_path]);
+        let err = String::from_utf8_lossy(&translated.stderr).to_string();
+        assert_fails_with(&["stats", file], &err);
+        assert_fails_with(&["stats", file, "--phases"], &err);
+        assert_fails_with(&["simulate", file], &err);
+        assert_fails_with(&["analyze", file], &err);
+        assert_fails_with(&["diff", file, "cm5", "ideal"], &err);
+        assert_fails_with(&["report", file], &err);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

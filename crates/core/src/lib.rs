@@ -59,7 +59,7 @@ pub use processor::{CompiledProgram, CompiledThread, IncrementalCompiler};
 pub use repr::{render_stats_report, ReprCluster, ReprPlan};
 pub use scalability::{Scalability, ScalePoint};
 pub use session::{Extrapolator, RunInput};
-pub use streaming::{compile_set_stream, compile_set_stream_with_phases};
+pub use streaming::{compile_set_stream, compile_trace_stream};
 pub use sweep::{
     claim_chunk, parallel_map, parallel_map_with, sweep, sweep_cancellable, CachedTrace,
     CancelToken, SharedTraceCache, SweepError, SweepGrid, SweepJob,

@@ -1,26 +1,45 @@
-//! Out-of-core set compilation: the one walk over an already-translated
-//! trace-set stream (`XTPS`), folding it straight into a
-//! [`CompiledProgram`] and, for callers that ask, the marker-phase
-//! profiles, without holding the set.
+//! Out-of-core compilation: the one walk from a trace image of either
+//! shape to a [`CompiledProgram`], without holding a decoded trace or
+//! a translated set.
 //!
-//! Resident state is the decode window, one [`SetCheck`] segment cursor
-//! and the per-thread folds, plus the compiled program itself, which is
-//! the walk's product.  The set is checked record by record by the same
-//! [`SetCheck`] machine `TraceSet::validate` drives, so a corrupt file
-//! reports the same first error either way, and the per-record compile
-//! fold is the one [`CompiledProgram::compile`] runs (see
-//! [`IncrementalCompiler`]), so the program is identical by
-//! construction.
-//!
-//! A raw 1-processor trace (`XTRP`) needs no walk here: drive
-//! `extrap_trace::translate_stream` into an [`IncrementalCompiler`]
-//! (plus a [`PhaseFold`] where profiles are wanted) through a closure
-//! sink.
+//! [`compile_trace_stream`] is the front door the daemon's `SubmitTrace`
+//! and every CLI reader share: a raw trace (`XTRP`) is translated with
+//! default [`TranslateOptions`] straight into the
+//! [`IncrementalCompiler`]; a translated set (`XTPS`) is checked record
+//! by record by the [`SetCheck`] machine `TraceSet::validate` drives, so
+//! a corrupt file reports the same first error either way.  The compile
+//! fold is the one [`CompiledProgram::compile`] runs, so the program is
+//! identical by construction.  A caller closure sees every translated
+//! record in the same pass (how the marker-phase profiles ride along).
+//! Resident state is the decode window and the translate or check
+//! machinery, plus the compiled program itself, the walk's product.
 
 use crate::processor::{CompiledProgram, IncrementalCompiler};
-use extrap_trace::stream::{ChunkSource, SetChunk, SetStream};
-use extrap_trace::{PhaseFold, PhaseProfile, SetCheck, TraceError, TraceRecord};
-use std::collections::BTreeMap;
+use extrap_trace::stream::{ChunkSource, SetChunk, SetStream, TraceStream};
+use extrap_trace::{translate_stream, SetCheck, TraceError, TraceRecord, TranslateOptions};
+
+/// Compiles a trace image of either shape in one pass, handing every
+/// translated record (with its thread index) to `also` as well:
+/// [`CompiledProgram::compile`] of the default translation of a raw
+/// trace, or of the decoded set.
+pub fn compile_trace_stream<S: ChunkSource>(
+    stream: TraceStream<S>,
+    mut also: impl FnMut(usize, &TraceRecord),
+) -> Result<CompiledProgram, TraceError> {
+    match stream {
+        TraceStream::Program(mut stream) => {
+            let mut compiler = IncrementalCompiler::new(stream.n_threads());
+            let mut sink = |t: usize, rec: TraceRecord| {
+                compiler.emit_record(t, &rec)?;
+                also(t, &rec);
+                Ok(())
+            };
+            translate_stream(&mut stream, TranslateOptions::default(), &mut sink)?;
+            Ok(compiler.finish())
+        }
+        TraceStream::Set(mut stream) => walk_set(&mut stream, also),
+    }
+}
 
 /// Compiles an already-translated trace-set stream in one pass.
 ///
@@ -35,18 +54,6 @@ pub fn compile_set_stream<S: ChunkSource>(
     stream: &mut SetStream<S>,
 ) -> Result<CompiledProgram, TraceError> {
     walk_set(stream, |_, _| {})
-}
-
-/// [`compile_set_stream`] that also folds every record into a
-/// [`PhaseFold`] in the same pass, returning the program and the
-/// marker-phase profiles: what `extrap stats` and the daemon's
-/// `SubmitTrace` keep of a set.
-pub fn compile_set_stream_with_phases<S: ChunkSource>(
-    stream: &mut SetStream<S>,
-) -> Result<(CompiledProgram, BTreeMap<u32, PhaseProfile>), TraceError> {
-    let mut fold = PhaseFold::default();
-    let program = walk_set(stream, |t, rec| fold.record(t, rec))?;
-    Ok((program, fold.into_profiles()))
 }
 
 /// The set walk: checks, compiles, and hands each checked record to
@@ -88,7 +95,7 @@ mod tests {
     use extrap_time::{BarrierId, DurationNs, ThreadId, TimeNs};
     use extrap_trace::reader::read_set_file;
     use extrap_trace::stream::{ProgramStream, SliceSource};
-    use extrap_trace::{format, translate, translate_stream, TranslateOptions};
+    use extrap_trace::{format, translate, PhaseFold};
     use extrap_trace::{EventKind, PhaseProgram, PhaseWork, TraceSet};
 
     fn skewed_program(phases: usize) -> extrap_trace::ProgramTrace {
@@ -112,27 +119,26 @@ mod tests {
         p.record()
     }
 
-    /// Translates and compiles `pt`'s encoded bytes in one pass, the way
-    /// the daemon ingests an `XTRP` payload.
-    fn translate_compile(
-        pt: &extrap_trace::ProgramTrace,
-        opts: TranslateOptions,
-    ) -> (CompiledProgram, extrap_trace::TranslateStats) {
+    /// Compiles `pt`'s encoded bytes through the front door, the way
+    /// the daemon ingests an `XTRP` payload, counting the translated
+    /// records the closure sees.
+    fn translate_compile(pt: &extrap_trace::ProgramTrace) -> (CompiledProgram, usize) {
         let bytes = format::encode_program(pt);
-        let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
-        let mut compiler = IncrementalCompiler::new(stream.n_threads());
-        let stats = translate_stream(&mut stream, opts, &mut compiler).unwrap();
-        (compiler.finish(), stats)
+        let stream = TraceStream::new(SliceSource(&bytes)).unwrap();
+        let mut seen = 0;
+        let program = compile_trace_stream(stream, |_, _| seen += 1).unwrap();
+        (program, seen)
     }
 
     #[test]
     fn program_stream_compiles_identically() {
         let pt = skewed_program(5);
-        let opts = TranslateOptions::default();
-        let expected = CompiledProgram::compile(&translate(&pt, opts).unwrap()).unwrap();
-        let (program, stats) = translate_compile(&pt, opts);
+        let set = translate(&pt, TranslateOptions::default()).unwrap();
+        let expected = CompiledProgram::compile(&set).unwrap();
+        let (program, seen) = translate_compile(&pt);
         assert_eq!(program, expected);
-        assert_eq!(stats.records, pt.records.len() as u64);
+        let translated: usize = set.threads.iter().map(|t| t.records.len()).sum();
+        assert_eq!(seen, translated);
     }
 
     #[test]
@@ -145,19 +151,25 @@ mod tests {
         let program = compile_set_stream(&mut stream).unwrap();
         assert_eq!(program, expected);
 
-        // The profiling walk compiles the same program and folds every
-        // record of every thread.
+        // The front door compiles the same program from the set and
+        // from the raw trace, and folds every record of every thread.
         let mut fold = PhaseFold::default();
         for (t, thread) in set.threads.iter().enumerate() {
             for rec in &thread.records {
                 fold.record(t, rec);
             }
         }
-        let mut stream = SetStream::new(SliceSource(&bytes)).unwrap();
-        let (program, profiles) = compile_set_stream_with_phases(&mut stream).unwrap();
-        assert_eq!(program, expected);
-        assert_eq!(profiles, fold.into_profiles());
-        assert_eq!(profiles[&extrap_trace::phases::PRELUDE].barriers, 3 * 4);
+        let expected_profiles = fold.into_profiles();
+        let raw = format::encode_program(&pt);
+        for image in [&bytes, &raw] {
+            let mut fold = PhaseFold::default();
+            let stream = TraceStream::new(SliceSource(image)).unwrap();
+            let program = compile_trace_stream(stream, |t, r| fold.record(t, r)).unwrap();
+            assert_eq!(program, expected);
+            let profiles = fold.into_profiles();
+            assert_eq!(profiles, expected_profiles);
+            assert_eq!(profiles[&extrap_trace::phases::PRELUDE].barriers, 3 * 4);
+        }
     }
 
     /// The machinery-residency probe (mirroring the streaming-lint
@@ -169,7 +181,11 @@ mod tests {
     fn streaming_residency_is_bounded_by_structure_not_records() {
         let probe = |phases: usize| -> (usize, usize) {
             let pt = skewed_program(phases);
-            let (_, stats) = translate_compile(&pt, Default::default());
+            let bytes = format::encode_program(&pt);
+            let mut stream = ProgramStream::new(SliceSource(&bytes)).unwrap();
+            let mut compiler = IncrementalCompiler::new(stream.n_threads());
+            let stats = translate_stream(&mut stream, Default::default(), &mut compiler).unwrap();
+            assert_eq!(stats.records, pt.records.len() as u64);
             (stats.peak_resident_bytes, pt.records.len())
         };
         let (small_peak, small_len) = probe(30);
@@ -271,7 +287,7 @@ mod tests {
                 set.validate().unwrap_err(),
                 CompiledProgram::compile(&set).unwrap_err(),
                 compile_set_stream(&mut stream()).unwrap_err(),
-                compile_set_stream_with_phases(&mut stream()).unwrap_err(),
+                compile_trace_stream(TraceStream::Set(stream()), |_, _| {}).unwrap_err(),
                 format::decode_set(&bytes).unwrap_err(),
             ];
             for e in &errors {

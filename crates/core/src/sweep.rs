@@ -236,7 +236,7 @@ type SlotRef = Arc<CacheSlot>;
 /// Workers race for the same `(workload, n)` all the time — a Fig-4 grid
 /// asks for every benchmark's trace at six processor counts under one
 /// parameter set per series.  Each distinct key is translated (and its
-/// program compiled) exactly once: the per-key [`CacheSlot`] makes
+/// program compiled) exactly once: the per-key cache slot makes
 /// initialization single-flight (losers of the race block until the
 /// winner's value lands), and the outer [`RwLock`] is held only to look
 /// up or insert the slot, never during translation.

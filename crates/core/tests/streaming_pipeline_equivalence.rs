@@ -8,20 +8,23 @@
 //!   replayed to an `XTPS` file) produces exactly the bytes
 //!   `encode_set(translate(whole_trace))` produces;
 //! * translating straight into an [`IncrementalCompiler`] and a
-//!   [`PhaseFold`] (how the daemon ingests a raw trace) produces a
-//!   [`CompiledProgram`] equal to compiling the whole-trace set;
+//!   [`PhaseFold`] produces a [`CompiledProgram`] equal to compiling
+//!   the whole-trace set, under any translate options;
 //! * compiling the translated set from a chunked stream
-//!   ([`compile_set_stream`], and [`compile_set_stream_with_phases`]
-//!   with the same phase profiles) produces the same program — and,
-//!   spot checked, the same extrapolated prediction.
+//!   ([`compile_set_stream`], and the front door
+//!   [`compile_trace_stream`] with the same phase profiles) produces
+//!   the same program — and, spot checked, the same extrapolated
+//!   prediction.  The front door over the raw trace (default translate
+//!   options, how the daemon and the CLI ingest a capture) matches the
+//!   whole-trace path too.
 //!
 //! Driven by a deterministic SplitMix64 case generator instead of
 //! `proptest` (crates.io is unreachable in the build environment).
 
 use extrap_core::processor::IncrementalCompiler;
-use extrap_core::{compile_set_stream, compile_set_stream_with_phases, machine, CompiledProgram};
+use extrap_core::{compile_set_stream, compile_trace_stream, machine, CompiledProgram};
 use extrap_time::{DurationNs, ElementId, ThreadId};
-use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, StreamArena};
+use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, StreamArena, TraceStream};
 use extrap_trace::{
     format, translate, translate_stream, PhaseAccess, PhaseFold, PhaseProgram, PhaseWork,
     ProgramTrace, SpillSink, TraceRecord, TranslateOptions,
@@ -169,22 +172,51 @@ fn streaming_pipeline_matches_whole_trace_path() {
             from_set, expected_program,
             "set-stream compile differs ({what})"
         );
-        let mut stream = SetStream::with_options(
+        let stream = SetStream::with_options(
             SliceSource(&expected_bytes),
             StreamArena::new(),
             window,
             chunk,
         )
         .unwrap();
-        let (from_set, profiles) = compile_set_stream_with_phases(&mut stream).unwrap();
+        let mut set_fold = PhaseFold::default();
+        let from_set =
+            compile_trace_stream(TraceStream::Set(stream), |t, r| set_fold.record(t, r)).unwrap();
         assert_eq!(
             from_set, expected_program,
             "profiling walk differs ({what})"
         );
         assert_eq!(
-            profiles,
+            set_fold.into_profiles(),
             fold.into_profiles(),
             "phase profiles differ ({what})"
+        );
+
+        // The front door over the raw bytes translates with default
+        // options: equal to the whole-trace path under those options.
+        let default_set = translate(&pt, TranslateOptions::default()).unwrap();
+        let stream =
+            ProgramStream::with_options(SliceSource(&raw), StreamArena::new(), window, chunk)
+                .unwrap();
+        let mut raw_fold = PhaseFold::default();
+        let from_raw =
+            compile_trace_stream(TraceStream::Program(stream), |t, r| raw_fold.record(t, r))
+                .unwrap();
+        assert_eq!(
+            from_raw,
+            CompiledProgram::compile(&default_set).unwrap(),
+            "front-door compile of the raw trace differs ({what})"
+        );
+        let mut default_fold = PhaseFold::default();
+        for (t, thread) in default_set.threads.iter().enumerate() {
+            for rec in &thread.records {
+                default_fold.record(t, rec);
+            }
+        }
+        assert_eq!(
+            raw_fold.into_profiles(),
+            default_fold.into_profiles(),
+            "front-door phase profiles of the raw trace differ ({what})"
         );
 
         // Spot-check metric identity end to end: the streamed program

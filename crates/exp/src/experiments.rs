@@ -1,5 +1,5 @@
 //! The paper's experiments (§4), one function per table/figure, all
-//! running on the [`sweep`](extrap_core::sweep) engine: each figure
+//! running on the [sweep engine](mod@extrap_core::sweep): each figure
 //! flattens its parameter grid into jobs, executes them across the
 //! harness's worker pool, and slices the (job-index-ordered, therefore
 //! deterministic) predictions back into series.

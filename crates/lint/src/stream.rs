@@ -53,7 +53,7 @@
 use crate::diag::{Code, Diagnostic, Report, Span};
 use extrap_time::{BarrierId, ElementId, ThreadId, TimeNs};
 use extrap_trace::stream::{
-    sniff_kind, ChunkSource, ProgramStream, SetChunk, SetStream, StreamArena, TraceKind,
+    ChunkSource, ProgramStream, SetChunk, SetStream, StreamArena, TraceStream,
 };
 use extrap_trace::{EventKind, TraceError, TraceRecord};
 use std::collections::{HashMap, VecDeque};
@@ -925,7 +925,8 @@ pub fn lint_set_stream<S: ChunkSource>(stream: &mut SetStream<S>) -> Result<Repo
 }
 
 /// Lints a trace file through the chunked reader, dispatching on its
-/// magic bytes and recycling `arena`'s buffers across calls.
+/// magic bytes ([`TraceStream`]) and recycling `arena`'s buffers across
+/// calls.
 ///
 /// Returns `Ok(None)` when the file carries neither trace magic (the
 /// caller decides whether to treat it as config text).
@@ -933,25 +934,16 @@ pub fn lint_trace_file(
     path: impl AsRef<Path>,
     arena: &mut StreamArena,
 ) -> Result<Option<Report>, TraceError> {
-    let path = path.as_ref();
-    let kind = sniff_kind(path).map_err(|e| TraceError::from(e).in_file(path))?;
-    let taken = std::mem::take(arena);
-    match kind {
-        None => {
-            *arena = taken;
-            Ok(None)
+    let (report, recycled) = match TraceStream::open_with_arena(path, std::mem::take(arena)) {
+        Ok(TraceStream::Program(mut stream)) => {
+            (lint_program_stream(&mut stream), stream.into_arena())
         }
-        Some(TraceKind::Program) => {
-            let mut stream = ProgramStream::open_with_arena(path, taken)?;
-            let report = lint_program_stream(&mut stream);
-            *arena = stream.into_arena();
-            report.map(Some)
+        Ok(TraceStream::Set(mut stream)) => (lint_set_stream(&mut stream), stream.into_arena()),
+        Err(TraceError::InFile { source, .. }) if matches!(*source, TraceError::NotATrace) => {
+            return Ok(None)
         }
-        Some(TraceKind::Set) => {
-            let mut stream = SetStream::open_with_arena(path, taken)?;
-            let report = lint_set_stream(&mut stream);
-            *arena = stream.into_arena();
-            report.map(Some)
-        }
-    }
+        Err(e) => return Err(e),
+    };
+    *arena = recycled;
+    report.map(Some)
 }

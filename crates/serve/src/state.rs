@@ -4,14 +4,15 @@
 
 use crate::ServeConfig;
 use extrap_core::sweep::CachedTrace;
-use extrap_core::{compile_set_stream_with_phases, IncrementalCompiler};
-use extrap_core::{machine, CancelToken, RecordMode, SharedTraceCache, SimParams};
+use extrap_core::{
+    compile_trace_stream, machine, CancelToken, RecordMode, SharedTraceCache, SimParams,
+};
 use extrap_proto::{
     ErrorCode, JobId, PredictionSummary, Request, Response, ServerStats, SweepRow, SweepSpec,
     TraceId,
 };
-use extrap_trace::stream::{ProgramStream, SetStream, SliceSource};
-use extrap_trace::{PhaseFold, PhaseProfile, TraceRecord};
+use extrap_trace::stream::{SliceSource, TraceStream};
+use extrap_trace::{PhaseFold, PhaseProfile};
 use extrap_workloads::{Bench, Scale};
 use pcpp_rt::sync::{AtomicFlag, Condvar, Instant, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -538,37 +539,24 @@ impl Session {
         // One streaming pass over the payload yields the compiled program
         // and the marker-phase profiles, the only things that outlive
         // this call: admission peak memory is the payload plus the
-        // program, never a decoded trace or translated set.  Both walks
-        // are the ones local ingest runs, so a corrupt payload draws the
+        // program, never a decoded trace or translated set.  It is the
+        // front door local ingest runs, so a corrupt payload draws the
         // error text a local reader prints.
-        let built = match payload.get(..4) {
-            Some(b"XTRP") => ProgramStream::new(SliceSource(&payload)).and_then(|mut stream| {
+        let mut fold = PhaseFold::default();
+        let built = TraceStream::new(SliceSource(&payload)).and_then(|stream| {
+            if matches!(stream, TraceStream::Program(_)) {
                 self.service
                     .counters
                     .submit_translations
                     .fetch_add(1, Ordering::Relaxed);
-                let mut compiler = IncrementalCompiler::new(stream.n_threads());
-                let mut fold = PhaseFold::default();
-                let mut sink = |t: usize, rec: TraceRecord| {
-                    fold.record(t, &rec);
-                    compiler.emit_record(t, &rec)
-                };
-                extrap_trace::translate_stream(&mut stream, Default::default(), &mut sink)?;
-                Ok((compiler.finish(), fold.into_profiles()))
-            }),
-            Some(b"XTPS") => SetStream::new(SliceSource(&payload))
-                .and_then(|mut stream| compile_set_stream_with_phases(&mut stream)),
-            _ => {
-                return err(
-                    ErrorCode::BadRequest,
-                    "not a trace image (expected XTRP or XTPS magic)",
-                )
             }
-        };
-        let (program, profiles) = match built {
-            Ok(built) => built,
+            compile_trace_stream(stream, |t, rec| fold.record(t, rec))
+        });
+        let program = match built {
+            Ok(program) => program,
             Err(e) => return err(ErrorCode::BadRequest, e.to_string()),
         };
+        let profiles = fold.into_profiles();
         let id = TraceId(self.service.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
         let mut stored = StoredTrace {
             name,

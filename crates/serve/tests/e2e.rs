@@ -356,11 +356,13 @@ fn served_phases_report_is_byte_identical_to_local_stats() {
         let set = extrap_trace::translate(&raw, Default::default()).expect("translate");
         let set_bytes = extrap_trace::format::encode_set(&set);
         // The local side is what `extrap stats` runs over the set file.
-        let mut stream =
-            extrap_trace::stream::SetStream::new(extrap_trace::stream::SliceSource(&set_bytes))
+        let stream =
+            extrap_trace::stream::TraceStream::new(extrap_trace::stream::SliceSource(&set_bytes))
                 .expect("set header");
-        let (program, profiles) =
-            extrap_core::compile_set_stream_with_phases(&mut stream).expect("compile");
+        let mut fold = extrap_trace::PhaseFold::default();
+        let program = extrap_core::compile_trace_stream(stream, |t, rec| fold.record(t, rec))
+            .expect("compile");
+        let profiles = fold.into_profiles();
         let (set_trace, set_threads, set_resident) =
             client.submit_trace(bench.name(), set_bytes).unwrap();
         // The raw trace, translated by the daemon, is the same trace.

@@ -56,6 +56,9 @@ pub enum TraceError {
         /// Description of the violation.
         detail: String,
     },
+    /// The bytes carry neither trace magic (`XTRP` nor `XTPS`), or are
+    /// too short to carry one.
+    NotATrace,
     /// Binary format corruption.
     Format {
         /// Description of the corruption.
@@ -127,6 +130,7 @@ impl fmt::Display for TraceError {
             TraceError::BarrierProtocol { thread, detail } => {
                 write!(f, "barrier protocol violation in {thread}: {detail}")
             }
+            TraceError::NotATrace => write!(f, "not a trace image (expected XTRP or XTPS magic)"),
             TraceError::Format { detail } => write!(f, "malformed trace: {detail}"),
             TraceError::Validation { detail } => {
                 write!(f, "trace rejected by validation: {detail}")

@@ -20,7 +20,8 @@
 
 use crate::bytesio::{Buf, BufMut};
 use crate::error::TraceError;
-use crate::event::{EventKind, ProgramTrace, ThreadTrace, TraceRecord, TraceSet};
+use crate::event::{EventKind, ProgramTrace, TraceRecord, TraceSet};
+use crate::stream::{ProgramStream, SetStream, SliceSource};
 use extrap_time::{BarrierId, ElementId, ThreadId, TimeNs};
 
 /// Magic bytes for a program (1-processor) trace file.
@@ -168,21 +169,10 @@ pub fn decode_program(data: &[u8]) -> Result<ProgramTrace, TraceError> {
 /// thread-range invariants are **not** enforced — this is the entry
 /// point for diagnostic tools (`extrap-lint`) that want to see the whole
 /// record stream of a corrupted trace rather than fail at the first
-/// violation.
-pub fn decode_program_raw(mut data: &[u8]) -> Result<ProgramTrace, TraceError> {
-    check_header(&mut data, PROGRAM_MAGIC)?;
-    let n_threads = get_thread_count(&mut data)?;
-    let n_records = get_u64(&mut data, "record count")? as usize;
-    let mut records = Vec::with_capacity(n_records.min(1 << 20));
-    for _ in 0..n_records {
-        records.push(decode_record(&mut data)?);
-    }
-    if data.has_remaining() {
-        return Err(TraceError::Format {
-            detail: format!("{} trailing bytes after records", data.remaining()),
-        });
-    }
-    Ok(ProgramTrace { n_threads, records })
+/// violation.  An adapter over [`ProgramStream`]: the framing grammar
+/// lives in the streams only.
+pub fn decode_program_raw(data: &[u8]) -> Result<ProgramTrace, TraceError> {
+    ProgramStream::new(SliceSource(data))?.read_to_end()
 }
 
 /// Encodes a translated trace set to bytes.
@@ -210,26 +200,10 @@ pub fn decode_set(data: &[u8]) -> Result<TraceSet, TraceError> {
 }
 
 /// Decodes a trace set without checking semantic invariants (the
-/// [`decode_program_raw`] counterpart for translated traces).
-pub fn decode_set_raw(mut data: &[u8]) -> Result<TraceSet, TraceError> {
-    check_header(&mut data, SET_MAGIC)?;
-    let n_threads = get_thread_count(&mut data)?;
-    let mut threads = Vec::with_capacity(n_threads.min(1 << 16));
-    for _ in 0..n_threads {
-        let thread = ThreadId(get_u32(&mut data, "thread id")?);
-        let n_records = get_u64(&mut data, "record count")? as usize;
-        let mut records = Vec::with_capacity(n_records.min(1 << 20));
-        for _ in 0..n_records {
-            records.push(decode_record(&mut data)?);
-        }
-        threads.push(ThreadTrace { thread, records });
-    }
-    if data.has_remaining() {
-        return Err(TraceError::Format {
-            detail: format!("{} trailing bytes after records", data.remaining()),
-        });
-    }
-    Ok(TraceSet { threads })
+/// [`decode_program_raw`] counterpart for translated traces, an adapter
+/// over [`SetStream`]).
+pub fn decode_set_raw(data: &[u8]) -> Result<TraceSet, TraceError> {
+    SetStream::new(SliceSource(data))?.read_to_end()
 }
 
 pub(crate) fn check_header(data: &mut &[u8], magic: &[u8; 4]) -> Result<(), TraceError> {

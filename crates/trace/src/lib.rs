@@ -30,8 +30,8 @@ pub use event::{ProgramTrace, SetCheck, ThreadTrace, TraceSet};
 pub use phases::{splitmix64, PhaseFold, PhaseProfile};
 pub use stats::{ThreadStats, TraceStats};
 pub use stream::{
-    sniff_kind, ChunkSource, FileSource, ProgramStream, SetChunk, SetStream, SliceSource,
-    SpillSink, StreamArena, TraceKind,
+    ChunkSource, FileSource, ProgramStream, SetChunk, SetStream, SliceSource, SpillSink,
+    StreamArena, TraceStream,
 };
 pub use translate::{
     translate, translate_stream, EpochTranslator, TranslateOptions, TranslateSink, TranslateStats,

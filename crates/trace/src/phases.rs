@@ -141,11 +141,9 @@ impl PhaseFold {
         self.phases
     }
 
-    /// Folds a whole set, thread by thread (every thread is opened, so
-    /// an empty one still gets its zero [`ThreadStats`]).
+    /// Folds a whole set, thread by thread.
     pub(crate) fn from_set(set: &TraceSet) -> PhaseFold {
         let mut fold = PhaseFold::default();
-        fold.open_threads(set.threads.len());
         for (t, trace) in set.threads.iter().enumerate() {
             for rec in &trace.records {
                 fold.record(t, rec);
@@ -154,8 +152,12 @@ impl PhaseFold {
         fold
     }
 
-    /// The per-thread statistics folded so far, in thread order.
-    pub(crate) fn into_stats(self) -> TraceStats {
+    /// The per-thread statistics of an `n_threads`-thread trace, in
+    /// thread order (a thread with no records gets zero [`ThreadStats`]).
+    pub fn into_stats(mut self, n_threads: usize) -> TraceStats {
+        if self.threads.len() < n_threads {
+            self.open_threads(n_threads);
+        }
         TraceStats {
             per_thread: self.threads.into_iter().map(|t| t.stats).collect(),
         }

@@ -1,12 +1,13 @@
 //! Reading translated trace sets from files.
 //!
 //! [`read_set_file`] materializes a whole [`TraceSet`] for the tools
-//! that need one (`extrap report`, timelines).
-//! Simulation and statistics never do: they walk a set file straight
-//! off the chunked [`SetStream`] (`extrap_core::compile_set_stream`,
-//! which the marker-phase statistics ride as a
-//! [`PhaseFold`](crate::PhaseFold)).  Raw, unvalidated decoding for
-//! diagnostics lives in [`crate::format`] and [`crate::stream`].
+//! that need one (`extrap timeline`).  Simulation, statistics and
+//! reports never do: they open a raw or translated file through
+//! [`TraceStream`](crate::TraceStream) and walk it straight into a
+//! compiled program (`extrap_core::compile_trace_stream`), with a
+//! [`PhaseFold`](crate::PhaseFold) riding the same pass.  Raw,
+//! unvalidated decoding for diagnostics lives in [`crate::format`] and
+//! [`crate::stream`].
 
 use crate::error::TraceError;
 use crate::event::TraceSet;

@@ -44,7 +44,7 @@ impl TraceStats {
     /// Computes stats for a whole translated trace set (an adapter over
     /// [`PhaseFold`], the fold behind the marker-phase profiles too).
     pub fn from_set(set: &TraceSet) -> TraceStats {
-        PhaseFold::from_set(set).into_stats()
+        PhaseFold::from_set(set).into_stats(set.threads.len())
     }
 
     /// Stats for one thread.

@@ -1,42 +1,32 @@
 //! Chunked, bounded-memory trace ingestion.
 //!
-//! The slurp decoders in [`crate::format`] take the whole file as one
-//! byte slice — fine for test fixtures and wire payloads, hostile to the
-//! paper-scale case where one `(bench, n)` key is tens of megabytes.
-//! This module reads trace files **incrementally**: a [`ChunkSource`]
+//! This module reads trace images **incrementally**: a [`ChunkSource`]
 //! feeds bytes into a pooled [`StreamArena`], and [`ProgramStream`] /
 //! [`SetStream`] decode them into bounded record chunks that callers
 //! consume one at a time.  Peak memory is `O(window + chunk)`,
-//! independent of file size.
+//! independent of file size, which matters in the paper-scale case
+//! where one `(bench, n)` key is tens of megabytes.  [`TraceStream`] is
+//! the front door for readers that take either shape: it reads the
+//! magic once and starts the matching stream on the same bytes.
 //!
-//! Like [`crate::format::decode_program_raw`], the streams are **raw**:
-//! they enforce the structural grammar (magic, version, record framing,
-//! no trailing bytes) but none of the semantic invariants, so a
-//! corrupted trace can be inspected in full by diagnostic tools
-//! (`extrap-lint`) instead of failing at the first violation.  The
-//! structural error messages are byte-identical to the slurp decoders'
-//! because both run the exact same `format` primitives.
+//! The streams hold the format's one framing grammar (magic, version,
+//! record counts, no trailing bytes): the whole-image decoders in
+//! [`crate::format`] are adapters that drain a stream over a
+//! [`SliceSource`].  The streams are **raw**: they enforce that grammar
+//! but none of the semantic invariants, so a corrupted trace can be
+//! inspected in full by diagnostic tools (`extrap-lint`) instead of
+//! failing at the first violation.
 
-use crate::bytesio::Buf;
 use crate::error::TraceError;
 use crate::event::{ProgramTrace, ThreadTrace, TraceRecord, TraceSet};
 use crate::format;
 use crate::translate::TranslateSink;
 use extrap_time::ThreadId;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::mem::size_of;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Attaches a file path to errors of streams opened from disk; in-memory
-/// streams (`context == None`) keep byte-identical slurp-decoder messages.
-fn in_ctx(context: &Option<PathBuf>, e: TraceError) -> TraceError {
-    match context {
-        Some(path) => e.in_file(path),
-        None => e,
-    }
-}
 
 /// Default refill window: how many bytes one `read` asks the source for.
 pub const DEFAULT_WINDOW_BYTES: usize = 64 * 1024;
@@ -146,6 +136,10 @@ struct ByteFeed<S> {
     len: usize,
     eof: bool,
     window: usize,
+    /// Originating file, when opened from disk: attached to every error
+    /// so a mid-file failure names the file, not just the offset.
+    /// In-memory feeds (`None`) keep the bare messages.
+    context: Option<PathBuf>,
 }
 
 impl<S: ChunkSource> ByteFeed<S> {
@@ -158,12 +152,22 @@ impl<S: ChunkSource> ByteFeed<S> {
             len: 0,
             eof: false,
             window: window.max(MAX_RECORD_BYTES),
+            context: None,
+        }
+    }
+
+    /// Attributes `e` to this feed's file, if it has one.
+    fn fail(&self, e: TraceError) -> TraceError {
+        match &self.context {
+            Some(path) => e.in_file(path),
+            None => e,
         }
     }
 
     /// Refills until at least `want` unread bytes are buffered or the
     /// source is exhausted (after which fewer may remain — exactly the
-    /// file's final suffix, so truncation errors match the slurp path).
+    /// input's final suffix, so truncation errors name the field that
+    /// was cut).
     fn ensure(&mut self, want: usize) -> Result<(), TraceError> {
         while self.len - self.pos < want && !self.eof {
             if self.pos > 0 {
@@ -190,48 +194,77 @@ impl<S: ChunkSource> ByteFeed<S> {
         &self.buf[self.pos..self.len]
     }
 
-    /// Marks `n` buffered bytes as read.
-    fn consume(&mut self, n: usize) {
-        debug_assert!(self.pos + n <= self.len);
-        self.pos += n;
+    /// Buffers up to `want` bytes, runs `parse` over them and consumes
+    /// what it read.
+    fn parse<T>(
+        &mut self,
+        want: usize,
+        parse: impl FnOnce(&mut &[u8]) -> Result<T, TraceError>,
+    ) -> Result<T, TraceError> {
+        self.ensure(want).map_err(|e| self.fail(e))?;
+        let mut cur = self.available();
+        let before = cur.len();
+        let parsed = parse(&mut cur);
+        self.pos += before - cur.len();
+        parsed.map_err(|e| self.fail(e))
     }
 
-    /// Drains the rest of the source, returning how many unread bytes
-    /// were left (the "trailing bytes" count of the slurp decoders).
-    fn count_to_end(&mut self) -> Result<usize, TraceError> {
-        let mut total = self.len - self.pos;
+    /// Decodes `n` records onto `out`, a window at a time: while a whole
+    /// record's worth of bytes is buffered (or the input has ended) the
+    /// inner loop decodes off one local cursor, so the per-record cost
+    /// is the slice decoder's.
+    fn decode_into(&mut self, out: &mut Vec<TraceRecord>, mut n: u64) -> Result<(), TraceError> {
+        while n > 0 {
+            self.ensure(MAX_RECORD_BYTES).map_err(|e| self.fail(e))?;
+            let mut cur = self.available();
+            let before = cur.len();
+            while n > 0 && (cur.len() >= MAX_RECORD_BYTES || self.eof) {
+                out.push(format::decode_record(&mut cur).map_err(|e| self.fail(e))?);
+                n -= 1;
+            }
+            self.pos += before - cur.len();
+        }
+        Ok(())
+    }
+
+    /// Drains the rest of the source and fails if any bytes were left
+    /// after the declared records.
+    fn expect_end(&mut self) -> Result<(), TraceError> {
+        let mut trailing = self.len - self.pos;
         self.pos = self.len;
         while !self.eof {
             if self.buf.len() < self.window {
                 self.buf.resize(self.window, 0);
             }
-            let n = self.src.read_more(&mut self.buf[..])?;
-            if n == 0 {
-                self.eof = true;
-            } else {
-                total += n;
+            match self.src.read_more(&mut self.buf[..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => trailing += n,
+                Err(e) => return Err(self.fail(e.into())),
             }
         }
-        Ok(total)
+        if trailing > 0 {
+            return Err(self.fail(TraceError::Format {
+                detail: format!("{trailing} trailing bytes after records"),
+            }));
+        }
+        Ok(())
     }
+}
 
-    /// Decodes one record off the front of the window.
-    fn decode_record(&mut self) -> Result<TraceRecord, TraceError> {
-        self.ensure(MAX_RECORD_BYTES)?;
-        let mut cur = self.available();
-        let before = cur.remaining();
-        let rec = format::decode_record(&mut cur)?;
-        let used = before - cur.remaining();
-        self.consume(used);
-        Ok(rec)
+impl ByteFeed<FileSource> {
+    /// Opens `path` as a feed whose errors all carry the path.
+    fn open(path: &Path, buf: Vec<u8>) -> Result<ByteFeed<FileSource>, TraceError> {
+        let src = FileSource::open(path).map_err(|e| TraceError::from(e).in_file(path))?;
+        let mut feed = ByteFeed::new(src, buf, DEFAULT_WINDOW_BYTES);
+        feed.context = Some(path.to_path_buf());
+        Ok(feed)
     }
 }
 
 /// Streaming decoder for a program (`XTRP`) trace file: the header is
 /// parsed eagerly, then [`next_chunk`](ProgramStream::next_chunk) hands
 /// out bounded batches of decoded records until the declared record
-/// count is exhausted (trailing bytes are rejected, as in
-/// [`format::decode_program_raw`]).
+/// count is exhausted (trailing bytes are rejected).
 pub struct ProgramStream<S> {
     feed: ByteFeed<S>,
     n_threads: usize,
@@ -240,42 +273,40 @@ pub struct ProgramStream<S> {
     records: Vec<TraceRecord>,
     chunk_records: usize,
     done: bool,
-    /// Originating file, when opened from disk: attached to refill and
-    /// decode errors so a mid-file failure names the file, not just the
-    /// offset.
-    context: Option<PathBuf>,
 }
 
 impl<S: ChunkSource> ProgramStream<S> {
     /// Starts a stream with a fresh arena and default sizes.
     pub fn new(src: S) -> Result<ProgramStream<S>, TraceError> {
-        ProgramStream::with_arena(src, StreamArena::new())
+        let feed = ByteFeed::new(src, Vec::new(), DEFAULT_WINDOW_BYTES);
+        ProgramStream::from_feed(feed, Vec::new(), DEFAULT_CHUNK_RECORDS)
     }
 
-    /// Starts a stream reusing `arena`'s buffers.
-    pub fn with_arena(src: S, arena: StreamArena) -> Result<ProgramStream<S>, TraceError> {
-        ProgramStream::with_options(src, arena, DEFAULT_WINDOW_BYTES, DEFAULT_CHUNK_RECORDS)
-    }
-
-    /// Starts a stream with explicit window/chunk sizes (small values
-    /// exercise the refill path in tests).
+    /// Starts a stream reusing `arena`'s buffers, with explicit
+    /// window/chunk sizes (small values exercise the refill path in
+    /// tests).
     pub fn with_options(
         src: S,
         arena: StreamArena,
         window_bytes: usize,
         chunk_records: usize,
     ) -> Result<ProgramStream<S>, TraceError> {
-        let StreamArena { bytes, mut records } = arena;
+        let feed = ByteFeed::new(src, arena.bytes, window_bytes);
+        ProgramStream::from_feed(feed, arena.records, chunk_records)
+    }
+
+    /// Parses the header (magic included) off the front of `feed`.
+    fn from_feed(
+        mut feed: ByteFeed<S>,
+        mut records: Vec<TraceRecord>,
+        chunk_records: usize,
+    ) -> Result<ProgramStream<S>, TraceError> {
+        let (n_threads, n_records) = feed.parse(18, |cur| {
+            format::check_header(cur, format::PROGRAM_MAGIC)?;
+            let n_threads = format::get_thread_count(cur)?;
+            Ok((n_threads, format::get_u64(cur, "record count")?))
+        })?;
         records.clear();
-        let mut feed = ByteFeed::new(src, bytes, window_bytes);
-        feed.ensure(18)?;
-        let mut cur = feed.available();
-        let before = cur.remaining();
-        format::check_header(&mut cur, format::PROGRAM_MAGIC)?;
-        let n_threads = format::get_thread_count(&mut cur)?;
-        let n_records = format::get_u64(&mut cur, "record count")?;
-        let used = before - cur.remaining();
-        feed.consume(used);
         Ok(ProgramStream {
             feed,
             n_threads,
@@ -284,7 +315,6 @@ impl<S: ChunkSource> ProgramStream<S> {
             records,
             chunk_records: chunk_records.max(1),
             done: false,
-            context: None,
         })
     }
 
@@ -306,36 +336,28 @@ impl<S: ChunkSource> ProgramStream<S> {
             return Ok(None);
         }
         self.records.clear();
-        while self.decoded < self.n_records && self.records.len() < self.chunk_records {
-            let rec = self.feed.decode_record();
-            let rec = rec.map_err(|e| in_ctx(&self.context, e))?;
-            self.records.push(rec);
-            self.decoded += 1;
-        }
+        let n = (self.n_records - self.decoded).min(self.chunk_records as u64);
+        self.feed.decode_into(&mut self.records, n)?;
+        self.decoded += n;
         if self.records.is_empty() {
-            let trailing = self.feed.count_to_end();
-            let trailing = trailing.map_err(|e| in_ctx(&self.context, e))?;
-            if trailing > 0 {
-                return Err(in_ctx(
-                    &self.context,
-                    TraceError::Format {
-                        detail: format!("{trailing} trailing bytes after records"),
-                    },
-                ));
-            }
+            self.feed.expect_end()?;
             self.done = true;
             return Ok(None);
         }
         Ok(Some(&self.records))
     }
 
-    /// Drains the stream into an owned [`ProgramTrace`] (no invariant
-    /// checks — the streaming counterpart of `decode_program_raw`).
+    /// Drains the stream into an owned [`ProgramTrace`] with no
+    /// invariant checks ([`format::decode_program_raw`] is this over an
+    /// in-memory image).
     pub fn read_to_end(&mut self) -> Result<ProgramTrace, TraceError> {
         let mut records = Vec::with_capacity((self.n_records as usize).min(1 << 20));
-        while let Some(chunk) = self.next_chunk()? {
-            records.extend_from_slice(chunk);
-        }
+        // Decode straight into the output, not through the chunk buffer.
+        self.feed
+            .decode_into(&mut records, self.n_records - self.decoded)?;
+        self.decoded = self.n_records;
+        // The trailing-bytes check.
+        self.next_chunk()?;
         Ok(ProgramTrace {
             n_threads: self.n_threads,
             records,
@@ -354,19 +376,8 @@ impl<S: ChunkSource> ProgramStream<S> {
 impl ProgramStream<FileSource> {
     /// Opens `path` as a streaming program trace.
     pub fn open(path: impl AsRef<Path>) -> Result<ProgramStream<FileSource>, TraceError> {
-        ProgramStream::open_with_arena(path, StreamArena::new())
-    }
-
-    /// Opens `path` reusing `arena`'s buffers.
-    pub fn open_with_arena(
-        path: impl AsRef<Path>,
-        arena: StreamArena,
-    ) -> Result<ProgramStream<FileSource>, TraceError> {
-        let path = path.as_ref();
-        let src = FileSource::open(path).map_err(|e| TraceError::from(e).in_file(path))?;
-        let mut stream = ProgramStream::with_arena(src, arena).map_err(|e| e.in_file(path))?;
-        stream.context = Some(path.to_path_buf());
-        Ok(stream)
+        let feed = ByteFeed::open(path.as_ref(), Vec::new())?;
+        ProgramStream::from_feed(feed, Vec::new(), DEFAULT_CHUNK_RECORDS)
     }
 }
 
@@ -398,38 +409,38 @@ pub struct SetStream<S> {
     records: Vec<TraceRecord>,
     chunk_records: usize,
     done: bool,
-    /// Originating file, when opened from disk (see [`ProgramStream`]).
-    context: Option<PathBuf>,
 }
 
 impl<S: ChunkSource> SetStream<S> {
     /// Starts a stream with a fresh arena and default sizes.
     pub fn new(src: S) -> Result<SetStream<S>, TraceError> {
-        SetStream::with_arena(src, StreamArena::new())
+        let feed = ByteFeed::new(src, Vec::new(), DEFAULT_WINDOW_BYTES);
+        SetStream::from_feed(feed, Vec::new(), DEFAULT_CHUNK_RECORDS)
     }
 
-    /// Starts a stream reusing `arena`'s buffers.
-    pub fn with_arena(src: S, arena: StreamArena) -> Result<SetStream<S>, TraceError> {
-        SetStream::with_options(src, arena, DEFAULT_WINDOW_BYTES, DEFAULT_CHUNK_RECORDS)
-    }
-
-    /// Starts a stream with explicit window/chunk sizes.
+    /// Starts a stream reusing `arena`'s buffers, with explicit
+    /// window/chunk sizes.
     pub fn with_options(
         src: S,
         arena: StreamArena,
         window_bytes: usize,
         chunk_records: usize,
     ) -> Result<SetStream<S>, TraceError> {
-        let StreamArena { bytes, mut records } = arena;
+        let feed = ByteFeed::new(src, arena.bytes, window_bytes);
+        SetStream::from_feed(feed, arena.records, chunk_records)
+    }
+
+    /// Parses the header (magic included) off the front of `feed`.
+    fn from_feed(
+        mut feed: ByteFeed<S>,
+        mut records: Vec<TraceRecord>,
+        chunk_records: usize,
+    ) -> Result<SetStream<S>, TraceError> {
+        let n_threads = feed.parse(10, |cur| {
+            format::check_header(cur, format::SET_MAGIC)?;
+            format::get_thread_count(cur)
+        })?;
         records.clear();
-        let mut feed = ByteFeed::new(src, bytes, window_bytes);
-        feed.ensure(10)?;
-        let mut cur = feed.available();
-        let before = cur.remaining();
-        format::check_header(&mut cur, format::SET_MAGIC)?;
-        let n_threads = format::get_thread_count(&mut cur)?;
-        let used = before - cur.remaining();
-        feed.consume(used);
         Ok(SetStream {
             feed,
             n_threads,
@@ -438,7 +449,6 @@ impl<S: ChunkSource> SetStream<S> {
             records,
             chunk_records: chunk_records.max(1),
             done: false,
-            context: None,
         })
     }
 
@@ -455,27 +465,16 @@ impl<S: ChunkSource> SetStream<S> {
         }
         if self.seg_remaining > 0 {
             self.records.clear();
-            while self.seg_remaining > 0 && self.records.len() < self.chunk_records {
-                let rec = self.feed.decode_record();
-                let rec = rec.map_err(|e| in_ctx(&self.context, e))?;
-                self.records.push(rec);
-                self.seg_remaining -= 1;
-            }
+            let n = self.seg_remaining.min(self.chunk_records as u64);
+            self.feed.decode_into(&mut self.records, n)?;
+            self.seg_remaining -= n;
             return Ok(Some(SetChunk::Records(&self.records)));
         }
         if self.seg < self.n_threads {
-            let ensured = self.feed.ensure(12);
-            ensured.map_err(|e| in_ctx(&self.context, e))?;
-            let mut cur = self.feed.available();
-            let before = cur.remaining();
-            let header: Result<(ThreadId, u64), TraceError> = (|| {
-                let thread = ThreadId(format::get_u32(&mut cur, "thread id")?);
-                let n_records = format::get_u64(&mut cur, "record count")?;
-                Ok((thread, n_records))
-            })();
-            let (thread, n_records) = header.map_err(|e| in_ctx(&self.context, e))?;
-            let used = before - cur.remaining();
-            self.feed.consume(used);
+            let (thread, n_records) = self.feed.parse(12, |cur| {
+                let thread = ThreadId(format::get_u32(cur, "thread id")?);
+                Ok((thread, format::get_u64(cur, "record count")?))
+            })?;
             let position = self.seg;
             self.seg += 1;
             self.seg_remaining = n_records;
@@ -485,22 +484,14 @@ impl<S: ChunkSource> SetStream<S> {
                 n_records,
             }));
         }
-        let trailing = self.feed.count_to_end();
-        let trailing = trailing.map_err(|e| in_ctx(&self.context, e))?;
-        if trailing > 0 {
-            return Err(in_ctx(
-                &self.context,
-                TraceError::Format {
-                    detail: format!("{trailing} trailing bytes after records"),
-                },
-            ));
-        }
+        self.feed.expect_end()?;
         self.done = true;
         Ok(None)
     }
 
-    /// Drains the stream into an owned [`TraceSet`] (no invariant
-    /// checks — the streaming counterpart of `decode_set_raw`).
+    /// Drains the stream into an owned [`TraceSet`] with no invariant
+    /// checks ([`format::decode_set_raw`] is this over an in-memory
+    /// image).
     pub fn read_to_end(&mut self) -> Result<TraceSet, TraceError> {
         let mut threads: Vec<ThreadTrace> = Vec::with_capacity(self.n_threads.min(1 << 16));
         loop {
@@ -508,10 +499,13 @@ impl<S: ChunkSource> SetStream<S> {
                 None => break,
                 Some(SetChunk::Thread {
                     thread, n_records, ..
-                }) => threads.push(ThreadTrace {
-                    thread,
-                    records: Vec::with_capacity((n_records as usize).min(1 << 20)),
-                }),
+                }) => {
+                    // Decode the segment straight into its output.
+                    let mut records = Vec::with_capacity((n_records as usize).min(1 << 20));
+                    self.feed.decode_into(&mut records, self.seg_remaining)?;
+                    self.seg_remaining = 0;
+                    threads.push(ThreadTrace { thread, records });
+                }
                 Some(SetChunk::Records(recs)) => {
                     if let Some(t) = threads.last_mut() {
                         t.records.extend_from_slice(recs);
@@ -534,56 +528,65 @@ impl<S: ChunkSource> SetStream<S> {
 impl SetStream<FileSource> {
     /// Opens `path` as a streaming trace set.
     pub fn open(path: impl AsRef<Path>) -> Result<SetStream<FileSource>, TraceError> {
-        SetStream::open_with_arena(path, StreamArena::new())
+        let feed = ByteFeed::open(path.as_ref(), Vec::new())?;
+        SetStream::from_feed(feed, Vec::new(), DEFAULT_CHUNK_RECORDS)
+    }
+}
+
+/// A trace image of either shape: the front door for every reader that
+/// accepts a raw capture as well as a translated set.  The constructor
+/// reads the magic once and parses the matching header from the same
+/// feed, so a file is opened and read once.
+pub enum TraceStream<S> {
+    /// A 1-processor program trace (`XTRP`).
+    Program(ProgramStream<S>),
+    /// A translated per-thread trace set (`XTPS`).
+    Set(SetStream<S>),
+}
+
+impl<S: ChunkSource> TraceStream<S> {
+    /// Starts a stream over `src`, dispatching on its magic bytes.
+    ///
+    /// # Errors
+    /// [`TraceError::NotATrace`] when the input is shorter than a magic
+    /// or carries neither; otherwise the matching header's errors.
+    pub fn new(src: S) -> Result<TraceStream<S>, TraceError> {
+        let feed = ByteFeed::new(src, Vec::new(), DEFAULT_WINDOW_BYTES);
+        TraceStream::from_feed(feed, Vec::new())
+    }
+
+    /// Reads the magic, then parses the matching header off the same feed.
+    fn from_feed(
+        mut feed: ByteFeed<S>,
+        records: Vec<TraceRecord>,
+    ) -> Result<TraceStream<S>, TraceError> {
+        feed.ensure(format::PROGRAM_MAGIC.len())
+            .map_err(|e| feed.fail(e))?;
+        let head = feed.available();
+        if head.starts_with(format::PROGRAM_MAGIC) {
+            ProgramStream::from_feed(feed, records, DEFAULT_CHUNK_RECORDS).map(TraceStream::Program)
+        } else if head.starts_with(format::SET_MAGIC) {
+            SetStream::from_feed(feed, records, DEFAULT_CHUNK_RECORDS).map(TraceStream::Set)
+        } else {
+            Err(feed.fail(TraceError::NotATrace))
+        }
+    }
+}
+
+impl TraceStream<FileSource> {
+    /// Opens `path` as a streaming trace of either shape.
+    pub fn open(path: impl AsRef<Path>) -> Result<TraceStream<FileSource>, TraceError> {
+        TraceStream::open_with_arena(path, StreamArena::new())
     }
 
     /// Opens `path` reusing `arena`'s buffers.
     pub fn open_with_arena(
         path: impl AsRef<Path>,
         arena: StreamArena,
-    ) -> Result<SetStream<FileSource>, TraceError> {
-        let path = path.as_ref();
-        let src = FileSource::open(path).map_err(|e| TraceError::from(e).in_file(path))?;
-        let mut stream = SetStream::with_arena(src, arena).map_err(|e| e.in_file(path))?;
-        stream.context = Some(path.to_path_buf());
-        Ok(stream)
+    ) -> Result<TraceStream<FileSource>, TraceError> {
+        let feed = ByteFeed::open(path.as_ref(), arena.bytes)?;
+        TraceStream::from_feed(feed, arena.records)
     }
-}
-
-/// Which trace shape a file holds, per its magic bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TraceKind {
-    /// A 1-processor program trace (`XTRP`).
-    Program,
-    /// A translated per-thread trace set (`XTPS`).
-    Set,
-}
-
-/// Sniffs a file's magic bytes without reading the rest of it.
-///
-/// Returns `Ok(None)` for files that are too short or carry neither
-/// magic (callers typically fall back to config-text parsing).
-pub fn sniff_kind(path: impl AsRef<Path>) -> io::Result<Option<TraceKind>> {
-    let mut f = File::open(path)?;
-    let mut magic = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match f.read(&mut magic[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(if got < 4 {
-        None
-    } else if &magic == format::PROGRAM_MAGIC {
-        Some(TraceKind::Program)
-    } else if &magic == format::SET_MAGIC {
-        Some(TraceKind::Set)
-    } else {
-        None
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -762,7 +765,8 @@ impl SpillSink {
                 let mut feed = ByteFeed::new(FileSource::new(file), bytes, DEFAULT_WINDOW_BYTES);
                 for _ in 0..run.spilled {
                     buf.clear();
-                    format::encode_record(&mut buf, &feed.decode_record()?);
+                    let rec = feed.parse(MAX_RECORD_BYTES, |cur| format::decode_record(cur))?;
+                    format::encode_record(&mut buf, &rec);
                     w.write_all(&buf)?;
                 }
                 self.scratch = feed.buf;
@@ -888,7 +892,13 @@ mod tests {
         let bytes = format::encode_program(&pt);
         let mut arena = StreamArena::new();
         for _ in 0..3 {
-            let mut s = ProgramStream::with_arena(SliceSource(&bytes), arena).unwrap();
+            let mut s = ProgramStream::with_options(
+                SliceSource(&bytes),
+                arena,
+                DEFAULT_WINDOW_BYTES,
+                DEFAULT_CHUNK_RECORDS,
+            )
+            .unwrap();
             assert_eq!(s.read_to_end().unwrap(), pt);
             arena = s.into_arena();
             assert!(!arena.bytes.is_empty() || arena.bytes.capacity() > 0);
@@ -896,7 +906,7 @@ mod tests {
     }
 
     #[test]
-    fn sniff_detects_both_kinds_and_rejects_others() {
+    fn trace_stream_dispatches_on_magic_and_rejects_others() {
         let dir = std::env::temp_dir().join(format!("extrap-stream-sniff-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let pt = sample_program();
@@ -904,15 +914,40 @@ mod tests {
         let p = dir.join("a.xtrp");
         let s = dir.join("a.xtps");
         let c = dir.join("a.cfg");
+        let short = dir.join("short");
         std::fs::write(&p, format::encode_program(&pt)).unwrap();
         std::fs::write(&s, format::encode_set(&ts)).unwrap();
         std::fs::write(&c, "MipsRatio = 1.0\n").unwrap();
-        assert_eq!(sniff_kind(&p).unwrap(), Some(TraceKind::Program));
-        assert_eq!(sniff_kind(&s).unwrap(), Some(TraceKind::Set));
-        assert_eq!(sniff_kind(&c).unwrap(), None);
-        let short = dir.join("short");
         std::fs::write(&short, b"XT").unwrap();
-        assert_eq!(sniff_kind(&short).unwrap(), None);
+        match TraceStream::open(&p).unwrap() {
+            TraceStream::Program(mut stream) => assert_eq!(stream.read_to_end().unwrap(), pt),
+            TraceStream::Set(_) => panic!("XTRP opened as a set"),
+        }
+        match TraceStream::open(&s).unwrap() {
+            TraceStream::Set(mut stream) => assert_eq!(stream.read_to_end().unwrap(), ts),
+            TraceStream::Program(_) => panic!("XTPS opened as a program"),
+        }
+        for path in [&c, &short] {
+            let err = TraceStream::open(path).err().unwrap();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "{}: not a trace image (expected XTRP or XTPS magic)",
+                    path.display()
+                )
+            );
+            assert!(
+                matches!(err, TraceError::InFile { ref source, .. } if matches!(**source, TraceError::NotATrace))
+            );
+        }
+        // In memory, a bare magic is a trace whose header is cut short.
+        let err = TraceStream::new(SliceSource(b"XTPS")).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "malformed trace: truncated while reading file header"
+        );
+        let err = TraceStream::new(SliceSource(b"")).err().unwrap();
+        assert!(matches!(err, TraceError::NotATrace), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

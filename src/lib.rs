@@ -43,7 +43,7 @@
 //! ```
 //!
 //! Whole parameter grids run in parallel through the
-//! [`sweep`](models::sweep) engine — see `examples/sweep.rs`.
+//! [sweep engine](mod@models::sweep) — see `examples/sweep.rs`.
 
 pub use extrap_core as models;
 pub use extrap_refsim as refsim;
