@@ -92,8 +92,9 @@ fn main() {
             .run(&ts)
             .unwrap()
             .events_dispatched;
-        let session =
-            Extrapolator::new(machine::default_distributed()).record_mode(RecordMode::MetricsOnly);
+        let mut params = machine::default_distributed();
+        params.record_mode = RecordMode::MetricsOnly;
+        let session = Extrapolator::new(params);
         let mut scratch = SimScratch::default();
         h.bench_throughput(
             "run_compiled_scratch_ring_32t",

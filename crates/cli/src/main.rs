@@ -29,6 +29,7 @@ mod remote;
 
 use args::ArgSpec;
 use extrap_core::{machine, Extrapolator, SharedTraceCache, SimParams, SimStrategy, SweepGrid};
+use extrap_proto::PredictionSummary;
 use extrap_time::{DurationNs, TimeNs};
 use extrap_trace::{PhaseFold, TraceRecord, TranslateOptions, TranslateSink};
 use extrap_workloads::{Bench, Scale};
@@ -259,11 +260,12 @@ fn load_params(spec: &mut ArgSpec) -> Result<SimParams, String> {
         let (key, value) = kv
             .split_once('=')
             .ok_or_else(|| format!("--set expects KEY=VALUE, got {kv:?}"))?;
-        // Apply the single key on top of the current parameters.
-        let mut text = params.to_config_text();
-        text.push_str(&format!("{} = {}\n", key.trim(), value.trim()));
-        params = SimParams::from_config_text(&text)?;
+        let key = key.trim();
+        params
+            .set(key, value.trim())
+            .map_err(|e| format!("--set {key}: {e}"))?;
     }
+    params.validate()?;
     if let Some(strategy) = spec.enumerated("--strategy", SimStrategy::VALID, SimStrategy::parse)? {
         params.strategy = strategy;
     }
@@ -324,47 +326,67 @@ fn cmd_simulate(args: Vec<String>) -> Result<(), String> {
     let pred = Extrapolator::new(params)
         .run(&load_program(&input, |_, _| {})?)
         .map_err(|e| e.to_string())?;
-    println!(
-        "predicted execution time: {:.3} ms",
-        pred.exec_time().as_ms()
-    );
-    println!("processors:               {}", pred.n_procs);
-    println!("barriers completed:       {}", pred.barriers);
-    println!(
-        "messages / bytes:         {} / {}",
-        pred.network.messages, pred.network.bytes
-    );
-    println!(
-        "mean contention factor:   {:.3}",
-        pred.network.mean_factor()
-    );
-    println!(
-        "utilization:              {:.1}%",
-        pred.utilization() * 100.0
-    );
-    println!("comp/comm ratio:          {:.2}", pred.comp_comm_ratio());
-    println!("-- per-thread breakdown (ms) --");
-    println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "thread", "compute", "send", "service", "rem-wait", "bar-wait", "end"
-    );
-    for (i, b) in pred.per_thread.iter().enumerate() {
-        println!(
-            "{:>6} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
-            i,
-            b.compute.as_us() / 1_000.0,
-            b.send_overhead.as_us() / 1_000.0,
-            b.service.as_us() / 1_000.0,
-            b.remote_wait.as_us() / 1_000.0,
-            b.barrier_wait.as_us() / 1_000.0,
-            b.end_time.as_ms(),
-        );
-    }
+    print_prediction(&PredictionSummary::from(&pred));
     if let Some(path) = predicted_out {
         extrap_trace::writer::write_set_file(&path, &pred.predicted).map_err(|e| e.to_string())?;
         println!("predicted trace written to {path}");
     }
     Ok(())
+}
+
+/// Prints one prediction's metrics: the `simulate` report, local and
+/// served alike (a served job returns exactly the summary).  The derived
+/// figures repeat `Prediction`'s float expressions on the summary's
+/// integers, so the report prints the bytes it printed from `Prediction`.
+pub(crate) fn print_prediction(p: &PredictionSummary) {
+    let ms = |ns: u64| DurationNs(ns).as_us() / 1_000.0;
+    let compute: u64 = p.per_thread.iter().map(|b| b.compute_ns).sum();
+    let comm: u64 = p
+        .per_thread
+        .iter()
+        .map(|b| b.send_overhead_ns + b.remote_wait_ns + b.service_ns)
+        .sum();
+    let mean_factor = match p.messages {
+        0 => 1.0,
+        n => p.contention_factor_sum / n as f64,
+    };
+    let span = p.exec_time_ns as f64 * p.n_procs.max(1) as f64;
+    let utilization = if span == 0.0 {
+        1.0
+    } else {
+        compute as f64 / span
+    };
+    let comp_comm = match comm {
+        0 => f64::INFINITY,
+        c => compute as f64 / c as f64,
+    };
+    println!(
+        "predicted execution time: {:.3} ms",
+        TimeNs(p.exec_time_ns).as_ms()
+    );
+    println!("processors:               {}", p.n_procs);
+    println!("barriers completed:       {}", p.barriers);
+    println!("messages / bytes:         {} / {}", p.messages, p.bytes);
+    println!("mean contention factor:   {mean_factor:.3}");
+    println!("utilization:              {:.1}%", utilization * 100.0);
+    println!("comp/comm ratio:          {comp_comm:.2}");
+    println!("-- per-thread breakdown (ms) --");
+    println!(
+        "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "thread", "compute", "send", "service", "rem-wait", "bar-wait", "end"
+    );
+    for (i, b) in p.per_thread.iter().enumerate() {
+        println!(
+            "{:>6} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
+            i,
+            ms(b.compute_ns),
+            ms(b.send_overhead_ns),
+            ms(b.service_ns),
+            ms(b.remote_wait_ns),
+            ms(b.barrier_wait_ns),
+            TimeNs(b.end_time_ns).as_ms(),
+        );
+    }
 }
 
 /// `extrap analyze`: static work/span bound analysis — per-epoch work

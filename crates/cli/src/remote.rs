@@ -3,12 +3,14 @@
 //! `serve` runs an `extrap-serve` daemon in the foreground until a
 //! client sends `Shutdown` (it then drains in-flight jobs and exits).
 //! `client` speaks the versioned wire protocol to a running daemon; its
-//! `sweep --csv` output is byte-identical to the in-process
-//! `extrap sweep --csv`, because both render the same exact integer
-//! nanoseconds through the same formatter.
+//! `sweep --csv` and `simulate` output is byte-identical to the
+//! in-process `extrap sweep --csv` and `extrap simulate`, because both
+//! render the same exact integer nanoseconds through the same formatter.
 
 use crate::args::ArgSpec;
-use crate::{parse_sweep_request, render_sweep_rows, scale_name, take_epoch_flags};
+use crate::{
+    parse_sweep_request, print_prediction, render_sweep_rows, scale_name, take_epoch_flags,
+};
 use extrap_proto::SweepSpec;
 use extrap_serve::client::Client;
 use extrap_serve::{ServeConfig, Server};
@@ -138,43 +140,13 @@ fn client_simulate(args: Vec<String>) -> Result<(), String> {
     let payload = std::fs::read(&input).map_err(|e| format!("{input}: {e}"))?;
 
     let mut client = connect(&addr)?;
-    let (trace, n_threads, resident) = client
+    let (trace, _, _) = client
         .submit_trace(&input, payload)
         .map_err(|e| e.to_string())?;
     let result = client.simulate(trace, &params.to_config_text());
     // Best-effort: free the server-side entry whatever the outcome.
     let _ = client.evict(trace);
-    let p = result.map_err(|e| e.to_string())?;
-
-    println!("trace:                    {input} ({n_threads} threads, {resident} bytes resident)");
-    println!(
-        "predicted execution time: {:.3} ms",
-        TimeNs(p.exec_time_ns).as_ms()
-    );
-    println!("processors:               {}", p.n_procs);
-    println!("barriers completed:       {}", p.barriers);
-    println!("messages / bytes:         {} / {}", p.messages, p.bytes);
-    println!(
-        "mean contention factor:   {:.3}",
-        p.mean_contention_factor()
-    );
-    println!("-- per-thread breakdown (ms) --");
-    println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "thread", "compute", "send", "service", "rem-wait", "bar-wait", "end"
-    );
-    for (i, b) in p.per_thread.iter().enumerate() {
-        println!(
-            "{:>6} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
-            i,
-            b.compute_ns as f64 / 1e6,
-            b.send_overhead_ns as f64 / 1e6,
-            b.service_ns as f64 / 1e6,
-            b.remote_wait_ns as f64 / 1e6,
-            b.barrier_wait_ns as f64 / 1e6,
-            TimeNs(b.end_time_ns).as_ms(),
-        );
-    }
+    print_prediction(&result.map_err(|e| e.to_string())?);
     Ok(())
 }
 

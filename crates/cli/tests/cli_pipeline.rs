@@ -148,6 +148,21 @@ fn simulate_honors_param_overrides() {
         (t_slow / t_base - 2.0).abs() < 0.05,
         "MipsRatio=2 should double the time: {t_base} vs {t_slow}"
     );
+    // A bad value names the flag and key it came from, not a line.
+    let xtps = xtps.to_str().unwrap();
+    assert_fails_with(
+        &["simulate", xtps, "--set", "HopTime=abc"],
+        "extrap: --set HopTime: bad number \"abc\": invalid float literal\n",
+    );
+    assert_fails_with(
+        &["simulate", xtps, "--set", "Bogus=1"],
+        "extrap: --set Bogus: unknown key \"Bogus\"\n",
+    );
+    // Range rules still apply once every --set is in.
+    assert_fails_with(
+        &["simulate", xtps, "--set", "MipsRatio=0"],
+        "extrap: MipsRatio must be positive and finite, got 0\n",
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -418,6 +433,29 @@ fn bad_inputs_fail_cleanly() {
         &["translate", cut_xtrp, "-o", out_path],
         &format!("extrap: {cut_xtrp}: malformed trace: truncated while reading barrier id\n"),
     );
+    // A file of the wrong shape names both shapes.
+    let raw = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/traces/grid4.xtrp"
+    );
+    let set = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/traces/grid4.xtps"
+    );
+    assert_fails_with(
+        &["timeline", raw],
+        &format!(
+            "extrap: {raw}: malformed trace: bad magic XTRP (a raw capture), \
+             expected XTPS (a translated set)\n"
+        ),
+    );
+    assert_fails_with(
+        &["translate", set, "-o", out_path],
+        &format!(
+            "extrap: {set}: malformed trace: bad magic XTPS (a translated set), \
+             expected XTRP (a raw capture)\n"
+        ),
+    );
     // Every reader of raw captures prints what `translate` prints.
     for file in [xtrp, cut_xtrp] {
         let translated = extrap(&["translate", file, "-o", out_path]);
@@ -525,20 +563,33 @@ fn lint_flags_corruption_and_exits_nonzero() {
 #[test]
 fn lint_flags_every_params_rule_simulate_enforces() {
     let dir = tmpdir("lint-repr");
-    for (strategy, message) in [
-        ("repr:0", "representative max_clusters must be >= 1"),
+    for (line, message) in [
         (
-            "repr:4:-1",
+            "Strategy = repr:0",
+            "representative max_clusters must be >= 1",
+        ),
+        (
+            "Strategy = repr:4:-1",
             "representative tolerance must be non-negative, got -1",
+        ),
+        (
+            "Topology = fattree:1",
+            "fat-tree topology arity must be >= 2, got 1",
         ),
     ] {
         let cfg = dir.join("repr.cfg");
-        std::fs::write(&cfg, format!("Strategy = {strategy}\n")).unwrap();
-        let out = extrap(&["lint", cfg.to_str().unwrap()]);
-        assert_eq!(out.status.code(), Some(1), "{strategy}: {out:?}");
+        std::fs::write(&cfg, format!("{line}\n")).unwrap();
+        let cfg = cfg.to_str().unwrap();
+        let out = extrap(&["lint", cfg]);
+        assert_eq!(out.status.code(), Some(1), "{line}: {out:?}");
         let text = stdout(&out);
-        assert_eq!(text.matches("error[E008]").count(), 1, "{strategy}: {text}");
-        assert!(text.contains(message), "{strategy}: {text}");
+        assert_eq!(text.matches("error[E008]").count(), 1, "{line}: {text}");
+        assert!(text.contains(message), "{line}: {text}");
+        assert_fails_with(
+            // Params load before the trace is opened.
+            &["simulate", "unread.xtps", "--params", cfg],
+            &format!("extrap: {message}\n"),
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

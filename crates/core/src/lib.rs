@@ -18,10 +18,12 @@
 //!   with the Table 1 cost parameters (tree and hardware variants are
 //!   provided as the paper's "easily substituted" alternatives).
 //!
-//! The one entry point is the [`Extrapolator`] session builder and its
-//! [`run`](Extrapolator::run) method; machine presets (including the
-//! paper's CM-5 parameter set, Table 3) live in [`machine`], and whole
-//! parameter grids run in parallel through the [`sweep`](mod@sweep) engine.
+//! The one entry point is the [`Extrapolator`] session and its
+//! [`run`](Extrapolator::run) method.  Machine presets (including the
+//! paper's CM-5 parameter set, Table 3) live in [`machine`]; a what-if
+//! question edits a preset's [`SimParams`] fields before the session
+//! starts.  Whole parameter grids run in parallel through the
+//! [`sweep`](mod@sweep) engine.
 
 // Parameter sets are built by mutating a preset/default — that is the
 // intended API style ("take the CM-5 and change MipsRatio").

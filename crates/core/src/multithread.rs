@@ -89,51 +89,6 @@ impl MultithreadParams {
             _ => Ok(()),
         }
     }
-
-    /// Config-file fragment (consumed by `SimParams::to_config_text`).
-    pub fn to_config_fragment(&self) -> String {
-        let mapping = match self.mapping {
-            ThreadMapping::OnePerProc => "one-per-proc".to_string(),
-            ThreadMapping::Block { procs } => format!("block:{procs}"),
-            ThreadMapping::Cyclic { procs } => format!("cyclic:{procs}"),
-        };
-        format!(
-            "ThreadMapping = {mapping}\nSwitchCost = {}",
-            self.switch_cost.as_us()
-        )
-    }
-
-    /// Applies one config key; returns `Ok(false)` if the key is not a
-    /// multithread key.
-    pub fn apply_config_key(&mut self, key: &str, value: &str) -> Result<bool, String> {
-        match key {
-            "ThreadMapping" => {
-                self.mapping = match value {
-                    "one-per-proc" => ThreadMapping::OnePerProc,
-                    other => {
-                        if let Some(p) = other.strip_prefix("block:") {
-                            ThreadMapping::Block {
-                                procs: p.parse().map_err(|e| format!("bad mapping: {e}"))?,
-                            }
-                        } else if let Some(p) = other.strip_prefix("cyclic:") {
-                            ThreadMapping::Cyclic {
-                                procs: p.parse().map_err(|e| format!("bad mapping: {e}"))?,
-                            }
-                        } else {
-                            return Err(format!("bad thread mapping {other:?}"));
-                        }
-                    }
-                };
-                Ok(true)
-            }
-            "SwitchCost" => {
-                let us: f64 = value.parse().map_err(|e| format!("bad SwitchCost: {e}"))?;
-                self.switch_cost = DurationNs::from_us(us);
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -195,20 +150,11 @@ mod tests {
 
     #[test]
     fn config_fragment_round_trips() {
-        let mut p = MultithreadParams::default();
-        p.mapping = ThreadMapping::Cyclic { procs: 4 };
-        p.switch_cost = DurationNs::from_us(25.0);
-        let mut q = MultithreadParams::default();
-        for line in p.to_config_fragment().lines() {
-            let (k, v) = line.split_once('=').unwrap();
-            assert!(q.apply_config_key(k.trim(), v.trim()).unwrap());
-        }
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn unknown_key_passes_through() {
-        let mut p = MultithreadParams::default();
-        assert_eq!(p.apply_config_key("Bogus", "1"), Ok(false));
+        let mut p = crate::SimParams::default();
+        p.multithread.mapping = ThreadMapping::Cyclic { procs: 4 };
+        p.multithread.switch_cost = DurationNs::from_us(25.0);
+        let text = p.to_config_text();
+        assert!(text.ends_with("ThreadMapping = cyclic:4\nSwitchCost = 25\n"));
+        assert_eq!(crate::SimParams::from_config_text(&text), Ok(p));
     }
 }

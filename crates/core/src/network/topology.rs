@@ -89,7 +89,8 @@ impl Topology {
         }
     }
 
-    /// Parses a config-file name.
+    /// Parses a config-file name.  Any arity parses; the range rule is
+    /// [`SimParams::violations`](crate::SimParams::violations).
     pub fn parse_config_name(s: &str) -> Option<Topology> {
         match s {
             "bus" => Some(Topology::Bus),
@@ -97,8 +98,8 @@ impl Topology {
             "mesh2d" => Some(Topology::Mesh2D),
             "hypercube" => Some(Topology::Hypercube),
             other => {
-                let arity: u32 = other.strip_prefix("fattree:")?.parse().ok()?;
-                (arity >= 2).then_some(Topology::FatTree { arity })
+                let arity = other.strip_prefix("fattree:")?.parse().ok()?;
+                Some(Topology::FatTree { arity })
             }
         }
     }
@@ -219,7 +220,10 @@ mod tests {
         ] {
             assert_eq!(Topology::parse_config_name(&t.config_name()), Some(t));
         }
-        assert_eq!(Topology::parse_config_name("fattree:1"), None);
+        assert_eq!(
+            Topology::parse_config_name("fattree:1"),
+            Some(Topology::FatTree { arity: 1 })
+        );
         assert_eq!(Topology::parse_config_name("ring"), None);
     }
 }

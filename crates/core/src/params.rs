@@ -4,12 +4,15 @@
 //! (microseconds), grouped by the model that consumes it.  `SimParams`
 //! composes the three models plus the multithreading extension and can be
 //! round-tripped through a simple `key = value` text form (see
-//! [`SimParams::to_config_text`] / [`SimParams::from_config_text`]).
+//! [`SimParams::to_config_text`] / [`SimParams::from_config_text`] /
+//! [`SimParams::set`]).  One ordered list of keys drives all three, so
+//! each key is spelled once and each value kind parses and prints in
+//! one place.
 
-use crate::multithread::MultithreadParams;
+use crate::multithread::{MultithreadParams, ThreadMapping};
 use crate::network::topology::Topology;
 use extrap_time::DurationNs;
-use std::fmt;
+use std::fmt::Write;
 
 /// How the owner thread services incoming remote-data requests (§3.3.1).
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -35,15 +38,6 @@ impl ServicePolicy {
     pub fn poll_us(interval_us: f64) -> ServicePolicy {
         ServicePolicy::Poll {
             interval: DurationNs::from_us(interval_us),
-        }
-    }
-
-    /// Short label for reports.
-    pub fn label(&self) -> String {
-        match self {
-            ServicePolicy::NoInterrupt => "no-interrupt".to_string(),
-            ServicePolicy::Interrupt => "interrupt".to_string(),
-            ServicePolicy::Poll { interval } => format!("poll({:.0}us)", interval.as_us()),
         }
     }
 }
@@ -459,87 +453,15 @@ impl SimParams {
         }
     }
 
-    /// Serializes to the `key = value` config text form.
+    /// Serializes to the `key = value` config text form: every key, one
+    /// line each, in a fixed order.
     pub fn to_config_text(&self) -> String {
-        let mut s = String::new();
-        use fmt::Write;
-        let _ = writeln!(s, "# ExtraP-rs simulation parameters");
-        let _ = writeln!(s, "MipsRatio = {}", self.mips_ratio);
-        let _ = writeln!(
-            s,
-            "Policy = {}",
-            match self.policy {
-                ServicePolicy::NoInterrupt => "no-interrupt".to_string(),
-                ServicePolicy::Interrupt => "interrupt".to_string(),
-                ServicePolicy::Poll { interval } => format!("poll:{}", interval.as_us()),
-            }
-        );
-        let _ = writeln!(
-            s,
-            "SizeMode = {}",
-            match self.size_mode {
-                SizeMode::Declared => "declared",
-                SizeMode::Actual => "actual",
-            }
-        );
-        let _ = writeln!(
-            s,
-            "RecordMode = {}",
-            match self.record_mode {
-                RecordMode::Full => "full",
-                RecordMode::MetricsOnly => "metrics-only",
-            }
-        );
-        let _ = writeln!(s, "Strategy = {}", self.strategy.label());
-        let _ = writeln!(s, "CommStartupTime = {}", self.comm.startup.as_us());
-        let _ = writeln!(s, "ByteTransferTime = {}", self.comm.byte_transfer.as_us());
-        let _ = writeln!(s, "MsgConstructTime = {}", self.comm.construct.as_us());
-        let _ = writeln!(s, "ServiceTime = {}", self.comm.service.as_us());
-        let _ = writeln!(s, "ReceiveTime = {}", self.comm.receive.as_us());
-        let _ = writeln!(s, "RequestBytes = {}", self.comm.request_bytes);
-        let _ = writeln!(s, "ReplyHeaderBytes = {}", self.comm.reply_header_bytes);
-        let _ = writeln!(s, "Topology = {}", self.network.topology.config_name());
-        let _ = writeln!(s, "HopTime = {}", self.network.hop.as_us());
-        let _ = writeln!(
-            s,
-            "Contention = {}",
-            if self.network.contention.enabled {
-                "on"
-            } else {
-                "off"
-            }
-        );
-        let _ = writeln!(s, "ContentionAlpha = {}", self.network.contention.alpha);
-        let _ = writeln!(s, "BarrierEntryTime = {}", self.barrier.entry.as_us());
-        let _ = writeln!(s, "BarrierExitTime = {}", self.barrier.exit.as_us());
-        let _ = writeln!(s, "BarrierCheckTime = {}", self.barrier.check.as_us());
-        let _ = writeln!(
-            s,
-            "BarrierExitCheckTime = {}",
-            self.barrier.exit_check.as_us()
-        );
-        let _ = writeln!(s, "BarrierModelTime = {}", self.barrier.model.as_us());
-        let _ = writeln!(
-            s,
-            "BarrierByMsgs = {}",
-            if self.barrier.by_msgs { 1 } else { 0 }
-        );
-        let _ = writeln!(s, "BarrierMsgSize = {}", self.barrier.msg_size);
-        let _ = writeln!(
-            s,
-            "BarrierAlgorithm = {}",
-            match self.barrier.algorithm {
-                BarrierAlgorithm::Linear => "linear".to_string(),
-                BarrierAlgorithm::Tree { arity } => format!("tree:{arity}"),
-                BarrierAlgorithm::Hardware => "hardware".to_string(),
-            }
-        );
-        let _ = writeln!(
-            s,
-            "BarrierHardwareLatency = {}",
-            self.barrier.hardware_latency.as_us()
-        );
-        let _ = writeln!(s, "{}", self.multithread.to_config_fragment());
+        // The field accessors reach through `&mut`; render a copy.
+        let mut p = self.clone();
+        let mut s = String::from("# ExtraP-rs simulation parameters\n");
+        for (key, field) in KEYS {
+            let _ = writeln!(s, "{key} = {}", field.render(&mut p));
+        }
         s
     }
 
@@ -568,133 +490,390 @@ impl SimParams {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
+            let at_line = |e: String| format!("line {}: {e}", lineno + 1);
             let (key, value) = line
                 .split_once('=')
-                .ok_or_else(|| format!("line {}: expected key = value", lineno + 1))?;
-            let key = key.trim();
-            let value = value.trim();
-            let us = |v: &str| -> Result<DurationNs, String> {
-                v.parse::<f64>()
-                    .map(DurationNs::from_us)
-                    .map_err(|e| format!("line {}: bad number {v:?}: {e}", lineno + 1))
-            };
-            let int = |v: &str| -> Result<u32, String> {
-                v.parse::<u32>()
-                    .map_err(|e| format!("line {}: bad integer {v:?}: {e}", lineno + 1))
-            };
-            match key {
-                "MipsRatio" => {
-                    p.mips_ratio = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad MipsRatio: {e}", lineno + 1))?
+                .ok_or_else(|| at_line("expected key = value".to_string()))?;
+            p.set(key.trim(), value.trim()).map_err(at_line)?;
+        }
+        Ok(p)
+    }
+
+    /// Sets one key from its config-text value, exactly as a
+    /// `key = value` line does.  Like the parser, it applies no range
+    /// rules: those are [`violations`](SimParams::violations).
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let (_, field) = KEYS
+            .iter()
+            .find(|(k, _)| *k == key)
+            .ok_or_else(|| format!("unknown key {key:?}"))?;
+        field.parse(self, key, value)
+    }
+}
+
+/// The `key = value` format: every key in rendered order, paired with
+/// the [`SimParams`] field it sets.  The only place keys are spelled.
+#[rustfmt::skip]
+const KEYS: &[(&str, Field)] = &[
+    ("MipsRatio", Field::Float(|p| &mut p.mips_ratio)),
+    ("Policy", Field::Policy(|p| &mut p.policy)),
+    ("SizeMode", Field::SizeMode(|p| &mut p.size_mode)),
+    ("RecordMode", Field::RecordMode(|p| &mut p.record_mode)),
+    ("Strategy", Field::Strategy(|p| &mut p.strategy)),
+    ("CommStartupTime", Field::Us(|p| &mut p.comm.startup)),
+    ("ByteTransferTime", Field::Us(|p| &mut p.comm.byte_transfer)),
+    ("MsgConstructTime", Field::Us(|p| &mut p.comm.construct)),
+    ("ServiceTime", Field::Us(|p| &mut p.comm.service)),
+    ("ReceiveTime", Field::Us(|p| &mut p.comm.receive)),
+    ("RequestBytes", Field::Int(|p| &mut p.comm.request_bytes)),
+    ("ReplyHeaderBytes", Field::Int(|p| &mut p.comm.reply_header_bytes)),
+    ("Topology", Field::Topology(|p| &mut p.network.topology)),
+    ("HopTime", Field::Us(|p| &mut p.network.hop)),
+    ("Contention", Field::OnOff(|p| &mut p.network.contention.enabled)),
+    ("ContentionAlpha", Field::Float(|p| &mut p.network.contention.alpha)),
+    ("BarrierEntryTime", Field::Us(|p| &mut p.barrier.entry)),
+    ("BarrierExitTime", Field::Us(|p| &mut p.barrier.exit)),
+    ("BarrierCheckTime", Field::Us(|p| &mut p.barrier.check)),
+    ("BarrierExitCheckTime", Field::Us(|p| &mut p.barrier.exit_check)),
+    ("BarrierModelTime", Field::Us(|p| &mut p.barrier.model)),
+    ("BarrierByMsgs", Field::Bit(|p| &mut p.barrier.by_msgs)),
+    ("BarrierMsgSize", Field::Int(|p| &mut p.barrier.msg_size)),
+    ("BarrierAlgorithm", Field::Barrier(|p| &mut p.barrier.algorithm)),
+    ("BarrierHardwareLatency", Field::Us(|p| &mut p.barrier.hardware_latency)),
+    ("ThreadMapping", Field::Mapping(|p| &mut p.multithread.mapping)),
+    ("SwitchCost", Field::Us(|p| &mut p.multithread.switch_cost)),
+];
+
+/// One key's value: the variant is its kind (how the text parses and
+/// prints), the function reaches its [`SimParams`] field.
+#[derive(Clone, Copy)]
+enum Field {
+    /// Microseconds, held as integer nanoseconds.
+    Us(fn(&mut SimParams) -> &mut DurationNs),
+    Float(fn(&mut SimParams) -> &mut f64),
+    Int(fn(&mut SimParams) -> &mut u32),
+    /// A flag printed `0`/`1`; any nonzero integer reads as set.
+    Bit(fn(&mut SimParams) -> &mut bool),
+    /// A flag printed `on`/`off`; `1`/`true` and `0`/`false` also read.
+    OnOff(fn(&mut SimParams) -> &mut bool),
+    Policy(fn(&mut SimParams) -> &mut ServicePolicy),
+    SizeMode(fn(&mut SimParams) -> &mut SizeMode),
+    RecordMode(fn(&mut SimParams) -> &mut RecordMode),
+    Strategy(fn(&mut SimParams) -> &mut SimStrategy),
+    Topology(fn(&mut SimParams) -> &mut Topology),
+    Barrier(fn(&mut SimParams) -> &mut BarrierAlgorithm),
+    Mapping(fn(&mut SimParams) -> &mut ThreadMapping),
+}
+
+impl Field {
+    /// The field's value as config text.
+    fn render(self, p: &mut SimParams) -> String {
+        match self {
+            Field::Us(f) => f(p).as_us().to_string(),
+            Field::Float(f) => f(p).to_string(),
+            Field::Int(f) => f(p).to_string(),
+            Field::Bit(f) => u8::from(*f(p)).to_string(),
+            Field::OnOff(f) => (if *f(p) { "on" } else { "off" }).to_string(),
+            Field::Policy(f) => match *f(p) {
+                ServicePolicy::NoInterrupt => "no-interrupt".to_string(),
+                ServicePolicy::Interrupt => "interrupt".to_string(),
+                ServicePolicy::Poll { interval } => format!("poll:{}", interval.as_us()),
+            },
+            Field::SizeMode(f) => match *f(p) {
+                SizeMode::Declared => "declared".to_string(),
+                SizeMode::Actual => "actual".to_string(),
+            },
+            Field::RecordMode(f) => match *f(p) {
+                RecordMode::Full => "full".to_string(),
+                RecordMode::MetricsOnly => "metrics-only".to_string(),
+            },
+            Field::Strategy(f) => f(p).label(),
+            Field::Topology(f) => f(p).config_name(),
+            Field::Barrier(f) => match *f(p) {
+                BarrierAlgorithm::Linear => "linear".to_string(),
+                BarrierAlgorithm::Tree { arity } => format!("tree:{arity}"),
+                BarrierAlgorithm::Hardware => "hardware".to_string(),
+            },
+            Field::Mapping(f) => match *f(p) {
+                ThreadMapping::OnePerProc => "one-per-proc".to_string(),
+                ThreadMapping::Block { procs } => format!("block:{procs}"),
+                ThreadMapping::Cyclic { procs } => format!("cyclic:{procs}"),
+            },
+        }
+    }
+
+    /// Parses `value` into the field of `p`; `key` names it in errors.
+    fn parse(self, p: &mut SimParams, key: &str, value: &str) -> Result<(), String> {
+        // A time below zero or not finite has no `DurationNs`.
+        let us = |v: &str| match v.parse::<f64>() {
+            Ok(us) if us.is_finite() && us >= 0.0 => Ok(DurationNs::from_us(us)),
+            Ok(_) => Err(format!("bad number {v:?}: a time must be finite and >= 0")),
+            Err(e) => Err(format!("bad number {v:?}: {e}")),
+        };
+        let int = |v: &str| {
+            v.parse::<u32>()
+                .map_err(|e| format!("bad integer {v:?}: {e}"))
+        };
+        let bad = |what: &str| Err(format!("bad {what} {value:?}"));
+        match self {
+            Field::Us(f) => *f(p) = us(value)?,
+            Field::Float(f) => *f(p) = value.parse().map_err(|e| format!("bad {key}: {e}"))?,
+            Field::Int(f) => *f(p) = int(value)?,
+            Field::Bit(f) => *f(p) = int(value)? != 0,
+            Field::OnOff(f) => {
+                *f(p) = match value {
+                    "on" | "1" | "true" => true,
+                    "off" | "0" | "false" => false,
+                    _ => return bad("contention flag"),
                 }
-                "Policy" => {
-                    p.policy = match value {
-                        "no-interrupt" => ServicePolicy::NoInterrupt,
-                        "interrupt" => ServicePolicy::Interrupt,
-                        other => {
-                            let interval = other.strip_prefix("poll:").ok_or_else(|| {
-                                format!("line {}: bad policy {other:?}", lineno + 1)
-                            })?;
-                            ServicePolicy::Poll {
-                                interval: us(interval)?,
-                            }
-                        }
-                    }
+            }
+            Field::Policy(f) => {
+                *f(p) = match value {
+                    "no-interrupt" => ServicePolicy::NoInterrupt,
+                    "interrupt" => ServicePolicy::Interrupt,
+                    other => match other.strip_prefix("poll:") {
+                        Some(interval) => ServicePolicy::Poll {
+                            interval: us(interval)?,
+                        },
+                        None => return bad("policy"),
+                    },
                 }
-                "SizeMode" => {
-                    p.size_mode = match value {
-                        "declared" => SizeMode::Declared,
-                        "actual" => SizeMode::Actual,
-                        other => {
-                            return Err(format!("line {}: bad size mode {other:?}", lineno + 1))
-                        }
-                    }
+            }
+            Field::SizeMode(f) => {
+                *f(p) = match value {
+                    "declared" => SizeMode::Declared,
+                    "actual" => SizeMode::Actual,
+                    _ => return bad("size mode"),
                 }
-                "RecordMode" => {
-                    p.record_mode = match value {
-                        "full" => RecordMode::Full,
-                        "metrics-only" => RecordMode::MetricsOnly,
-                        other => {
-                            return Err(format!("line {}: bad record mode {other:?}", lineno + 1))
-                        }
-                    }
+            }
+            Field::RecordMode(f) => {
+                *f(p) = match value {
+                    "full" => RecordMode::Full,
+                    "metrics-only" => RecordMode::MetricsOnly,
+                    _ => return bad("record mode"),
                 }
-                "Strategy" => {
-                    p.strategy = SimStrategy::parse(value).ok_or_else(|| {
-                        format!(
-                            "line {}: bad strategy {value:?} (valid: {})",
-                            lineno + 1,
-                            SimStrategy::VALID
-                        )
-                    })?
+            }
+            Field::Strategy(f) => {
+                *f(p) = SimStrategy::parse(value).ok_or_else(|| {
+                    format!("bad strategy {value:?} (valid: {})", SimStrategy::VALID)
+                })?
+            }
+            Field::Topology(f) => match Topology::parse_config_name(value) {
+                Some(topology) => *f(p) = topology,
+                None => return bad("topology"),
+            },
+            Field::Barrier(f) => {
+                *f(p) = match value {
+                    "linear" => BarrierAlgorithm::Linear,
+                    "hardware" => BarrierAlgorithm::Hardware,
+                    other => match other.strip_prefix("tree:").and_then(|a| a.parse().ok()) {
+                        Some(arity) => BarrierAlgorithm::Tree { arity },
+                        None => return bad("barrier algorithm"),
+                    },
                 }
-                "CommStartupTime" => p.comm.startup = us(value)?,
-                "ByteTransferTime" => p.comm.byte_transfer = us(value)?,
-                "MsgConstructTime" => p.comm.construct = us(value)?,
-                "ServiceTime" => p.comm.service = us(value)?,
-                "ReceiveTime" => p.comm.receive = us(value)?,
-                "RequestBytes" => p.comm.request_bytes = int(value)?,
-                "ReplyHeaderBytes" => p.comm.reply_header_bytes = int(value)?,
-                "Topology" => {
-                    p.network.topology = Topology::parse_config_name(value)
-                        .ok_or_else(|| format!("line {}: bad topology {value:?}", lineno + 1))?
-                }
-                "HopTime" => p.network.hop = us(value)?,
-                "Contention" => {
-                    p.network.contention.enabled = match value {
-                        "on" | "1" | "true" => true,
-                        "off" | "0" | "false" => false,
-                        other => {
-                            return Err(format!(
-                                "line {}: bad contention flag {other:?}",
-                                lineno + 1
-                            ))
-                        }
-                    }
-                }
-                "ContentionAlpha" => {
-                    p.network.contention.alpha = value
-                        .parse()
-                        .map_err(|e| format!("line {}: bad alpha: {e}", lineno + 1))?
-                }
-                "BarrierEntryTime" => p.barrier.entry = us(value)?,
-                "BarrierExitTime" => p.barrier.exit = us(value)?,
-                "BarrierCheckTime" => p.barrier.check = us(value)?,
-                "BarrierExitCheckTime" => p.barrier.exit_check = us(value)?,
-                "BarrierModelTime" => p.barrier.model = us(value)?,
-                "BarrierByMsgs" => p.barrier.by_msgs = int(value)? != 0,
-                "BarrierMsgSize" => p.barrier.msg_size = int(value)?,
-                "BarrierAlgorithm" => {
-                    p.barrier.algorithm = match value {
-                        "linear" => BarrierAlgorithm::Linear,
-                        "hardware" => BarrierAlgorithm::Hardware,
-                        other => {
-                            let arity = other
-                                .strip_prefix("tree:")
-                                .and_then(|a| a.parse().ok())
-                                .ok_or_else(|| {
-                                    format!("line {}: bad barrier algorithm {other:?}", lineno + 1)
-                                })?;
-                            BarrierAlgorithm::Tree { arity }
-                        }
-                    }
-                }
-                "BarrierHardwareLatency" => p.barrier.hardware_latency = us(value)?,
-                other => {
-                    if !p.multithread.apply_config_key(other, value)? {
-                        return Err(format!("line {}: unknown key {other:?}", lineno + 1));
-                    }
+            }
+            Field::Mapping(f) => {
+                let procs = |prefix: &str| value.strip_prefix(prefix)?.parse().ok();
+                *f(p) = if value == "one-per-proc" {
+                    ThreadMapping::OnePerProc
+                } else if let Some(procs) = procs("block:") {
+                    ThreadMapping::Block { procs }
+                } else if let Some(procs) = procs("cyclic:") {
+                    ThreadMapping::Cyclic { procs }
+                } else {
+                    return bad("thread mapping");
                 }
             }
         }
-        Ok(p)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use extrap_sim::SplitMix64;
+
+    fn coin(rng: &mut SplitMix64) -> bool {
+        rng.next_below(2) == 1
+    }
+
+    fn time(rng: &mut SplitMix64) -> DurationNs {
+        DurationNs(rng.next_below(10_000_000_000))
+    }
+
+    /// An in-range parameter set drawing every field, so that over a few
+    /// hundred draws every enum variant appears.
+    fn random_params(rng: &mut SplitMix64) -> SimParams {
+        let small = |rng: &mut SplitMix64| 2 + rng.next_below(14) as u32;
+        SimParams {
+            mips_ratio: 0.01 + rng.next_f64() * 4.0,
+            policy: match rng.next_below(3) {
+                0 => ServicePolicy::NoInterrupt,
+                1 => ServicePolicy::Interrupt,
+                _ => ServicePolicy::Poll {
+                    interval: DurationNs(1 + rng.next_below(1_000_000)),
+                },
+            },
+            size_mode: if coin(rng) {
+                SizeMode::Declared
+            } else {
+                SizeMode::Actual
+            },
+            record_mode: if coin(rng) {
+                RecordMode::Full
+            } else {
+                RecordMode::MetricsOnly
+            },
+            strategy: if coin(rng) {
+                SimStrategy::Exact
+            } else {
+                SimStrategy::Representative {
+                    max_clusters: 1 + rng.next_below(200) as u32,
+                    tolerance: rng.next_f64(),
+                }
+            },
+            comm: CommParams {
+                startup: time(rng),
+                byte_transfer: time(rng),
+                construct: time(rng),
+                service: time(rng),
+                receive: time(rng),
+                request_bytes: rng.next_u64() as u32,
+                reply_header_bytes: rng.next_u64() as u32,
+            },
+            network: NetworkParams {
+                topology: match rng.next_below(5) {
+                    0 => Topology::Bus,
+                    1 => Topology::Crossbar,
+                    2 => Topology::Mesh2D,
+                    3 => Topology::Hypercube,
+                    _ => Topology::FatTree { arity: small(rng) },
+                },
+                hop: time(rng),
+                contention: ContentionParams {
+                    enabled: coin(rng),
+                    alpha: rng.next_f64() * 2.0,
+                },
+            },
+            barrier: BarrierParams {
+                entry: time(rng),
+                exit: time(rng),
+                check: time(rng),
+                exit_check: time(rng),
+                model: time(rng),
+                by_msgs: coin(rng),
+                msg_size: rng.next_u64() as u32,
+                algorithm: match rng.next_below(3) {
+                    0 => BarrierAlgorithm::Linear,
+                    1 => BarrierAlgorithm::Tree { arity: small(rng) },
+                    _ => BarrierAlgorithm::Hardware,
+                },
+                hardware_latency: time(rng),
+            },
+            multithread: MultithreadParams {
+                mapping: match rng.next_below(3) {
+                    0 => ThreadMapping::OnePerProc,
+                    1 => ThreadMapping::Block {
+                        procs: 1 + rng.next_below(256) as usize,
+                    },
+                    _ => ThreadMapping::Cyclic {
+                        procs: 1 + rng.next_below(256) as usize,
+                    },
+                },
+                switch_cost: time(rng),
+            },
+        }
+    }
+
+    #[test]
+    fn codec_round_trips_random_params() {
+        let mut rng = SplitMix64::new(0x5EED_C0DE);
+        let keys: Vec<&str> = KEYS.iter().map(|(k, _)| *k).collect();
+        let distinct: std::collections::BTreeSet<&str> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len(), "a key is listed twice");
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..500 {
+            let p = random_params(&mut rng);
+            let text = p.to_config_text();
+            assert_eq!(
+                SimParams::from_config_text(&text).as_ref(),
+                Ok(&p),
+                "{text}"
+            );
+            // Every key exactly once, in list order, after the header.
+            let mut lines = text.lines();
+            assert_eq!(lines.next(), Some("# ExtraP-rs simulation parameters"));
+            let pairs: Vec<(&str, &str)> = lines.map(|l| l.split_once(" = ").unwrap()).collect();
+            let rendered: Vec<&str> = pairs.iter().map(|(k, _)| *k).collect();
+            assert_eq!(rendered, keys);
+            // Replaying every line through `set` rebuilds the same set.
+            let mut q = SimParams::default();
+            for (key, value) in &pairs {
+                q.set(key, value).unwrap();
+                let variant = value.split(':').next().unwrap();
+                seen.insert((key.to_string(), variant.to_string()));
+            }
+            assert_eq!(q, p);
+        }
+        // Every variant of every enum-valued key came up.
+        let variants = |key: &str| seen.iter().filter(|(k, _)| *k == key).count();
+        for (key, n) in [
+            ("Policy", 3),
+            ("SizeMode", 2),
+            ("RecordMode", 2),
+            ("Strategy", 2),
+            ("Topology", 5),
+            ("Contention", 2),
+            ("BarrierByMsgs", 2),
+            ("BarrierAlgorithm", 3),
+            ("ThreadMapping", 3),
+        ] {
+            assert_eq!(variants(key), n, "{key}");
+        }
+    }
+
+    #[test]
+    fn set_errors_carry_no_line_and_parse_errors_do() {
+        let mut p = SimParams::default();
+        assert_eq!(
+            p.set("HopTime", "abc"),
+            Err("bad number \"abc\": invalid float literal".to_string())
+        );
+        assert_eq!(
+            p.set("Bogus", "1"),
+            Err("unknown key \"Bogus\"".to_string())
+        );
+        assert_eq!(p, SimParams::default());
+        assert_eq!(
+            SimParams::from_config_text("MipsRatio = 1\nThreadMapping = ring:4\n"),
+            Err("line 2: bad thread mapping \"ring:4\"".to_string())
+        );
+        assert_eq!(
+            SimParams::from_config_text("SwitchCost = x\n"),
+            Err("line 1: bad number \"x\": invalid float literal".to_string())
+        );
+    }
+
+    #[test]
+    fn times_below_zero_are_parse_errors() {
+        for v in ["-1", "NaN", "inf"] {
+            assert_eq!(
+                SimParams::default().set("HopTime", v),
+                Err(format!("bad number {v:?}: a time must be finite and >= 0"))
+            );
+        }
+    }
+
+    #[test]
+    fn parser_leaves_range_rules_to_violations() {
+        let p = SimParams::from_config_text_unvalidated("Topology = fattree:1\n").unwrap();
+        assert_eq!(p.network.topology, Topology::FatTree { arity: 1 });
+        assert_eq!(
+            p.violations(),
+            vec!["fat-tree topology arity must be >= 2, got 1".to_string()]
+        );
+    }
 
     #[test]
     fn defaults_match_table_1() {
@@ -829,13 +1008,6 @@ mod tests {
         assert!(p.validate().is_err());
         // Syntax errors stay errors in both forms.
         assert!(SimParams::from_config_text_unvalidated("Bogus = 1\n").is_err());
-    }
-
-    #[test]
-    fn policy_labels() {
-        assert_eq!(ServicePolicy::NoInterrupt.label(), "no-interrupt");
-        assert_eq!(ServicePolicy::Interrupt.label(), "interrupt");
-        assert_eq!(ServicePolicy::poll_us(100.0).label(), "poll(100us)");
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The builder-style extrapolation session.
+//! The extrapolation session.
 //!
 //! [`Extrapolator`] bundles everything one prediction needs — the target
 //! machine's [`SimParams`] plus the [`TranslateOptions`] used when raw
-//! 1-processor traces must first be translated — behind a fluent builder,
-//! so call sites read as the what-if questions the paper poses:
+//! 1-processor traces must first be translated.  A what-if question the
+//! paper poses is an edit to a preset's fields:
 //!
 //! ```
 //! use extrap_core::{machine, Extrapolator, ServicePolicy};
@@ -13,11 +13,10 @@
 //! let mut p = PhaseProgram::new(4);
 //! p.push_uniform_phase(DurationNs::from_us(100.0));
 //!
-//! let prediction = Extrapolator::new(machine::cm5())
-//!     .policy(ServicePolicy::Interrupt)
-//!     .mips_ratio(0.5)
-//!     .run(&p.record())
-//!     .unwrap();
+//! let mut params = machine::cm5();
+//! params.policy = ServicePolicy::Interrupt;
+//! params.mips_ratio = 0.5;
+//! let prediction = Extrapolator::new(params).run(&p.record()).unwrap();
 //! assert_eq!(prediction.n_procs, 4);
 //! ```
 //!
@@ -29,9 +28,7 @@
 
 use crate::engine::{self, ExtrapError, SimScratch};
 use crate::metrics::Prediction;
-use crate::params::{
-    BarrierParams, CommParams, RecordMode, ServicePolicy, SimParams, SimStrategy, SizeMode,
-};
+use crate::params::SimParams;
 use crate::processor::CompiledProgram;
 use crate::repr::ReprPlan;
 use extrap_trace::{ProgramTrace, TraceSet, TranslateOptions};
@@ -107,61 +104,6 @@ impl Extrapolator {
         self
     }
 
-    /// Sets the remote-request service policy.
-    pub fn policy(mut self, policy: ServicePolicy) -> Extrapolator {
-        self.params.policy = policy;
-        self
-    }
-
-    /// Sets which recorded access size the communication model charges.
-    pub fn size_mode(mut self, mode: SizeMode) -> Extrapolator {
-        self.params.size_mode = mode;
-        self
-    }
-
-    /// Sets the `MipsRatio` compute-speed scaling factor.
-    pub fn mips_ratio(mut self, ratio: f64) -> Extrapolator {
-        self.params.mips_ratio = ratio;
-        self
-    }
-
-    /// Sets whether the predicted trace is materialized
-    /// ([`RecordMode::MetricsOnly`] skips it; metrics stay identical).
-    pub fn record_mode(mut self, mode: RecordMode) -> Extrapolator {
-        self.params.record_mode = mode;
-        self
-    }
-
-    /// Sets the epoch coverage strategy: exact replay of every barrier
-    /// epoch, or representative-region simulation
-    /// ([`SimStrategy::Representative`]) that clusters repeating epochs,
-    /// simulates one representative per cluster, and composes full-run
-    /// metrics from cluster weights — falling back to exact output when
-    /// the trace does not repeat.
-    pub fn strategy(mut self, strategy: SimStrategy) -> Extrapolator {
-        self.params.strategy = strategy;
-        self
-    }
-
-    /// Replaces the remote data access model parameters.
-    pub fn comm(mut self, comm: CommParams) -> Extrapolator {
-        self.params.comm = comm;
-        self
-    }
-
-    /// Replaces the barrier model parameters.
-    pub fn barrier(mut self, barrier: BarrierParams) -> Extrapolator {
-        self.params.barrier = barrier;
-        self
-    }
-
-    /// Applies an arbitrary edit to the parameter set — the escape hatch
-    /// for fields without a dedicated builder method.
-    pub fn with_params(mut self, edit: impl FnOnce(&mut SimParams)) -> Extrapolator {
-        edit(&mut self.params);
-        self
-    }
-
     /// The session's current parameter set.
     pub fn params(&self) -> &SimParams {
         &self.params
@@ -211,7 +153,7 @@ impl Extrapolator {
 mod tests {
     use super::*;
     use crate::machine;
-    use crate::params::BarrierAlgorithm;
+    use crate::params::{BarrierAlgorithm, ServicePolicy, SizeMode};
     use extrap_time::{DurationNs, ElementId, ThreadId, TimeNs};
     use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork, TraceSet};
 
@@ -224,22 +166,6 @@ mod tests {
         p.push_uniform_phase(DurationNs::from_us(50.0));
         p.push_uniform_phase(DurationNs::from_us(50.0));
         p.record()
-    }
-
-    #[test]
-    fn builder_matches_hand_built_params() {
-        let pt = program();
-        let mut params = machine::cm5();
-        params.policy = ServicePolicy::NoInterrupt;
-        params.mips_ratio = 2.0;
-        let by_hand = Extrapolator::new(params).run(&pt).unwrap().exec_time();
-        let by_builder = Extrapolator::new(machine::cm5())
-            .policy(ServicePolicy::NoInterrupt)
-            .mips_ratio(2.0)
-            .run(&pt)
-            .unwrap()
-            .exec_time();
-        assert_eq!(by_hand, by_builder);
     }
 
     #[test]
@@ -264,13 +190,6 @@ mod tests {
             p.push_uniform_phase(DurationNs::from_us(100.0));
         }
         p.record()
-    }
-
-    #[test]
-    fn with_params_edits_arbitrary_fields() {
-        let session = Extrapolator::new(machine::default_distributed())
-            .with_params(|p| p.barrier.msg_size = 99);
-        assert_eq!(session.params().barrier.msg_size, 99);
     }
 
     #[test]

@@ -166,8 +166,9 @@ fn warmed_scratch_runs_allocate_only_their_result() {
     // and barrier actions are all recycled.
     let program = CompiledProgram::compile(&ring(16)).unwrap();
     let mut scratch = SimScratch::default();
-    for params in param_grid() {
-        let session = Extrapolator::new(params).record_mode(RecordMode::MetricsOnly);
+    for mut params in param_grid() {
+        params.record_mode = RecordMode::MetricsOnly;
+        let session = Extrapolator::new(params);
         run_in(&session, &program, &mut scratch).unwrap();
         let before = allocations();
         let prediction = run_in(&session, &program, &mut scratch);
@@ -180,12 +181,10 @@ fn warmed_scratch_runs_allocate_only_their_result() {
 fn metrics_only_changes_nothing_but_the_predicted_trace() {
     let ts = ring(5);
     let program = CompiledProgram::compile(&ts).unwrap();
-    for params in param_grid() {
+    for mut params in param_grid() {
         let full = Extrapolator::new(params.clone()).run(&program).unwrap();
-        let lean = Extrapolator::new(params)
-            .record_mode(RecordMode::MetricsOnly)
-            .run(&program)
-            .unwrap();
+        params.record_mode = RecordMode::MetricsOnly;
+        let lean = Extrapolator::new(params).run(&program).unwrap();
         assert_eq!(
             full.per_thread, lean.per_thread,
             "metrics must be identical"

@@ -52,8 +52,9 @@ fn figure_sweeps_match_the_classic_full_record_path() {
         assert_eq!(classic.events_dispatched, via_harness.events_dispatched);
         // And MetricsOnly over the same compiled program: same numbers,
         // no trace.
-        let lean = Extrapolator::new(params.clone())
-            .record_mode(RecordMode::MetricsOnly)
+        let mut lean_params = params.clone();
+        lean_params.record_mode = RecordMode::MetricsOnly;
+        let lean = Extrapolator::new(lean_params)
             .run(h.cache().get(Bench::Grid, n).expect("trace").program())
             .expect("lean run");
         assert_eq!(lean.per_thread, classic.per_thread);

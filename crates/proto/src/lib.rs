@@ -320,17 +320,6 @@ pub struct PredictionSummary {
     pub per_thread: Vec<BreakdownRow>,
 }
 
-impl PredictionSummary {
-    /// Mean contention delay factor across all messages (1.0 if none).
-    pub fn mean_contention_factor(&self) -> f64 {
-        if self.messages == 0 {
-            1.0
-        } else {
-            self.contention_factor_sum / self.messages as f64
-        }
-    }
-}
-
 impl From<&Prediction> for PredictionSummary {
     fn from(p: &Prediction) -> PredictionSummary {
         PredictionSummary {

@@ -214,7 +214,7 @@ pub(crate) fn check_header(data: &mut &[u8], magic: &[u8; 4]) -> Result<(), Trac
     data.copy_to_slice(&mut found);
     if &found != magic {
         return Err(TraceError::Format {
-            detail: format!("bad magic {found:?}, expected {magic:?}"),
+            detail: format!("bad magic {}, expected {}", shape(&found), shape(magic)),
         });
     }
     let version = data.get_u16_le();
@@ -224,6 +224,16 @@ pub(crate) fn check_header(data: &mut &[u8], magic: &[u8; 4]) -> Result<(), Trac
         });
     }
     Ok(())
+}
+
+/// Names a file magic for errors: the two trace shapes by name, anything
+/// else as its escaped bytes.
+fn shape(magic: &[u8; 4]) -> String {
+    match magic {
+        PROGRAM_MAGIC => "XTRP (a raw capture)".to_string(),
+        SET_MAGIC => "XTPS (a translated set)".to_string(),
+        other => format!("\"{}\"", other.escape_ascii()),
+    }
 }
 
 /// Reads a header's thread count and checks it against [`MAX_THREADS`].

@@ -36,7 +36,8 @@ fn main() {
         for (label, policy) in &policies {
             let mut params = machine::default_distributed();
             params.comm = params.comm.with_startup_us(100.0);
-            let session = Extrapolator::new(params).policy(*policy);
+            params.policy = *policy;
+            let session = Extrapolator::new(params);
             print!("{label:16}");
             for (i, ts) in traces.iter().enumerate() {
                 let t = session.run(ts).unwrap().exec_time().as_ms();
