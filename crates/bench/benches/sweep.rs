@@ -164,9 +164,7 @@ fn main() {
 
     // Streaming lint: the chunked-reader + incremental-pass hot path
     // behind `extrap lint`, over an in-memory Fig-4-sized program trace
-    // and the wide shape (arena recycled across iterations, as the CLI
-    // does across files).
-    let mut lint_arena = extrap_trace::stream::StreamArena::new();
+    // and the wide shape.
     for (name, trace) in [
         ("lint_stream", Bench::Grid.trace(8, scale)),
         ("lint_stream_wide", wide_lint_program()),
@@ -174,18 +172,9 @@ fn main() {
         let bytes = extrap_trace::format::encode_program(&trace);
         h.bench_throughput(name, Throughput::Bytes(bytes.len() as u64), || {
             use extrap_trace::stream::{ProgramStream, SliceSource};
-            use extrap_trace::stream::{DEFAULT_CHUNK_RECORDS, DEFAULT_WINDOW_BYTES};
-            let arena = std::mem::take(&mut lint_arena);
-            let mut s = ProgramStream::with_options(
-                SliceSource(&bytes),
-                arena,
-                DEFAULT_WINDOW_BYTES,
-                DEFAULT_CHUNK_RECORDS,
-            )
-            .unwrap();
+            let mut s = ProgramStream::new(SliceSource(&bytes)).unwrap();
             let report = extrap_lint::lint_program_stream(&mut s).unwrap();
             assert!(report.is_clean(), "{name}: the bench trace must lint clean");
-            lint_arena = s.into_arena();
             report.diagnostics.len()
         });
     }

@@ -235,7 +235,7 @@ impl CheckReport {
 /// Renders a run's decision sequence, one scheduling point per line:
 /// the chosen thread, its operation, and the alternatives that were
 /// also selectable.
-pub fn render_trace(outcome: &RunOutcome) -> Vec<String> {
+fn render_trace(outcome: &RunOutcome) -> Vec<String> {
     outcome
         .choices
         .iter()

@@ -30,8 +30,10 @@ mod remote;
 use args::ArgSpec;
 use extrap_core::{machine, Extrapolator, SharedTraceCache, SimParams, SimStrategy, SweepGrid};
 use extrap_proto::PredictionSummary;
-use extrap_time::{DurationNs, TimeNs};
-use extrap_trace::{PhaseFold, TraceRecord, TranslateOptions, TranslateSink};
+use extrap_time::{DurationNs, ThreadId, TimeNs};
+use extrap_trace::{
+    PhaseFold, ThreadTrace, TraceRecord, TraceSet, TranslateOptions, TranslateSink,
+};
 use extrap_workloads::{Bench, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -106,8 +108,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  extrap lint --fix FILE [--out FILE] [--dry-run] | extrap lint --codes\n  \
                  extrap diff FILE <machineA> <machineB>\n  \
                  extrap params [--machine M]\n  extrap benches\n\n\
-                 simulate, analyze, diff, stats and report take a raw (.xtrp) or \
-                 translated (.xtps) trace FILE."
+                 simulate, analyze, diff, stats, report and timeline take a raw \
+                 (.xtrp) or translated (.xtps) trace FILE."
             );
             Ok(())
         }
@@ -157,13 +159,16 @@ fn parse_machine(s: Option<String>) -> Result<SimParams, String> {
     }
 }
 
-fn parse_us(s: Option<String>, what: &str) -> Result<DurationNs, String> {
-    match s {
+/// Takes a `--flag US` time off a spec: finite, non-negative
+/// microseconds (absent: zero).
+fn take_us(spec: &mut ArgSpec, flag: &str) -> Result<DurationNs, String> {
+    match spec.parsed::<f64>(flag)? {
         None => Ok(DurationNs::ZERO),
-        Some(v) => v
-            .parse::<f64>()
-            .map(DurationNs::from_us)
-            .map_err(|e| format!("bad {what}: {e}")),
+        Some(us) if us.is_finite() && us >= 0.0 => Ok(DurationNs::from_us(us)),
+        Some(us) => Err(format!(
+            "{}: bad {flag} value {us}: a time must be finite and >= 0",
+            spec.cmd()
+        )),
     }
 }
 
@@ -222,8 +227,8 @@ fn cmd_translate(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("translate", args);
     let out = spec.value("-o")?;
     let options = TranslateOptions {
-        event_overhead: parse_us(spec.value("--event-overhead")?, "event overhead")?,
-        switch_overhead: parse_us(spec.value("--switch-overhead")?, "switch overhead")?,
+        event_overhead: take_us(&mut spec, "--event-overhead")?,
+        switch_overhead: take_us(&mut spec, "--switch-overhead")?,
     };
     let mem_budget = spec
         .parsed::<usize>("--mem-budget")?
@@ -251,7 +256,7 @@ fn cmd_translate(args: Vec<String>) -> Result<(), String> {
 fn load_params(spec: &mut ArgSpec) -> Result<SimParams, String> {
     let mut params = if let Some(file) = spec.value("--params")? {
         let text = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-        SimParams::from_config_text(&text)?
+        SimParams::from_config_text(&text).map_err(|e| format!("{file}: {e}"))?
     } else {
         spec.enumerated("--machine", "distributed, shared, ideal, cm5", machine_of)?
             .unwrap_or_else(machine::default_distributed)
@@ -291,7 +296,8 @@ fn ingest_error(path: &str) -> impl Fn(extrap_trace::TraceError) -> String + '_ 
 
 /// Compiles a raw or translated trace file in one pass through the
 /// front door, handing every translated record to `also` — the one way
-/// `simulate`, `analyze`, `diff`, `stats` and `report` load their input.
+/// `simulate`, `analyze`, `diff`, `stats`, `report` and `timeline` load
+/// their input.
 fn load_program(
     path: &str,
     also: impl FnMut(usize, &TraceRecord),
@@ -607,7 +613,23 @@ fn cmd_timeline(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("timeline", args);
     let width = spec.parsed::<usize>("--width")?.unwrap_or(100);
     let [input] = spec.finish_exact("extrap timeline FILE [--width N]")?;
-    let set = extrap_trace::reader::read_set_file(&input).map_err(|e| e.to_string())?;
+    let mut threads: Vec<Vec<TraceRecord>> = Vec::new();
+    let n_threads = load_program(&input, |t, rec| {
+        if threads.len() <= t {
+            threads.resize_with(t + 1, Vec::new);
+        }
+        threads[t].push(*rec);
+    })?
+    .n_threads();
+    threads.resize_with(n_threads, Vec::new);
+    let set = TraceSet {
+        threads: (threads.into_iter().enumerate())
+            .map(|(t, records)| ThreadTrace {
+                thread: ThreadId::from_index(t),
+                records,
+            })
+            .collect(),
+    };
     print!("{}", extrap_trace::timeline::render(&set, width));
     Ok(())
 }
@@ -695,10 +717,10 @@ fn cmd_check(args: Vec<String>) -> Result<(), String> {
 /// as a `key = value` parameter file.  Directories are recursed for
 /// `.xtrp`/`.xtps`/`.cfg` files; the expanded list is path-sorted so
 /// the output is deterministic regardless of worker count.  Files are
-/// linted in parallel (`--jobs N`), each worker recycling one stream
-/// arena.  `--machine M` additionally lints a named preset.  Exits
-/// nonzero when any error-severity diagnostic survives `--allow CODE`
-/// filtering, or — under `--deny-warnings` — any warning does.
+/// linted in parallel (`--jobs N`).  `--machine M` additionally lints a
+/// named preset.  Exits nonzero when any error-severity diagnostic
+/// survives `--allow CODE` filtering, or — under `--deny-warnings` — any
+/// warning does.
 ///
 /// `--fix` switches to repair mode: see [`cmd_lint_fix`].
 fn cmd_lint(args: Vec<String>) -> Result<(), String> {
@@ -774,12 +796,7 @@ fn cmd_lint(args: Vec<String>) -> Result<(), String> {
             apply_allow(extrap_lint::lint_params(&params), &allow),
         ));
     }
-    let results = extrap_core::sweep::parallel_map_with(
-        &files,
-        jobs,
-        extrap_trace::stream::StreamArena::new,
-        |arena, _i, path| lint_one(path, arena),
-    );
+    let results = extrap_core::sweep::parallel_map(&files, jobs, |_i, path| lint_one(path));
     for (path, result) in files.iter().zip(results) {
         reports.push((path.clone(), apply_allow(result?, &allow)));
     }
@@ -822,13 +839,10 @@ fn cmd_lint(args: Vec<String>) -> Result<(), String> {
 }
 
 /// Lints one input file: binary traces go through the streaming linter
-/// (bounded memory, arena recycled across files by the caller);
-/// anything else is treated as UTF-8 parameter config text.
-fn lint_one(
-    path: &str,
-    arena: &mut extrap_trace::stream::StreamArena,
-) -> Result<extrap_lint::Report, String> {
-    match extrap_lint::lint_trace_file(path, arena) {
+/// (bounded memory); anything else is treated as UTF-8 parameter config
+/// text.
+fn lint_one(path: &str) -> Result<extrap_lint::Report, String> {
+    match extrap_lint::lint_trace_file(path) {
         Ok(Some(report)) => Ok(report),
         Ok(None) => {
             let data = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
@@ -964,8 +978,7 @@ fn cmd_lint_fix(
         }
         .map_err(|e| format!("{dest}: {e}"))?;
         // Belt and braces: the file on disk must re-lint error-free.
-        let mut arena = extrap_trace::stream::StreamArena::new();
-        let back = lint_one(&dest, &mut arena)?;
+        let back = lint_one(&dest)?;
         if apply_allow(back, allow).has_errors() {
             return Err(format!("lint --fix: {dest} fails re-lint after writing"));
         }

@@ -209,6 +209,15 @@ fn params_round_trip_through_a_file() {
         via_preset.lines().next(),
         "config file must reproduce the preset"
     );
+
+    // A bad params file is named in the error, as `lint` names it.
+    let bad = dir.join("bad.cfg");
+    std::fs::write(&bad, "ThreadMapping = ring\n").unwrap();
+    let bad = bad.to_str().unwrap();
+    assert_fails_with(
+        &["simulate", xtps.to_str().unwrap(), "--params", bad],
+        &format!("extrap: {bad}: line 1: bad thread mapping \"ring\"\n"),
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -386,6 +395,7 @@ fn bad_inputs_fail_cleanly() {
         assert_fails_with(&["simulate", file], err);
         assert_fails_with(&["diff", file, "cm5", "ideal"], err);
         assert_fails_with(&["report", file], err);
+        assert_fails_with(&["timeline", file], err);
         if file != missing {
             // A path that is not a file resolves as a benchmark name.
             assert_fails_with(&["analyze", file], err);
@@ -433,7 +443,16 @@ fn bad_inputs_fail_cleanly() {
         &["translate", cut_xtrp, "-o", out_path],
         &format!("extrap: {cut_xtrp}: malformed trace: truncated while reading barrier id\n"),
     );
-    // A file of the wrong shape names both shapes.
+    // Overheads must be finite, non-negative times.
+    for (value, shown) in [("-1", "-1"), ("nan", "NaN")] {
+        assert_fails_with(
+            &["translate", xtrp, "-o", out_path, "--event-overhead", value],
+            &format!(
+                "extrap: translate: bad --event-overhead value {shown}: \
+                 a time must be finite and >= 0\n"
+            ),
+        );
+    }
     let raw = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/traces/grid4.xtrp"
@@ -442,13 +461,11 @@ fn bad_inputs_fail_cleanly() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../examples/traces/grid4.xtps"
     );
-    assert_fails_with(
-        &["timeline", raw],
-        &format!(
-            "extrap: {raw}: malformed trace: bad magic XTRP (a raw capture), \
-             expected XTPS (a translated set)\n"
-        ),
-    );
+    // A raw capture draws the timeline of its translation.
+    let timeline = |file| stdout(&extrap(&["timeline", file, "--width", "60"]));
+    assert!(timeline(raw).contains("T3"));
+    assert_eq!(timeline(raw), timeline(set));
+    // A raw capture is not a translated set: the error names both shapes.
     assert_fails_with(
         &["translate", set, "-o", out_path],
         &format!(
@@ -466,6 +483,7 @@ fn bad_inputs_fail_cleanly() {
         assert_fails_with(&["analyze", file], &err);
         assert_fails_with(&["diff", file, "cm5", "ideal"], &err);
         assert_fails_with(&["report", file], &err);
+        assert_fails_with(&["timeline", file], &err);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -588,7 +606,7 @@ fn lint_flags_every_params_rule_simulate_enforces() {
         assert_fails_with(
             // Params load before the trace is opened.
             &["simulate", "unread.xtps", "--params", cfg],
-            &format!("extrap: {message}\n"),
+            &format!("extrap: {cfg}: {message}\n"),
         );
     }
     std::fs::remove_dir_all(&dir).ok();

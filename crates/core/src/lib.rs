@@ -63,6 +63,6 @@ pub use scalability::{Scalability, ScalePoint};
 pub use session::{Extrapolator, RunInput};
 pub use streaming::{compile_set_stream, compile_trace_stream};
 pub use sweep::{
-    claim_chunk, parallel_map, parallel_map_with, sweep, sweep_cancellable, CachedTrace,
-    CancelToken, SharedTraceCache, SweepError, SweepGrid, SweepJob,
+    parallel_map, parallel_map_with, sweep, sweep_cancellable, CachedTrace, CancelToken,
+    SharedTraceCache, SweepError, SweepGrid, SweepJob,
 };

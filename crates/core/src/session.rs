@@ -1,9 +1,8 @@
 //! The extrapolation session.
 //!
-//! [`Extrapolator`] bundles everything one prediction needs — the target
-//! machine's [`SimParams`] plus the [`TranslateOptions`] used when raw
-//! 1-processor traces must first be translated.  A what-if question the
-//! paper poses is an edit to a preset's fields:
+//! [`Extrapolator`] holds what one prediction needs — the target
+//! machine's [`SimParams`].  A what-if question the paper poses is an
+//! edit to a preset's fields:
 //!
 //! ```
 //! use extrap_core::{machine, Extrapolator, ServicePolicy};
@@ -56,7 +55,7 @@ pub enum RunInput<'a> {
         /// Reused simulation buffers (one per worker, typically).
         scratch: &'a mut SimScratch,
     },
-    /// A raw 1-processor program trace; translated with the session's
+    /// A raw 1-processor program trace; translated with default
     /// [`TranslateOptions`] first.
     Program(&'a ProgramTrace),
 }
@@ -79,39 +78,23 @@ impl<'a> From<&'a ProgramTrace> for RunInput<'a> {
     }
 }
 
-/// A configured extrapolation session: target-machine parameters plus
-/// translation options, applied to as many traces as you like.
+/// A configured extrapolation session: target-machine parameters,
+/// applied to as many traces as you like.
 #[derive(Clone, Debug, Default)]
 pub struct Extrapolator {
     params: SimParams,
-    translate: TranslateOptions,
 }
 
 impl Extrapolator {
     /// Starts a session targeting the machine described by `params`
     /// (usually one of the [`machine`](crate::machine) presets).
     pub fn new(params: SimParams) -> Extrapolator {
-        Extrapolator {
-            params,
-            translate: TranslateOptions::default(),
-        }
-    }
-
-    /// Sets the intrusion-compensation options used when
-    /// [`run`](Extrapolator::run) is handed a raw [`RunInput::Program`].
-    pub fn translate_options(mut self, options: TranslateOptions) -> Extrapolator {
-        self.translate = options;
-        self
+        Extrapolator { params }
     }
 
     /// The session's current parameter set.
     pub fn params(&self) -> &SimParams {
         &self.params
-    }
-
-    /// The session's translation options.
-    pub fn translation(&self) -> TranslateOptions {
-        self.translate
     }
 
     /// Extrapolates one [`RunInput`] — translated traces, a compiled
@@ -132,7 +115,7 @@ impl Extrapolator {
                 (&compiled, None)
             }
             RunInput::Program(trace) => {
-                let set = extrap_trace::translate(trace, self.translate)?;
+                let set = extrap_trace::translate(trace, TranslateOptions::default())?;
                 compiled = CompiledProgram::compile(&set)?;
                 (&compiled, None)
             }
@@ -165,30 +148,6 @@ mod tests {
         let mut p = PhaseProgram::new(4);
         p.push_uniform_phase(DurationNs::from_us(50.0));
         p.push_uniform_phase(DurationNs::from_us(50.0));
-        p.record()
-    }
-
-    #[test]
-    fn translate_options_flow_into_program_runs() {
-        let noisy = pt_with_overhead();
-        let compensated = Extrapolator::new(machine::ideal())
-            .translate_options(TranslateOptions {
-                event_overhead: DurationNs::from_us(5.0),
-                switch_overhead: DurationNs::ZERO,
-            })
-            .run(&noisy)
-            .unwrap();
-        let raw = Extrapolator::new(machine::ideal()).run(&noisy).unwrap();
-        assert!(compensated.exec_time() < raw.exec_time());
-    }
-
-    fn pt_with_overhead() -> ProgramTrace {
-        // A phase program records zero overhead itself; emulate intrusion
-        // by declaring it at translation time on a padded program.
-        let mut p = PhaseProgram::new(2);
-        for _ in 0..4 {
-            p.push_uniform_phase(DurationNs::from_us(100.0));
-        }
         p.record()
     }
 

@@ -402,7 +402,7 @@ impl<K: Eq + Hash + Clone> fmt::Debug for SharedTraceCache<K> {
 /// results **in item order** regardless of completion order.
 ///
 /// Work is handed out through a shared atomic cursor in contiguous
-/// range claims of [`claim_chunk`] items — one `fetch_add` buys a whole
+/// range claims of `claim_chunk` items — one `fetch_add` buys a whole
 /// run of jobs, so cursor contention stays flat as worker counts and
 /// grid sizes grow, while the chunk cap keeps stragglers from
 /// serializing a long tail.  Results travel back over an `mpsc` channel
@@ -426,8 +426,7 @@ where
 /// arenas, simulator scratch) is allocated once per *worker* rather than
 /// once per *item*.  `scratch` must not influence results — the output
 /// contract is still "whatever the serial loop produces", and the serial
-/// path uses a single scratch for all items.  (`extrap lint` fans out
-/// over files this way, recycling one trace-stream arena per worker.)
+/// path uses a single scratch for all items.
 pub fn parallel_map_with<T, R, S, F>(
     items: &[T],
     workers: usize,
@@ -496,7 +495,7 @@ where
 /// `fetch_add` traffic by the chunk factor.  Small grids (like the 42-job
 /// Fig-4 grid on a many-core host) get chunk 1, i.e. exactly the old
 /// job-at-a-time behaviour.
-pub fn claim_chunk(items: usize, workers: usize) -> usize {
+fn claim_chunk(items: usize, workers: usize) -> usize {
     (items / (workers.max(1) * 8)).clamp(1, 64)
 }
 

@@ -24,7 +24,7 @@
 use extrap_core::processor::IncrementalCompiler;
 use extrap_core::{compile_set_stream, compile_trace_stream, machine, CompiledProgram};
 use extrap_time::{DurationNs, ElementId, ThreadId};
-use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, StreamArena, TraceStream};
+use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, TraceStream};
 use extrap_trace::{
     format, translate, translate_stream, PhaseAccess, PhaseFold, PhaseProgram, PhaseWork,
     ProgramTrace, SpillSink, TraceRecord, TranslateOptions,
@@ -125,9 +125,7 @@ fn streaming_pipeline_matches_whole_trace_path() {
         let raw = format::encode_program(&pt);
 
         // Spill/merge translate to disk: byte-identical output file.
-        let mut stream =
-            ProgramStream::with_options(SliceSource(&raw), StreamArena::new(), window, chunk)
-                .unwrap();
+        let mut stream = ProgramStream::with_options(SliceSource(&raw), window, chunk).unwrap();
         let mut sink = SpillSink::new(stream.n_threads(), budget);
         translate_stream(&mut stream, opts, &mut sink).unwrap();
         if budget == 0 && !pt.records.is_empty() {
@@ -145,9 +143,7 @@ fn streaming_pipeline_matches_whole_trace_path() {
 
         // Translate straight into the compiler and the phase fold:
         // equal program, all records seen.
-        let mut stream =
-            ProgramStream::with_options(SliceSource(&raw), StreamArena::new(), window, chunk)
-                .unwrap();
+        let mut stream = ProgramStream::with_options(SliceSource(&raw), window, chunk).unwrap();
         let mut compiler = IncrementalCompiler::new(stream.n_threads());
         let mut fold = PhaseFold::default();
         let mut sink = |t: usize, rec: TraceRecord| {
@@ -160,25 +156,14 @@ fn streaming_pipeline_matches_whole_trace_path() {
         assert_eq!(stats.records, pt.records.len() as u64, "{what}");
 
         // Set-stream compile over the translated bytes: equal program.
-        let mut stream = SetStream::with_options(
-            SliceSource(&expected_bytes),
-            StreamArena::new(),
-            window,
-            chunk,
-        )
-        .unwrap();
+        let mut stream =
+            SetStream::with_options(SliceSource(&expected_bytes), window, chunk).unwrap();
         let from_set = compile_set_stream(&mut stream).unwrap();
         assert_eq!(
             from_set, expected_program,
             "set-stream compile differs ({what})"
         );
-        let stream = SetStream::with_options(
-            SliceSource(&expected_bytes),
-            StreamArena::new(),
-            window,
-            chunk,
-        )
-        .unwrap();
+        let stream = SetStream::with_options(SliceSource(&expected_bytes), window, chunk).unwrap();
         let mut set_fold = PhaseFold::default();
         let from_set =
             compile_trace_stream(TraceStream::Set(stream), |t, r| set_fold.record(t, r)).unwrap();
@@ -195,9 +180,7 @@ fn streaming_pipeline_matches_whole_trace_path() {
         // The front door over the raw bytes translates with default
         // options: equal to the whole-trace path under those options.
         let default_set = translate(&pt, TranslateOptions::default()).unwrap();
-        let stream =
-            ProgramStream::with_options(SliceSource(&raw), StreamArena::new(), window, chunk)
-                .unwrap();
+        let stream = ProgramStream::with_options(SliceSource(&raw), window, chunk).unwrap();
         let mut raw_fold = PhaseFold::default();
         let from_raw =
             compile_trace_stream(TraceStream::Program(stream), |t, r| raw_fold.record(t, r))

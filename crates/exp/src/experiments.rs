@@ -314,17 +314,6 @@ pub fn predict(
         .map_err(|e| ExpError::new(bench.name(), n, params, e))
 }
 
-/// Execution-time series (milliseconds) across [`PROCS`].
-pub fn time_series(
-    h: &Harness,
-    label: impl Into<String>,
-    bench: Bench,
-    params: &SimParams,
-) -> Result<Series, ExpError> {
-    let preds = h.run_specs(&[(String::new(), bench, params.clone())])?;
-    Ok(times_of(&label.into(), &preds[0]))
-}
-
 /// Speedup series (relative to the same parameter set at one processor).
 pub fn speedup_series(
     h: &Harness,

@@ -38,14 +38,6 @@ impl Series {
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN in series"))
             .map(|p| p.0)
     }
-
-    /// The processor count with the maximum value.
-    pub fn argmax(&self) -> Option<usize> {
-        self.points
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN in series"))
-            .map(|p| p.0)
-    }
 }
 
 /// Renders series as an aligned text table with processor counts as
@@ -117,7 +109,6 @@ mod tests {
         assert_eq!(s.at(2), Some(6.0));
         assert_eq!(s.at(8), None);
         assert_eq!(s.argmin(), Some(2));
-        assert_eq!(s.argmax(), Some(1));
     }
 
     #[test]

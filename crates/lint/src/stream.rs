@@ -52,9 +52,7 @@
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use extrap_time::{BarrierId, ElementId, ThreadId, TimeNs};
-use extrap_trace::stream::{
-    ChunkSource, ProgramStream, SetChunk, SetStream, StreamArena, TraceStream,
-};
+use extrap_trace::stream::{ChunkSource, ProgramStream, SetChunk, SetStream, TraceStream};
 use extrap_trace::{EventKind, TraceError, TraceRecord};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -925,25 +923,17 @@ pub fn lint_set_stream<S: ChunkSource>(stream: &mut SetStream<S>) -> Result<Repo
 }
 
 /// Lints a trace file through the chunked reader, dispatching on its
-/// magic bytes ([`TraceStream`]) and recycling `arena`'s buffers across
-/// calls.
+/// magic bytes ([`TraceStream`]).
 ///
 /// Returns `Ok(None)` when the file carries neither trace magic (the
 /// caller decides whether to treat it as config text).
-pub fn lint_trace_file(
-    path: impl AsRef<Path>,
-    arena: &mut StreamArena,
-) -> Result<Option<Report>, TraceError> {
-    let (report, recycled) = match TraceStream::open_with_arena(path, std::mem::take(arena)) {
-        Ok(TraceStream::Program(mut stream)) => {
-            (lint_program_stream(&mut stream), stream.into_arena())
-        }
-        Ok(TraceStream::Set(mut stream)) => (lint_set_stream(&mut stream), stream.into_arena()),
+pub fn lint_trace_file(path: impl AsRef<Path>) -> Result<Option<Report>, TraceError> {
+    match TraceStream::open(path) {
+        Ok(TraceStream::Program(mut stream)) => lint_program_stream(&mut stream).map(Some),
+        Ok(TraceStream::Set(mut stream)) => lint_set_stream(&mut stream).map(Some),
         Err(TraceError::InFile { source, .. }) if matches!(*source, TraceError::NotATrace) => {
-            return Ok(None)
+            Ok(None)
         }
-        Err(e) => return Err(e),
-    };
-    *arena = recycled;
-    report.map(Some)
+        Err(e) => Err(e),
+    }
 }

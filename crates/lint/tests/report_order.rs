@@ -21,7 +21,7 @@ use extrap_lint::{
     Report,
 };
 use extrap_time::{BarrierId, DurationNs, ElementId, ThreadId};
-use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, StreamArena};
+use extrap_trace::stream::{ProgramStream, SetStream, SliceSource};
 use extrap_trace::{
     format, translate, EventKind, PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace, TraceRecord,
     TraceSet,
@@ -193,9 +193,7 @@ fn program_report_order_matches_golden() {
     assert_renders(&whole, text, json, "whole program");
     let bytes = format::encode_program(&pt);
     for (window, chunk) in [(7, 3), (4096, 4096)] {
-        let mut s =
-            ProgramStream::with_options(SliceSource(&bytes), StreamArena::new(), window, chunk)
-                .unwrap();
+        let mut s = ProgramStream::with_options(SliceSource(&bytes), window, chunk).unwrap();
         let report = lint_program_stream(&mut s).unwrap();
         assert_renders(
             &report,
@@ -216,8 +214,7 @@ fn set_report_order_matches_golden() {
     assert_renders(&whole, text, json, "whole set");
     let bytes = format::encode_set(&ts);
     for (window, chunk) in [(7, 3), (4096, 4096)] {
-        let mut s = SetStream::with_options(SliceSource(&bytes), StreamArena::new(), window, chunk)
-            .unwrap();
+        let mut s = SetStream::with_options(SliceSource(&bytes), window, chunk).unwrap();
         let report = lint_set_stream(&mut s).unwrap();
         assert_renders(
             &report,

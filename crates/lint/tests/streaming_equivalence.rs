@@ -10,7 +10,7 @@ use extrap_lint::{
     render_text, Report, StreamLinter,
 };
 use extrap_time::{BarrierId, DurationNs, ElementId, ThreadId, TimeNs};
-use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, StreamArena};
+use extrap_trace::stream::{ProgramStream, SetStream, SliceSource};
 use extrap_trace::{
     format, translate, EventKind, PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace, TraceRecord,
     TraceSet,
@@ -43,9 +43,7 @@ fn assert_same_renders(whole: &Report, stream: &Report, what: &str) {
 fn check_program_bytes(bytes: &[u8], what: &str) {
     let whole = lint_program(&format::decode_program_raw(bytes).unwrap());
     for &(window, chunk) in GEOMETRIES {
-        let mut s =
-            ProgramStream::with_options(SliceSource(bytes), StreamArena::new(), window, chunk)
-                .unwrap();
+        let mut s = ProgramStream::with_options(SliceSource(bytes), window, chunk).unwrap();
         let stream = lint_program_stream(&mut s).unwrap();
         assert_same_renders(
             &whole,
@@ -58,8 +56,7 @@ fn check_program_bytes(bytes: &[u8], what: &str) {
 fn check_set_bytes(bytes: &[u8], what: &str) {
     let whole = lint_set(&format::decode_set_raw(bytes).unwrap());
     for &(window, chunk) in GEOMETRIES {
-        let mut s =
-            SetStream::with_options(SliceSource(bytes), StreamArena::new(), window, chunk).unwrap();
+        let mut s = SetStream::with_options(SliceSource(bytes), window, chunk).unwrap();
         let stream = lint_set_stream(&mut s).unwrap();
         assert_same_renders(
             &whole,
@@ -120,23 +117,18 @@ fn example_traces_lint_identically() {
 
 #[test]
 fn lint_trace_file_matches_whole_trace_path() {
-    let mut arena = StreamArena::new();
     for name in ["grid4.xtrp", "corrupt_time.xtrp"] {
         let bytes = std::fs::read(example(name)).unwrap();
         let whole = lint_program(&format::decode_program_raw(&bytes).unwrap());
-        let report = lint_trace_file(example(name), &mut arena).unwrap().unwrap();
+        let report = lint_trace_file(example(name)).unwrap().unwrap();
         assert_same_renders(&whole, &report, name);
     }
     let bytes = std::fs::read(example("grid4.xtps")).unwrap();
     let whole = lint_set(&format::decode_set_raw(&bytes).unwrap());
-    let report = lint_trace_file(example("grid4.xtps"), &mut arena)
-        .unwrap()
-        .unwrap();
+    let report = lint_trace_file(example("grid4.xtps")).unwrap().unwrap();
     assert_same_renders(&whole, &report, "grid4.xtps");
     // Not a trace: the caller gets None, not an error.
-    assert!(lint_trace_file(example("cm5.cfg"), &mut arena)
-        .unwrap()
-        .is_none());
+    assert!(lint_trace_file(example("cm5.cfg")).unwrap().is_none());
 }
 
 #[test]

@@ -97,20 +97,6 @@ impl<T: Element> Collection<T> {
         f(&mut guard);
     }
 
-    /// Mutates part of an element (`actual_bytes` really transferred).
-    pub fn write_part(
-        &self,
-        ctx: &mut ThreadCtx<'_>,
-        idx: Index2,
-        actual_bytes: u32,
-        f: impl FnOnce(&mut T),
-    ) {
-        let mut guard = self.slot(idx).write();
-        let declared = guard.size_bytes();
-        self.note_write(ctx, idx, declared, actual_bytes.min(declared).max(1));
-        f(&mut guard);
-    }
-
     /// Copies a whole element out (records a remote read if needed).
     pub fn get(&self, ctx: &mut ThreadCtx<'_>, idx: Index2) -> T
     where
@@ -123,11 +109,6 @@ impl<T: Element> Collection<T> {
     /// code outside the measured program).
     pub fn peek<R>(&self, idx: Index2, f: impl FnOnce(&T) -> R) -> R {
         f(&self.slot(idx).read())
-    }
-
-    /// Writes an element *without* instrumentation (setup/verification).
-    pub fn poke(&self, idx: Index2, f: impl FnOnce(&mut T)) {
-        f(&mut self.slot(idx).write());
     }
 
     fn note_read(&self, ctx: &mut ThreadCtx<'_>, idx: Index2, declared: u32, actual: u32) {
@@ -244,13 +225,6 @@ mod tests {
             1
         );
         assert_eq!(coll.peek(Index2(1, 0), |v| *v), 7.0);
-    }
-
-    #[test]
-    fn peek_and_poke_are_uninstrumented() {
-        let coll = Collection::<f64>::build(Distribution::block_1d(4, 2), |_| 1.0);
-        coll.poke(Index2(3, 0), |v| *v = 9.0);
-        assert_eq!(coll.peek(Index2(3, 0), |v| *v), 9.0);
     }
 
     #[test]

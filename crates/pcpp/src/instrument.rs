@@ -9,21 +9,6 @@ use crate::sync::Mutex;
 use extrap_time::{DurationNs, ThreadId, TimeNs};
 use extrap_trace::{EventKind, ProgramTrace, TraceRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// Where timestamps come from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TimeSource {
-    /// The deterministic virtual clock driven by `charge(...)` calls
-    /// (the default; bit-reproducible traces).
-    #[default]
-    Virtual,
-    /// The host's wall clock, as the original instrumented runtime
-    /// measured.  `charge(...)` is ignored; timestamps include real
-    /// scheduling and instrumentation overheads (§3.2's intrusion),
-    /// which `TranslateOptions` can compensate.
-    Wall,
-}
 
 /// The shared instrumentation state of one program run.
 #[derive(Debug)]
@@ -33,62 +18,33 @@ pub struct Recorder {
     /// Virtual cost charged for recording each event (lets experiments
     /// exercise the intrusion compensation of the translation algorithm).
     event_overhead: DurationNs,
-    source: TimeSource,
-    started: Instant,
 }
 
 impl Recorder {
-    /// Creates a virtual-clock recorder with the given per-event
-    /// recording overhead.
+    /// Creates a recorder with the given per-event recording overhead.
     pub fn new(event_overhead: DurationNs) -> Recorder {
-        Recorder::with_source(event_overhead, TimeSource::Virtual)
-    }
-
-    /// Creates a recorder with an explicit time source.
-    pub fn with_source(event_overhead: DurationNs, source: TimeSource) -> Recorder {
         Recorder {
             clock: AtomicU64::new(0),
             records: Mutex::new(Vec::new()),
             event_overhead,
-            source,
-            started: Instant::now(),
         }
     }
 
-    /// Current time under the configured source.
-    ///
-    /// Under [`TimeSource::Wall`] the clock is monotone even against a
-    /// badly behaved host timer (it never reports less than the last
-    /// recorded timestamp).
+    /// Current virtual time.
     pub fn now(&self) -> TimeNs {
-        match self.source {
-            TimeSource::Virtual => TimeNs(self.clock.load(Ordering::Relaxed)),
-            TimeSource::Wall => {
-                let wall = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                let floor = self.clock.load(Ordering::Relaxed);
-                TimeNs(wall.max(floor))
-            }
-        }
+        TimeNs(self.clock.load(Ordering::Relaxed))
     }
 
     /// Advances the virtual clock (computation by the running thread).
-    /// A no-op under [`TimeSource::Wall`] — real time advances itself.
     pub fn advance(&self, d: DurationNs) {
-        if self.source == TimeSource::Virtual {
-            self.clock.fetch_add(d.as_ns(), Ordering::Relaxed);
-        }
+        self.clock.fetch_add(d.as_ns(), Ordering::Relaxed);
     }
 
     /// Records an event for `thread` at the current clock, then charges
-    /// the recording overhead (virtual mode only — in wall mode the real
-    /// recording cost is already in the timestamps).
+    /// the recording overhead.
     pub fn record(&self, thread: ThreadId, kind: EventKind) {
         let time = self.now();
         self.records.lock().push(TraceRecord { time, thread, kind });
-        if self.source == TimeSource::Wall {
-            // Pin monotonicity for subsequent now() calls.
-            self.clock.fetch_max(time.as_ns(), Ordering::Relaxed);
-        }
         self.advance(self.event_overhead);
     }
 

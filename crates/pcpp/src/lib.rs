@@ -61,7 +61,7 @@ pub use collection::Collection;
 pub use collective::Collectives;
 pub use distribution::{Dist1, Distribution, Index2};
 pub use element::Element;
-pub use instrument::{Recorder, TimeSource};
+pub use instrument::Recorder;
 pub use program::{Program, ThreadCtx};
 
 /// Shorthand for building a [`extrap_time::ThreadId`].

@@ -3,7 +3,7 @@
 //! 1-processor trace.
 
 use crate::clock::WorkModel;
-use crate::instrument::{Recorder, TimeSource};
+use crate::instrument::Recorder;
 use crate::scheduler::Scheduler;
 use extrap_time::{BarrierId, DurationNs, ElementId, ThreadId};
 use extrap_trace::{EventKind, ProgramTrace};
@@ -17,7 +17,6 @@ pub struct Program {
     n_threads: usize,
     work: WorkModel,
     event_overhead: DurationNs,
-    time_source: TimeSource,
 }
 
 impl Program {
@@ -28,7 +27,6 @@ impl Program {
             n_threads,
             work: WorkModel::default(),
             event_overhead: DurationNs::ZERO,
-            time_source: TimeSource::Virtual,
         }
     }
 
@@ -42,15 +40,6 @@ impl Program {
     /// the intrusion compensation in trace translation).
     pub fn with_event_overhead(mut self, overhead: DurationNs) -> Program {
         self.event_overhead = overhead;
-        self
-    }
-
-    /// Measures with the host's wall clock instead of the virtual clock
-    /// — the original paper's measurement mode.  Traces are then
-    /// machine- and run-dependent (not bit-reproducible); the virtual
-    /// clock remains the default for experiments.
-    pub fn with_wall_time(mut self) -> Program {
-        self.time_source = TimeSource::Wall;
         self
     }
 
@@ -78,7 +67,7 @@ impl Program {
     where
         F: Fn(&mut ThreadCtx) + Sync,
     {
-        let recorder = Recorder::with_source(self.event_overhead, self.time_source);
+        let recorder = Recorder::new(self.event_overhead);
         let scheduler = Arc::new(Scheduler::new(self.n_threads));
         let body = &body;
         let recorder_ref = &recorder;
@@ -176,11 +165,6 @@ impl ThreadCtx<'_> {
         self.scheduler.barrier(self.id.index());
         self.recorder
             .record(self.id, EventKind::BarrierExit { barrier: b });
-    }
-
-    /// Barriers passed so far by this thread.
-    pub fn barriers_passed(&self) -> usize {
-        self.barriers
     }
 
     /// Records a user marker event.
@@ -327,26 +311,6 @@ mod tests {
             })
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn wall_time_mode_produces_monotone_usable_traces() {
-        let trace = Program::new(3).with_wall_time().run(|ctx| {
-            // Burn some real time; charge() is a no-op in wall mode.
-            let mut x = 0u64;
-            for i in 0..200_000u64 {
-                x = x.wrapping_mul(31).wrapping_add(i);
-            }
-            std::hint::black_box(x);
-            ctx.charge(DurationNs(1)); // ignored
-            ctx.barrier();
-        });
-        trace.validate().unwrap();
-        let ts = extrap_trace::translate(&trace, Default::default()).unwrap();
-        assert!(ts.makespan().as_ns() > 0, "wall time advanced");
-        // And the result extrapolates like any other trace.
-        let stats = extrap_trace::TraceStats::from_set(&ts);
-        assert_eq!(stats.barriers(), 1);
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! which is how `extrap-check` enumerates interleavings.  The *real*
 //! std operation still happens afterwards, so unchecked threads (and
 //! checked builds running outside a scenario) behave exactly like the
-//! plain wrappers.  Release builds compile the feature out entirely —
-//! these wrappers stay zero-cost.
+//! plain wrappers, at the cost of one thread-local check per operation.
+//! The feature is on wherever `extrap-check` is linked, the `extrap`
+//! binary included; builds without it (the `perfbench` workspace) get
+//! the plain wrappers alone.
 
 use std::sync;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -26,12 +26,6 @@ impl RefMachine {
         }
     }
 
-    /// Overrides the link detail parameters.
-    pub fn with_link(mut self, link: LinkParams) -> RefMachine {
-        self.link = link;
-        self
-    }
-
     /// "Measures" the program on this machine (runs the detailed
     /// simulation over the compiled translated traces).
     pub fn measure(&self, program: &CompiledProgram) -> Result<Prediction, ExtrapError> {

@@ -19,7 +19,7 @@
 //! engine schedules without allocating once it has reached its peak
 //! occupancy (or once [`Engine::reserve`] has sized it).
 
-use extrap_time::{DurationNs, TimeNs};
+use extrap_time::TimeNs;
 
 /// One pending event: the packed `(time, seq)` key and the payload.
 #[derive(Clone, Copy)]
@@ -52,12 +52,12 @@ impl<E> Entry<E> {
 ///
 /// ```
 /// use extrap_sim::Engine;
-/// use extrap_time::{DurationNs, TimeNs};
+/// use extrap_time::TimeNs;
 ///
 /// let mut eng: Engine<&str> = Engine::new();
 /// eng.schedule(TimeNs(30), "c");
 /// eng.schedule(TimeNs(10), "a");
-/// eng.schedule_after(DurationNs(10), "b"); // now = 0, so fires at 10 too
+/// eng.schedule(TimeNs(10), "b"); // a tie fires in schedule order
 /// let mut order = Vec::new();
 /// while let Some((t, e)) = eng.next() {
 ///     order.push((t.as_ns(), e));
@@ -150,11 +150,6 @@ impl<E: Copy> Engine<E> {
             self.heap.push(entry);
             self.sift_up(self.heap.len() - 1);
         }
-    }
-
-    /// Schedules `payload` after `delay` from now.
-    pub fn schedule_after(&mut self, delay: DurationNs, payload: E) {
-        self.schedule(self.now + delay, payload)
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -256,6 +251,7 @@ impl<E: Copy> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use extrap_time::DurationNs;
 
     #[test]
     fn fifo_at_equal_times() {
@@ -335,15 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_uses_current_clock() {
-        let mut eng: Engine<u8> = Engine::new();
-        eng.schedule(TimeNs(100), 1);
-        eng.next();
-        eng.schedule_after(DurationNs(50), 2);
-        assert_eq!(eng.next(), Some((TimeNs(150), 2)));
-    }
-
-    #[test]
     fn reset_recycles_the_engine() {
         let mut eng: Engine<u8> = Engine::new();
         eng.schedule(TimeNs(10), 1);
@@ -383,7 +370,7 @@ mod tests {
             while let Some((t, e)) = eng.next() {
                 out.push((t, e));
                 if e % 5 == 0 && out.len() < 100 {
-                    eng.schedule_after(DurationNs(3), e + 1000);
+                    eng.schedule(t + DurationNs(3), e + 1000);
                 }
             }
             out

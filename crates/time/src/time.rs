@@ -43,12 +43,6 @@ impl TimeNs {
         self.0 as f64 / 1_000_000.0
     }
 
-    /// This time as fractional seconds (for reporting only).
-    #[inline]
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
-    }
-
     /// Nanoseconds since the origin.
     #[inline]
     pub fn as_ns(self) -> u64 {
@@ -74,22 +68,6 @@ impl TimeNs {
     pub fn saturating_since(self, earlier: TimeNs) -> DurationNs {
         DurationNs(self.0.saturating_sub(earlier.0))
     }
-
-    /// Rounds this time *up* to the next multiple of `quantum` (used by
-    /// polling-style models that only observe state on a fixed cadence).
-    /// A zero quantum returns the time unchanged.
-    #[inline]
-    pub fn round_up_to(self, quantum: DurationNs) -> TimeNs {
-        if quantum.0 == 0 {
-            return self;
-        }
-        let rem = self.0 % quantum.0;
-        if rem == 0 {
-            self
-        } else {
-            TimeNs(self.0 + (quantum.0 - rem))
-        }
-    }
 }
 
 impl DurationNs {
@@ -102,22 +80,10 @@ impl DurationNs {
         DurationNs(us_to_ns(us))
     }
 
-    /// Builds a duration from fractional seconds.
-    #[inline]
-    pub fn from_secs(s: f64) -> DurationNs {
-        DurationNs(us_to_ns(s * 1_000_000.0))
-    }
-
     /// This duration as fractional microseconds.
     #[inline]
     pub fn as_us(self) -> f64 {
         self.0 as f64 / 1_000.0
-    }
-
-    /// This duration as fractional seconds.
-    #[inline]
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
     }
 
     /// Raw nanoseconds.
@@ -322,16 +288,6 @@ mod tests {
     #[test]
     fn saturating_since_clamps() {
         assert_eq!(TimeNs(10).saturating_since(TimeNs(20)), DurationNs::ZERO);
-    }
-
-    #[test]
-    fn round_up_to_quantum() {
-        let q = DurationNs(100);
-        assert_eq!(TimeNs(0).round_up_to(q), TimeNs(0));
-        assert_eq!(TimeNs(1).round_up_to(q), TimeNs(100));
-        assert_eq!(TimeNs(100).round_up_to(q), TimeNs(100));
-        assert_eq!(TimeNs(101).round_up_to(q), TimeNs(200));
-        assert_eq!(TimeNs(101).round_up_to(DurationNs::ZERO), TimeNs(101));
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub mod error;
 pub mod event;
 pub mod format;
 pub mod phases;
-pub mod reader;
 pub mod stats;
 pub mod stream;
 pub mod timeline;
@@ -31,7 +30,7 @@ pub use phases::{splitmix64, PhaseFold, PhaseProfile};
 pub use stats::{ThreadStats, TraceStats};
 pub use stream::{
     ChunkSource, FileSource, ProgramStream, SetChunk, SetStream, SliceSource, SpillSink,
-    StreamArena, TraceStream,
+    TraceStream,
 };
 pub use translate::{
     translate, translate_stream, EpochTranslator, TranslateOptions, TranslateSink, TranslateStats,

@@ -1,7 +1,7 @@
 //! Chunked, bounded-memory trace ingestion.
 //!
 //! This module reads trace images **incrementally**: a [`ChunkSource`]
-//! feeds bytes into a pooled [`StreamArena`], and [`ProgramStream`] /
+//! feeds bytes into a sliding window, and [`ProgramStream`] /
 //! [`SetStream`] decode them into bounded record chunks that callers
 //! consume one at a time.  Peak memory is `O(window + chunk)`,
 //! independent of file size, which matters in the paper-scale case
@@ -108,23 +108,6 @@ impl ChunkSource for SliceSource<'_> {
         buf[..n].copy_from_slice(&self.0[..n]);
         self.0 = &self.0[n..];
         Ok(n)
-    }
-}
-
-/// Reusable buffers for one stream: the raw byte window and the decoded
-/// record chunk.  Pool one per worker and recycle it across files (via
-/// [`ProgramStream::into_arena`] / [`SetStream::into_arena`]) so a
-/// directory-wide lint run allocates its windows once.
-#[derive(Debug, Default)]
-pub struct StreamArena {
-    bytes: Vec<u8>,
-    records: Vec<TraceRecord>,
-}
-
-impl StreamArena {
-    /// A fresh, empty arena.
-    pub fn new() -> StreamArena {
-        StreamArena::default()
     }
 }
 
@@ -253,9 +236,9 @@ impl<S: ChunkSource> ByteFeed<S> {
 
 impl ByteFeed<FileSource> {
     /// Opens `path` as a feed whose errors all carry the path.
-    fn open(path: &Path, buf: Vec<u8>) -> Result<ByteFeed<FileSource>, TraceError> {
+    fn open(path: &Path) -> Result<ByteFeed<FileSource>, TraceError> {
         let src = FileSource::open(path).map_err(|e| TraceError::from(e).in_file(path))?;
-        let mut feed = ByteFeed::new(src, buf, DEFAULT_WINDOW_BYTES);
+        let mut feed = ByteFeed::new(src, Vec::new(), DEFAULT_WINDOW_BYTES);
         feed.context = Some(path.to_path_buf());
         Ok(feed)
     }
@@ -276,29 +259,25 @@ pub struct ProgramStream<S> {
 }
 
 impl<S: ChunkSource> ProgramStream<S> {
-    /// Starts a stream with a fresh arena and default sizes.
+    /// Starts a stream with default sizes.
     pub fn new(src: S) -> Result<ProgramStream<S>, TraceError> {
-        let feed = ByteFeed::new(src, Vec::new(), DEFAULT_WINDOW_BYTES);
-        ProgramStream::from_feed(feed, Vec::new(), DEFAULT_CHUNK_RECORDS)
+        ProgramStream::with_options(src, DEFAULT_WINDOW_BYTES, DEFAULT_CHUNK_RECORDS)
     }
 
-    /// Starts a stream reusing `arena`'s buffers, with explicit
-    /// window/chunk sizes (small values exercise the refill path in
-    /// tests).
+    /// Starts a stream with explicit window/chunk sizes (small values
+    /// exercise the refill path in tests).
     pub fn with_options(
         src: S,
-        arena: StreamArena,
         window_bytes: usize,
         chunk_records: usize,
     ) -> Result<ProgramStream<S>, TraceError> {
-        let feed = ByteFeed::new(src, arena.bytes, window_bytes);
-        ProgramStream::from_feed(feed, arena.records, chunk_records)
+        let feed = ByteFeed::new(src, Vec::new(), window_bytes);
+        ProgramStream::from_feed(feed, chunk_records)
     }
 
     /// Parses the header (magic included) off the front of `feed`.
     fn from_feed(
         mut feed: ByteFeed<S>,
-        mut records: Vec<TraceRecord>,
         chunk_records: usize,
     ) -> Result<ProgramStream<S>, TraceError> {
         let (n_threads, n_records) = feed.parse(18, |cur| {
@@ -306,13 +285,12 @@ impl<S: ChunkSource> ProgramStream<S> {
             let n_threads = format::get_thread_count(cur)?;
             Ok((n_threads, format::get_u64(cur, "record count")?))
         })?;
-        records.clear();
         Ok(ProgramStream {
             feed,
             n_threads,
             n_records,
             decoded: 0,
-            records,
+            records: Vec::new(),
             chunk_records: chunk_records.max(1),
             done: false,
         })
@@ -363,21 +341,13 @@ impl<S: ChunkSource> ProgramStream<S> {
             records,
         })
     }
-
-    /// Recovers the arena for reuse on the next file.
-    pub fn into_arena(self) -> StreamArena {
-        StreamArena {
-            bytes: self.feed.buf,
-            records: self.records,
-        }
-    }
 }
 
 impl ProgramStream<FileSource> {
     /// Opens `path` as a streaming program trace.
     pub fn open(path: impl AsRef<Path>) -> Result<ProgramStream<FileSource>, TraceError> {
-        let feed = ByteFeed::open(path.as_ref(), Vec::new())?;
-        ProgramStream::from_feed(feed, Vec::new(), DEFAULT_CHUNK_RECORDS)
+        let feed = ByteFeed::open(path.as_ref())?;
+        ProgramStream::from_feed(feed, DEFAULT_CHUNK_RECORDS)
     }
 }
 
@@ -412,41 +382,33 @@ pub struct SetStream<S> {
 }
 
 impl<S: ChunkSource> SetStream<S> {
-    /// Starts a stream with a fresh arena and default sizes.
+    /// Starts a stream with default sizes.
     pub fn new(src: S) -> Result<SetStream<S>, TraceError> {
-        let feed = ByteFeed::new(src, Vec::new(), DEFAULT_WINDOW_BYTES);
-        SetStream::from_feed(feed, Vec::new(), DEFAULT_CHUNK_RECORDS)
+        SetStream::with_options(src, DEFAULT_WINDOW_BYTES, DEFAULT_CHUNK_RECORDS)
     }
 
-    /// Starts a stream reusing `arena`'s buffers, with explicit
-    /// window/chunk sizes.
+    /// Starts a stream with explicit window/chunk sizes.
     pub fn with_options(
         src: S,
-        arena: StreamArena,
         window_bytes: usize,
         chunk_records: usize,
     ) -> Result<SetStream<S>, TraceError> {
-        let feed = ByteFeed::new(src, arena.bytes, window_bytes);
-        SetStream::from_feed(feed, arena.records, chunk_records)
+        let feed = ByteFeed::new(src, Vec::new(), window_bytes);
+        SetStream::from_feed(feed, chunk_records)
     }
 
     /// Parses the header (magic included) off the front of `feed`.
-    fn from_feed(
-        mut feed: ByteFeed<S>,
-        mut records: Vec<TraceRecord>,
-        chunk_records: usize,
-    ) -> Result<SetStream<S>, TraceError> {
+    fn from_feed(mut feed: ByteFeed<S>, chunk_records: usize) -> Result<SetStream<S>, TraceError> {
         let n_threads = feed.parse(10, |cur| {
             format::check_header(cur, format::SET_MAGIC)?;
             format::get_thread_count(cur)
         })?;
-        records.clear();
         Ok(SetStream {
             feed,
             n_threads,
             seg: 0,
             seg_remaining: 0,
-            records,
+            records: Vec::new(),
             chunk_records: chunk_records.max(1),
             done: false,
         })
@@ -515,21 +477,13 @@ impl<S: ChunkSource> SetStream<S> {
         }
         Ok(TraceSet { threads })
     }
-
-    /// Recovers the arena for reuse on the next file.
-    pub fn into_arena(self) -> StreamArena {
-        StreamArena {
-            bytes: self.feed.buf,
-            records: self.records,
-        }
-    }
 }
 
 impl SetStream<FileSource> {
     /// Opens `path` as a streaming trace set.
     pub fn open(path: impl AsRef<Path>) -> Result<SetStream<FileSource>, TraceError> {
-        let feed = ByteFeed::open(path.as_ref(), Vec::new())?;
-        SetStream::from_feed(feed, Vec::new(), DEFAULT_CHUNK_RECORDS)
+        let feed = ByteFeed::open(path.as_ref())?;
+        SetStream::from_feed(feed, DEFAULT_CHUNK_RECORDS)
     }
 }
 
@@ -551,22 +505,18 @@ impl<S: ChunkSource> TraceStream<S> {
     /// [`TraceError::NotATrace`] when the input is shorter than a magic
     /// or carries neither; otherwise the matching header's errors.
     pub fn new(src: S) -> Result<TraceStream<S>, TraceError> {
-        let feed = ByteFeed::new(src, Vec::new(), DEFAULT_WINDOW_BYTES);
-        TraceStream::from_feed(feed, Vec::new())
+        TraceStream::from_feed(ByteFeed::new(src, Vec::new(), DEFAULT_WINDOW_BYTES))
     }
 
     /// Reads the magic, then parses the matching header off the same feed.
-    fn from_feed(
-        mut feed: ByteFeed<S>,
-        records: Vec<TraceRecord>,
-    ) -> Result<TraceStream<S>, TraceError> {
+    fn from_feed(mut feed: ByteFeed<S>) -> Result<TraceStream<S>, TraceError> {
         feed.ensure(format::PROGRAM_MAGIC.len())
             .map_err(|e| feed.fail(e))?;
         let head = feed.available();
         if head.starts_with(format::PROGRAM_MAGIC) {
-            ProgramStream::from_feed(feed, records, DEFAULT_CHUNK_RECORDS).map(TraceStream::Program)
+            ProgramStream::from_feed(feed, DEFAULT_CHUNK_RECORDS).map(TraceStream::Program)
         } else if head.starts_with(format::SET_MAGIC) {
-            SetStream::from_feed(feed, records, DEFAULT_CHUNK_RECORDS).map(TraceStream::Set)
+            SetStream::from_feed(feed, DEFAULT_CHUNK_RECORDS).map(TraceStream::Set)
         } else {
             Err(feed.fail(TraceError::NotATrace))
         }
@@ -576,16 +526,7 @@ impl<S: ChunkSource> TraceStream<S> {
 impl TraceStream<FileSource> {
     /// Opens `path` as a streaming trace of either shape.
     pub fn open(path: impl AsRef<Path>) -> Result<TraceStream<FileSource>, TraceError> {
-        TraceStream::open_with_arena(path, StreamArena::new())
-    }
-
-    /// Opens `path` reusing `arena`'s buffers.
-    pub fn open_with_arena(
-        path: impl AsRef<Path>,
-        arena: StreamArena,
-    ) -> Result<TraceStream<FileSource>, TraceError> {
-        let feed = ByteFeed::open(path.as_ref(), arena.bytes)?;
-        TraceStream::from_feed(feed, arena.records)
+        TraceStream::from_feed(ByteFeed::open(path.as_ref())?)
     }
 }
 
@@ -649,9 +590,6 @@ struct SpillRun {
 /// per thread: the k-way epoch merge happens on the way *in*
 /// (the [`crate::translate::EpochTranslator`] emits records only once
 /// their epoch resolves), never in memory on the way out.
-///
-/// Encode/replay scratch reuses [`StreamArena`] buffers; pass one via
-/// [`SpillSink::with_arena`] to pool allocations across traces.
 #[derive(Debug)]
 pub struct SpillSink {
     runs: Vec<SpillRun>,
@@ -660,7 +598,7 @@ pub struct SpillSink {
     budget: usize,
     in_mem: usize,
     spill_count: usize,
-    /// Reused encode/replay byte scratch (the arena's byte buffer).
+    /// Reused encode/replay byte scratch.
     scratch: Vec<u8>,
     peak_resident: usize,
 }
@@ -669,21 +607,13 @@ impl SpillSink {
     /// A sink for `n_threads` runs holding at most `mem_budget` bytes of
     /// translated records in memory (0 spills every record batch).
     pub fn new(n_threads: usize, mem_budget: usize) -> SpillSink {
-        SpillSink::with_arena(n_threads, mem_budget, StreamArena::new())
-    }
-
-    /// Like [`SpillSink::new`], reusing `arena`'s buffers for encode and
-    /// replay scratch.
-    pub fn with_arena(n_threads: usize, mem_budget: usize, arena: StreamArena) -> SpillSink {
-        let StreamArena { mut bytes, .. } = arena;
-        bytes.clear();
         SpillSink {
             runs: (0..n_threads).map(|_| SpillRun::default()).collect(),
             dir: None,
             budget: mem_budget,
             in_mem: 0,
             spill_count: 0,
-            scratch: bytes,
+            scratch: Vec::new(),
             peak_resident: 0,
         }
     }
@@ -817,9 +747,7 @@ mod tests {
         let bytes = format::encode_program(&pt);
         // Tiny window + tiny chunks force many refills and compactions.
         for (window, chunk) in [(1, 1), (7, 2), (64 * 1024, 4096)] {
-            let mut s =
-                ProgramStream::with_options(SliceSource(&bytes), StreamArena::new(), window, chunk)
-                    .unwrap();
+            let mut s = ProgramStream::with_options(SliceSource(&bytes), window, chunk).unwrap();
             assert_eq!(s.n_threads(), pt.n_threads);
             assert_eq!(s.n_records(), pt.records.len() as u64);
             let back = s.read_to_end().unwrap();
@@ -832,9 +760,7 @@ mod tests {
         let ts = translate(&sample_program(), TranslateOptions::default()).unwrap();
         let bytes = format::encode_set(&ts);
         for (window, chunk) in [(1, 1), (13, 3), (64 * 1024, 4096)] {
-            let mut s =
-                SetStream::with_options(SliceSource(&bytes), StreamArena::new(), window, chunk)
-                    .unwrap();
+            let mut s = SetStream::with_options(SliceSource(&bytes), window, chunk).unwrap();
             assert_eq!(s.n_threads(), ts.n_threads());
             let back = s.read_to_end().unwrap();
             assert_eq!(back, ts);
@@ -861,9 +787,8 @@ mod tests {
         let bytes = format::encode_program(&sample_program());
         for cut in 0..bytes.len() {
             let slurp = format::decode_program_raw(&bytes[..cut]);
-            let stream =
-                ProgramStream::with_options(SliceSource(&bytes[..cut]), StreamArena::new(), 5, 2)
-                    .and_then(|mut s| s.read_to_end());
+            let stream = ProgramStream::with_options(SliceSource(&bytes[..cut]), 5, 2)
+                .and_then(|mut s| s.read_to_end());
             match (slurp, stream) {
                 (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "cut {cut}"),
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "cut {cut}"),
@@ -884,25 +809,6 @@ mod tests {
             format::decode_program_raw(&bytes).unwrap_err().to_string()
         );
         assert!(err.to_string().contains("3 trailing bytes"));
-    }
-
-    #[test]
-    fn arena_recycles_between_files() {
-        let pt = sample_program();
-        let bytes = format::encode_program(&pt);
-        let mut arena = StreamArena::new();
-        for _ in 0..3 {
-            let mut s = ProgramStream::with_options(
-                SliceSource(&bytes),
-                arena,
-                DEFAULT_WINDOW_BYTES,
-                DEFAULT_CHUNK_RECORDS,
-            )
-            .unwrap();
-            assert_eq!(s.read_to_end().unwrap(), pt);
-            arena = s.into_arena();
-            assert!(!arena.bytes.is_empty() || arena.bytes.capacity() > 0);
-        }
     }
 
     #[test]

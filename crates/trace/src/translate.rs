@@ -283,7 +283,7 @@ impl EpochTranslator {
     }
 
     /// Input records consumed so far.
-    pub fn records_seen(&self) -> u64 {
+    fn records_seen(&self) -> u64 {
         self.next_record as u64
     }
 

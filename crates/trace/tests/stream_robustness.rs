@@ -7,7 +7,7 @@
 //! `proptest` (crates.io is unreachable in the build environment).
 
 use extrap_time::DurationNs;
-use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, StreamArena};
+use extrap_trace::stream::{ProgramStream, SetStream, SliceSource};
 use extrap_trace::{format, translate, PhaseProgram, ProgramTrace, TraceSet};
 
 const CASES: u64 = 256;
@@ -49,13 +49,13 @@ fn sample_set() -> TraceSet {
 /// Streams `data` as a program trace with deliberately tiny windows and
 /// chunks so the refill/compaction paths are exercised on every case.
 fn stream_program(data: &[u8], window: usize, chunk: usize) -> Result<ProgramTrace, String> {
-    ProgramStream::with_options(SliceSource(data), StreamArena::new(), window, chunk)
+    ProgramStream::with_options(SliceSource(data), window, chunk)
         .and_then(|mut s| s.read_to_end())
         .map_err(|e| e.to_string())
 }
 
 fn stream_set(data: &[u8], window: usize, chunk: usize) -> Result<TraceSet, String> {
-    SetStream::with_options(SliceSource(data), StreamArena::new(), window, chunk)
+    SetStream::with_options(SliceSource(data), window, chunk)
         .and_then(|mut s| s.read_to_end())
         .map_err(|e| e.to_string())
 }

@@ -60,7 +60,8 @@ fn trace_files_round_trip_through_disk() {
     let traces = translate(&measured, TranslateOptions::default()).unwrap();
     let set_path = dir.join("cyclic.xtps");
     perf_extrap::trace::writer::write_set_file(&set_path, &traces).unwrap();
-    let back = perf_extrap::trace::reader::read_set_file(&set_path).unwrap();
+    let bytes = std::fs::read(&set_path).unwrap();
+    let back = perf_extrap::trace::format::decode_set(&bytes).unwrap();
     assert_eq!(traces, back);
 
     // Predictions from the on-disk copy match the in-memory one.
