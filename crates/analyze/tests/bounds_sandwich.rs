@@ -5,7 +5,7 @@
 
 use extrap_analyze::{analyze, envelope, verify_prediction};
 use extrap_core::{machine, CompiledProgram, Extrapolator, SimParams, SimStrategy};
-use extrap_time::{DurationNs, ElementId, ThreadId};
+use extrap_time::{DurationNs, ElementId, SplitMix64, ThreadId};
 use extrap_trace::builder::{PhaseAccess, PhaseProgram, PhaseWork};
 use extrap_trace::TraceSet;
 use extrap_workloads::matmul::{self, MatmulConfig};
@@ -137,22 +137,6 @@ fn mips_ratio_sweep_sandwich() {
 // Randomized programs
 // ---------------------------------------------------------------------
 
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
 /// Builds a random phase-structured program: every thread performs the
 /// same number of barrier-terminated phases (the analyzer's coverage),
 /// with random per-phase compute and random remote reads/writes to
@@ -191,7 +175,7 @@ fn random_program(rng: &mut SplitMix64) -> CompiledProgram {
 
 #[test]
 fn random_programs_sandwich() {
-    let mut rng = SplitMix64(0x5eed_1995_u64);
+    let mut rng = SplitMix64::new(0x5eed_1995_u64);
     for i in 0..60 {
         let program = random_program(&mut rng);
         for (mname, base) in machines() {

@@ -4,8 +4,7 @@
 use extrap_bench::harness::{Harness, Throughput};
 use extrap_bench::{ring_program, ring_traces};
 use extrap_core::{machine, CompiledProgram, Extrapolator, RecordMode, RunInput, SimScratch};
-use extrap_sim::SplitMix64;
-use extrap_time::{DurationNs, TimeNs};
+use extrap_time::{DurationNs, SplitMix64, TimeNs};
 use std::hint::black_box;
 
 /// Schedules every timestamp in `times`, then drains the queue; the raw
@@ -117,10 +116,10 @@ fn main() {
         let mut rng = SplitMix64::new(0x5eed_cafe);
         (0..10_000)
             .map(|_| {
-                if rng.next_below(100) == 0 {
-                    1_000_000 + rng.next_below(1_000_000_000)
+                if rng.below(100) == 0 {
+                    1_000_000 + rng.below(1_000_000_000)
                 } else {
-                    rng.next_below(1_000)
+                    rng.below(1_000)
                 }
             })
             .collect()

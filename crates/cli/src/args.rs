@@ -165,7 +165,7 @@ impl ArgSpec {
     /// this point every flag the subcommand understands is registered.
     pub fn finish(self) -> Result<Vec<String>, String> {
         if self.help {
-            println!("{}", self.render_help());
+            outln!("{}", self.render_help());
             std::process::exit(0);
         }
         if let Some(flag) = self.args.iter().find(|a| a.starts_with('-') && a.len() > 1) {

@@ -24,6 +24,23 @@
 //!
 //! A trace `FILE` is a raw capture (`.xtrp`) or a translated set (`.xtps`).
 
+/// `print!` for every command's output; see [`print_out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::print_out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for every command's output; see [`print_out`].
+macro_rules! outln {
+    () => {
+        $crate::print_out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod remote;
 
@@ -49,6 +66,28 @@ fn main() -> ExitCode {
     }
 }
 
+/// Set once stdout's reader has closed the pipe.
+static STDOUT_GONE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+/// Writes command output to stdout.  A reader that closed the pipe
+/// early (`extrap simulate FILE | head -c1`) has all it wanted, so on a
+/// broken pipe this output and all later output is dropped, rather than
+/// raising the panic `print!` would.  The command still runs to the
+/// end: it writes its files, and its verdict sets the exit status.
+fn print_out(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    use std::sync::atomic::Ordering;
+    if STDOUT_GONE.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+        STDOUT_GONE.store(true, Ordering::Relaxed);
+    }
+}
+
 fn run(args: Vec<String>) -> Result<(), String> {
     let mut it = args.into_iter();
     let cmd = it.next().unwrap_or_else(|| "help".to_string());
@@ -70,12 +109,12 @@ fn run(args: Vec<String>) -> Result<(), String> {
         "params" => cmd_params(rest),
         "benches" => {
             for b in Bench::all() {
-                println!("{:10} {}", b.name(), b.description());
+                outln!("{:10} {}", b.name(), b.description());
             }
             Ok(())
         }
         "help" | "--help" | "-h" => {
-            println!(
+            outln!(
                 "usage:\n  extrap trace <bench> <threads> [--scale tiny|small|paper] -o FILE\n  \
                  extrap translate FILE -o FILE [--event-overhead US] [--switch-overhead US] \
                  [--mem-budget BYTES]\n  \
@@ -207,7 +246,7 @@ fn cmd_trace(args: Vec<String>) -> Result<(), String> {
     let threads = parse_threads(&threads).map_err(|e| format!("bad thread count: {e}"))?;
     let trace = bench.trace(threads, scale);
     extrap_trace::writer::write_program_file(&out, &trace).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {} events for {} threads to {}",
         trace.records.len(),
         trace.n_threads,
@@ -246,21 +285,25 @@ fn cmd_translate(args: Vec<String>) -> Result<(), String> {
         .map_err(ingest_error(&input))?;
     let makespan = sink.makespan;
     sink.inner.write_set_file(&out).map_err(|e| e.to_string())?;
-    println!("translated {n_threads} threads; idealized parallel makespan {makespan}");
+    outln!("translated {n_threads} threads; idealized parallel makespan {makespan}");
     Ok(())
 }
 
 /// Takes the `--params`/`--machine`/`--set`/`--strategy` family off a
 /// spec — the parameter-loading protocol every simulating subcommand
-/// (local or remote) shares.
+/// (local or remote) shares.  The range rules run once, on the final
+/// parameters, so an override can repair a file; a violation the file
+/// itself carries names the file.
 fn load_params(spec: &mut ArgSpec) -> Result<SimParams, String> {
-    let mut params = if let Some(file) = spec.value("--params")? {
-        let text = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-        SimParams::from_config_text(&text).map_err(|e| format!("{file}: {e}"))?
+    let file = spec.value("--params")?;
+    let mut params = if let Some(file) = &file {
+        let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+        SimParams::from_config_text_unvalidated(&text).map_err(|e| format!("{file}: {e}"))?
     } else {
         spec.enumerated("--machine", "distributed, shared, ideal, cm5", machine_of)?
             .unwrap_or_else(machine::default_distributed)
     };
+    let file_violations = params.violations();
     for kv in spec.values("--set")? {
         let (key, value) = kv
             .split_once('=')
@@ -270,11 +313,13 @@ fn load_params(spec: &mut ArgSpec) -> Result<SimParams, String> {
             .set(key, value.trim())
             .map_err(|e| format!("--set {key}: {e}"))?;
     }
-    params.validate()?;
     if let Some(strategy) = spec.enumerated("--strategy", SimStrategy::VALID, SimStrategy::parse)? {
         params.strategy = strategy;
     }
-    Ok(params)
+    match (params.validate(), file) {
+        (Err(e), Some(file)) if file_violations.contains(&e) => Err(format!("{file}: {e}")),
+        (result, _) => result.map(|()| params),
+    }
 }
 
 /// Takes `--check-bounds` off a spec; when present, installs and
@@ -335,7 +380,7 @@ fn cmd_simulate(args: Vec<String>) -> Result<(), String> {
     print_prediction(&PredictionSummary::from(&pred));
     if let Some(path) = predicted_out {
         extrap_trace::writer::write_set_file(&path, &pred.predicted).map_err(|e| e.to_string())?;
-        println!("predicted trace written to {path}");
+        outln!("predicted trace written to {path}");
     }
     Ok(())
 }
@@ -366,23 +411,29 @@ pub(crate) fn print_prediction(p: &PredictionSummary) {
         0 => f64::INFINITY,
         c => compute as f64 / c as f64,
     };
-    println!(
+    outln!(
         "predicted execution time: {:.3} ms",
         TimeNs(p.exec_time_ns).as_ms()
     );
-    println!("processors:               {}", p.n_procs);
-    println!("barriers completed:       {}", p.barriers);
-    println!("messages / bytes:         {} / {}", p.messages, p.bytes);
-    println!("mean contention factor:   {mean_factor:.3}");
-    println!("utilization:              {:.1}%", utilization * 100.0);
-    println!("comp/comm ratio:          {comp_comm:.2}");
-    println!("-- per-thread breakdown (ms) --");
-    println!(
+    outln!("processors:               {}", p.n_procs);
+    outln!("barriers completed:       {}", p.barriers);
+    outln!("messages / bytes:         {} / {}", p.messages, p.bytes);
+    outln!("mean contention factor:   {mean_factor:.3}");
+    outln!("utilization:              {:.1}%", utilization * 100.0);
+    outln!("comp/comm ratio:          {comp_comm:.2}");
+    outln!("-- per-thread breakdown (ms) --");
+    outln!(
         "{:>6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "thread", "compute", "send", "service", "rem-wait", "bar-wait", "end"
+        "thread",
+        "compute",
+        "send",
+        "service",
+        "rem-wait",
+        "bar-wait",
+        "end"
     );
     for (i, b) in p.per_thread.iter().enumerate() {
-        println!(
+        outln!(
             "{:>6} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
             i,
             ms(b.compute_ns),
@@ -448,7 +499,7 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
         (label, compile_at(threads)?, curve)
     };
     let analysis = extrap_analyze::analyze(&program, &params).map_err(|e| e.to_string())?;
-    print!(
+    out!(
         "{}",
         extrap_analyze::render(&label, &analysis, &curve, format)
     );
@@ -500,22 +551,22 @@ pub(crate) fn parse_sweep_request(mut spec: ArgSpec) -> Result<SweepRequest, Str
 /// CSV or aligned-table form — identical for local and served sweeps.
 pub(crate) fn render_sweep_rows(rows: &[(String, usize, f64)], procs: &[usize], csv: bool) {
     if csv {
-        println!("bench,procs,time_ms");
+        outln!("bench,procs,time_ms");
         for (bench, n, ms) in rows {
-            println!("{bench},{n},{ms:.6}");
+            outln!("{bench},{n},{ms:.6}");
         }
     } else {
-        print!("{:>10}", "bench");
+        out!("{:>10}", "bench");
         for &n in procs {
-            print!(" {n:>10}");
+            out!(" {n:>10}");
         }
-        println!("   [ms across P]");
+        outln!("   [ms across P]");
         for chunk in rows.chunks(procs.len()) {
-            print!("{:>10}", chunk[0].0);
+            out!("{:>10}", chunk[0].0);
             for (_, _, ms) in chunk {
-                print!(" {ms:>10.3}");
+                out!(" {ms:>10.3}");
             }
-            println!();
+            outln!();
         }
     }
 }
@@ -548,7 +599,7 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
     }
     render_sweep_rows(&rows, &req.procs, req.csv);
     if !req.csv {
-        println!(
+        outln!(
             "({} jobs, {} workers, {} translations)",
             grid.len(),
             req.jobs,
@@ -563,17 +614,17 @@ fn cmd_report(args: Vec<String>) -> Result<(), String> {
     let mut fold = PhaseFold::default();
     let n_threads = load_program(&input, |t, rec| fold.record(t, rec))?.n_threads();
     let stats = fold.into_stats(n_threads);
-    println!("threads:           {n_threads}");
-    println!("makespan:          {:.3} ms", stats.makespan().as_ms());
-    println!("barriers:          {}", stats.barriers());
-    println!("remote accesses:   {}", stats.total_remote_accesses());
-    println!("declared bytes:    {}", stats.total_declared_bytes());
-    println!("actual bytes:      {}", stats.total_actual_bytes());
-    println!(
+    outln!("threads:           {n_threads}");
+    outln!("makespan:          {:.3} ms", stats.makespan().as_ms());
+    outln!("barriers:          {}", stats.barriers());
+    outln!("remote accesses:   {}", stats.total_remote_accesses());
+    outln!("declared bytes:    {}", stats.total_declared_bytes());
+    outln!("actual bytes:      {}", stats.total_actual_bytes());
+    outln!(
         "total compute:     {:.3} ms",
         stats.total_compute().as_us() / 1_000.0
     );
-    println!("utilization:       {:.1}%", stats.utilization() * 100.0);
+    outln!("utilization:       {:.1}%", stats.utilization() * 100.0);
     Ok(())
 }
 
@@ -605,7 +656,7 @@ fn cmd_stats(args: Vec<String>) -> Result<(), String> {
     let program = load_program(&input, |t, rec| fold.record(t, rec))?;
     let profiles = fold.into_profiles();
     let epochs = epochs.map(|(k, tol)| (&program, k, tol));
-    print!("{}", extrap_core::render_stats_report(&profiles, epochs));
+    out!("{}", extrap_core::render_stats_report(&profiles, epochs));
     Ok(())
 }
 
@@ -630,7 +681,7 @@ fn cmd_timeline(args: Vec<String>) -> Result<(), String> {
             })
             .collect(),
     };
-    print!("{}", extrap_trace::timeline::render(&set, width));
+    out!("{}", extrap_trace::timeline::render(&set, width));
     Ok(())
 }
 
@@ -664,7 +715,7 @@ fn cmd_check(args: Vec<String>) -> Result<(), String> {
 
     if list {
         for s in extrap_check::scenarios::all_scenarios() {
-            println!("{:18} {}", s.name, s.about);
+            outln!("{:18} {}", s.name, s.about);
         }
         return Ok(());
     }
@@ -678,12 +729,12 @@ fn cmd_check(args: Vec<String>) -> Result<(), String> {
         let outcome = extrap_check::replay(&scenario, &cert, config.max_steps);
         match outcome.status {
             extrap_check::RunStatus::Failed(f) => {
-                println!("replay of {cert} reproduces the failure:");
-                println!("  {:?}: {}", f.kind, f.message);
+                outln!("replay of {cert} reproduces the failure:");
+                outln!("  {:?}: {}", f.kind, f.message);
                 Err("failure reproduced (this is what the certificate records)".to_string())
             }
             _ => {
-                println!("replay of {cert} completed cleanly: no failure at this schedule");
+                outln!("replay of {cert} completed cleanly: no failure at this schedule");
                 Ok(())
             }
         }
@@ -696,7 +747,7 @@ fn cmd_check(args: Vec<String>) -> Result<(), String> {
         let mut failed = false;
         for s in &to_check {
             let report = extrap_check::check_scenario(s, &config);
-            print!("{}", report.render());
+            out!("{}", report.render());
             failed |= !report.passed();
         }
         if failed {
@@ -731,7 +782,7 @@ fn cmd_lint(args: Vec<String>) -> Result<(), String> {
             return Err("lint: --codes takes no other arguments".to_string());
         }
         for code in extrap_lint::Code::all() {
-            println!(
+            outln!(
                 "{} [{}] {}{}",
                 code.as_str(),
                 code.severity().label(),
@@ -816,11 +867,11 @@ fn cmd_lint(args: Vec<String>) -> Result<(), String> {
             out.push_str(&extrap_lint::render_json(report)[1..]);
         }
         out.push_str(&format!("],\"errors\":{errors},\"warnings\":{warnings}}}"));
-        println!("{out}");
+        outln!("{out}");
     } else {
         for (label, report) in &reports {
-            println!("{label}:");
-            print!("{}", extrap_lint::render_text(report));
+            outln!("{label}:");
+            out!("{}", extrap_lint::render_text(report));
         }
     }
     if errors > 0 {
@@ -943,9 +994,9 @@ fn cmd_lint_fix(
     };
     let report = apply_allow(report, allow);
 
-    println!("{input}:");
+    outln!("{input}:");
     for note in &notes {
-        println!("fix[{}]: {}", note.code, note.detail);
+        outln!("fix[{}]: {}", note.code, note.detail);
     }
     // Whatever survives the fixer is by definition beyond mechanical
     // repair; say so explicitly next to each remaining error.
@@ -955,7 +1006,7 @@ fn cmd_lint_fix(
             d.message.push_str(" [unfixable]");
         }
     }
-    print!("{}", extrap_lint::render_text(&shown));
+    out!("{}", extrap_lint::render_text(&shown));
 
     let errors = report.error_count();
     if errors > 0 {
@@ -966,7 +1017,7 @@ fn cmd_lint_fix(
     }
     let dest = out_path.unwrap_or_else(|| input.to_string());
     if dry_run {
-        println!(
+        outln!(
             "dry run: {} repair{} would be written to {dest}",
             notes.len(),
             if notes.len() == 1 { "" } else { "s" }
@@ -982,7 +1033,7 @@ fn cmd_lint_fix(
         if apply_allow(back, allow).has_errors() {
             return Err(format!("lint --fix: {dest} fails re-lint after writing"));
         }
-        println!(
+        outln!(
             "wrote fixed trace to {dest} ({} repair{})",
             notes.len(),
             if notes.len() == 1 { "" } else { "s" }
@@ -1024,14 +1075,14 @@ fn cmd_diff(args: Vec<String>) -> Result<(), String> {
     let b = Extrapolator::new(pb)
         .run(&program)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{}: {:.3} ms    {}: {:.3} ms",
         ma,
         a.exec_time().as_ms(),
         mb,
         b.exec_time().as_ms()
     );
-    print!("{}", extrap_core::diff(&a, &b).render(&ma, &mb));
+    out!("{}", extrap_core::diff(&a, &b).render(&ma, &mb));
     Ok(())
 }
 
@@ -1044,6 +1095,6 @@ fn cmd_params(args: Vec<String>) -> Result<(), String> {
     if !leftovers.is_empty() {
         return Err("usage: extrap params [--machine M]".to_string());
     }
-    print!("{}", params.to_config_text());
+    out!("{}", params.to_config_text());
     Ok(())
 }

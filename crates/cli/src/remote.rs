@@ -15,7 +15,6 @@ use extrap_proto::SweepSpec;
 use extrap_serve::client::Client;
 use extrap_serve::{ServeConfig, Server};
 use extrap_time::TimeNs;
-use std::io::Write;
 use std::time::Duration;
 
 /// Where `extrap client` looks for a daemon when `--addr` is omitted;
@@ -61,13 +60,11 @@ pub(crate) fn cmd_serve(args: Vec<String>) -> Result<(), String> {
 
     let server = Server::start(config).map_err(|e| e.to_string())?;
     // Scripts (and the CI smoke job) wait for this line before
-    // connecting, so it must hit the pipe before we block in join().
-    println!("extrap-serve listening on {}", server.local_addr());
-    std::io::stdout()
-        .flush()
-        .map_err(|e| format!("stdout: {e}"))?;
+    // connecting; stdout is line-buffered, so it hits the pipe before
+    // we block in join().
+    outln!("extrap-serve listening on {}", server.local_addr());
     server.join();
-    println!("extrap-serve drained; bye");
+    outln!("extrap-serve drained; bye");
     Ok(())
 }
 
@@ -127,7 +124,7 @@ fn client_sweep(args: Vec<String>) -> Result<(), String> {
         .collect();
     render_sweep_rows(&rendered, &req.procs, req.csv);
     if !req.csv {
-        println!("({n_points} jobs via {addr})");
+        outln!("({n_points} jobs via {addr})");
     }
     Ok(())
 }
@@ -178,7 +175,7 @@ fn client_analyze(args: Vec<String>) -> Result<(), String> {
     let result = client.analyze(trace, &params.to_config_text(), &format);
     // Best-effort: free the server-side entry whatever the outcome.
     let _ = client.evict(trace);
-    print!("{}", result.map_err(|e| e.to_string())?);
+    out!("{}", result.map_err(|e| e.to_string())?);
     Ok(())
 }
 
@@ -205,28 +202,32 @@ fn client_stats(args: Vec<String>) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         let result = client.phases(trace, epochs);
         let _ = client.evict(trace);
-        print!("{}", result.map_err(|e| e.to_string())?);
+        out!("{}", result.map_err(|e| e.to_string())?);
         return Ok(());
     }
     if epochs.is_some() {
         return Err("client stats: --phases needs a trace FILE to report on".to_string());
     }
     let s = connect(&addr)?.stats().map_err(|e| e.to_string())?;
-    println!("uptime:             {:.1} s", s.uptime_ms as f64 / 1e3);
-    println!(
+    outln!("uptime:             {:.1} s", s.uptime_ms as f64 / 1e3);
+    outln!(
         "connections:        {} total, {} active",
-        s.connections, s.active_connections
+        s.connections,
+        s.active_connections
     );
-    println!("requests:           {}", s.requests);
-    println!(
+    outln!("requests:           {}", s.requests);
+    outln!(
         "jobs:               {} in flight, {} done, {} failed",
-        s.jobs_inflight, s.jobs_done, s.jobs_failed
+        s.jobs_inflight,
+        s.jobs_done,
+        s.jobs_failed
     );
-    println!(
+    outln!(
         "sweep batches:      {} ({} coalesced riders)",
-        s.sweep_batches, s.coalesced_sweeps
+        s.sweep_batches,
+        s.coalesced_sweeps
     );
-    println!(
+    outln!(
         "resident:           {} traces, {} bytes (budget {})",
         s.traces_resident,
         s.resident_bytes,
@@ -236,8 +237,8 @@ fn client_stats(args: Vec<String>) -> Result<(), String> {
             format!("{} bytes", s.mem_budget_bytes)
         }
     );
-    println!("evictions:          {}", s.evictions);
-    println!("translations:       {}", s.translations);
+    outln!("evictions:          {}", s.evictions);
+    outln!("translations:       {}", s.translations);
     Ok(())
 }
 
@@ -249,6 +250,6 @@ fn client_shutdown(args: Vec<String>) -> Result<(), String> {
         return Err("client shutdown: takes --addr only".to_string());
     }
     connect(&addr)?.shutdown().map_err(|e| e.to_string())?;
-    println!("shutdown requested; {addr} is draining");
+    outln!("shutdown requested; {addr} is draining");
     Ok(())
 }

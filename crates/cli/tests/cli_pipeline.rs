@@ -2,7 +2,7 @@
 //! report/simulate/timeline/lint over real files.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn extrap(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_extrap"))
@@ -217,6 +217,23 @@ fn params_round_trip_through_a_file() {
     assert_fails_with(
         &["simulate", xtps.to_str().unwrap(), "--params", bad],
         &format!("extrap: {bad}: line 1: bad thread mapping \"ring\"\n"),
+    );
+    // The range rules judge the file after every override, so `--set`
+    // can repair it; a violation left in the file still names the file.
+    let mr0 = dir.join("mr0.cfg");
+    std::fs::write(&mr0, "MipsRatio = 0\n").unwrap();
+    let mr0 = mr0.to_str().unwrap();
+    let xtps = xtps.to_str().unwrap();
+    let repaired = extrap(&["simulate", xtps, "--params", mr0, "--set", "MipsRatio=1"]);
+    assert!(repaired.status.success(), "{repaired:?}");
+    assert_fails_with(
+        &["simulate", xtps, "--params", mr0],
+        &format!("extrap: {mr0}: MipsRatio must be positive and finite, got 0\n"),
+    );
+    // `--strategy` is judged by the same rules, before the trace opens.
+    assert_fails_with(
+        &["simulate", "unread.xtps", "--strategy", "repr:0"],
+        "extrap: representative max_clusters must be >= 1\n",
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -892,4 +909,54 @@ fn thread_counts_outside_the_cap_are_usage_errors() {
         assert!(err.contains(&format!("1..={max}")), "{args:?}: {err}");
     }
     assert!(!out_file.exists());
+}
+
+/// A reader that closed the pipe before `extrap` writes (`extrap ... |
+/// head -c1` racing the first line) costs only the output: the command
+/// still runs to the end, writes its files and exits with its own
+/// status, and never raises the `print!` panic.
+#[test]
+fn a_closed_stdout_pipe_is_a_quiet_exit() {
+    fn with_closed_stdout(args: &[&str]) -> (Option<i32>, String) {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_extrap"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        (out.status.code(), stderr)
+    }
+    let traces = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/traces");
+    let grid4 = format!("{traces}/grid4.xtps");
+    for args in [
+        &["simulate", &grid4][..],
+        &["stats", &grid4, "--phases"],
+        &["params", "--machine", "cm5"],
+        &["help"],
+    ] {
+        assert_eq!(
+            with_closed_stdout(args),
+            (Some(0), String::new()),
+            "{args:?}"
+        );
+    }
+
+    // The report comes before the predicted trace is written.
+    let dir = tmpdir("closed_pipe");
+    let predicted = dir.join("p.xtps");
+    let predicted_str = predicted.to_str().unwrap();
+    let (code, stderr) = with_closed_stdout(&["simulate", &grid4, "--predicted", predicted_str]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(predicted.exists(), "the predicted trace is still written");
+
+    // A failing gate keeps its failure status and its stderr message.
+    let corrupt = format!("{traces}/corrupt_time.xtrp");
+    let (code, stderr) = with_closed_stdout(&["lint", &corrupt]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with("extrap: "), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -692,27 +692,27 @@ impl Field {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use extrap_sim::SplitMix64;
+    use extrap_time::SplitMix64;
 
     fn coin(rng: &mut SplitMix64) -> bool {
-        rng.next_below(2) == 1
+        rng.below(2) == 1
     }
 
     fn time(rng: &mut SplitMix64) -> DurationNs {
-        DurationNs(rng.next_below(10_000_000_000))
+        DurationNs(rng.below(10_000_000_000))
     }
 
     /// An in-range parameter set drawing every field, so that over a few
     /// hundred draws every enum variant appears.
     fn random_params(rng: &mut SplitMix64) -> SimParams {
-        let small = |rng: &mut SplitMix64| 2 + rng.next_below(14) as u32;
+        let small = |rng: &mut SplitMix64| 2 + rng.below(14) as u32;
         SimParams {
             mips_ratio: 0.01 + rng.next_f64() * 4.0,
-            policy: match rng.next_below(3) {
+            policy: match rng.below(3) {
                 0 => ServicePolicy::NoInterrupt,
                 1 => ServicePolicy::Interrupt,
                 _ => ServicePolicy::Poll {
-                    interval: DurationNs(1 + rng.next_below(1_000_000)),
+                    interval: DurationNs(1 + rng.below(1_000_000)),
                 },
             },
             size_mode: if coin(rng) {
@@ -729,7 +729,7 @@ mod tests {
                 SimStrategy::Exact
             } else {
                 SimStrategy::Representative {
-                    max_clusters: 1 + rng.next_below(200) as u32,
+                    max_clusters: 1 + rng.below(200) as u32,
                     tolerance: rng.next_f64(),
                 }
             },
@@ -743,7 +743,7 @@ mod tests {
                 reply_header_bytes: rng.next_u64() as u32,
             },
             network: NetworkParams {
-                topology: match rng.next_below(5) {
+                topology: match rng.below(5) {
                     0 => Topology::Bus,
                     1 => Topology::Crossbar,
                     2 => Topology::Mesh2D,
@@ -764,7 +764,7 @@ mod tests {
                 model: time(rng),
                 by_msgs: coin(rng),
                 msg_size: rng.next_u64() as u32,
-                algorithm: match rng.next_below(3) {
+                algorithm: match rng.below(3) {
                     0 => BarrierAlgorithm::Linear,
                     1 => BarrierAlgorithm::Tree { arity: small(rng) },
                     _ => BarrierAlgorithm::Hardware,
@@ -772,13 +772,13 @@ mod tests {
                 hardware_latency: time(rng),
             },
             multithread: MultithreadParams {
-                mapping: match rng.next_below(3) {
+                mapping: match rng.below(3) {
                     0 => ThreadMapping::OnePerProc,
                     1 => ThreadMapping::Block {
-                        procs: 1 + rng.next_below(256) as usize,
+                        procs: 1 + rng.below(256) as usize,
                     },
                     _ => ThreadMapping::Cyclic {
-                        procs: 1 + rng.next_below(256) as usize,
+                        procs: 1 + rng.below(256) as usize,
                     },
                 },
                 switch_cost: time(rng),

@@ -18,12 +18,12 @@
 //!   options, how the daemon and the CLI ingest a capture) matches the
 //!   whole-trace path too.
 //!
-//! Driven by a deterministic SplitMix64 case generator instead of
-//! `proptest` (crates.io is unreachable in the build environment).
+//! Driven by `SplitMix64::cases` instead of `proptest` (crates.io is
+//! unreachable in the build environment).
 
 use extrap_core::processor::IncrementalCompiler;
 use extrap_core::{compile_set_stream, compile_trace_stream, machine, CompiledProgram};
-use extrap_time::{DurationNs, ElementId, ThreadId};
+use extrap_time::{DurationNs, ElementId, SplitMix64, ThreadId};
 use extrap_trace::stream::{ProgramStream, SetStream, SliceSource, TraceStream};
 use extrap_trace::{
     format, translate, translate_stream, PhaseAccess, PhaseFold, PhaseProgram, PhaseWork,
@@ -32,26 +32,10 @@ use extrap_trace::{
 
 const CASES: u64 = 96;
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-}
-
 /// A random phase-structured program: 1–5 threads, 1–12 barrier
 /// epochs, skewed per-thread compute, 0–3 remote accesses per thread
 /// per phase (ordered offsets, random owner/element/size/direction).
-fn random_program(rng: &mut Rng) -> ProgramTrace {
+fn random_program(rng: &mut SplitMix64) -> ProgramTrace {
     let threads = rng.range(1, 6) as usize;
     let phases = rng.range(1, 13) as usize;
     let mut p = PhaseProgram::new(threads);
@@ -70,7 +54,7 @@ fn random_program(rng: &mut Rng) -> ProgramTrace {
                         element: ElementId(rng.range(0, 8) as u32),
                         declared_bytes: rng.range(8, 4096) as u32,
                         actual_bytes: rng.range(1, 256) as u32,
-                        write: rng.next().is_multiple_of(2),
+                        write: rng.next_u64().is_multiple_of(2),
                     })
                     .collect();
                 PhaseWork {
@@ -84,7 +68,7 @@ fn random_program(rng: &mut Rng) -> ProgramTrace {
     p.record()
 }
 
-fn random_options(rng: &mut Rng) -> TranslateOptions {
+fn random_options(rng: &mut SplitMix64) -> TranslateOptions {
     TranslateOptions {
         event_overhead: DurationNs(rng.range(0, 3) * 500),
         switch_overhead: DurationNs(rng.range(0, 3) * 700),
@@ -93,8 +77,8 @@ fn random_options(rng: &mut Rng) -> TranslateOptions {
 
 /// A spill budget per case: a third of the cases use 0 (every batch
 /// spills), a third a tiny budget around one batch, a third unbounded.
-fn random_budget(rng: &mut Rng) -> usize {
-    match rng.next() % 3 {
+fn random_budget(rng: &mut SplitMix64) -> usize {
+    match rng.below(3) {
         0 => 0,
         1 => rng.range(64, 2048) as usize,
         _ => usize::MAX,
@@ -105,8 +89,7 @@ fn random_budget(rng: &mut Rng) -> usize {
 fn streaming_pipeline_matches_whole_trace_path() {
     let out =
         std::env::temp_dir().join(format!("extrap-pipeline-prop-{}.xtps", std::process::id()));
-    for case in 0..CASES {
-        let mut rng = Rng(0x51_7EA4 ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
+    for (case, mut rng) in SplitMix64::cases(0x51_7EA4, CASES).enumerate() {
         let pt = random_program(&mut rng);
         let opts = random_options(&mut rng);
         let window = rng.range(32, 4096) as usize;

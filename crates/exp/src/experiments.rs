@@ -314,17 +314,6 @@ pub fn predict(
         .map_err(|e| ExpError::new(bench.name(), n, params, e))
 }
 
-/// Speedup series (relative to the same parameter set at one processor).
-pub fn speedup_series(
-    h: &Harness,
-    label: impl Into<String>,
-    bench: Bench,
-    params: &SimParams,
-) -> Result<Series, ExpError> {
-    let preds = h.run_specs(&[(String::new(), bench, params.clone())])?;
-    Ok(speedups_of(&label.into(), &preds[0]))
-}
-
 // ---------------------------------------------------------------------
 // Tables
 // ---------------------------------------------------------------------
@@ -1003,6 +992,17 @@ mod tests {
 
     fn harness() -> Harness {
         Harness::new(Scale::Tiny, 4)
+    }
+
+    /// Speedup series (relative to the same parameter set at one processor).
+    fn speedup_series(
+        h: &Harness,
+        label: impl Into<String>,
+        bench: Bench,
+        params: &SimParams,
+    ) -> Result<Series, ExpError> {
+        let preds = h.run_specs(&[(String::new(), bench, params.clone())])?;
+        Ok(speedups_of(&label.into(), &preds[0]))
     }
 
     #[test]

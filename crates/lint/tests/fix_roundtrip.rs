@@ -7,40 +7,16 @@
 //! * traces carrying only **unfixable** corruption come back untouched,
 //!   with the errors still present for the caller to refuse on.
 //!
-//! Driven by a deterministic SplitMix64 case generator (same idiom as
-//! the trace-layer robustness tests; crates.io is unreachable so no
-//! proptest).
+//! Driven by `SplitMix64::cases` instead of `proptest` (crates.io is
+//! unreachable in the build environment).
 
 use extrap_lint::{fix_program, fix_set, lint_program, lint_set};
-use extrap_time::{BarrierId, DurationNs, ElementId, ThreadId, TimeNs};
+use extrap_time::{BarrierId, DurationNs, ElementId, SplitMix64, ThreadId, TimeNs};
 use extrap_trace::{
     translate, EventKind, PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace, TraceRecord, TraceSet,
 };
 
 const CASES: u64 = 128;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-}
-
-fn for_all(seed: u64, check: impl Fn(&mut Rng)) {
-    for case in 0..CASES {
-        let mut rng = Rng(seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
-        check(&mut rng);
-    }
-}
 
 fn base_program() -> ProgramTrace {
     let mut p = PhaseProgram::new(3);
@@ -57,7 +33,7 @@ fn base_set() -> TraceSet {
 /// Dips the timestamp of one random *non-sync* record.  Sync records
 /// are excluded deliberately: re-sorting a barrier event across its
 /// partner is exactly the unfixable (`E004`) case.
-fn dip_non_sync(rng: &mut Rng, records: &mut [TraceRecord]) {
+fn dip_non_sync(rng: &mut SplitMix64, records: &mut [TraceRecord]) {
     let candidates: Vec<usize> = records
         .iter()
         .enumerate()
@@ -72,7 +48,7 @@ fn dip_non_sync(rng: &mut Rng, records: &mut [TraceRecord]) {
 }
 
 /// Inserts a record referencing a thread the trace does not declare.
-fn insert_bad_thread(rng: &mut Rng, records: &mut Vec<TraceRecord>, n_threads: usize) {
+fn insert_bad_thread(rng: &mut SplitMix64, records: &mut Vec<TraceRecord>, n_threads: usize) {
     let at = rng.range(0, records.len() as u64 + 1) as usize;
     let time = records
         .get(at.saturating_sub(1))
@@ -84,7 +60,7 @@ fn insert_bad_thread(rng: &mut Rng, records: &mut Vec<TraceRecord>, n_threads: u
             time,
             thread: ThreadId((n_threads as u32) + rng.range(0, 5) as u32),
             kind: EventKind::Marker {
-                id: rng.next() as u32,
+                id: rng.next_u64() as u32,
             },
         },
     );
@@ -92,7 +68,7 @@ fn insert_bad_thread(rng: &mut Rng, records: &mut Vec<TraceRecord>, n_threads: u
 
 /// Inserts a remote access naming an out-of-range owner.
 fn insert_dangling_access(
-    rng: &mut Rng,
+    rng: &mut SplitMix64,
     records: &mut Vec<TraceRecord>,
     n_threads: usize,
     thread: ThreadId,
@@ -118,7 +94,7 @@ fn insert_dangling_access(
 }
 
 /// Removes one thread's frame records (its begins and/or ends).
-fn tear_frame(rng: &mut Rng, records: &mut Vec<TraceRecord>, thread: ThreadId) {
+fn tear_frame(rng: &mut SplitMix64, records: &mut Vec<TraceRecord>, thread: ThreadId) {
     let which = rng.range(0, 3);
     records.retain(|r| {
         if r.thread != thread {
@@ -134,19 +110,19 @@ fn tear_frame(rng: &mut Rng, records: &mut Vec<TraceRecord>, thread: ThreadId) {
 
 #[test]
 fn fixable_program_corruptions_fix_clean_and_idempotent() {
-    for_all(0xF1_0001, |rng| {
+    for mut rng in SplitMix64::cases(0xF1_0001, CASES) {
         let mut pt = base_program();
         for _ in 0..rng.range(1, 4) {
             match rng.range(0, 4) {
-                0 => dip_non_sync(rng, &mut pt.records),
-                1 => insert_bad_thread(rng, &mut pt.records, pt.n_threads),
+                0 => dip_non_sync(&mut rng, &mut pt.records),
+                1 => insert_bad_thread(&mut rng, &mut pt.records, pt.n_threads),
                 2 => {
                     let t = ThreadId(rng.range(0, pt.n_threads as u64) as u32);
-                    insert_dangling_access(rng, &mut pt.records, pt.n_threads, t);
+                    insert_dangling_access(&mut rng, &mut pt.records, pt.n_threads, t);
                 }
                 _ => {
                     let t = ThreadId(rng.range(0, pt.n_threads as u64) as u32);
-                    tear_frame(rng, &mut pt.records, t);
+                    tear_frame(&mut rng, &mut pt.records, t);
                 }
             }
         }
@@ -161,21 +137,21 @@ fn fixable_program_corruptions_fix_clean_and_idempotent() {
         let twice = fix_program(&once.value);
         assert!(!twice.changed(), "fix not idempotent: {:?}", twice.notes);
         assert_eq!(twice.value, once.value);
-    });
+    }
 }
 
 #[test]
 fn fixable_set_corruptions_fix_clean_and_idempotent() {
-    for_all(0xF1_0002, |rng| {
+    for mut rng in SplitMix64::cases(0xF1_0002, CASES) {
         let mut ts = base_set();
         let n = ts.threads.len();
         for _ in 0..rng.range(1, 4) {
             let seg = rng.range(0, n as u64) as usize;
             let thread = ts.threads[seg].thread;
             match rng.range(0, 3) {
-                0 => dip_non_sync(rng, &mut ts.threads[seg].records),
-                1 => insert_dangling_access(rng, &mut ts.threads[seg].records, n, thread),
-                _ => tear_frame(rng, &mut ts.threads[seg].records, thread),
+                0 => dip_non_sync(&mut rng, &mut ts.threads[seg].records),
+                1 => insert_dangling_access(&mut rng, &mut ts.threads[seg].records, n, thread),
+                _ => tear_frame(&mut rng, &mut ts.threads[seg].records, thread),
             }
         }
         let once = fix_set(&ts);
@@ -189,7 +165,7 @@ fn fixable_set_corruptions_fix_clean_and_idempotent() {
         let twice = fix_set(&once.value);
         assert!(!twice.changed(), "fix not idempotent: {:?}", twice.notes);
         assert_eq!(twice.value, once.value);
-    });
+    }
 }
 
 #[test]

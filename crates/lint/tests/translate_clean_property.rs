@@ -8,8 +8,7 @@
 //! two.  Programs are generated from a seeded SplitMix64 so failures
 //! reproduce exactly.
 
-use extrap_sim::SplitMix64;
-use extrap_time::{DurationNs, ElementId, ThreadId};
+use extrap_time::{DurationNs, ElementId, SplitMix64, ThreadId};
 use extrap_trace::{translate, PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace};
 
 /// A random phase-structured program that respects the data-parallel
@@ -18,29 +17,29 @@ use extrap_trace::{translate, PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace
 /// programs the paper's pipeline is *for* — the linter's job is to flag
 /// everything else.
 fn random_program(rng: &mut SplitMix64) -> ProgramTrace {
-    let n_threads = 2 + rng.next_below(5) as usize; // 2..=6
-    let n_phases = 1 + rng.next_below(5) as usize; // 1..=5
+    let n_threads = 2 + rng.below(5) as usize; // 2..=6
+    let n_phases = 1 + rng.below(5) as usize; // 1..=5
     let mut program = PhaseProgram::new(n_threads);
     let mut next_element = 0u32;
     for _ in 0..n_phases {
         let mut phase = Vec::with_capacity(n_threads);
         for t in 0..n_threads {
-            let compute = DurationNs(1 + rng.next_below(200_000));
-            let n_accesses = rng.next_below(4) as usize;
+            let compute = DurationNs(1 + rng.below(200_000));
+            let n_accesses = rng.below(4) as usize;
             let mut accesses = Vec::with_capacity(n_accesses);
             for _ in 0..n_accesses {
                 // Any thread but the issuer owns the element; each access
                 // touches a fresh element so no two threads ever contend.
-                let owner = (t + 1 + rng.next_below(n_threads as u64 - 1) as usize) % n_threads;
+                let owner = (t + 1 + rng.below(n_threads as u64 - 1) as usize) % n_threads;
                 let element = ElementId(next_element);
                 next_element += 1;
                 accesses.push(PhaseAccess {
-                    after: DurationNs(rng.next_below(compute.0.max(1))),
+                    after: DurationNs(rng.below(compute.0.max(1))),
                     owner: ThreadId(owner as u32),
                     element,
-                    declared_bytes: 8 * (1 + rng.next_below(128) as u32),
-                    actual_bytes: 1 + rng.next_below(64) as u32,
-                    write: rng.next_below(2) == 1,
+                    declared_bytes: 8 * (1 + rng.below(128) as u32),
+                    actual_bytes: 1 + rng.below(64) as u32,
+                    write: rng.below(2) == 1,
                 });
             }
             accesses.sort_by_key(|a| a.after);
@@ -82,7 +81,7 @@ fn corrupting_any_translated_set_is_caught() {
     for case in 0..20 {
         let pt = random_program(&mut rng);
         let mut ts = translate(&pt, Default::default()).unwrap();
-        let victim = rng.next_below(ts.n_threads() as u64) as usize;
+        let victim = rng.below(ts.n_threads() as u64) as usize;
         let before = ts.threads[victim].records.len();
         ts.threads[victim].records.retain(|r| !r.kind.is_sync());
         if ts.threads[victim].records.len() == before {

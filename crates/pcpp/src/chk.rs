@@ -44,6 +44,7 @@
 //! region out entirely — [`crate::Program::run`] uses it because the
 //! traced program's run-token scheduler is not the object under test.
 
+use extrap_time::splitmix64;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -562,15 +563,10 @@ impl State {
     }
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn order_key(seed: u64, depth: usize, tid: u32) -> u64 {
-    splitmix(seed ^ splitmix(((depth as u64) << 32) | u64::from(tid)))
+    let mut slot = ((depth as u64) << 32) | u64::from(tid);
+    let mut key = seed ^ splitmix64(&mut slot);
+    splitmix64(&mut key)
 }
 
 fn dur_ns(d: Duration) -> u64 {

@@ -67,24 +67,11 @@ impl WorkModel {
     pub fn mem_ops(&self, n: u64) -> DurationNs {
         self.mem_op * n
     }
-
-    /// Approximate MFLOPS rating of this host (for `MipsRatio`
-    /// computations).
-    pub fn mflops(&self) -> f64 {
-        1e3 / self.flop.as_ns() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sun4_rating_matches_paper_scale() {
-        let m = WorkModel::sun4();
-        // 880ns/flop ~ 1.136 MFLOPS.
-        assert!((m.mflops() - 1.136).abs() < 0.01);
-    }
 
     #[test]
     fn work_accumulates_linearly() {

@@ -2,51 +2,28 @@
 //! thread-count) combination must partition the index space, agree with
 //! `local_indices`, and obey the pC++ thread-grid conventions.
 //!
-//! Driven by a deterministic SplitMix64 case generator instead of
-//! `proptest` (crates.io is unreachable in the build environment).
+//! Driven by `SplitMix64::cases` instead of `proptest` (crates.io is
+//! unreachable in the build environment).
 
-use extrap_time::ThreadId;
+use extrap_time::{SplitMix64, ThreadId};
 use pcpp_rt::{Dist1, Distribution, Index2};
 
 const CASES: u64 = 128;
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() as usize) % (hi - lo)
-    }
-
-    fn dist1(&mut self) -> Dist1 {
-        match self.range(0, 3) {
-            0 => Dist1::Block,
-            1 => Dist1::Cyclic,
-            _ => Dist1::Whole,
-        }
-    }
-}
-
-fn for_all(seed: u64, check: impl Fn(&mut Rng)) {
-    for case in 0..CASES {
-        let mut rng = Rng(seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
-        check(&mut rng);
+fn dist1(rng: &mut SplitMix64) -> Dist1 {
+    match rng.below(3) {
+        0 => Dist1::Block,
+        1 => Dist1::Cyclic,
+        _ => Dist1::Whole,
     }
 }
 
 #[test]
 fn ownership_partitions_every_index() {
-    for_all(0x0B0E, |rng| {
-        let (rows, cols) = (rng.range(1, 20), rng.range(1, 20));
-        let (d0, d1) = (rng.dist1(), rng.dist1());
-        let n = rng.range(1, 33);
+    for mut rng in SplitMix64::cases(0x0B0E, CASES) {
+        let (rows, cols) = (rng.range(1, 20) as usize, rng.range(1, 20) as usize);
+        let (d0, d1) = (dist1(&mut rng), dist1(&mut rng));
+        let n = rng.range(1, 33) as usize;
         let d = Distribution::new((rows, cols), (d0, d1), n);
         let mut counts = vec![0usize; n];
         for r in 0..rows {
@@ -66,26 +43,26 @@ fn ownership_partitions_every_index() {
                 assert_eq!(d.owner(idx), t);
             }
         }
-    });
+    }
 }
 
 #[test]
 fn thread_grid_never_exceeds_thread_count() {
-    for_all(0x61D5, |rng| {
-        let (rows, cols) = (rng.range(1, 20), rng.range(1, 20));
-        let (d0, d1) = (rng.dist1(), rng.dist1());
-        let n = rng.range(1, 33);
+    for mut rng in SplitMix64::cases(0x61D5, CASES) {
+        let (rows, cols) = (rng.range(1, 20) as usize, rng.range(1, 20) as usize);
+        let (d0, d1) = (dist1(&mut rng), dist1(&mut rng));
+        let n = rng.range(1, 33) as usize;
         let d = Distribution::new((rows, cols), (d0, d1), n);
         assert!(d.tgrid.0 * d.tgrid.1 <= n.max(1));
         assert!(d.busy_threads() <= n);
-    });
+    }
 }
 
 #[test]
 fn block_ownership_is_contiguous_per_thread() {
-    for_all(0xB10C, |rng| {
-        let rows = rng.range(1, 40);
-        let n = rng.range(1, 17);
+    for mut rng in SplitMix64::cases(0xB10C, CASES) {
+        let rows = rng.range(1, 40) as usize;
+        let n = rng.range(1, 17) as usize;
         let d = Distribution::block_1d(rows, n);
         for t in 0..n {
             let owned: Vec<usize> = d
@@ -96,25 +73,25 @@ fn block_ownership_is_contiguous_per_thread() {
                 assert_eq!(w[1], w[0] + 1, "block must be contiguous");
             }
         }
-    });
+    }
 }
 
 #[test]
 fn cyclic_ownership_strides_by_thread_count() {
-    for_all(0xC41C, |rng| {
-        let rows = rng.range(1, 40);
-        let n = rng.range(1, 17);
+    for mut rng in SplitMix64::cases(0xC41C, CASES) {
+        let rows = rng.range(1, 40) as usize;
+        let n = rng.range(1, 17) as usize;
         let d = Distribution::cyclic_1d(rows, n);
         for i in 0..rows {
             assert_eq!(d.owner(Index2(i, 0)).index(), i % n);
         }
-    });
+    }
 }
 
 #[test]
 fn flat_is_a_bijection() {
-    for_all(0xF1A7, |rng| {
-        let (rows, cols) = (rng.range(1, 15), rng.range(1, 15));
+    for mut rng in SplitMix64::cases(0xF1A7, CASES) {
+        let (rows, cols) = (rng.range(1, 15) as usize, rng.range(1, 15) as usize);
         let d = Distribution::block_block(rows, cols, 4);
         let mut seen = vec![false; rows * cols];
         for r in 0..rows {
@@ -125,7 +102,7 @@ fn flat_is_a_bijection() {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    });
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! values survive encode → decode → re-encode bit-identically, and
 //! truncated or corrupted frames are rejected — never misparsed.
 //!
-//! Randomness comes from a seeded SplitMix64, so every run checks the
+//! Randomness comes from a seeded `SplitMix64`, so every run checks the
 //! same cases and a failure seed reproduces exactly.
 
 use extrap_proto::{
@@ -10,123 +10,107 @@ use extrap_proto::{
     BreakdownRow, ErrorCode, JobId, PredictionSummary, ProtoError, Request, Response, ServerStats,
     SweepRow, SweepSpec, TraceId, FRAME_MAGIC, MAX_FRAME_LEN, PROTO_VERSION,
 };
+use extrap_time::SplitMix64;
 
-/// SplitMix64 — tiny, seedable, and good enough to exercise the codec.
-struct Rng(u64);
+/// An arbitrary f64 bit pattern — including NaNs, infinities, and
+/// subnormals; the wire carries exact bits, so all must survive.
+fn f64_bits(rng: &mut SplitMix64) -> f64 {
+    f64::from_bits(rng.next_u64())
+}
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    /// An arbitrary f64 bit pattern — including NaNs, infinities, and
-    /// subnormals; the wire carries exact bits, so all must survive.
-    fn f64_bits(&mut self) -> f64 {
-        f64::from_bits(self.next())
-    }
-
-    /// An arbitrary non-NaN f64 — for fields in `PartialEq`-asserted
-    /// values, where NaN would break the equality check rather than the
-    /// codec (see `nan_tolerance_survives_exactly` for the NaN case).
-    fn f64_non_nan(&mut self) -> f64 {
-        loop {
-            let v = self.f64_bits();
-            if !v.is_nan() {
-                return v;
-            }
+/// An arbitrary non-NaN f64 — for fields in `PartialEq`-asserted
+/// values, where NaN would break the equality check rather than the
+/// codec (see `nan_tolerance_survives_exactly` for the NaN case).
+fn f64_non_nan(rng: &mut SplitMix64) -> f64 {
+    loop {
+        let v = f64_bits(rng);
+        if !v.is_nan() {
+            return v;
         }
     }
-
-    /// A string over a small alphabet plus some non-ASCII, length 0..32.
-    fn string(&mut self) -> String {
-        const ALPHABET: &[char] = &['a', 'Z', '0', ' ', ',', '=', '\n', '"', 'é', '√', '\u{0}'];
-        let len = self.below(32) as usize;
-        (0..len)
-            .map(|_| ALPHABET[self.below(ALPHABET.len() as u64) as usize])
-            .collect()
-    }
-
-    fn bytes(&mut self) -> Vec<u8> {
-        let len = self.below(64) as usize;
-        (0..len).map(|_| self.next() as u8).collect()
-    }
 }
 
-fn random_spec(rng: &mut Rng) -> SweepSpec {
+/// A string over a small alphabet plus some non-ASCII, length 0..32.
+fn string(rng: &mut SplitMix64) -> String {
+    const ALPHABET: &[char] = &['a', 'Z', '0', ' ', ',', '=', '\n', '"', 'é', '√', '\u{0}'];
+    let len = rng.below(32) as usize;
+    (0..len)
+        .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+        .collect()
+}
+
+fn bytes(rng: &mut SplitMix64) -> Vec<u8> {
+    let len = rng.below(64) as usize;
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
+
+fn random_spec(rng: &mut SplitMix64) -> SweepSpec {
     SweepSpec {
-        benches: (0..rng.below(5)).map(|_| rng.string()).collect(),
-        procs: (0..rng.below(8)).map(|_| rng.next() as u32).collect(),
-        scale: rng.string(),
-        params: rng.string(),
+        benches: (0..rng.below(5)).map(|_| string(rng)).collect(),
+        procs: (0..rng.below(8)).map(|_| rng.next_u64() as u32).collect(),
+        scale: string(rng),
+        params: string(rng),
     }
 }
 
-fn random_request(rng: &mut Rng) -> Request {
+fn random_request(rng: &mut SplitMix64) -> Request {
     match rng.below(9) {
         0 => Request::SubmitTrace {
-            name: rng.string(),
-            payload: rng.bytes(),
+            name: string(rng),
+            payload: bytes(rng),
         },
         1 => Request::Simulate {
-            trace: TraceId(rng.next()),
-            params: rng.string(),
+            trace: TraceId(rng.next_u64()),
+            params: string(rng),
         },
         2 => Request::Sweep(random_spec(rng)),
         3 => Request::FetchResult {
-            job: JobId(rng.next()),
-            wait_ms: rng.next() as u32,
+            job: JobId(rng.next_u64()),
+            wait_ms: rng.next_u64() as u32,
         },
         4 => Request::Evict {
-            trace: TraceId(rng.next()),
+            trace: TraceId(rng.next_u64()),
         },
         5 => Request::Stats,
         6 => Request::Phases {
-            trace: TraceId(rng.next()),
+            trace: TraceId(rng.next_u64()),
             phases: rng.below(2) == 1,
-            max_clusters: rng.next() as u32,
-            tolerance: rng.f64_non_nan(),
+            max_clusters: rng.next_u64() as u32,
+            tolerance: f64_non_nan(rng),
         },
         7 => Request::Analyze {
-            trace: TraceId(rng.next()),
-            params: rng.string(),
-            format: rng.string(),
+            trace: TraceId(rng.next_u64()),
+            params: string(rng),
+            format: string(rng),
         },
         _ => Request::Shutdown,
     }
 }
 
-fn random_summary(rng: &mut Rng) -> PredictionSummary {
+fn random_summary(rng: &mut SplitMix64) -> PredictionSummary {
     PredictionSummary {
-        n_threads: rng.next() as u32,
-        n_procs: rng.next() as u32,
-        exec_time_ns: rng.next(),
-        barriers: rng.next(),
-        messages: rng.next(),
-        bytes: rng.next(),
-        contention_factor_sum: rng.f64_bits(),
-        events_dispatched: rng.next(),
+        n_threads: rng.next_u64() as u32,
+        n_procs: rng.next_u64() as u32,
+        exec_time_ns: rng.next_u64(),
+        barriers: rng.next_u64(),
+        messages: rng.next_u64(),
+        bytes: rng.next_u64(),
+        contention_factor_sum: f64_bits(rng),
+        events_dispatched: rng.next_u64(),
         per_thread: (0..rng.below(6))
             .map(|_| BreakdownRow {
-                compute_ns: rng.next(),
-                send_overhead_ns: rng.next(),
-                service_ns: rng.next(),
-                remote_wait_ns: rng.next(),
-                barrier_wait_ns: rng.next(),
-                end_time_ns: rng.next(),
+                compute_ns: rng.next_u64(),
+                send_overhead_ns: rng.next_u64(),
+                service_ns: rng.next_u64(),
+                remote_wait_ns: rng.next_u64(),
+                barrier_wait_ns: rng.next_u64(),
+                end_time_ns: rng.next_u64(),
             })
             .collect(),
     }
 }
 
-fn random_error_code(rng: &mut Rng) -> ErrorCode {
+fn random_error_code(rng: &mut SplitMix64) -> ErrorCode {
     [
         ErrorCode::BadRequest,
         ErrorCode::UnknownTrace,
@@ -138,55 +122,55 @@ fn random_error_code(rng: &mut Rng) -> ErrorCode {
     ][rng.below(7) as usize]
 }
 
-fn random_response(rng: &mut Rng) -> Response {
+fn random_response(rng: &mut SplitMix64) -> Response {
     match rng.below(11) {
         0 => Response::Submitted {
-            trace: TraceId(rng.next()),
-            n_threads: rng.next() as u32,
-            resident_bytes: rng.next(),
+            trace: TraceId(rng.next_u64()),
+            n_threads: rng.next_u64() as u32,
+            resident_bytes: rng.next_u64(),
         },
         1 => Response::Accepted {
-            job: JobId(rng.next()),
+            job: JobId(rng.next_u64()),
         },
         2 => Response::Pending {
-            job: JobId(rng.next()),
+            job: JobId(rng.next_u64()),
         },
         3 => Response::Prediction(random_summary(rng)),
         4 => Response::SweepRows(
             (0..rng.below(10))
                 .map(|_| SweepRow {
-                    bench: rng.string(),
-                    procs: rng.next() as u32,
-                    exec_time_ns: rng.next(),
+                    bench: string(rng),
+                    procs: rng.next_u64() as u32,
+                    exec_time_ns: rng.next_u64(),
                 })
                 .collect(),
         ),
         5 => Response::Evicted {
-            freed_bytes: rng.next(),
+            freed_bytes: rng.next_u64(),
         },
         6 => Response::Stats(ServerStats {
-            uptime_ms: rng.next(),
-            connections: rng.next(),
-            active_connections: rng.next() as u32,
-            requests: rng.next(),
-            jobs_inflight: rng.next() as u32,
-            jobs_done: rng.next(),
-            jobs_failed: rng.next(),
-            sweep_batches: rng.next(),
-            coalesced_sweeps: rng.next(),
-            traces_resident: rng.next() as u32,
-            resident_bytes: rng.next(),
-            mem_budget_bytes: rng.next(),
-            evictions: rng.next(),
-            translations: rng.next(),
+            uptime_ms: rng.next_u64(),
+            connections: rng.next_u64(),
+            active_connections: rng.next_u64() as u32,
+            requests: rng.next_u64(),
+            jobs_inflight: rng.next_u64() as u32,
+            jobs_done: rng.next_u64(),
+            jobs_failed: rng.next_u64(),
+            sweep_batches: rng.next_u64(),
+            coalesced_sweeps: rng.next_u64(),
+            traces_resident: rng.next_u64() as u32,
+            resident_bytes: rng.next_u64(),
+            mem_budget_bytes: rng.next_u64(),
+            evictions: rng.next_u64(),
+            translations: rng.next_u64(),
         }),
         7 => Response::Error {
             code: random_error_code(rng),
-            detail: rng.string(),
+            detail: string(rng),
         },
-        8 => Response::Phases { text: rng.string() },
+        8 => Response::Phases { text: string(rng) },
         9 => Response::Analyzed {
-            rendered: rng.string(),
+            rendered: string(rng),
         },
         _ => Response::Bye,
     }
@@ -194,7 +178,7 @@ fn random_response(rng: &mut Rng) -> Response {
 
 #[test]
 fn random_requests_roundtrip_bit_identically() {
-    let mut rng = Rng(0x5eed_0001);
+    let mut rng = SplitMix64::new(0x5eed_0001);
     for i in 0..500 {
         let req = random_request(&mut rng);
         let wire = encode_request(&req);
@@ -210,7 +194,7 @@ fn random_requests_roundtrip_bit_identically() {
 
 #[test]
 fn random_responses_roundtrip_bit_identically() {
-    let mut rng = Rng(0x5eed_0002);
+    let mut rng = SplitMix64::new(0x5eed_0002);
     for i in 0..500 {
         let rsp = random_response(&mut rng);
         let wire = encode_response(&rsp);
@@ -228,7 +212,7 @@ fn random_responses_roundtrip_bit_identically() {
 
 #[test]
 fn nan_contention_sum_survives_exactly() {
-    let mut summary = random_summary(&mut Rng(7));
+    let mut summary = random_summary(&mut SplitMix64::new(7));
     summary.contention_factor_sum = f64::from_bits(0x7ff8_dead_beef_0001);
     let wire = encode_response(&Response::Prediction(summary));
     match decode_response(&wire).unwrap() {
@@ -259,7 +243,7 @@ fn nan_tolerance_survives_exactly() {
 
 #[test]
 fn every_truncation_of_a_payload_is_rejected() {
-    let mut rng = Rng(0x5eed_0003);
+    let mut rng = SplitMix64::new(0x5eed_0003);
     for _ in 0..50 {
         let wire = encode_request(&random_request(&mut rng));
         for cut in 0..wire.len() {
@@ -282,7 +266,7 @@ fn every_truncation_of_a_payload_is_rejected() {
 
 #[test]
 fn trailing_garbage_is_rejected() {
-    let mut rng = Rng(0x5eed_0004);
+    let mut rng = SplitMix64::new(0x5eed_0004);
     for _ in 0..50 {
         let mut wire = encode_request(&random_request(&mut rng));
         wire.push(0);

@@ -1,48 +1,25 @@
 //! Property tests of the link-level network model.
 //!
-//! Driven by a deterministic SplitMix64 case generator instead of
-//! `proptest` (crates.io is unreachable in the build environment).
+//! Driven by `SplitMix64::cases` instead of `proptest` (crates.io is
+//! unreachable in the build environment).
 
 use extrap_core::network::state::NetModel;
 use extrap_core::{ContentionParams, NetworkParams, Topology};
 use extrap_refsim::link::{LinkNetwork, LinkParams};
 use extrap_refsim::route::{route, Link};
-use extrap_time::{DurationNs, ProcId, TimeNs};
+use extrap_time::{DurationNs, ProcId, SplitMix64, TimeNs};
 
 const CASES: u64 = 64;
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    fn topology(&mut self) -> Topology {
-        match self.range(0, 5) {
-            0 => Topology::Bus,
-            1 => Topology::Crossbar,
-            2 => Topology::Mesh2D,
-            3 => Topology::Hypercube,
-            _ => Topology::FatTree {
-                arity: self.range(2, 5) as u32,
-            },
-        }
-    }
-}
-
-fn for_all(seed: u64, check: impl Fn(&mut Rng)) {
-    for case in 0..CASES {
-        let mut rng = Rng(seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
-        check(&mut rng);
+fn topology(rng: &mut SplitMix64) -> Topology {
+    match rng.below(5) {
+        0 => Topology::Bus,
+        1 => Topology::Crossbar,
+        2 => Topology::Mesh2D,
+        3 => Topology::Hypercube,
+        _ => Topology::FatTree {
+            arity: rng.range(2, 5) as u32,
+        },
     }
 }
 
@@ -61,8 +38,8 @@ fn network(topology: Topology, n: usize) -> LinkNetwork {
 
 #[test]
 fn routes_are_finite_and_terminate_at_ingress() {
-    for_all(0x2077E, |rng| {
-        let topology = rng.topology();
+    for mut rng in SplitMix64::cases(0x2077E, CASES) {
+        let topology = topology(&mut rng);
         let n = rng.range(2, 33) as usize;
         let a = ProcId(rng.range(0, 33) as u32 % n as u32);
         let b = ProcId(rng.range(0, 33) as u32 % n as u32);
@@ -74,13 +51,13 @@ fn routes_are_finite_and_terminate_at_ingress() {
             assert!(r.len() <= 2 * n + 2, "{topology:?}: route {r:?}");
             assert_eq!(*r.last().unwrap(), Link::Ingress(b.0));
         }
-    });
+    }
 }
 
 #[test]
 fn route_length_is_symmetric() {
-    for_all(0x5EE5, |rng| {
-        let topology = rng.topology();
+    for mut rng in SplitMix64::cases(0x5EE5, CASES) {
+        let topology = topology(&mut rng);
         let n = rng.range(2, 33) as usize;
         let a = ProcId(rng.range(0, 33) as u32 % n as u32);
         let b = ProcId(rng.range(0, 33) as u32 % n as u32);
@@ -88,13 +65,13 @@ fn route_length_is_symmetric() {
             route(topology, n, a, b).len(),
             route(topology, n, b, a).len()
         );
-    });
+    }
 }
 
 #[test]
 fn arrivals_are_never_earlier_than_injection() {
-    for_all(0xA221, |rng| {
-        let topology = rng.topology();
+    for mut rng in SplitMix64::cases(0xA221, CASES) {
+        let topology = topology(&mut rng);
         let n = rng.range(2, 17) as usize;
         let mut net = network(topology, n);
         let mut injected = 0u64;
@@ -108,13 +85,13 @@ fn arrivals_are_never_earlier_than_injection() {
             injected += 1;
         }
         assert_eq!(NetModel::stats(&net).messages, injected);
-    });
+    }
 }
 
 #[test]
 fn sequential_messages_on_one_path_do_not_contend() {
-    for_all(0x5E01, |rng| {
-        let topology = rng.topology();
+    for mut rng in SplitMix64::cases(0x5E01, CASES) {
+        let topology = topology(&mut rng);
         let n = rng.range(2, 17) as usize;
         // Messages spaced far apart in time find every link free: each
         // transfer takes exactly the unloaded time of the first.
@@ -128,7 +105,7 @@ fn sequential_messages_on_one_path_do_not_contend() {
             assert_eq!(took, first);
         }
         assert_eq!(net.link_wait(), DurationNs::ZERO);
-    });
+    }
 }
 
 #[test]

@@ -10,7 +10,5 @@
 //! own generation checks.
 
 pub mod engine;
-pub mod rng;
 
 pub use engine::Engine;
-pub use rng::SplitMix64;

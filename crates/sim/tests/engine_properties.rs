@@ -2,11 +2,11 @@
 //! interleavings must pop in exactly the order a naive sorted-vec
 //! reference model produces, on fresh and on recycled engines.
 //!
-//! Driven by a deterministic SplitMix64 case generator instead of
-//! `proptest` (crates.io is unreachable in the build environment).
+//! Driven by `SplitMix64::cases` instead of `proptest` (crates.io is
+//! unreachable in the build environment).
 
-use extrap_sim::{Engine, SplitMix64};
-use extrap_time::TimeNs;
+use extrap_sim::Engine;
+use extrap_time::{SplitMix64, TimeNs};
 
 const CASES: u64 = 64;
 const STEPS: usize = 400;
@@ -48,13 +48,6 @@ impl NaiveQueue {
     }
 }
 
-fn for_all(seed: u64, mut check: impl FnMut(&mut SplitMix64)) {
-    for case in 0..CASES {
-        let mut rng = SplitMix64::new(seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
-        check(&mut rng);
-    }
-}
-
 /// Drives a random schedule / dispatch / peek interleaving through the
 /// engine and the naive model simultaneously, asserting they agree at
 /// every step.  The delay distribution mixes dense ties, mid-range
@@ -65,17 +58,17 @@ fn interleaving(rng: &mut SplitMix64) {
     let mut payload = 0u32;
 
     for _ in 0..STEPS {
-        match rng.next_below(10) {
+        match rng.below(10) {
             // ~60%: schedule at now + random delay (0 allowed —
             // equal-time FIFO ordering is part of the contract).
             0..=5 => {
-                let delay = match rng.next_below(16) {
+                let delay = match rng.below(16) {
                     // Dense: lots of collisions and small gaps.
-                    0..=11 => rng.next_below(50),
+                    0..=11 => rng.below(50),
                     // Mid-range spread.
-                    12..=14 => rng.next_below(100_000),
+                    12..=14 => rng.below(100_000),
                     // Rare huge jump: sparse far horizon.
-                    _ => rng.next_below(1 << 40),
+                    _ => rng.below(1 << 40),
                 };
                 let at = naive.now + delay;
                 payload += 1;
@@ -108,7 +101,9 @@ fn interleaving(rng: &mut SplitMix64) {
 
 #[test]
 fn random_interleavings_match_the_naive_reference_model() {
-    for_all(0x51AB, interleaving);
+    for mut rng in SplitMix64::cases(0x51AB, CASES) {
+        interleaving(&mut rng);
+    }
 }
 
 #[test]
@@ -117,14 +112,14 @@ fn reused_engines_still_match_the_model() {
     // reset; a recycled engine must behave exactly like a fresh one, even
     // when the previous run left events behind.
     let mut eng: Engine<u32> = Engine::new();
-    for_all(0x7E57, |rng| {
+    for mut rng in SplitMix64::cases(0x7E57, CASES) {
         eng.reset();
-        eng.reserve(rng.next_below(64) as usize);
+        eng.reserve(rng.below(64) as usize);
         let mut naive = NaiveQueue::default();
         let mut payload = 0u32;
         for _ in 0..100 {
-            if rng.next_below(3) != 0 {
-                let at = naive.now + rng.next_below(1000);
+            if rng.below(3) != 0 {
+                let at = naive.now + rng.below(1000);
                 payload += 1;
                 eng.schedule(TimeNs(at), payload);
                 naive.schedule(at, payload);
@@ -133,7 +128,7 @@ fn reused_engines_still_match_the_model() {
             }
         }
         assert_eq!(eng.len(), naive.pending.len());
-    });
+    }
 }
 
 #[test]
@@ -143,12 +138,12 @@ fn dispatch_order_is_stable_across_identical_runs() {
         let mut eng: Engine<u64> = Engine::new();
         let mut out = Vec::new();
         for i in 0..200u64 {
-            eng.schedule(TimeNs(rng.next_below(40)), i);
+            eng.schedule(TimeNs(rng.below(40)), i);
         }
         while let Some((t, e)) = eng.next() {
             out.push((t, e));
             if e % 3 == 0 && out.len() < 400 {
-                eng.schedule(TimeNs(t.as_ns() + rng.next_below(20)), e + 10_000);
+                eng.schedule(TimeNs(t.as_ns() + rng.below(20)), e + 10_000);
             }
         }
         out

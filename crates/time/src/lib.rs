@@ -11,8 +11,10 @@
 
 pub mod ids;
 pub mod rate;
+pub mod rng;
 pub mod time;
 
 pub use ids::{procs, threads, BarrierId, ElementId, ProcId, ThreadId};
 pub use rate::{mbps_to_us_per_byte, us_per_byte_to_mbps};
+pub use rng::{splitmix64, SplitMix64};
 pub use time::{DurationNs, TimeNs};

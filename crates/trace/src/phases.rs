@@ -24,6 +24,10 @@ use extrap_time::{DurationNs, TimeNs};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// The workspace's one SplitMix64 step, re-exported where repr medoid
+/// sampling and the synthetic periodic traces have always found it.
+pub use extrap_time::splitmix64;
+
 /// Aggregated times of one phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
@@ -204,17 +208,6 @@ pub fn render(profiles: &BTreeMap<u32, PhaseProfile>) -> String {
         );
     }
     out
-}
-
-/// SplitMix64: the seeded deterministic PRNG behind medoid sampling and
-/// the synthetic periodic traces in tests.  Public so every consumer
-/// draws from the identical stream regardless of crate.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -451,12 +444,6 @@ mod tests {
             }
             assert_eq!(fold.into_profiles(), phases, "case {case}");
         }
-    }
-
-    #[test]
-    fn splitmix64_is_stable() {
-        let mut s = 0u64;
-        assert_eq!(splitmix64(&mut s), 0xE220_A839_7B1D_CDAF);
     }
 
     #[test]

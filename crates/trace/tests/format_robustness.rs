@@ -1,36 +1,13 @@
 //! Robustness of the binary trace codec: arbitrary and corrupted inputs
 //! must produce errors, never panics or bogus successes.
 //!
-//! Driven by a deterministic SplitMix64 case generator instead of
-//! `proptest` (crates.io is unreachable in the build environment).
+//! Driven by `SplitMix64::cases` instead of `proptest` (crates.io is
+//! unreachable in the build environment).
 
-use extrap_time::DurationNs;
+use extrap_time::{DurationNs, SplitMix64};
 use extrap_trace::{format, PhaseProgram};
 
 const CASES: u64 = 256;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-}
-
-fn for_all(seed: u64, check: impl Fn(&mut Rng)) {
-    for case in 0..CASES {
-        let mut rng = Rng(seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
-        check(&mut rng);
-    }
-}
 
 fn sample_bytes() -> Vec<u8> {
     let mut p = PhaseProgram::new(3);
@@ -41,13 +18,13 @@ fn sample_bytes() -> Vec<u8> {
 
 #[test]
 fn random_bytes_never_panic() {
-    for_all(0x2A4D, |rng| {
+    for mut rng in SplitMix64::cases(0x2A4D, CASES) {
         let len = rng.range(0, 512) as usize;
-        let data: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         // Must return (usually Err), never panic.
         let _ = format::decode_program(&data);
         let _ = format::decode_set(&data);
-    });
+    }
 }
 
 #[test]
@@ -75,7 +52,7 @@ fn truncation_never_panics() {
 
 #[test]
 fn round_trip_of_random_phase_programs() {
-    for_all(0x2070, |rng| {
+    for mut rng in SplitMix64::cases(0x2070, CASES) {
         let n = rng.range(1, 6) as usize;
         let mut p = PhaseProgram::new(n);
         for _ in 0..rng.range(1, 5) {
@@ -85,5 +62,5 @@ fn round_trip_of_random_phase_programs() {
         let bytes = format::encode_program(&pt);
         let back = format::decode_program(&bytes).unwrap();
         assert_eq!(pt, back);
-    });
+    }
 }

@@ -3,37 +3,14 @@
 //! agree with the slurp decoders (`decode_program_raw` /
 //! `decode_set_raw`) on both the decoded value and the error message.
 //!
-//! Driven by a deterministic SplitMix64 case generator instead of
-//! `proptest` (crates.io is unreachable in the build environment).
+//! Driven by `SplitMix64::cases` instead of `proptest` (crates.io is
+//! unreachable in the build environment).
 
-use extrap_time::DurationNs;
+use extrap_time::{DurationNs, SplitMix64};
 use extrap_trace::stream::{ProgramStream, SetStream, SliceSource};
 use extrap_trace::{format, translate, PhaseProgram, ProgramTrace, TraceSet};
 
 const CASES: u64 = 256;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-}
-
-fn for_all(seed: u64, check: impl Fn(&mut Rng)) {
-    for case in 0..CASES {
-        let mut rng = Rng(seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
-        check(&mut rng);
-    }
-}
 
 fn sample_program() -> ProgramTrace {
     let mut p = PhaseProgram::new(3);
@@ -78,49 +55,49 @@ fn assert_set_parity(data: &[u8], window: usize, chunk: usize, what: &str) {
 fn random_prefixes_never_panic_and_match_slurp() {
     let program = format::encode_program(&sample_program());
     let set = format::encode_set(&sample_set());
-    for_all(0x57_0E44, |rng| {
+    for mut rng in SplitMix64::cases(0x57_0E44, CASES) {
         let window = rng.range(1, 64) as usize;
         let chunk = rng.range(1, 16) as usize;
         let pcut = rng.range(0, program.len() as u64 + 1) as usize;
         assert_program_parity(&program[..pcut], window, chunk, "program prefix");
         let scut = rng.range(0, set.len() as u64 + 1) as usize;
         assert_set_parity(&set[..scut], window, chunk, "set prefix");
-    });
+    }
 }
 
 #[test]
 fn random_mutations_never_panic_and_match_slurp() {
     let program = format::encode_program(&sample_program());
     let set = format::encode_set(&sample_set());
-    for_all(0x57_0E45, |rng| {
+    for mut rng in SplitMix64::cases(0x57_0E45, CASES) {
         let window = rng.range(1, 64) as usize;
         let chunk = rng.range(1, 16) as usize;
         let mut p = program.clone();
         for _ in 0..rng.range(1, 5) {
             let pos = rng.range(0, p.len() as u64) as usize;
-            p[pos] = rng.next() as u8;
+            p[pos] = rng.next_u64() as u8;
         }
         assert_program_parity(&p, window, chunk, "program mutation");
         let mut s = set.clone();
         for _ in 0..rng.range(1, 5) {
             let pos = rng.range(0, s.len() as u64) as usize;
-            s[pos] = rng.next() as u8;
+            s[pos] = rng.next_u64() as u8;
         }
         assert_set_parity(&s, window, chunk, "set mutation");
-    });
+    }
 }
 
 #[test]
 fn random_garbage_never_panics() {
-    for_all(0x57_0E46, |rng| {
+    for mut rng in SplitMix64::cases(0x57_0E46, CASES) {
         let len = rng.range(0, 512) as usize;
-        let data: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+        let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let window = rng.range(1, 64) as usize;
         let chunk = rng.range(1, 16) as usize;
         // Must return (usually Err), never panic.
         let _ = stream_program(&data, window, chunk);
         let _ = stream_set(&data, window, chunk);
-    });
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! speed up linearly on almost any machine, which is exactly what the
 //! paper's Fig. 4 shows.
 
-use crate::util::{Rng64, VecReduction};
+use crate::util::{seeded_rng, VecReduction};
 use extrap_trace::ProgramTrace;
 use pcpp_rt::sync::Mutex;
 use pcpp_rt::Program;
@@ -54,7 +54,7 @@ pub fn run(n_threads: usize, config: &EmbarConfig) -> (ProgramTrace, EmbarResult
     let seed = config.seed;
 
     let trace = Program::new(n_threads).run(|ctx| {
-        let mut rng = Rng64::new(seed ^ (0x1000 + ctx.id().0 as u64));
+        let mut rng = seeded_rng(seed ^ (0x1000 + ctx.id().0 as u64));
         let mut bins = [0u64; 10];
         let mut accepted = 0u64;
         let (mut sx, mut sy) = (0.0f64, 0.0f64);

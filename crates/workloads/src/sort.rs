@@ -6,7 +6,7 @@
 //! remote element transfer) followed by a global barrier.  Thread count
 //! must be a power of two, as in the pC++ module.
 
-use crate::util::Rng64;
+use crate::util::seeded_rng;
 use extrap_trace::ProgramTrace;
 use pcpp_rt::{Collection, Distribution, Index2, Program};
 
@@ -70,7 +70,7 @@ pub fn run(n_threads: usize, config: &SortConfig) -> (ProgramTrace, Vec<u32>) {
     let b = config.total_keys / n_threads;
     let seed = config.seed;
     let blocks = Collection::<Vec<u32>>::build(Distribution::block_1d(n_threads, n_threads), |i| {
-        let mut rng = Rng64::new(seed ^ ((i.0 as u64) << 20));
+        let mut rng = seeded_rng(seed ^ ((i.0 as u64) << 20));
         (0..b).map(|_| rng.next_u64() as u32).collect()
     });
     let stages = n_threads.trailing_zeros();
@@ -139,7 +139,7 @@ mod tests {
         // Reconstruct the expected input multiset (4 threads of 128).
         let mut expected: Vec<u32> = (0..4)
             .flat_map(|t| {
-                let mut rng = Rng64::new(cfg.seed ^ ((t as u64) << 20));
+                let mut rng = seeded_rng(cfg.seed ^ ((t as u64) << 20));
                 (0..128).map(|_| rng.next_u64() as u32).collect::<Vec<_>>()
             })
             .collect();

@@ -9,7 +9,7 @@
 //! bulk communication and frequent reductions gives *Sparse* its
 //! middling speedup in Fig. 4.
 
-use crate::util::{block_range, Reduction, Rng64};
+use crate::util::{block_range, seeded_rng, Reduction};
 use extrap_trace::ProgramTrace;
 use pcpp_rt::{Collection, Distribution, Index2, Program};
 
@@ -43,12 +43,12 @@ type SparseRow = Vec<(u32, f64)>;
 /// Builds the symmetric positive-definite matrix deterministically.
 pub fn build_matrix(config: &SparseConfig) -> Vec<SparseRow> {
     let n = config.n;
-    let mut rng = Rng64::new(config.seed);
+    let mut rng = seeded_rng(config.seed);
     let mut entries: Vec<std::collections::BTreeMap<u32, f64>> =
         vec![std::collections::BTreeMap::new(); n];
     for i in 0..n {
         for _ in 0..config.nnz_per_row {
-            let j = rng.below(n);
+            let j = rng.below(n as u64) as usize;
             if j == i {
                 continue;
             }
@@ -195,24 +195,24 @@ pub fn run(n_threads: usize, config: &SparseConfig) -> (ProgramTrace, Vec<f64>) 
     (trace, solution)
 }
 
-/// Relative residual `‖b − Ax‖₂ / ‖b‖₂`.
-pub fn relative_residual(config: &SparseConfig, x: &[f64]) -> f64 {
-    let matrix = build_matrix(config);
-    let n = config.n;
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (i, row) in matrix.iter().enumerate().take(n) {
-        let ax: f64 = row.iter().map(|&(c, v)| v * x[c as usize]).sum();
-        let b = rhs(i);
-        num += (b - ax) * (b - ax);
-        den += b * b;
-    }
-    (num / den).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Relative residual `‖b − Ax‖₂ / ‖b‖₂`.
+    fn relative_residual(config: &SparseConfig, x: &[f64]) -> f64 {
+        let matrix = build_matrix(config);
+        let n = config.n;
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (i, row) in matrix.iter().enumerate().take(n) {
+            let ax: f64 = row.iter().map(|&(c, v)| v * x[c as usize]).sum();
+            let b = rhs(i);
+            num += (b - ax) * (b - ax);
+            den += b * b;
+        }
+        (num / den).sqrt()
+    }
 
     #[test]
     fn matrix_is_symmetric_and_dominant() {

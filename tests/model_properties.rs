@@ -3,34 +3,13 @@
 //!
 //! crates.io is unreachable in the build environment, so instead of
 //! `proptest` these drive each property over a fixed number of cases
-//! generated by a deterministic SplitMix64 generator: same coverage
-//! style, bit-reproducible failures.
+//! drawn from `SplitMix64::cases`: same coverage style,
+//! bit-reproducible failures.
 
 use perf_extrap::prelude::*;
+use perf_extrap::time::SplitMix64;
 
 const CASES: u64 = 48;
-
-/// Deterministic SplitMix64 case generator.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `lo..hi`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.range(0, 100) < percent
-    }
-}
 
 /// One thread's work in one phase: compute ns + optional remote access
 /// (owner offset, declared bytes).
@@ -39,7 +18,7 @@ type PhaseSpec = (u64, Option<(u32, u32)>);
 /// A random phase-structured program description: threads in 1..=8,
 /// 1..6 phases, per thread per phase compute in 1..500us and an optional
 /// remote access (owner offset, bytes).
-fn arb_program(rng: &mut Rng) -> (usize, Vec<Vec<PhaseSpec>>) {
+fn arb_program(rng: &mut SplitMix64) -> (usize, Vec<Vec<PhaseSpec>>) {
     let n = rng.range(1, 9) as usize;
     let n_phases = rng.range(1, 6) as usize;
     let phases = (0..n_phases)
@@ -47,7 +26,7 @@ fn arb_program(rng: &mut Rng) -> (usize, Vec<Vec<PhaseSpec>>) {
             (0..n)
                 .map(|_| {
                     let compute = rng.range(1_000, 500_000);
-                    let access = if rng.chance(50) {
+                    let access = if rng.below(100) < 50 {
                         Some((rng.range(1, 8) as u32, rng.range(1, 100_000) as u32))
                     } else {
                         None
@@ -92,29 +71,21 @@ fn build(n: usize, phases: &[Vec<PhaseSpec>]) -> TraceSet {
     translate(&p.record(), TranslateOptions::default()).unwrap()
 }
 
-/// Runs `check` over [`CASES`] generated programs; the seed in the panic
-/// message reproduces a failing case exactly.
-fn for_all(seed: u64, check: impl Fn(usize, &[Vec<PhaseSpec>])) {
-    for case in 0..CASES {
-        let mut rng = Rng(seed ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
+#[test]
+fn ideal_machine_reproduces_makespan() {
+    for mut rng in SplitMix64::cases(0x1DEA, CASES) {
         let (n, phases) = arb_program(&mut rng);
-        check(n, &phases);
+        let ts = build(n, &phases);
+        let pred = Extrapolator::new(machine::ideal()).run(&ts).unwrap();
+        assert_eq!(pred.exec_time(), ts.makespan());
     }
 }
 
 #[test]
-fn ideal_machine_reproduces_makespan() {
-    for_all(0x1DEA, |n, phases| {
-        let ts = build(n, phases);
-        let pred = Extrapolator::new(machine::ideal()).run(&ts).unwrap();
-        assert_eq!(pred.exec_time(), ts.makespan());
-    });
-}
-
-#[test]
 fn predictions_never_beat_the_ideal_schedule() {
-    for_all(0x00F1_0012, |n, phases| {
-        let ts = build(n, phases);
+    for mut rng in SplitMix64::cases(0x00F1_0012, CASES) {
+        let (n, phases) = arb_program(&mut rng);
+        let ts = build(n, &phases);
         for params in [
             machine::default_distributed(),
             machine::shared_memory(),
@@ -130,12 +101,13 @@ fn predictions_never_beat_the_ideal_schedule() {
                 floor
             );
         }
-    });
+    }
 }
 
 #[test]
 fn mips_ratio_exactly_scales_pure_compute() {
-    for_all(0x5CA1E, |n, phases| {
+    for mut rng in SplitMix64::cases(0x5CA1E, CASES) {
+        let (n, phases) = arb_program(&mut rng);
         // Strip accesses: pure compute programs scale exactly.
         let stripped: Vec<Vec<PhaseSpec>> = phases
             .iter()
@@ -149,13 +121,14 @@ fn mips_ratio_exactly_scales_pure_compute() {
             .unwrap()
             .exec_time();
         assert_eq!(doubled.as_ns(), ts.makespan().as_ns() * 2);
-    });
+    }
 }
 
 #[test]
 fn faster_networks_never_slow_programs_down() {
-    for_all(0xBA2D, |n, phases| {
-        let ts = build(n, phases);
+    for mut rng in SplitMix64::cases(0xBA2D, CASES) {
+        let (n, phases) = arb_program(&mut rng);
+        let ts = build(n, &phases);
         let slow = {
             let mut p = machine::default_distributed();
             p.comm = p.comm.with_bandwidth_mbps(5.0);
@@ -167,14 +140,15 @@ fn faster_networks_never_slow_programs_down() {
             Extrapolator::new(p.clone()).run(&ts).unwrap().exec_time()
         };
         assert!(fast <= slow, "fast {fast} > slow {slow}");
-    });
+    }
 }
 
 #[test]
 fn actual_size_mode_never_loses_to_declared() {
-    for_all(0x517E, |n, phases| {
+    for mut rng in SplitMix64::cases(0x517E, CASES) {
+        let (n, phases) = arb_program(&mut rng);
         // actual_bytes <= declared_bytes by construction.
-        let ts = build(n, phases);
+        let ts = build(n, &phases);
         let mut declared = machine::default_distributed();
         declared.size_mode = SizeMode::Declared;
         let mut actual = machine::default_distributed();
@@ -188,13 +162,14 @@ fn actual_size_mode_never_loses_to_declared() {
             .unwrap()
             .exec_time();
         assert!(ta <= td, "actual {ta} > declared {td}");
-    });
+    }
 }
 
 #[test]
 fn predicted_traces_are_valid_and_consistent() {
-    for_all(0x7ACE, |n, phases| {
-        let ts = build(n, phases);
+    for mut rng in SplitMix64::cases(0x7ACE, CASES) {
+        let (n, phases) = arb_program(&mut rng);
+        let ts = build(n, &phases);
         let pred = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
         pred.predicted.validate().unwrap();
         assert_eq!(pred.predicted.makespan(), pred.exec_time());
@@ -205,25 +180,27 @@ fn predicted_traces_are_valid_and_consistent() {
         );
         // Barrier count matches.
         assert_eq!(pred.barriers, ts.threads[0].barrier_sequence().len());
-    });
+    }
 }
 
 #[test]
 fn extrapolation_is_deterministic() {
-    for_all(0xDE7E, |n, phases| {
-        let ts = build(n, phases);
+    for mut rng in SplitMix64::cases(0xDE7E, CASES) {
+        let (n, phases) = arb_program(&mut rng);
+        let ts = build(n, &phases);
         let params = machine::default_distributed();
         let a = Extrapolator::new(params.clone()).run(&ts).unwrap();
         let b = Extrapolator::new(params.clone()).run(&ts).unwrap();
         assert_eq!(a.exec_time(), b.exec_time());
         assert_eq!(a.predicted, b.predicted);
-    });
+    }
 }
 
 #[test]
 fn multithread_m_equals_n_matches_one_per_proc() {
-    for_all(0x3EAD, |n, phases| {
-        let ts = build(n, phases);
+    for mut rng in SplitMix64::cases(0x3EAD, CASES) {
+        let (n, phases) = arb_program(&mut rng);
+        let ts = build(n, &phases);
         let mut explicit = machine::default_distributed();
         explicit.multithread.mapping = ThreadMapping::Block { procs: n };
         let implicit = machine::default_distributed();
@@ -236,15 +213,16 @@ fn multithread_m_equals_n_matches_one_per_proc() {
             .unwrap()
             .exec_time();
         assert_eq!(a, b);
-    });
+    }
 }
 
 #[test]
 fn reference_machine_also_completes() {
-    for_all(0x2EF5, |n, phases| {
-        let program = CompiledProgram::compile(&build(n, phases)).unwrap();
+    for mut rng in SplitMix64::cases(0x2EF5, CASES) {
+        let (n, phases) = arb_program(&mut rng);
+        let program = CompiledProgram::compile(&build(n, &phases)).unwrap();
         let pred = RefMachine::new(machine::cm5()).measure(&program).unwrap();
         assert!(pred.exec_time() >= TimeNs::ZERO);
         pred.predicted.validate().unwrap();
-    });
+    }
 }
