@@ -2,6 +2,7 @@
 //! processor counts.
 
 use crate::bounds::Analysis;
+use extrap_time::json_escape;
 
 /// Output format of `extrap analyze`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,20 +96,6 @@ fn render_text(label: &str, a: &Analysis, curve: &[CurvePoint]) -> String {
                 p.analysis.speedup_lower(),
                 p.analysis.speedup_upper(),
             ));
-        }
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
         }
     }
     out

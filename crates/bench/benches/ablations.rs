@@ -12,7 +12,7 @@ use extrap_core::{
 use std::hint::black_box;
 
 fn main() {
-    let mut h = Harness::from_args("ablations");
+    let (mut h, ()) = Harness::from_args("ablations", |_| Ok(()));
 
     {
         let ts = ring_traces(32, 16, 20.0, 256);

@@ -10,7 +10,7 @@ use extrap_workloads::{Bench, Scale};
 use std::hint::black_box;
 
 fn main() {
-    let mut h = Harness::from_args("analyze");
+    let (mut h, ()) = Harness::from_args("analyze", |_| Ok(()));
 
     let mut params = machine::default_distributed();
     params.record_mode = RecordMode::MetricsOnly;

@@ -12,7 +12,7 @@ use extrap_workloads::{matmul, Bench, Scale};
 use std::hint::black_box;
 
 fn main() {
-    let mut h = Harness::from_args("figures");
+    let (mut h, ()) = Harness::from_args("figures", |_| Ok(()));
 
     h.bench("table1_barrier_params", || {
         black_box(extrap_core::BarrierParams::default())

@@ -22,7 +22,7 @@ fn drain(times: &[u64]) -> u64 {
 }
 
 fn main() {
-    let mut h = Harness::from_args("kernels");
+    let (mut h, ()) = Harness::from_args("kernels", |_| Ok(()));
 
     h.bench("pcpp_runtime_8_threads_64_phases", || {
         let trace = pcpp_rt::Program::new(8)

@@ -18,7 +18,7 @@
 
 use extrap_bench::harness::{Harness, Throughput};
 use extrap_core::{machine, Extrapolator, IncrementalCompiler};
-use extrap_time::{DurationNs, ElementId, ThreadId};
+use extrap_time::{outln, DurationNs, ElementId, ThreadId};
 use extrap_trace::builder::{PhaseAccess, PhaseProgram, PhaseWork};
 use extrap_trace::stream::ProgramStream;
 use extrap_trace::{translate_stream, ProgramTrace, SpillSink};
@@ -97,26 +97,20 @@ fn run_pipeline(path: &PathBuf) -> (u64, usize) {
 
 fn main() {
     // `--scale huge` multiplies the base epoch count by 10 (see the
-    // module doc); the Harness consumes the flag's value itself.
-    let args: Vec<String> = std::env::args().collect();
-    let mult = match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("small") => 1,
-        Some("huge") => 10,
-        Some(other) => {
-            eprintln!("unknown scale {other:?} (small|huge)");
-            std::process::exit(2);
-        }
-    };
+    // module doc).
+    let (mut h, mult) = Harness::from_args("pipeline", |spec| {
+        let mult = spec.enumerated("--scale", "small, huge", |v| match v {
+            "small" => Some(1),
+            "huge" => Some(10),
+            _ => None,
+        })?;
+        Ok(mult.unwrap_or(1))
+    });
     let small_trace = synthetic(BASE_EPOCHS * mult);
     let huge_trace = synthetic(BASE_EPOCHS * mult * 10);
     let (small_path, small_bytes) = write_temp(&small_trace, "small");
     let (huge_path, huge_bytes) = write_temp(&huge_trace, "huge");
-    println!(
+    outln!(
         "pipeline inputs: small {} records ({small_bytes} B), huge {} records ({huge_bytes} B)",
         small_trace.records.len(),
         huge_trace.records.len()
@@ -129,7 +123,7 @@ fn main() {
     // translate/compile machinery, as for the PR-4 lint probe.)
     let (small_pred, small_peak) = run_pipeline(&small_path);
     let (huge_pred, huge_peak) = run_pipeline(&huge_path);
-    println!(
+    outln!(
         "machinery peak resident: small {small_peak} B, huge {huge_peak} B \
          ({:.2}x for 10x records)",
         huge_peak as f64 / small_peak.max(1) as f64
@@ -139,8 +133,6 @@ fn main() {
         "streaming pipeline residency grew with record count: \
          {small_peak} -> {huge_peak} bytes for 10x records"
     );
-
-    let mut h = Harness::from_args("pipeline");
 
     // Throughput over the on-disk bytes, small and huge.
     h.bench_throughput("pipeline_stream", Throughput::Bytes(small_bytes), || {

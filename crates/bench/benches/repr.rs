@@ -12,6 +12,7 @@
 
 use extrap_bench::harness::Harness;
 use extrap_core::{machine, sweep, RecordMode, SharedTraceCache, SimStrategy, SweepGrid};
+use extrap_time::outln;
 use extrap_trace::translate;
 use extrap_workloads::{Bench, Scale};
 use std::hint::black_box;
@@ -64,60 +65,35 @@ fn timed(label: &str, runs: usize, expect: usize, mut f: impl FnMut() -> usize) 
         assert_eq!(ok, expect, "all jobs must succeed");
         best = best.min(secs);
     }
-    println!("{label:40} {best:>10.3} s");
+    outln!("{label:40} {best:>10.3} s");
     best
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(extrap_core::sweep::default_workers);
-    let scale = match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("small") => Scale::Small,
-        Some("tiny") => Scale::Tiny,
-        Some("paper") => Scale::Paper,
-        Some(other) => {
-            eprintln!("unknown scale {other:?} (tiny|small|paper)");
-            std::process::exit(2);
-        }
-    };
     // `--benches mgrid,poisson` restricts the population (the nightly
     // paper-scale job measures the iterative pair on its own).
-    let benches: Vec<Bench> = match args
-        .iter()
-        .position(|a| a == "--benches")
-        .and_then(|i| args.get(i + 1))
-    {
-        None => BENCHES.to_vec(),
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                Bench::all()
-                    .into_iter()
-                    .find(|b| b.name().eq_ignore_ascii_case(name.trim()))
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown benchmark {name:?}");
-                        std::process::exit(2);
-                    })
-            })
-            .collect(),
-    };
-    println!(
+    let (mut h, (workers, scale, benches)) = Harness::from_args("repr", |spec| {
+        let workers = spec
+            .positive("--workers")?
+            .unwrap_or_else(extrap_core::sweep::default_workers);
+        let scale = spec
+            .enumerated("--scale", Scale::VALID, Scale::parse)?
+            .unwrap_or_default();
+        let benches: Vec<Bench> = match spec.value("--benches")? {
+            None => BENCHES.to_vec(),
+            Some(list) => list
+                .split(',')
+                .map(Bench::parse)
+                .collect::<Result<_, _>>()?,
+        };
+        Ok((workers, scale, benches))
+    });
+    outln!(
         "## repr — representative vs exact sweep ({} benchmarks x {} proc counts, {scale:?} scale)",
         benches.len(),
         PROCS.len()
     );
-    println!("workers: {workers}");
+    outln!("workers: {workers}");
 
     // Prime translations (and, for repr, the memoized cluster plans) so
     // the timed region is pure simulation.
@@ -132,12 +108,11 @@ fn main() {
     let repr = timed("warm cache, repr, 1 worker", 5, expect, || {
         run_grid(1, &warm, &benches, SimStrategy::representative(), scale)
     });
-    println!(
+    outln!(
         "speedup: repr {:.2}x over exact (serial, warm)",
         exact / repr
     );
 
-    let mut h = Harness::from_args("repr");
     h.bench("repr_grid_warm_exact_serial", || {
         run_grid(1, &warm, &benches, SimStrategy::Exact, scale)
     });

@@ -15,7 +15,7 @@ use extrap_bench::harness::Harness;
 use extrap_proto::SweepSpec;
 use extrap_serve::client::Client;
 use extrap_serve::{ServeConfig, Server};
-use extrap_time::DurationNs;
+use extrap_time::{outln, DurationNs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -137,7 +137,7 @@ fn run_loadgen(h: &mut Harness, n_clients: usize) {
     let samples: Vec<&SessionSample> = outcomes.iter().filter_map(|o| o.as_ref().ok()).collect();
 
     let stats = server.service().stats();
-    println!(
+    outln!(
         "{n_clients} clients, 0 failures, {} busy retries; server: {} requests, \
          {} jobs done, {} sweep batches (+{} coalesced), {} translations",
         busy_retries.load(Ordering::Relaxed),
@@ -167,18 +167,9 @@ fn run_loadgen(h: &mut Harness, n_clients: usize) {
 }
 
 fn main() {
-    let mut clients = 200usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--clients" {
-            clients = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .expect("--clients needs a positive integer");
-        }
-    }
-    let mut h = Harness::from_args("serve");
+    let (mut h, clients) = Harness::from_args("serve", |spec| {
+        Ok(spec.positive("--clients")?.unwrap_or(200))
+    });
     run_loadgen(&mut h, clients);
     h.finish();
 }

@@ -7,7 +7,7 @@
 
 use extrap_bench::harness::{Harness, Throughput};
 use extrap_core::{machine, sweep, RecordMode, SharedTraceCache, SweepGrid};
-use extrap_time::{DurationNs, ElementId, ThreadId};
+use extrap_time::{outln, DurationNs, ElementId, ThreadId};
 use extrap_trace::{translate, PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace};
 use extrap_workloads::{Bench, Scale};
 use std::hint::black_box;
@@ -86,7 +86,7 @@ fn timed(label: &str, runs: usize, mut f: impl FnMut() -> usize) -> f64 {
         assert_eq!(ok, 42, "all Fig-4 jobs must succeed");
         best = best.min(secs);
     }
-    println!("{label:40} {best:>10.3} s");
+    outln!("{label:40} {best:>10.3} s");
     best
 }
 
@@ -95,33 +95,20 @@ fn main() {
     // (useful for scaling curves); default is all available cores.
     // `--scale tiny|small|paper` selects the problem scale — `paper` is
     // the nightly trajectory entry (`BENCH_sweep_paper.json`).
-    let args: Vec<String> = std::env::args().collect();
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(extrap_core::sweep::default_workers);
-    let scale = match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("small") => Scale::Small,
-        Some("tiny") => Scale::Tiny,
-        Some("paper") => Scale::Paper,
-        Some(other) => {
-            eprintln!("unknown scale {other:?} (tiny|small|paper)");
-            std::process::exit(2);
-        }
-    };
-    println!(
+    let (mut h, (workers, scale)) = Harness::from_args("sweep", |spec| {
+        let workers = spec
+            .positive("--workers")?
+            .unwrap_or_else(extrap_core::sweep::default_workers);
+        let scale = spec
+            .enumerated("--scale", Scale::VALID, Scale::parse)?
+            .unwrap_or_default();
+        Ok((workers, scale))
+    });
+    outln!(
         "## sweep — Fig-4 grid (7 benchmarks x {} proc counts, {scale:?} scale)",
         PROCS.len()
     );
-    println!(
+    outln!(
         "workers: {workers} (available parallelism: {})",
         extrap_core::sweep::default_workers()
     );
@@ -142,7 +129,7 @@ fn main() {
         run_grid(workers, &warm, scale)
     });
 
-    println!(
+    outln!(
         "speedup: cold {:.2}x, warm {:.2}x at {workers} workers",
         serial_cold / parallel_cold,
         serial_warm / parallel_warm
@@ -150,7 +137,6 @@ fn main() {
 
     // The harness-based rows, for the uniform report format (and the
     // `--json` trajectory file the CI regression gate reads).
-    let mut h = Harness::from_args("sweep");
     let warm2 = SharedTraceCache::new();
     run_grid(1, &warm2, scale);
     h.bench("fig4_grid_warm_serial", || run_grid(1, &warm2, scale));

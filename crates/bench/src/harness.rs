@@ -6,12 +6,16 @@
 //! harness warms up, then times batches until it has both a minimum
 //! sample count and a minimum total measurement time, and reports the
 //! median/mean/min time per iteration (plus derived throughput when a
-//! [`Throughput`] is given).  Positional command-line arguments act as
-//! substring filters, matching `cargo bench -- <filter>` usage, and
-//! `--json <path>` additionally writes the results as machine-readable
-//! JSON (hand-rolled; the build container has no serde) for trend
-//! tracking and the CI regression gate.
+//! [`Throughput`] is given).  Arguments go through one [`ArgSpec`]:
+//! the target declares its own flags, the harness takes `--quick`,
+//! `--json <path>` and cargo's `--bench`, and the positionals left act
+//! as substring filters, matching `cargo bench -- <filter>` usage.  A
+//! flag nobody declared is an error, never a filter.  `--json <path>`
+//! additionally writes the results as machine-readable JSON
+//! (hand-rolled; the build container has no serde) for trend tracking
+//! and the CI regression gate.
 
+use extrap_time::{json_escape, outln, ArgSpec};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -45,14 +49,39 @@ pub struct Harness {
 }
 
 impl Harness {
-    /// A harness configured from the process arguments: positional
-    /// arguments are substring filters, `--quick` cuts the measurement
-    /// budget, `--json <path>` writes machine-readable results, and
-    /// cargo's own `--bench` flag is ignored.
-    pub fn from_args(target: &str) -> Harness {
-        let (filters, quick, json_path) = parse_args(std::env::args().skip(1));
-        println!("## {target}");
-        Harness {
+    /// A harness configured from the process arguments, plus what
+    /// `flags` took from them: the target's own flags.  The harness then
+    /// takes `--quick` (cuts the measurement budget), `--json <path>`
+    /// (writes machine-readable results) and cargo's own `--bench`;
+    /// the positionals left are substring filters.  An undeclared flag
+    /// or a bad value prints the error and exits 1.
+    pub fn from_args<T>(
+        target: &str,
+        flags: impl FnOnce(&mut ArgSpec) -> Result<T, String>,
+    ) -> (Harness, T) {
+        let spec = ArgSpec::new(
+            format!("cargo bench --bench {target} --"),
+            "",
+            std::env::args().skip(1).collect(),
+        );
+        Harness::from_spec(target, spec, flags).unwrap_or_else(|e| {
+            eprintln!("{target}: {e}");
+            std::process::exit(1)
+        })
+    }
+
+    fn from_spec<T>(
+        target: &str,
+        mut spec: ArgSpec,
+        flags: impl FnOnce(&mut ArgSpec) -> Result<T, String>,
+    ) -> Result<(Harness, T), String> {
+        let own = flags(&mut spec)?;
+        let quick = spec.switch("--quick");
+        let json_path = spec.value("--json")?;
+        spec.switch("--bench");
+        let filters = spec.finish()?;
+        outln!("## {target}");
+        let harness = Harness {
             target: target.to_string(),
             filters,
             min_samples: if quick { 5 } else { 20 },
@@ -64,7 +93,8 @@ impl Harness {
             quick,
             json_path,
             results: Vec::new(),
-        }
+        };
+        Ok((harness, own))
     }
 
     fn selected(&self, name: &str) -> bool {
@@ -155,9 +185,13 @@ impl Harness {
     /// Prints the result table (and writes the JSON file when `--json`
     /// was given).  Call once, last.
     pub fn finish(self) {
-        println!(
+        outln!(
             "{:44} {:>12} {:>12} {:>12} {:>8}  throughput",
-            "benchmark", "median", "mean", "min", "samples"
+            "benchmark",
+            "median",
+            "mean",
+            "min",
+            "samples"
         );
         for r in &self.results {
             let tp = match r.throughput {
@@ -169,7 +203,7 @@ impl Harness {
                     format!("{:.1} MB/s", n as f64 / r.median_ns * 1_000.0)
                 }
             };
-            println!(
+            outln!(
                 "{:44} {:>12} {:>12} {:>12} {:>8}  {}",
                 r.name,
                 fmt_ns(r.median_ns),
@@ -179,10 +213,10 @@ impl Harness {
                 tp
             );
         }
-        println!();
+        outln!();
         if let Some(path) = &self.json_path {
             match std::fs::write(path, self.to_json()) {
-                Ok(()) => println!("wrote {path}"),
+                Ok(()) => outln!("wrote {path}"),
                 Err(e) => eprintln!("failed to write {path}: {e}"),
             }
         }
@@ -194,12 +228,12 @@ impl Harness {
     fn to_json(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"target\": \"{}\",", escape_json(&self.target));
+        let _ = writeln!(s, "  \"target\": \"{}\",", json_escape(&self.target));
         let _ = writeln!(s, "  \"quick\": {},", self.quick);
         let _ = writeln!(s, "  \"benches\": [");
         for (i, r) in self.results.iter().enumerate() {
             let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"name\": \"{}\",", escape_json(&r.name));
+            let _ = writeln!(s, "      \"name\": \"{}\",", json_escape(&r.name));
             let _ = writeln!(s, "      \"median_ns\": {:.1},", r.median_ns);
             let _ = writeln!(s, "      \"mean_ns\": {:.1},", r.mean_ns);
             let _ = writeln!(s, "      \"min_ns\": {:.1},", r.min_ns);
@@ -232,43 +266,6 @@ impl Harness {
     }
 }
 
-/// Splits bench arguments into `(filters, quick, json_path)`.
-fn parse_args(mut args: impl Iterator<Item = String>) -> (Vec<String>, bool, Option<String>) {
-    let mut filters = Vec::new();
-    let mut quick = false;
-    let mut json_path = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--bench" | "--exact" => {}
-            "--quick" => quick = true,
-            "--json" => json_path = args.next(),
-            // Value-taking flags parsed by the bench targets themselves
-            // (`sweep`'s and `repr`'s pool size and problem scale,
-            // `repr`'s program list, `serve`'s client count); consume the
-            // value here so it is not mistaken for a benchmark-name
-            // filter.
-            "--workers" | "--scale" | "--benches" | "--clients" => {
-                let _ = args.next();
-            }
-            a if a.starts_with("--") => {}
-            other => filters.push(other.to_string()),
-        }
-    }
-    (filters, quick, json_path)
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn fmt_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:.0} ns")
@@ -297,19 +294,49 @@ mod tests {
         }
     }
 
+    /// The harness `line`'s arguments configure, after `flags` took
+    /// the target's own.
+    fn parse(
+        line: &str,
+        flags: impl FnOnce(&mut ArgSpec) -> Result<(), String>,
+    ) -> Result<Harness, String> {
+        let args = line.split(' ').map(String::from).collect();
+        Harness::from_spec("test", ArgSpec::new("bench", "", args), flags).map(|(h, ())| h)
+    }
+
     #[test]
     fn value_flags_are_not_filters() {
-        let args = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
-        let (filters, quick, json) =
-            parse_args(args("--bench --scale paper --benches mgrid,poisson --json x").into_iter());
-        assert!(filters.is_empty(), "{filters:?}");
-        assert!(!quick);
-        assert_eq!(json.as_deref(), Some("x"));
-        let (filters, quick, json) =
-            parse_args(args("--quick --workers 4 repr_grid --clients 8").into_iter());
-        assert_eq!(filters, ["repr_grid"]);
-        assert!(quick);
-        assert_eq!(json, None);
+        let h = parse(
+            "--bench --scale paper --benches mgrid,poisson --json x",
+            |spec| {
+                spec.value("--scale")?;
+                spec.value("--benches")?;
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert!(h.filters.is_empty(), "{:?}", h.filters);
+        assert!(!h.quick);
+        assert_eq!(h.json_path.as_deref(), Some("x"));
+        let h = parse("--quick --workers 4 repr_grid --clients 8", |spec| {
+            spec.positive("--workers")?;
+            spec.positive("--clients")?;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(h.filters, ["repr_grid"]);
+        assert!(h.quick);
+        assert_eq!(h.json_path, None);
+        // A flag the target did not declare is an error that names it,
+        // never a filter — another target's value flag included.
+        let Err(err) = parse("--quick --no-such-flag", |_| Ok(())) else {
+            panic!("an undeclared flag must be rejected");
+        };
+        assert!(err.contains("unknown flag \"--no-such-flag\""), "{err}");
+        let Err(err) = parse("--workers 4 repr_grid", |_| Ok(())) else {
+            panic!("another target's flag must be rejected");
+        };
+        assert!(err.contains("unknown flag \"--workers\""), "{err}");
     }
 
     #[test]

@@ -24,30 +24,11 @@
 //!
 //! A trace `FILE` is a raw capture (`.xtrp`) or a translated set (`.xtps`).
 
-/// `print!` for every command's output; see [`print_out`].
-macro_rules! out {
-    ($($arg:tt)*) => {
-        $crate::print_out(format_args!($($arg)*))
-    };
-}
-
-/// `println!` for every command's output; see [`print_out`].
-macro_rules! outln {
-    () => {
-        $crate::print_out(format_args!("\n"))
-    };
-    ($($arg:tt)*) => {
-        $crate::print_out(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
-
-mod args;
 mod remote;
 
-use args::ArgSpec;
 use extrap_core::{machine, Extrapolator, SharedTraceCache, SimParams, SimStrategy, SweepGrid};
 use extrap_proto::PredictionSummary;
-use extrap_time::{DurationNs, ThreadId, TimeNs};
+use extrap_time::{json_escape, out, outln, ArgSpec, DurationNs, ThreadId, TimeNs};
 use extrap_trace::{
     PhaseFold, ThreadTrace, TraceRecord, TraceSet, TranslateOptions, TranslateSink,
 };
@@ -63,28 +44,6 @@ fn main() -> ExitCode {
             eprintln!("extrap: {e}");
             ExitCode::from(1)
         }
-    }
-}
-
-/// Set once stdout's reader has closed the pipe.
-static STDOUT_GONE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Writes command output to stdout.  A reader that closed the pipe
-/// early (`extrap simulate FILE | head -c1`) has all it wanted, so on a
-/// broken pipe this output and all later output is dropped, rather than
-/// raising the panic `print!` would.  The command still runs to the
-/// end: it writes its files, and its verdict sets the exit status.
-fn print_out(args: std::fmt::Arguments) {
-    use std::io::Write as _;
-    use std::sync::atomic::Ordering;
-    if STDOUT_GONE.load(Ordering::Relaxed) {
-        return;
-    }
-    if let Err(e) = std::io::stdout().write_fmt(args) {
-        if e.kind() != std::io::ErrorKind::BrokenPipe {
-            panic!("failed printing to stdout: {e}");
-        }
-        STDOUT_GONE.store(true, Ordering::Relaxed);
     }
 }
 
@@ -156,28 +115,11 @@ fn run(args: Vec<String>) -> Result<(), String> {
     }
 }
 
-fn scale_of(s: &str) -> Option<Scale> {
-    match s {
-        "tiny" => Some(Scale::Tiny),
-        "small" => Some(Scale::Small),
-        "paper" => Some(Scale::Paper),
-        _ => None,
-    }
-}
-
 /// Takes `--scale` off a spec (default: small).
 fn take_scale(spec: &mut ArgSpec) -> Result<Scale, String> {
     Ok(spec
-        .enumerated("--scale", "tiny, small, paper", scale_of)?
+        .enumerated("--scale", Scale::VALID, Scale::parse)?
         .unwrap_or(Scale::Small))
-}
-
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Paper => "paper",
-    }
 }
 
 fn machine_of(s: &str) -> Option<SimParams> {
@@ -211,13 +153,6 @@ fn take_us(spec: &mut ArgSpec, flag: &str) -> Result<DurationNs, String> {
     }
 }
 
-fn resolve_bench(name: &str) -> Result<Bench, String> {
-    Bench::all()
-        .into_iter()
-        .find(|b| b.name().eq_ignore_ascii_case(name.trim()))
-        .ok_or_else(|| format!("unknown benchmark {name:?}; see `extrap benches`"))
-}
-
 /// Parses a thread count a benchmark can be captured at: 1 to
 /// [`MAX_THREADS`](extrap_trace::format::MAX_THREADS).
 fn parse_threads(text: &str) -> Result<usize, String> {
@@ -237,12 +172,12 @@ fn parse_procs(list: &str) -> Result<Vec<usize>, String> {
 }
 
 fn cmd_trace(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("trace", args);
+    let mut spec = ArgSpec::new("extrap", "trace", args);
     let scale = take_scale(&mut spec)?;
     let out = spec.value("-o")?;
     let [bench_name, threads] = spec.finish_exact("extrap trace <bench> <threads> -o FILE")?;
     let out: PathBuf = out.ok_or("trace: -o FILE is required")?.into();
-    let bench = resolve_bench(&bench_name)?;
+    let bench = Bench::parse(&bench_name)?;
     let threads = parse_threads(&threads).map_err(|e| format!("bad thread count: {e}"))?;
     let trace = bench.trace(threads, scale);
     extrap_trace::writer::write_program_file(&out, &trace).map_err(|e| e.to_string())?;
@@ -263,7 +198,7 @@ const DEFAULT_MEM_BUDGET: usize = 64 << 20;
 /// memory and spilling the rest, then replays the runs into the output
 /// set file.
 fn cmd_translate(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("translate", args);
+    let mut spec = ArgSpec::new("extrap", "translate", args);
     let out = spec.value("-o")?;
     let options = TranslateOptions {
         event_overhead: take_us(&mut spec, "--event-overhead")?,
@@ -369,7 +304,7 @@ impl<S: TranslateSink> TranslateSink for MakespanSink<S> {
 }
 
 fn cmd_simulate(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("simulate", args);
+    let mut spec = ArgSpec::new("extrap", "simulate", args);
     let params = load_params(&mut spec)?;
     take_check_bounds(&mut spec);
     let predicted_out = spec.value("--predicted")?;
@@ -453,7 +388,7 @@ pub(crate) fn print_prediction(p: &PredictionSummary) {
 /// raw or translated trace; anything else resolves as a benchmark name,
 /// which additionally produces bound *curves* over `--procs`.
 fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("analyze", args);
+    let mut spec = ArgSpec::new("extrap", "analyze", args);
     let params = load_params(&mut spec)?;
     let scale = take_scale(&mut spec)?;
     let format = spec
@@ -479,7 +414,7 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
         }
         (input.clone(), load_program(&input, |_, _| {})?, Vec::new())
     } else {
-        let bench = resolve_bench(&input)?;
+        let bench = Bench::parse(&input)?;
         let procs: Vec<usize> = match procs_arg {
             None => vec![1, 2, 4, 8, 16, 32],
             Some(list) => parse_procs(&list)?,
@@ -495,7 +430,7 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
                 extrap_analyze::analyze(&compile_at(n)?, &params).map_err(|e| e.to_string())?;
             curve.push(extrap_analyze::CurvePoint { n, analysis });
         }
-        let label = format!("{}/{}", bench.name(), scale_name(scale));
+        let label = format!("{}/{}", bench.name(), scale.name());
         (label, compile_at(threads)?, curve)
     };
     let analysis = extrap_analyze::analyze(&program, &params).map_err(|e| e.to_string())?;
@@ -535,7 +470,7 @@ pub(crate) fn parse_sweep_request(mut spec: ArgSpec) -> Result<SweepRequest, Str
     let [bench_list] = spec.finish_exact(&usage)?;
     let benches: Vec<Bench> = bench_list
         .split(',')
-        .map(resolve_bench)
+        .map(Bench::parse)
         .collect::<Result<_, _>>()?;
     Ok(SweepRequest {
         benches,
@@ -574,7 +509,7 @@ pub(crate) fn render_sweep_rows(rows: &[(String, usize, f64)], procs: &[usize], 
 /// `extrap sweep`: extrapolate a benchmark × processor-count grid in
 /// parallel through the sweep engine and print one row per benchmark.
 fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("sweep", args);
+    let mut spec = ArgSpec::new("extrap", "sweep", args);
     take_check_bounds(&mut spec);
     let req = parse_sweep_request(spec)?;
 
@@ -582,20 +517,23 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
     let mut params = req.params;
     params.record_mode = extrap_core::RecordMode::MetricsOnly;
     let grid = SweepGrid::new()
-        .workloads(req.benches.iter().map(|b| b.name().to_string()))
+        .workloads(req.benches.iter().copied())
         .procs(req.procs.iter().copied())
         .params(params)
         .jobs();
     let cache = SharedTraceCache::new();
-    let results = extrap_core::sweep(&grid, req.jobs, &cache, |(name, n)| {
-        let bench = resolve_bench(name).expect("benchmark validated above");
+    let results = extrap_core::sweep(&grid, req.jobs, &cache, |(bench, n)| {
         extrap_trace::translate(&bench.trace(*n, req.scale), Default::default())
     });
 
     let mut rows = Vec::new();
     for (job, result) in grid.iter().zip(results) {
         let pred = result.map_err(|e| e.to_string())?;
-        rows.push((job.key.0.clone(), job.key.1, pred.exec_time().as_ms()));
+        rows.push((
+            job.key.0.name().to_string(),
+            job.key.1,
+            pred.exec_time().as_ms(),
+        ));
     }
     render_sweep_rows(&rows, &req.procs, req.csv);
     if !req.csv {
@@ -610,7 +548,7 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
 }
 
 fn cmd_report(args: Vec<String>) -> Result<(), String> {
-    let [input] = ArgSpec::new("report", args).finish_exact("extrap report FILE")?;
+    let [input] = ArgSpec::new("extrap", "report", args).finish_exact("extrap report FILE")?;
     let mut fold = PhaseFold::default();
     let n_threads = load_program(&input, |t, rec| fold.record(t, rec))?.n_threads();
     let stats = fold.into_stats(n_threads);
@@ -648,7 +586,7 @@ fn take_epoch_flags(spec: &mut ArgSpec) -> Result<Option<(u32, f64)>, String> {
 /// barrier-epoch plan `--strategy repr:K:TOL` builds, so repetition can
 /// be inspected before opting in.
 fn cmd_stats(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("stats", args);
+    let mut spec = ArgSpec::new("extrap", "stats", args);
     let epochs = take_epoch_flags(&mut spec)?;
     let [input] =
         spec.finish_exact("extrap stats FILE [--phases] [--max-clusters K] [--tolerance F]")?;
@@ -661,7 +599,7 @@ fn cmd_stats(args: Vec<String>) -> Result<(), String> {
 }
 
 fn cmd_timeline(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("timeline", args);
+    let mut spec = ArgSpec::new("extrap", "timeline", args);
     let width = spec.parsed::<usize>("--width")?.unwrap_or(100);
     let [input] = spec.finish_exact("extrap timeline FILE [--width N]")?;
     let mut threads: Vec<Vec<TraceRecord>> = Vec::new();
@@ -692,7 +630,7 @@ fn cmd_timeline(args: Vec<String>) -> Result<(), String> {
 /// step for step.  Trace files are checked by `extrap lint` (the §5
 /// determinism condition is its `E007`).
 fn cmd_check(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("check", args);
+    let mut spec = ArgSpec::new("extrap", "check", args);
     let list = spec.switch("--scenarios");
     let scenario = spec.value("--scenario")?;
     let replay_cert = spec.value("--replay")?;
@@ -775,7 +713,7 @@ fn cmd_check(args: Vec<String>) -> Result<(), String> {
 ///
 /// `--fix` switches to repair mode: see [`cmd_lint_fix`].
 fn cmd_lint(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("lint", args);
+    let mut spec = ArgSpec::new("extrap", "lint", args);
     if spec.switch("--codes") {
         let leftovers = spec.finish()?;
         if !leftovers.is_empty() {
@@ -1049,23 +987,9 @@ fn cmd_lint_fix(
     Ok(())
 }
 
-/// Minimal JSON string escaping for file paths embedded in lint output.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn cmd_diff(args: Vec<String>) -> Result<(), String> {
-    let [input, ma, mb] =
-        ArgSpec::new("diff", args).finish_exact("extrap diff FILE <machineA> <machineB>")?;
+    let [input, ma, mb] = ArgSpec::new("extrap", "diff", args)
+        .finish_exact("extrap diff FILE <machineA> <machineB>")?;
     let program = load_program(&input, |_, _| {})?;
     let pa = parse_machine(Some(ma.clone()))?;
     let pb = parse_machine(Some(mb.clone()))?;
@@ -1087,7 +1011,7 @@ fn cmd_diff(args: Vec<String>) -> Result<(), String> {
 }
 
 fn cmd_params(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("params", args);
+    let mut spec = ArgSpec::new("extrap", "params", args);
     let params = spec
         .enumerated("--machine", "distributed, shared, ideal, cm5", machine_of)?
         .unwrap_or_else(machine::default_distributed);

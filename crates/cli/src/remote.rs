@@ -7,14 +7,11 @@
 //! in-process `extrap sweep --csv` and `extrap simulate`, because both
 //! render the same exact integer nanoseconds through the same formatter.
 
-use crate::args::ArgSpec;
-use crate::{
-    parse_sweep_request, print_prediction, render_sweep_rows, scale_name, take_epoch_flags,
-};
+use crate::{parse_sweep_request, print_prediction, render_sweep_rows, take_epoch_flags};
 use extrap_proto::SweepSpec;
 use extrap_serve::client::Client;
 use extrap_serve::{ServeConfig, Server};
-use extrap_time::TimeNs;
+use extrap_time::{out, outln, ArgSpec, TimeNs};
 use std::time::Duration;
 
 /// Where `extrap client` looks for a daemon when `--addr` is omitted;
@@ -23,7 +20,7 @@ const DEFAULT_ADDR: &str = "127.0.0.1:4755";
 
 /// `extrap serve`: run the extrapolation daemon in the foreground.
 pub(crate) fn cmd_serve(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("serve", args);
+    let mut spec = ArgSpec::new("extrap", "serve", args);
     let mut config = ServeConfig::default();
     if let Some(addr) = spec.value("--addr")? {
         config.addr = addr;
@@ -99,14 +96,14 @@ fn connect(addr: &str) -> Result<Client, String> {
 }
 
 fn client_sweep(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("client sweep", args);
+    let mut spec = ArgSpec::new("extrap", "client sweep", args);
     let addr = take_addr(&mut spec)?;
     let req = parse_sweep_request(spec)?;
 
     let wire = SweepSpec {
         benches: req.benches.iter().map(|b| b.name().to_string()).collect(),
         procs: req.procs.iter().map(|&n| n as u32).collect(),
-        scale: scale_name(req.scale).to_string(),
+        scale: req.scale.name().to_string(),
         params: req.params.to_config_text(),
     };
     let n_points = wire.benches.len() * wire.procs.len();
@@ -130,7 +127,7 @@ fn client_sweep(args: Vec<String>) -> Result<(), String> {
 }
 
 fn client_simulate(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("client simulate", args);
+    let mut spec = ArgSpec::new("extrap", "client simulate", args);
     let addr = take_addr(&mut spec)?;
     let params = crate::load_params(&mut spec)?;
     let [input] = spec.finish_exact("extrap client simulate FILE [--addr HOST:PORT]")?;
@@ -151,7 +148,7 @@ fn client_simulate(args: Vec<String>) -> Result<(), String> {
 /// work/span bound report (rendered server-side through the same
 /// formatter as local `extrap analyze`), then free the server entry.
 fn client_analyze(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("client analyze", args);
+    let mut spec = ArgSpec::new("extrap", "client analyze", args);
     let addr = take_addr(&mut spec)?;
     let params = crate::load_params(&mut spec)?;
     let format = spec
@@ -183,7 +180,7 @@ fn client_analyze(args: Vec<String>) -> Result<(), String> {
 /// counters snapshot; with one, upload the trace and fetch its
 /// phase/epoch report — byte-identical to local `extrap stats FILE`.
 fn client_stats(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("client stats", args);
+    let mut spec = ArgSpec::new("extrap", "client stats", args);
     let addr = take_addr(&mut spec)?;
     let epochs = take_epoch_flags(&mut spec)?;
     let mut leftovers = spec.finish()?;
@@ -243,7 +240,7 @@ fn client_stats(args: Vec<String>) -> Result<(), String> {
 }
 
 fn client_shutdown(args: Vec<String>) -> Result<(), String> {
-    let mut spec = ArgSpec::new("client shutdown", args);
+    let mut spec = ArgSpec::new("extrap", "client shutdown", args);
     let addr = take_addr(&mut spec)?;
     let leftovers = spec.finish()?;
     if !leftovers.is_empty() {

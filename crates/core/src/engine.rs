@@ -52,7 +52,7 @@ use std::fmt;
 use std::mem;
 
 /// Errors from the extrapolation pipeline.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum ExtrapError {
     /// The input trace set is malformed.
     Trace(TraceError),

@@ -133,9 +133,9 @@ impl CachedTrace {
     }
 }
 
-/// A memoized translation outcome.  Translation errors are memoized as
-/// their rendered message (the error types own `io::Error`s and cannot
-/// be cloned); every later hit resurfaces the same failure.
+/// A memoized translation outcome.  A failure is memoized as the typed
+/// error the build returned; every later hit resurfaces the same
+/// failure, variant and all.
 ///
 /// The slot also carries the entry's last-touch stamp (a value drawn
 /// from the cache's logical clock on every hit), which is what the LRU
@@ -161,8 +161,11 @@ struct CacheSlot {
 enum SlotState {
     Empty,
     Building,
-    Ready(Result<Arc<CachedTrace>, String>),
+    Ready(Built),
 }
+
+/// What a slot's build produced.
+type Built = Result<Arc<CachedTrace>, ExtrapError>;
 
 impl Default for CacheSlot {
     fn default() -> CacheSlot {
@@ -176,7 +179,7 @@ impl Default for CacheSlot {
 
 impl CacheSlot {
     /// The completed value, or `None` while empty or still translating.
-    fn get(&self) -> Option<Result<Arc<CachedTrace>, String>> {
+    fn get(&self) -> Option<Built> {
         match &*self.state.lock() {
             SlotState::Ready(v) => Some(v.clone()),
             _ => None,
@@ -186,10 +189,7 @@ impl CacheSlot {
     /// Single-flight initialization: the first caller runs `build`, all
     /// concurrent callers block until its value lands, every later
     /// caller gets the memoized value.
-    fn get_or_init(
-        &self,
-        build: impl FnOnce() -> Result<Arc<CachedTrace>, String>,
-    ) -> Result<Arc<CachedTrace>, String> {
+    fn get_or_init(&self, build: impl FnOnce() -> Built) -> Built {
         {
             let mut st = self.state.lock();
             loop {
@@ -207,14 +207,15 @@ impl CacheSlot {
         // parked on a Building state nobody will ever finish.
         struct Finish<'a> {
             slot: &'a CacheSlot,
-            value: Option<Result<Arc<CachedTrace>, String>>,
+            value: Option<Built>,
         }
         impl Drop for Finish<'_> {
             fn drop(&mut self) {
-                let value = self
-                    .value
-                    .take()
-                    .unwrap_or_else(|| Err("trace translation panicked".to_string()));
+                let value = self.value.take().unwrap_or_else(|| {
+                    Err(ExtrapError::Trace(TraceError::Format {
+                        detail: "trace translation panicked".to_string(),
+                    }))
+                });
                 *self.slot.state.lock() = SlotState::Ready(value);
                 self.slot.ready.notify_all();
             }
@@ -271,17 +272,11 @@ impl<K: Eq + Hash + Clone> SharedTraceCache<K> {
             self.clock.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
-        let outcome = slot.get_or_init(|| {
+        slot.get_or_init(|| {
             self.translations.fetch_add(1, Ordering::Relaxed);
-            translate()
-                .and_then(|ts| CompiledProgram::compile(&ts))
-                .map(|program| Arc::new(CachedTrace::new(program)))
-                .map_err(|e| e.to_string())
-        });
-        match outcome {
-            Ok(ct) => Ok(ct),
-            Err(detail) => Err(ExtrapError::Trace(TraceError::Format { detail })),
-        }
+            let program = CompiledProgram::compile(&translate()?)?;
+            Ok(Arc::new(CachedTrace::new(program)))
+        })
     }
 
     /// Looks up or inserts the per-key slot; never blocks on translation.
@@ -375,12 +370,12 @@ impl<K: Eq + Hash + Clone> Default for SharedTraceCache<K> {
 }
 
 /// Resident footprint of one slot: the cached trace's bytes for
-/// successes, the rendered message for memoized errors, zero while the
+/// successes, the error value for memoized errors, zero while the
 /// translation is still in flight.
 fn slot_bytes(slot: &CacheSlot) -> usize {
     match &*slot.state.lock() {
         SlotState::Ready(Ok(ct)) => std::mem::size_of::<CacheSlot>() + ct.resident_bytes(),
-        SlotState::Ready(Err(msg)) => std::mem::size_of::<CacheSlot>() + msg.len(),
+        SlotState::Ready(Err(e)) => std::mem::size_of::<CacheSlot>() + std::mem::size_of_val(e),
         _ => 0,
     }
 }
@@ -795,17 +790,38 @@ mod tests {
         for _ in 0..3 {
             let err = cache.get_or_translate(7, || {
                 calls.fetch_add(1, Ordering::Relaxed);
-                Err(TraceError::Format {
+                Err(TraceError::Validation {
                     detail: "synthetic".into(),
                 })
             });
-            assert!(err.is_err());
+            // Every hit returns the typed error, not a re-wrapped message.
+            match err {
+                Err(ExtrapError::Trace(TraceError::Validation { detail })) => {
+                    assert_eq!(detail, "synthetic")
+                }
+                other => panic!("expected the memoized validation error, got {other:?}"),
+            }
         }
         assert_eq!(
             calls.load(Ordering::Relaxed),
             1,
             "failures are memoized too"
         );
+    }
+
+    #[test]
+    fn a_panicking_build_is_memoized_as_a_typed_error() {
+        let cache: SharedTraceCache<u32> = SharedTraceCache::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_translate(1, || panic!("synthetic build panic"))
+        }));
+        assert!(unwound.is_err());
+        match cache.get_or_translate(1, || unreachable!("the panic is memoized")) {
+            Err(ExtrapError::Trace(TraceError::Format { detail })) => {
+                assert_eq!(detail, "trace translation panicked")
+            }
+            other => panic!("expected the memoized panic error, got {other:?}"),
+        }
     }
 
     #[test]

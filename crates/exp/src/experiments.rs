@@ -122,11 +122,11 @@ impl TraceCache {
     /// sweep: translates the workload, then gates the set on
     /// [`extrap_lint::validate_set`].  A rejection is memoized by the
     /// key's single-flight slot like any other failure.  Benchmark names
-    /// come from [`Bench::all`]; `(R,C)`-style keys are matmul
+    /// resolve through [`Bench::parse`]; `(R,C)`-style keys are matmul
     /// distribution labels.
     fn resolve(&self, key: &(String, usize)) -> Result<TraceSet, TraceError> {
         let (name, n) = key;
-        let program = if let Some(bench) = Bench::all().into_iter().find(|b| b.name() == name) {
+        let program = if let Ok(bench) = Bench::parse(name) {
             bench.trace(*n, self.scale)
         } else if let Some(dist) = matmul::nine_distributions()
             .into_iter()
@@ -1032,6 +1032,13 @@ mod tests {
             .collect();
         assert!(messages[0].contains("unknown workload key"), "{messages:?}");
         assert!(messages.iter().all(|m| *m == messages[0]), "{messages:?}");
+        for r in &results {
+            let e = &r.as_ref().unwrap_err().error;
+            assert!(
+                matches!(e, ExtrapError::Trace(TraceError::Format { .. })),
+                "the memoized error keeps its variant: {e:?}"
+            );
+        }
         assert!(h.cache().get_key(&key).is_err());
         assert_eq!(h.cache().translations(), 1, "the failure is memoized");
     }

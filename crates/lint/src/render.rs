@@ -5,6 +5,7 @@
 //! escaping, so `extrap lint --format json` can feed CI tooling.
 
 use crate::diag::{Diagnostic, Report};
+use extrap_time::json_escape;
 use std::fmt::Write;
 
 /// Renders the report as compiler-style text, one line per diagnostic,
@@ -76,7 +77,7 @@ fn write_diagnostic_json(out: &mut String, d: &Diagnostic) {
     out.push_str("\",\"severity\":\"");
     out.push_str(d.code.severity().label());
     out.push_str("\",\"message\":\"");
-    escape_json_into(out, &d.message);
+    out.push_str(&json_escape(&d.message));
     out.push_str("\",\"thread\":");
     match d.span.thread {
         Some(t) => {
@@ -92,23 +93,6 @@ fn write_diagnostic_json(out: &mut String, d: &Diagnostic) {
         None => out.push_str("null"),
     }
     out.push('}');
-}
-
-/// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -20,21 +20,11 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Sweep-cache key: `(benchmark, n_procs, scale code)`.  Unlike the
-/// CLI's per-invocation cache, the server's cache persists across
-/// requests that may use different problem scales, so the scale is part
-/// of the identity.
-pub(crate) type SweepKey = (String, usize, u8);
-
-/// Decodes a wire scale string (empty = the CLI's `small` default).
-pub(crate) fn parse_scale(s: &str) -> Option<(Scale, u8)> {
-    match s {
-        "tiny" => Some((Scale::Tiny, 0)),
-        "" | "small" => Some((Scale::Small, 1)),
-        "paper" => Some((Scale::Paper, 2)),
-        _ => None,
-    }
-}
+/// Sweep-cache key: `(benchmark, n_procs, scale)`.  Unlike the CLI's
+/// per-invocation cache, the server's cache persists across requests
+/// that may use different problem scales, so the scale is part of the
+/// identity.
+pub(crate) type SweepKey = (Bench, usize, Scale);
 
 /// Decodes wire parameter text (empty = the CLI's default machine) and
 /// forces `MetricsOnly`: service jobs only ever report scalar metrics,
@@ -69,7 +59,7 @@ pub(crate) struct SimWork {
 }
 
 /// An admitted sweep job.  `compat` is the canonical parameter text;
-/// two sweeps coalesce into one batch iff their `(scale_code, compat)`
+/// two sweeps coalesce into one batch iff their `(scale, compat)`
 /// pairs match (canonical text round-trips through the parser, so equal
 /// text means equal parameters).
 pub(crate) struct SweepWork {
@@ -77,7 +67,6 @@ pub(crate) struct SweepWork {
     pub(crate) benches: Vec<Bench>,
     pub(crate) procs: Vec<u32>,
     pub(crate) scale: Scale,
-    pub(crate) scale_code: u8,
     pub(crate) params: SimParams,
     pub(crate) compat: String,
 }
@@ -347,16 +336,16 @@ impl Service {
         }
     }
 
-    /// Pulls every queued sweep compatible with `(scale_code, compat)`
+    /// Pulls every queued sweep compatible with `(scale, compat)`
     /// out of the queue (marking them running), leaving everything else
     /// in order — the coalescing step of a batch.
-    pub(crate) fn drain_compatible(&self, scale_code: u8, compat: &str) -> Vec<QueuedWork> {
+    pub(crate) fn drain_compatible(&self, scale: Scale, compat: &str) -> Vec<QueuedWork> {
         let mut table = self.table.lock();
         let mut kept = VecDeque::with_capacity(table.queue.len());
         let mut out = Vec::new();
         while let Some(qw) = table.queue.pop_front() {
             match &qw.work {
-                Work::Sweep(s) if s.scale_code == scale_code && s.compat == compat => {
+                Work::Sweep(s) if s.scale == scale && s.compat == compat => {
                     table.running += 1;
                     if let Some(e) = table.entries.get_mut(&s.job) {
                         e.state = JobState::Running;
@@ -617,22 +606,16 @@ impl Session {
                 format!("sweep needs a non-empty list of processor counts in 1..={max}"),
             );
         }
-        let mut benches = Vec::with_capacity(spec.benches.len());
-        for name in &spec.benches {
-            match Bench::all()
-                .into_iter()
-                .find(|b| b.name().eq_ignore_ascii_case(name.trim()))
-            {
-                Some(b) => benches.push(b),
-                None => {
-                    return err(
-                        ErrorCode::BadRequest,
-                        format!("unknown benchmark {name:?}; see `extrap benches`"),
-                    )
-                }
-            }
-        }
-        let Some((scale, scale_code)) = parse_scale(&spec.scale) else {
+        let benches = match spec.benches.iter().map(|name| Bench::parse(name)).collect() {
+            Ok(benches) => benches,
+            Err(detail) => return err(ErrorCode::BadRequest, detail),
+        };
+        // An empty wire scale is the CLI's default.
+        let scale = match spec.scale.as_str() {
+            "" => Some(Scale::default()),
+            name => Scale::parse(name),
+        };
+        let Some(scale) = scale else {
             return err(
                 ErrorCode::BadRequest,
                 format!("unknown scale {:?} (tiny|small|paper)", spec.scale),
@@ -649,7 +632,6 @@ impl Session {
                 benches,
                 procs: spec.procs,
                 scale,
-                scale_code,
                 params,
                 compat,
             })

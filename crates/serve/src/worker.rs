@@ -10,8 +10,9 @@ use crate::state::{JobPayload, Service, SimWork, SweepKey, SweepWork, Work};
 use extrap_core::sweep::{sweep_cancellable, SweepJob};
 use extrap_core::{ExtrapError, Extrapolator};
 use extrap_proto::{ErrorCode, JobId, PredictionSummary, SweepRow};
+use extrap_workloads::Bench;
 use pcpp_rt::sync::Instant;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::panic::AssertUnwindSafe;
 
 /// One worker thread's life: execute jobs until shutdown drains the
@@ -78,9 +79,9 @@ fn run_sweep_batch(service: &Service, first: SweepWork, first_deadline: Instant)
     if !window.is_zero() && !service.is_shutting_down() {
         std::thread::sleep(window);
     }
-    let (scale_code, compat) = (first.scale_code, first.compat.clone());
+    let (scale, compat) = (first.scale, first.compat.clone());
     let mut batch = vec![(first, first_deadline)];
-    for qw in service.drain_compatible(scale_code, &compat) {
+    for qw in service.drain_compatible(scale, &compat) {
         if let Work::Sweep(s) = qw.work {
             batch.push((s, qw.deadline));
         }
@@ -99,15 +100,14 @@ fn run_sweep_batch(service: &Service, first: SweepWork, first_deadline: Instant)
 
     // Union grid in first-seen order, deduped: a point requested by
     // five coalesced sweeps simulates once and fans out five times.
-    let mut index: HashMap<(String, usize), usize> = HashMap::new();
+    let mut index: HashMap<(Bench, usize), usize> = HashMap::new();
     let mut jobs: Vec<SweepJob<SweepKey>> = Vec::new();
     for s in &live {
-        for b in &s.benches {
+        for &b in &s.benches {
             for &n in &s.procs {
-                let point = (b.name().to_string(), n as usize);
-                if let std::collections::hash_map::Entry::Vacant(e) = index.entry(point) {
+                if let Entry::Vacant(e) = index.entry((b, n as usize)) {
                     jobs.push(SweepJob {
-                        key: (e.key().0.clone(), e.key().1, s.scale_code),
+                        key: (b, n as usize, scale),
                         params: s.params.clone(),
                     });
                     e.insert(jobs.len() - 1);
@@ -116,18 +116,13 @@ fn run_sweep_batch(service: &Service, first: SweepWork, first_deadline: Instant)
         }
     }
 
-    let scale = live[0].scale;
     let results = isolate(|| {
         sweep_cancellable(
             &jobs,
             service.config().sweep_workers,
             service.sweep_cache(),
-            |(name, n, _)| {
-                let bench = extrap_workloads::Bench::all()
-                    .into_iter()
-                    .find(|b| b.name() == name.as_str())
-                    .expect("benchmark validated at admission");
-                extrap_trace::translate(&bench.trace(*n, scale), Default::default())
+            |(bench, n, scale)| {
+                extrap_trace::translate(&bench.trace(*n, *scale), Default::default())
             },
             service.cancel_token(),
         )
@@ -155,7 +150,7 @@ fn run_sweep_batch(service: &Service, first: SweepWork, first_deadline: Instant)
         let mut failure: Option<(ErrorCode, String)> = None;
         'member: for b in &s.benches {
             for &n in &s.procs {
-                let i = index[&(b.name().to_string(), n as usize)];
+                let i = index[&(*b, n as usize)];
                 match &points[i] {
                     Ok(ns) => rows.push(SweepRow {
                         bench: b.name().to_string(),

@@ -55,32 +55,19 @@ fn served_sweep_csv_is_byte_identical_to_in_process_sweep() {
     // The reference is the same pipeline cmd_sweep runs in-process.
     let mut params = machine::default_distributed();
     params.record_mode = RecordMode::MetricsOnly;
-    let resolved: Vec<Bench> = benches
-        .iter()
-        .map(|name| {
-            Bench::all()
-                .into_iter()
-                .find(|b| b.name().eq_ignore_ascii_case(name))
-                .unwrap()
-        })
-        .collect();
     let grid = SweepGrid::new()
-        .workloads(resolved.iter().map(|b| b.name().to_string()))
+        .workloads(benches.iter().map(|name| Bench::parse(name).unwrap()))
         .procs(procs.iter().map(|&n| n as usize))
         .params(params)
         .jobs();
     let cache = SharedTraceCache::new();
-    let results = extrap_core::sweep(&grid, 4, &cache, |(name, n)| {
-        let bench = Bench::all()
-            .into_iter()
-            .find(|b| b.name() == name.as_str())
-            .unwrap();
+    let results = extrap_core::sweep(&grid, 4, &cache, |(bench, n)| {
         extrap_trace::translate(&bench.trace(*n, Scale::Tiny), Default::default())
     });
     let mut local = String::from("bench,procs,time_ms\n");
     for (job, result) in grid.iter().zip(results) {
         let ms = result.expect("local sweep").exec_time().as_ms();
-        local.push_str(&format!("{},{},{ms:.6}\n", job.key.0, job.key.1));
+        local.push_str(&format!("{},{},{ms:.6}\n", job.key.0.name(), job.key.1));
     }
 
     assert_eq!(served, local, "served CSV must match in-process CSV");

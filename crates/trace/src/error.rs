@@ -4,10 +4,13 @@ use extrap_time::ThreadId;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Everything that can go wrong while building, validating, serializing,
-/// or translating traces.
-#[derive(Debug)]
+/// or translating traces.  Cloning is cheap: an I/O failure is shared,
+/// so a memoized error (see `extrap_core::SharedTraceCache`) comes back
+/// whole on every hit.
+#[derive(Clone, Debug)]
 pub enum TraceError {
     /// A record references a thread id outside `0..n_threads`.
     BadThread {
@@ -71,7 +74,7 @@ pub enum TraceError {
         detail: String,
     },
     /// Underlying I/O failure.
-    Io(io::Error),
+    Io(Arc<io::Error>),
     /// Any of the above, annotated with the file it occurred in.  Produced
     /// by the file-backed streaming readers so a refill failure mid-file
     /// reports the path, not just the offset.
@@ -146,7 +149,7 @@ impl fmt::Display for TraceError {
 impl std::error::Error for TraceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TraceError::Io(e) => Some(e),
+            TraceError::Io(e) => Some(e.as_ref()),
             TraceError::InFile { source, .. } => Some(source.as_ref()),
             _ => None,
         }
@@ -155,7 +158,7 @@ impl std::error::Error for TraceError {
 
 impl From<io::Error> for TraceError {
     fn from(e: io::Error) -> Self {
-        TraceError::Io(e)
+        TraceError::Io(Arc::new(e))
     }
 }
 

@@ -4,7 +4,7 @@ use crate::{cyclic, embar, grid, mgrid, poisson, sort, sparse};
 use extrap_trace::ProgramTrace;
 
 /// Problem scale for suite runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Scale {
     /// Minimal sizes for fast tests.
     Tiny,
@@ -13,6 +13,30 @@ pub enum Scale {
     Small,
     /// Sizes approximating the paper's workloads.
     Paper,
+}
+
+impl Scale {
+    /// The accepted names, for usage errors.
+    pub const VALID: &'static str = "tiny, small, paper";
+
+    /// The scale named `name` (`tiny`, `small` or `paper`).
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+
+    /// The name [`parse`](Scale::parse) reads back.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Paper => "paper",
+        }
+    }
 }
 
 /// The pC++ benchmark suite (Table 2).
@@ -46,6 +70,16 @@ impl Bench {
             Bench::Poisson,
             Bench::Sort,
         ]
+    }
+
+    /// The benchmark named `name`, ignoring case and surrounding
+    /// whitespace (`grid`, ` Mgrid`); any other name is an error that
+    /// quotes it.
+    pub fn parse(name: &str) -> Result<Bench, String> {
+        Bench::all()
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(name.trim()))
+            .ok_or_else(|| format!("unknown benchmark {name:?}; see `extrap benches`"))
     }
 
     /// Display name.
@@ -206,6 +240,22 @@ mod tests {
         assert_eq!(Bench::all().len(), 7);
         assert_eq!(Bench::Embar.name(), "Embar");
         assert!(Bench::Sparse.description().contains("conjugate gradient"));
+    }
+
+    #[test]
+    fn names_parse_back() {
+        for bench in Bench::all() {
+            assert_eq!(Bench::parse(bench.name()), Ok(bench));
+        }
+        assert_eq!(Bench::parse(" mGRID "), Ok(Bench::Mgrid));
+        assert_eq!(
+            Bench::parse("matmul").unwrap_err(),
+            "unknown benchmark \"matmul\"; see `extrap benches`"
+        );
+        for scale in [Scale::Tiny, Scale::Small, Scale::Paper] {
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+        }
+        assert_eq!(Scale::parse("Tiny"), None);
     }
 
     #[test]
