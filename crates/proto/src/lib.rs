@@ -9,11 +9,13 @@
 //! the `Extrapolator`'s entry points.
 //!
 //! On the wire, values travel as length-prefixed binary frames (see
-//! [`wire`]) built on the same `extrap-trace::bytesio` little-endian
-//! primitives as the trace file format: a 4-byte magic, a `u32` payload
-//! length, then a versioned tagged payload.  The codec is std-only and
-//! fully deterministic — encode∘decode is the identity on bytes, which
-//! the protocol property tests check with randomized values.
+//! [`wire`]): a 4-byte magic, a `u32` payload length, then a versioned
+//! tagged little-endian payload.  The codec is std-only and declares
+//! each layout once — one field list per struct, one `tag => Variant`
+//! list per message, which both encode and decode walk.  It is fully
+//! deterministic: encode∘decode is the identity on bytes, which the
+//! protocol property tests check with randomized values, and
+//! `tests/golden.rs` pins the exact payload of every variant.
 //!
 //! The request set mirrors the session workflow the paper's economics
 //! suggest (translate/compile once, answer many what-if questions):
@@ -217,46 +219,28 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    /// Stable wire value.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            ErrorCode::BadRequest => 1,
-            ErrorCode::UnknownTrace => 2,
-            ErrorCode::UnknownJob => 3,
-            ErrorCode::Busy => 4,
-            ErrorCode::Timeout => 5,
-            ErrorCode::ShuttingDown => 6,
-            ErrorCode::Internal => 7,
-        }
-    }
+    /// Each code's stable wire byte and display name, stated once.
+    const ROWS: [(ErrorCode, u8, &'static str); 7] = [
+        (ErrorCode::BadRequest, 1, "bad-request"),
+        (ErrorCode::UnknownTrace, 2, "unknown-trace"),
+        (ErrorCode::UnknownJob, 3, "unknown-job"),
+        (ErrorCode::Busy, 4, "busy"),
+        (ErrorCode::Timeout, 5, "timeout"),
+        (ErrorCode::ShuttingDown, 6, "shutting-down"),
+        (ErrorCode::Internal, 7, "internal"),
+    ];
 
-    /// Inverse of [`as_u8`](ErrorCode::as_u8).
-    pub fn from_u8(v: u8) -> Option<ErrorCode> {
-        Some(match v {
-            1 => ErrorCode::BadRequest,
-            2 => ErrorCode::UnknownTrace,
-            3 => ErrorCode::UnknownJob,
-            4 => ErrorCode::Busy,
-            5 => ErrorCode::Timeout,
-            6 => ErrorCode::ShuttingDown,
-            7 => ErrorCode::Internal,
-            _ => return None,
-        })
+    fn row(self) -> &'static (ErrorCode, u8, &'static str) {
+        Self::ROWS
+            .iter()
+            .find(|row| row.0 == self)
+            .expect("every code has a row")
     }
 }
 
 impl std::fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ErrorCode::BadRequest => "bad-request",
-            ErrorCode::UnknownTrace => "unknown-trace",
-            ErrorCode::UnknownJob => "unknown-job",
-            ErrorCode::Busy => "busy",
-            ErrorCode::Timeout => "timeout",
-            ErrorCode::ShuttingDown => "shutting-down",
-            ErrorCode::Internal => "internal",
-        };
-        f.write_str(s)
+        f.write_str(self.row().2)
     }
 }
 

@@ -1,11 +1,18 @@
 //! The versioned wire codec: length-prefixed frames over any
-//! `Read`/`Write` pair, tagged little-endian payloads via the
-//! `extrap-trace::bytesio` primitives.
+//! `Read`/`Write` pair, carrying tagged little-endian payloads.
 //!
 //! ```text
 //! frame   := magic "XSRV" | len:u32le | payload[len]
 //! payload := version:u16le | tag:u8 | body
 //! ```
+//!
+//! Each layout is declared once.  A private `Wire` trait gives every
+//! wire type one `put` and one `get`: integers are little-endian, `f64`
+//! travels as its raw bits, `bool` is exactly 0 or 1, strings and byte
+//! payloads are a `u32` length then the bytes, and a `Vec` is a `u32`
+//! count then the items.  Each struct lists its fields once and each
+//! message lists `tag => Variant { fields }` once; both directions
+//! walk that one list, and `tests/golden.rs` pins the resulting bytes.
 //!
 //! Every decode is total: truncated bodies, unknown tags, version
 //! mismatches, and trailing garbage are all [`ProtoError`]s, never
@@ -18,7 +25,6 @@ use crate::{
     BreakdownRow, ErrorCode, JobId, PredictionSummary, Request, Response, ServerStats, SweepRow,
     SweepSpec, TraceId,
 };
-use extrap_trace::bytesio::BufMut;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -98,8 +104,19 @@ impl From<io::Error> for ProtoError {
 // Framing
 // ---------------------------------------------------------------------
 
-/// Writes one frame (header + payload) and flushes.
+/// Writes one frame (header + payload) and flushes.  A payload over
+/// [`MAX_FRAME_LEN`] is refused with `InvalidInput` before a byte is
+/// written: no reader would accept it.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    if payload.len() > MAX_FRAME_LEN as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
+                payload.len()
+            ),
+        ));
+    }
     let mut header = [0u8; 8];
     header[..4].copy_from_slice(&FRAME_MAGIC);
     header[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -146,21 +163,16 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>, Pr
 }
 
 // ---------------------------------------------------------------------
-// Checked little-endian reader
+// The codec: one `Wire` impl per type
 // ---------------------------------------------------------------------
 
 /// A bounds-checked cursor over a payload: every read reports
-/// truncation as an error instead of panicking like the raw
-/// `bytesio::Buf` getters.
+/// truncation as an error instead of panicking.
 struct Reader<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
         if self.buf.len() < n {
             return Err(ProtoError::Malformed(format!(
@@ -171,57 +183,6 @@ impl<'a> Reader<'a> {
         let (head, tail) = self.buf.split_at(n);
         self.buf = tail;
         Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| ProtoError::Malformed("non-UTF-8 string".into()))
-    }
-
-    /// A length-prefixed sequence decoded element-wise.
-    fn seq<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Reader<'a>) -> Result<T, ProtoError>,
-    ) -> Result<Vec<T>, ProtoError> {
-        let count = self.u32()? as usize;
-        // Guard against absurd counts before allocating: every element
-        // needs at least one byte of body.
-        if count > self.buf.len() {
-            return Err(ProtoError::Malformed(format!(
-                "sequence of {count} elements in {}-byte body",
-                self.buf.len()
-            )));
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(item(self)?);
-        }
-        Ok(out)
     }
 
     fn finish(self) -> Result<(), ProtoError> {
@@ -236,390 +197,262 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// A value with one wire layout: `put` appends it, `get` reads it back.
+/// Both walk the same declaration, so they cannot disagree.
+trait Wire: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, ProtoError>;
+
+    /// Appends the items of a `Vec<Self>` (its count is already out);
+    /// bytes override this with one bulk copy.
+    fn put_items(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.put(buf);
+        }
+    }
+
+    /// Reads the `count` items of a `Vec<Self>`; bytes override this
+    /// with one bulk copy.
+    fn get_items(r: &mut Reader<'_>, count: usize) -> Result<Vec<Self>, ProtoError> {
+        // Guard against absurd counts before allocating: every element
+        // needs at least one byte of body.
+        if count > r.buf.len() {
+            return Err(ProtoError::Malformed(format!(
+                "sequence of {count} elements in {}-byte body",
+                r.buf.len()
+            )));
+        }
+        (0..count).map(|_| Self::get(r)).collect()
+    }
 }
 
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
+/// Little-endian fixed-width integers.
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
+                let bytes = r.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("sized take")))
+            }
+        }
+    )*};
 }
 
-fn header(tag: u8) -> Vec<u8> {
+wire_le!(u16, u32, u64);
+
+impl Wire for u8 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<u8, ProtoError> {
+        Ok(r.take(1)?[0])
+    }
+    fn put_items(items: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+    fn get_items(r: &mut Reader<'_>, count: usize) -> Result<Vec<u8>, ProtoError> {
+        Ok(r.take(count)?.to_vec())
+    }
+}
+
+/// Exact bits, so NaN payloads and signed zeros survive.
+impl Wire for f64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.to_bits().put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<f64, ProtoError> {
+        Ok(f64::from_bits(u64::get(r)?))
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        u8::from(*self).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<bool, ProtoError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(ProtoError::Malformed(format!("bad bool {other}"))),
+        }
+    }
+}
+
+/// A `u32` count, then the items.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        T::put_items(self, buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<T>, ProtoError> {
+        let count = u32::get(r)? as usize;
+        T::get_items(r, count)
+    }
+}
+
+/// Length-prefixed UTF-8, laid out exactly like `Vec<u8>`.
+impl Wire for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<String, ProtoError> {
+        String::from_utf8(Vec::get(r)?)
+            .map_err(|_| ProtoError::Malformed("non-UTF-8 string".into()))
+    }
+}
+
+impl Wire for ErrorCode {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.row().1.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<ErrorCode, ProtoError> {
+        let raw = u8::get(r)?;
+        ErrorCode::ROWS
+            .iter()
+            .find(|row| row.1 == raw)
+            .map(|row| row.0)
+            .ok_or_else(|| ProtoError::Malformed(format!("unknown error code {raw}")))
+    }
+}
+
+/// Structs (and the `u64` id newtypes, field `0`): the fields in wire
+/// order.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:tt),* })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$field.put(buf);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$ty, ProtoError> {
+                Ok($ty { $($field: Wire::get(r)?),* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    TraceId { 0 }
+    JobId { 0 }
+    SweepSpec { benches, procs, scale, params }
+    SweepRow { bench, procs, exec_time_ns }
+    BreakdownRow {
+        compute_ns, send_overhead_ns, service_ns, remote_wait_ns, barrier_wait_ns, end_time_ns
+    }
+    PredictionSummary {
+        n_threads, n_procs, exec_time_ns, barriers, messages, bytes, contention_factor_sum,
+        events_dispatched, per_thread
+    }
+    ServerStats {
+        uptime_ms, connections, active_connections, requests, jobs_inflight, jobs_done,
+        jobs_failed, sweep_batches, coalesced_sweeps, traces_resident, resident_bytes,
+        mem_budget_bytes, evictions, translations
+    }
+}
+
+/// Messages: a `u8` tag per variant, then its fields in wire order.  A
+/// tuple variant names its one field with a binding.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $var:ident $({ $($field:ident),* })? $(($inner:ident))?,)*
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$var $({ $($field),* })? $(($inner))? => {
+                        let tag: u8 = $tag;
+                        tag.put(buf);
+                        $($($field.put(buf);)*)?
+                        $($inner.put(buf);)?
+                    })*
+                }
+            }
+            fn get(r: &mut Reader<'_>) -> Result<$ty, ProtoError> {
+                Ok(match u8::get(r)? {
+                    $($tag => $ty::$var
+                        $({ $($field: Wire::get(r)?),* })?
+                        $(({ let $inner = Wire::get(r)?; $inner }))?,)*
+                    other => {
+                        return Err(ProtoError::Malformed(format!(
+                            concat!("unknown ", $what, " tag {}"),
+                            other
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
+wire_enum!(Request, "request" {
+    1 => SubmitTrace { name, payload },
+    2 => Simulate { trace, params },
+    3 => Sweep(spec),
+    4 => FetchResult { job, wait_ms },
+    5 => Evict { trace },
+    6 => Stats,
+    7 => Shutdown,
+    8 => Phases { trace, phases, max_clusters, tolerance },
+    9 => Analyze { trace, params, format },
+});
+
+wire_enum!(Response, "response" {
+    1 => Submitted { trace, n_threads, resident_bytes },
+    2 => Accepted { job },
+    3 => Pending { job },
+    4 => Prediction(summary),
+    5 => SweepRows(rows),
+    6 => Evicted { freed_bytes },
+    7 => Stats(stats),
+    8 => Error { code, detail },
+    9 => Bye,
+    10 => Phases { text },
+    11 => Analyzed { rendered },
+});
+
+fn encode(msg: &impl Wire) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    buf.put_u16_le(PROTO_VERSION);
-    buf.put_u8(tag);
+    PROTO_VERSION.put(&mut buf);
+    msg.put(&mut buf);
     buf
 }
 
-fn open_payload<'a>(data: &'a [u8], what: &str) -> Result<(Reader<'a>, u8), ProtoError> {
-    let mut r = Reader::new(data);
-    let version = r.u16()?;
+/// The one decode path: version header, the message (tag first), then
+/// no trailing bytes.
+fn decode<T: Wire>(data: &[u8]) -> Result<T, ProtoError> {
+    let mut r = Reader { buf: data };
+    let version = u16::get(&mut r)?;
     if version != PROTO_VERSION {
         return Err(ProtoError::Version { got: version });
     }
-    let tag = r.u8()?;
-    if tag == 0 {
-        return Err(ProtoError::Malformed(format!("{what} tag 0")));
-    }
-    Ok((r, tag))
+    let msg = T::get(&mut r)?;
+    r.finish()?;
+    Ok(msg)
 }
-
-// ---------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------
-
-const REQ_SUBMIT: u8 = 1;
-const REQ_SIMULATE: u8 = 2;
-const REQ_SWEEP: u8 = 3;
-const REQ_FETCH: u8 = 4;
-const REQ_EVICT: u8 = 5;
-const REQ_STATS: u8 = 6;
-const REQ_SHUTDOWN: u8 = 7;
-const REQ_PHASES: u8 = 8;
-const REQ_ANALYZE: u8 = 9;
 
 /// Encodes one request as a frame payload (pass to [`write_frame`]).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    match req {
-        Request::SubmitTrace { name, payload } => {
-            let mut buf = header(REQ_SUBMIT);
-            put_string(&mut buf, name);
-            put_bytes(&mut buf, payload);
-            buf
-        }
-        Request::Simulate { trace, params } => {
-            let mut buf = header(REQ_SIMULATE);
-            buf.put_u64_le(trace.0);
-            put_string(&mut buf, params);
-            buf
-        }
-        Request::Sweep(spec) => {
-            let mut buf = header(REQ_SWEEP);
-            buf.put_u32_le(spec.benches.len() as u32);
-            for b in &spec.benches {
-                put_string(&mut buf, b);
-            }
-            buf.put_u32_le(spec.procs.len() as u32);
-            for &p in &spec.procs {
-                buf.put_u32_le(p);
-            }
-            put_string(&mut buf, &spec.scale);
-            put_string(&mut buf, &spec.params);
-            buf
-        }
-        Request::FetchResult { job, wait_ms } => {
-            let mut buf = header(REQ_FETCH);
-            buf.put_u64_le(job.0);
-            buf.put_u32_le(*wait_ms);
-            buf
-        }
-        Request::Evict { trace } => {
-            let mut buf = header(REQ_EVICT);
-            buf.put_u64_le(trace.0);
-            buf
-        }
-        Request::Stats => header(REQ_STATS),
-        Request::Shutdown => header(REQ_SHUTDOWN),
-        Request::Phases {
-            trace,
-            phases,
-            max_clusters,
-            tolerance,
-        } => {
-            let mut buf = header(REQ_PHASES);
-            buf.put_u64_le(trace.0);
-            buf.put_u8(u8::from(*phases));
-            buf.put_u32_le(*max_clusters);
-            buf.put_u64_le(tolerance.to_bits());
-            buf
-        }
-        Request::Analyze {
-            trace,
-            params,
-            format,
-        } => {
-            let mut buf = header(REQ_ANALYZE);
-            buf.put_u64_le(trace.0);
-            put_string(&mut buf, params);
-            put_string(&mut buf, format);
-            buf
-        }
-    }
+    encode(req)
 }
 
 /// Decodes one request payload; rejects version mismatches, unknown
 /// tags, truncation, and trailing bytes.
 pub fn decode_request(data: &[u8]) -> Result<Request, ProtoError> {
-    let (mut r, tag) = open_payload(data, "request")?;
-    let req = match tag {
-        REQ_SUBMIT => Request::SubmitTrace {
-            name: r.string()?,
-            payload: r.bytes()?,
-        },
-        REQ_SIMULATE => Request::Simulate {
-            trace: TraceId(r.u64()?),
-            params: r.string()?,
-        },
-        REQ_SWEEP => {
-            let benches = r.seq(|r| r.string())?;
-            let procs = r.seq(|r| r.u32())?;
-            Request::Sweep(SweepSpec {
-                benches,
-                procs,
-                scale: r.string()?,
-                params: r.string()?,
-            })
-        }
-        REQ_FETCH => Request::FetchResult {
-            job: JobId(r.u64()?),
-            wait_ms: r.u32()?,
-        },
-        REQ_EVICT => Request::Evict {
-            trace: TraceId(r.u64()?),
-        },
-        REQ_STATS => Request::Stats,
-        REQ_SHUTDOWN => Request::Shutdown,
-        REQ_PHASES => {
-            let trace = TraceId(r.u64()?);
-            let phases = match r.u8()? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(ProtoError::Malformed(format!("bad phases flag {other}")));
-                }
-            };
-            Request::Phases {
-                trace,
-                phases,
-                max_clusters: r.u32()?,
-                tolerance: r.f64()?,
-            }
-        }
-        REQ_ANALYZE => Request::Analyze {
-            trace: TraceId(r.u64()?),
-            params: r.string()?,
-            format: r.string()?,
-        },
-        other => {
-            return Err(ProtoError::Malformed(format!(
-                "unknown request tag {other}"
-            )))
-        }
-    };
-    r.finish()?;
-    Ok(req)
+    decode(data)
 }
-
-// ---------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------
-
-const RSP_SUBMITTED: u8 = 1;
-const RSP_ACCEPTED: u8 = 2;
-const RSP_PENDING: u8 = 3;
-const RSP_PREDICTION: u8 = 4;
-const RSP_SWEEP_ROWS: u8 = 5;
-const RSP_EVICTED: u8 = 6;
-const RSP_STATS: u8 = 7;
-const RSP_ERROR: u8 = 8;
-const RSP_BYE: u8 = 9;
-const RSP_PHASES: u8 = 10;
-const RSP_ANALYZED: u8 = 11;
 
 /// Encodes one response as a frame payload (pass to [`write_frame`]).
 pub fn encode_response(rsp: &Response) -> Vec<u8> {
-    match rsp {
-        Response::Submitted {
-            trace,
-            n_threads,
-            resident_bytes,
-        } => {
-            let mut buf = header(RSP_SUBMITTED);
-            buf.put_u64_le(trace.0);
-            buf.put_u32_le(*n_threads);
-            buf.put_u64_le(*resident_bytes);
-            buf
-        }
-        Response::Accepted { job } => {
-            let mut buf = header(RSP_ACCEPTED);
-            buf.put_u64_le(job.0);
-            buf
-        }
-        Response::Pending { job } => {
-            let mut buf = header(RSP_PENDING);
-            buf.put_u64_le(job.0);
-            buf
-        }
-        Response::Prediction(p) => {
-            let mut buf = header(RSP_PREDICTION);
-            buf.put_u32_le(p.n_threads);
-            buf.put_u32_le(p.n_procs);
-            buf.put_u64_le(p.exec_time_ns);
-            buf.put_u64_le(p.barriers);
-            buf.put_u64_le(p.messages);
-            buf.put_u64_le(p.bytes);
-            buf.put_u64_le(p.contention_factor_sum.to_bits());
-            buf.put_u64_le(p.events_dispatched);
-            buf.put_u32_le(p.per_thread.len() as u32);
-            for b in &p.per_thread {
-                buf.put_u64_le(b.compute_ns);
-                buf.put_u64_le(b.send_overhead_ns);
-                buf.put_u64_le(b.service_ns);
-                buf.put_u64_le(b.remote_wait_ns);
-                buf.put_u64_le(b.barrier_wait_ns);
-                buf.put_u64_le(b.end_time_ns);
-            }
-            buf
-        }
-        Response::SweepRows(rows) => {
-            let mut buf = header(RSP_SWEEP_ROWS);
-            buf.put_u32_le(rows.len() as u32);
-            for row in rows {
-                put_string(&mut buf, &row.bench);
-                buf.put_u32_le(row.procs);
-                buf.put_u64_le(row.exec_time_ns);
-            }
-            buf
-        }
-        Response::Evicted { freed_bytes } => {
-            let mut buf = header(RSP_EVICTED);
-            buf.put_u64_le(*freed_bytes);
-            buf
-        }
-        Response::Stats(s) => {
-            let mut buf = header(RSP_STATS);
-            buf.put_u64_le(s.uptime_ms);
-            buf.put_u64_le(s.connections);
-            buf.put_u32_le(s.active_connections);
-            buf.put_u64_le(s.requests);
-            buf.put_u32_le(s.jobs_inflight);
-            buf.put_u64_le(s.jobs_done);
-            buf.put_u64_le(s.jobs_failed);
-            buf.put_u64_le(s.sweep_batches);
-            buf.put_u64_le(s.coalesced_sweeps);
-            buf.put_u32_le(s.traces_resident);
-            buf.put_u64_le(s.resident_bytes);
-            buf.put_u64_le(s.mem_budget_bytes);
-            buf.put_u64_le(s.evictions);
-            buf.put_u64_le(s.translations);
-            buf
-        }
-        Response::Error { code, detail } => {
-            let mut buf = header(RSP_ERROR);
-            buf.put_u8(code.as_u8());
-            put_string(&mut buf, detail);
-            buf
-        }
-        Response::Bye => header(RSP_BYE),
-        Response::Phases { text } => {
-            let mut buf = header(RSP_PHASES);
-            put_string(&mut buf, text);
-            buf
-        }
-        Response::Analyzed { rendered } => {
-            let mut buf = header(RSP_ANALYZED);
-            put_string(&mut buf, rendered);
-            buf
-        }
-    }
+    encode(rsp)
 }
 
 /// Decodes one response payload; rejects version mismatches, unknown
 /// tags, truncation, and trailing bytes.
 pub fn decode_response(data: &[u8]) -> Result<Response, ProtoError> {
-    let (mut r, tag) = open_payload(data, "response")?;
-    let rsp = match tag {
-        RSP_SUBMITTED => Response::Submitted {
-            trace: TraceId(r.u64()?),
-            n_threads: r.u32()?,
-            resident_bytes: r.u64()?,
-        },
-        RSP_ACCEPTED => Response::Accepted {
-            job: JobId(r.u64()?),
-        },
-        RSP_PENDING => Response::Pending {
-            job: JobId(r.u64()?),
-        },
-        RSP_PREDICTION => {
-            let n_threads = r.u32()?;
-            let n_procs = r.u32()?;
-            let exec_time_ns = r.u64()?;
-            let barriers = r.u64()?;
-            let messages = r.u64()?;
-            let bytes = r.u64()?;
-            let contention_factor_sum = r.f64()?;
-            let events_dispatched = r.u64()?;
-            let per_thread = r.seq(|r| {
-                Ok(BreakdownRow {
-                    compute_ns: r.u64()?,
-                    send_overhead_ns: r.u64()?,
-                    service_ns: r.u64()?,
-                    remote_wait_ns: r.u64()?,
-                    barrier_wait_ns: r.u64()?,
-                    end_time_ns: r.u64()?,
-                })
-            })?;
-            Response::Prediction(PredictionSummary {
-                n_threads,
-                n_procs,
-                exec_time_ns,
-                barriers,
-                messages,
-                bytes,
-                contention_factor_sum,
-                events_dispatched,
-                per_thread,
-            })
-        }
-        RSP_SWEEP_ROWS => Response::SweepRows(r.seq(|r| {
-            Ok(SweepRow {
-                bench: r.string()?,
-                procs: r.u32()?,
-                exec_time_ns: r.u64()?,
-            })
-        })?),
-        RSP_EVICTED => Response::Evicted {
-            freed_bytes: r.u64()?,
-        },
-        RSP_STATS => Response::Stats(ServerStats {
-            uptime_ms: r.u64()?,
-            connections: r.u64()?,
-            active_connections: r.u32()?,
-            requests: r.u64()?,
-            jobs_inflight: r.u32()?,
-            jobs_done: r.u64()?,
-            jobs_failed: r.u64()?,
-            sweep_batches: r.u64()?,
-            coalesced_sweeps: r.u64()?,
-            traces_resident: r.u32()?,
-            resident_bytes: r.u64()?,
-            mem_budget_bytes: r.u64()?,
-            evictions: r.u64()?,
-            translations: r.u64()?,
-        }),
-        RSP_ERROR => {
-            let raw = r.u8()?;
-            Response::Error {
-                code: ErrorCode::from_u8(raw)
-                    .ok_or_else(|| ProtoError::Malformed(format!("unknown error code {raw}")))?,
-                detail: r.string()?,
-            }
-        }
-        RSP_BYE => Response::Bye,
-        RSP_PHASES => Response::Phases { text: r.string()? },
-        RSP_ANALYZED => Response::Analyzed {
-            rendered: r.string()?,
-        },
-        other => {
-            return Err(ProtoError::Malformed(format!(
-                "unknown response tag {other}"
-            )))
-        }
-    };
-    r.finish()?;
-    Ok(rsp)
+    decode(data)
 }
 
 #[cfg(test)]
@@ -676,9 +509,24 @@ mod tests {
     #[test]
     fn absurd_sequence_counts_fail_before_allocating() {
         // A sweep-rows response claiming u32::MAX rows in a tiny body.
-        let mut buf = header(RSP_SWEEP_ROWS);
-        buf.put_u32_le(u32::MAX);
+        let mut buf = encode_response(&Response::SweepRows(Vec::new()));
+        buf.truncate(buf.len() - 4);
+        u32::MAX.put(&mut buf);
         let err = decode_response(&buf).unwrap_err();
         assert!(err.to_string().contains("sequence"), "{err}");
+    }
+
+    #[test]
+    fn oversized_payloads_fail_before_a_byte_is_written() {
+        // Lazily zeroed: the refusal reads only the length.
+        let big = vec![0u8; MAX_FRAME_LEN as usize + 1];
+        let mut sink: Vec<u8> = Vec::new();
+        let err = write_frame(&mut sink, &big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            err.to_string(),
+            "frame payload of 268435457 bytes exceeds the 268435456-byte cap"
+        );
+        assert!(sink.is_empty());
     }
 }

@@ -150,8 +150,27 @@ impl ArgSpec {
         }
     }
 
-    /// Takes `--flag VALUE` (at most one occurrence).
+    /// Takes `--flag VALUE`; a second occurrence is an error naming
+    /// the flag.
     pub fn value(&mut self, flag: &str) -> Result<Option<String>, String> {
+        let value = self.take_value(flag)?;
+        if value.is_some() && self.args.iter().any(|a| a == flag) {
+            return Err(self.error(format!("{flag} given more than once")));
+        }
+        Ok(value)
+    }
+
+    /// Takes every occurrence of `--flag VALUE`, in order.
+    pub fn values(&mut self, flag: &str) -> Result<Vec<String>, String> {
+        let mut out = Vec::new();
+        while let Some(v) = self.take_value(flag)? {
+            out.push(v);
+        }
+        Ok(out)
+    }
+
+    /// Takes the first occurrence of `--flag VALUE`.
+    fn take_value(&mut self, flag: &str) -> Result<Option<String>, String> {
         self.register(flag, true);
         if let Some(pos) = self.args.iter().position(|a| a == flag) {
             if pos + 1 >= self.args.len() {
@@ -163,15 +182,6 @@ impl ArgSpec {
         } else {
             Ok(None)
         }
-    }
-
-    /// Takes every occurrence of `--flag VALUE`, in order.
-    pub fn values(&mut self, flag: &str) -> Result<Vec<String>, String> {
-        let mut out = Vec::new();
-        while let Some(v) = self.value(flag)? {
-            out.push(v);
-        }
-        Ok(out)
     }
 
     /// Takes a boolean `--flag`; returns whether it was present.
@@ -326,6 +336,12 @@ mod tests {
     fn missing_value_names_the_subcommand() {
         let mut s = spec(&["--jobs"]);
         assert_eq!(s.value("--jobs").unwrap_err(), "demo: --jobs needs a value");
+        // A repeated single-value flag is named as such, not as unknown.
+        let mut s = spec(&["--scale", "tiny", "--scale", "small"]);
+        assert_eq!(
+            s.value("--scale").unwrap_err(),
+            "demo: --scale given more than once"
+        );
     }
 
     #[test]
