@@ -36,7 +36,7 @@
 //!
 //! Both bounds are monotone in `MipsRatio` (compute scaling is the only
 //! ratio-dependent term and `DurationNs::scale` is monotone in its
-//! factor), which the sanitizer checks as a tripwire.
+//! factor), which [`verify_prediction`] checks as a tripwire.
 
 use extrap_core::barrier::tree;
 use extrap_core::processor::Op;

@@ -12,10 +12,11 @@
 //!
 //! * `extrap analyze` renders the analysis (text/JSON/CSV, with bound
 //!   curves over processor counts), and
-//! * the [`BoundsSanitizer`](install_sanitizer) asserts every
-//!   simulation result — exact and representative — lands inside its
-//!   static envelope, turning engine, clustering, or scheduler bugs
-//!   into immediate hard failures.
+//! * [`verify_prediction`] checks one simulation result — exact or
+//!   representative — against its static envelope.  `extrap simulate`
+//!   and `extrap sweep` call it on every prediction under
+//!   `--check-bounds`, turning engine, clustering, or scheduler bugs
+//!   into an error instead of a number.
 //!
 //! The bound model is deliberately *sound over tight*: lower bounds
 //! collapse every wait to its floor, upper bounds charge every
@@ -32,12 +33,3 @@ mod render;
 
 pub use bounds::{analyze, envelope, verify_prediction, Analysis, Envelope, EpochRow, Unsupported};
 pub use render::{render, CurvePoint, Format};
-
-/// Installs [`verify_prediction`] as `extrap-core`'s bounds sanitizer
-/// and enables it.  Once installed, every engine result (exact and
-/// representative) is checked against its static envelope; a violation
-/// panics with the diagnostic.  Idempotent.
-pub fn install_sanitizer() {
-    extrap_core::sanitizer::install(verify_prediction);
-    extrap_core::sanitizer::set_enabled(true);
-}

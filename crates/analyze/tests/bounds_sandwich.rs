@@ -4,7 +4,8 @@
 //! under both simulation strategies.
 
 use extrap_analyze::{analyze, envelope, verify_prediction};
-use extrap_core::{machine, CompiledProgram, Extrapolator, SimParams, SimStrategy};
+use extrap_core::sweep::{sweep, SharedTraceCache, SweepJob};
+use extrap_core::{machine, CompiledProgram, Extrapolator, ReprPlan, SimParams, SimStrategy};
 use extrap_time::{DurationNs, ElementId, SplitMix64, ThreadId};
 use extrap_trace::builder::{PhaseAccess, PhaseProgram, PhaseWork};
 use extrap_trace::TraceSet;
@@ -99,6 +100,86 @@ fn registry_benches_sandwich() {
             }
         }
     }
+}
+
+fn bench_program(bench: Bench, n: usize) -> CompiledProgram {
+    compile(
+        &extrap_trace::translate(&bench.trace(n, Scale::Small), Default::default())
+            .expect("translate"),
+    )
+}
+
+/// A result produced under a 50x slower processor but presented as a
+/// run of the honest parameters, or one with impossible thread end
+/// times, fails verification (honest results of both strategies pass in
+/// `registry_benches_sandwich`).
+#[test]
+fn corrupted_results_are_rejected() {
+    let program = bench_program(Bench::Grid, 4);
+    let honest = machine::default_distributed();
+    let mut corrupted = honest.clone();
+    corrupted.mips_ratio *= 50.0;
+    let bogus = Extrapolator::new(corrupted)
+        .run(&program)
+        .expect("corrupted run");
+    let violation = verify_prediction(&program, &honest, &bogus)
+        .expect_err("a 50x MipsRatio result escapes the honest envelope");
+    assert!(
+        violation.contains("escapes its static exact envelope"),
+        "{violation}"
+    );
+
+    let mut wild = Extrapolator::new(honest.clone())
+        .run(&program)
+        .expect("simulate");
+    for b in &mut wild.per_thread {
+        b.end_time = extrap_time::TimeNs(u64::MAX / 2);
+    }
+    assert!(verify_prediction(&program, &honest, &wild).is_err());
+}
+
+/// Representative sweep results verify against the cached program,
+/// whether clustering engages (Grid has a plan) or the job falls back
+/// to the exact path (Embar has none).
+#[test]
+fn repr_sweep_results_verify() {
+    const THREADS: usize = 4;
+    let has_plan = |bench| {
+        let program = bench_program(bench, THREADS);
+        ReprPlan::from_program(
+            &program,
+            SimStrategy::DEFAULT_MAX_CLUSTERS,
+            SimStrategy::DEFAULT_TOLERANCE,
+        )
+        .is_some()
+    };
+    assert!(has_plan(Bench::Grid), "Grid must exercise the plan path");
+    assert!(!has_plan(Bench::Embar), "Embar must exercise the fallback");
+
+    let mut params = machine::default_distributed();
+    params.strategy = SimStrategy::representative();
+    let jobs: Vec<SweepJob<Bench>> = [Bench::Grid, Bench::Embar]
+        .into_iter()
+        .map(|key| SweepJob {
+            key,
+            params: params.clone(),
+        })
+        .collect();
+    let cache = SharedTraceCache::new();
+    let source = |bench: &Bench| {
+        extrap_trace::translate(&bench.trace(THREADS, Scale::Small), Default::default())
+    };
+    let results = sweep(&jobs, 1, &cache, source);
+    for (job, result) in jobs.iter().zip(results) {
+        let pred = result.expect("sweep job");
+        let cached = cache
+            .get_or_translate(job.key, || source(&job.key))
+            .expect("cached");
+        if let Err(violation) = verify_prediction(cached.program(), &job.params, &pred) {
+            panic!("{:?}: {violation}", job.key);
+        }
+    }
+    assert_eq!(cache.translations(), 2, "verification reads the cache");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the static work/span bound analyzer: whole-suite
 //! `analyze` cost (the `extrap analyze` hot path), envelope construction
 //! with representative-region composition, and the per-prediction
-//! verification the bounds sanitizer runs when `--check-bounds` is on.
+//! `verify_prediction` call `--check-bounds` makes.
 
 use extrap_bench::harness::Harness;
 use extrap_bench::ring_traces;
@@ -53,8 +53,8 @@ fn main() {
         });
     }
 
-    // Envelope + verification — the exact per-prediction overhead the
-    // bounds sanitizer adds to every `--check-bounds` simulation.
+    // Envelope + verification — the exact per-prediction overhead
+    // `--check-bounds` adds to every simulation it checks.
     {
         let set = extrap_trace::translate(&Bench::Grid.trace(8, Scale::Tiny), Default::default())
             .expect("translate");

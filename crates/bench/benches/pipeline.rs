@@ -88,7 +88,7 @@ fn run_pipeline(path: &PathBuf) -> (u64, usize) {
     let mut compiler = IncrementalCompiler::new(stream.n_threads());
     let stats = translate_stream(&mut stream, Default::default(), &mut compiler)
         .expect("streaming compile");
-    let program = compiler.finish();
+    let program = compiler.finish().expect("streaming compile");
     let pred = Extrapolator::new(machine::default_distributed())
         .run(&program)
         .expect("extrapolate");

@@ -5,13 +5,13 @@
 //! for the pipeline's concurrent core.
 //!
 //! The simulator's concurrency surface — the shared trace cache, the
-//! cancellable sweep pool, the serving daemon's job table, the
-//! sanitizer registry — synchronizes exclusively through
-//! [`pcpp_rt::sync`].  Under the `model-check` feature those primitives
-//! grow a *checked* backend ([`pcpp_rt::chk`]): every lock, condvar and
-//! checker-visible atomic operation yields to a cooperative scheduler,
-//! so one execution of a scenario is fully described by the sequence of
-//! thread ids chosen at each scheduling point.  This crate is the
+//! cancellable sweep pool, the serving daemon's job table — synchronizes
+//! exclusively through [`pcpp_rt::sync`].  Under the `model-check`
+//! feature those primitives grow a *checked* backend
+//! ([`pcpp_rt::chk`]): every lock, condvar and checker-visible atomic
+//! operation yields to a cooperative scheduler, so one execution of a
+//! scenario is fully described by the sequence of thread ids chosen at
+//! each scheduling point.  This crate is the
 //! *driver* on top of that runtime: it re-executes a scenario once per
 //! schedule, steering each run down a different interleaving, and
 //! reports the first schedule (if any) that deadlocks, loses a wakeup,

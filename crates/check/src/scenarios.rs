@@ -12,7 +12,7 @@
 
 use crate::{Handle, Scenario};
 use extrap_core::sweep::{sweep_cancellable, CancelToken, SharedTraceCache, SweepGrid};
-use extrap_core::{machine, ExtrapError, Extrapolator, RecordMode};
+use extrap_core::{machine, ExtrapError, RecordMode};
 use extrap_proto::{JobId, Request, Response, SweepRow, SweepSpec};
 use extrap_serve::{ServeConfig, Service};
 use extrap_time::DurationNs;
@@ -42,11 +42,6 @@ pub fn scenarios() -> Vec<Scenario> {
             about: "serve JobTable: submit, coalesce, long-poll fetch and drain across \
                     a worker and two clients",
             run: job_table,
-        },
-        Scenario {
-            name: "sanitizer-race",
-            about: "install_sanitizer/set_enabled racing a prediction verification",
-            run: sanitizer_race,
         },
     ]
 }
@@ -207,7 +202,6 @@ fn job_table(h: &Handle) {
         max_connections: 8,
         request_timeout: Duration::from_secs(30),
         batch_window: Duration::ZERO,
-        check_bounds: false,
     });
     let payload = extrap_trace::format::encode_set(&tiny_set(2).expect("tiny set translates"));
     let c1_done = Arc::new(AtomicFlag::new(false));
@@ -298,51 +292,6 @@ fn job_table(h: &Handle) {
             "two sweep jobs ran as separate batches or one coalesced batch"
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// sanitizer-race
-// ---------------------------------------------------------------------
-
-/// Sanitizer registration racing a prediction verification: one thread
-/// installs and enables the bounds checker while another verifies a
-/// known-good prediction.  Every interleaving must end with the
-/// sanitizer active and no spurious violation — `check` may observe
-/// any prefix of install/enable, but never a torn registration.
-fn sanitizer_race(h: &Handle) {
-    let mut params = machine::default_distributed();
-    params.record_mode = RecordMode::MetricsOnly;
-    let program = Arc::new(
-        extrap_core::CompiledProgram::compile(&tiny_set(2).expect("tiny set translates"))
-            .expect("tiny set compiles"),
-    );
-    let prediction = Arc::new(
-        Extrapolator::new(params.clone())
-            .run(&*program)
-            .expect("tiny program simulates"),
-    );
-    let params = Arc::new(params);
-
-    h.spawn(|| {
-        extrap_analyze::install_sanitizer();
-        extrap_core::sanitizer::set_enabled(true);
-    });
-    h.spawn(move || {
-        // A no-op before enable lands, a real envelope check after;
-        // a violation panics and the runtime reports the schedule.
-        extrap_core::sanitizer::check(&program, &params, &prediction);
-    });
-
-    let ok = h.go();
-    if ok {
-        assert!(
-            extrap_core::sanitizer::is_active(),
-            "after both threads finish the sanitizer must be installed and enabled"
-        );
-    }
-    // Reset process-global state for the next schedule of this run (and
-    // for any scenario checked after this one in the same process).
-    extrap_core::sanitizer::set_enabled(false);
 }
 
 // ---------------------------------------------------------------------

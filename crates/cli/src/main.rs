@@ -26,7 +26,10 @@
 
 mod remote;
 
-use extrap_core::{machine, Extrapolator, SharedTraceCache, SimParams, SimStrategy, SweepGrid};
+use extrap_core::{
+    machine, parallel_map, CompiledProgram, Extrapolator, Prediction, SharedTraceCache, SimParams,
+    SimStrategy, SweepGrid,
+};
 use extrap_proto::PredictionSummary;
 use extrap_time::{json_escape, out, outln, ArgSpec, DurationNs, ThreadId, TimeNs};
 use extrap_trace::{
@@ -88,8 +91,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
                  [--jobs N] [--csv] [--check-bounds]\n  \
                  extrap serve [--addr HOST:PORT] [--workers N] [--sweep-workers N] \
                  [--mem-budget-mb N] [--max-inflight N] [--max-conn-inflight N] \
-                 [--max-connections N] [--timeout-ms N] [--batch-window-ms N] \
-                 [--check-bounds]\n  \
+                 [--max-connections N] [--timeout-ms N] [--batch-window-ms N]\n  \
                  extrap client sweep <bench>[,...] [--addr HOST:PORT] [sweep flags] [--csv]\n  \
                  extrap client simulate FILE [--addr HOST:PORT] [simulate flags]\n  \
                  extrap client analyze FILE [--addr HOST:PORT] [--format text|json|csv] \
@@ -257,15 +259,16 @@ fn load_params(spec: &mut ArgSpec) -> Result<SimParams, String> {
     }
 }
 
-/// Takes `--check-bounds` off a spec; when present, installs and
-/// enables the static bounds sanitizer so every subsequent simulation
-/// result is asserted against its work/span envelope.
-fn take_check_bounds(spec: &mut ArgSpec) -> bool {
-    let on = spec.switch("--check-bounds");
-    if on {
-        extrap_analyze::install_sanitizer();
-    }
-    on
+/// The `--check-bounds` verdict on one prediction: its static
+/// work/span envelope must hold it, or the run fails naming `what`.
+fn check_bounds(
+    what: &str,
+    program: &CompiledProgram,
+    params: &SimParams,
+    pred: &Prediction,
+) -> Result<(), String> {
+    extrap_analyze::verify_prediction(program, params, pred)
+        .map_err(|violation| format!("bounds check: {what}: {violation}"))
 }
 
 /// Renders an ingest error of the trace file `path`, naming the file
@@ -281,7 +284,7 @@ fn ingest_error(path: &str) -> impl Fn(extrap_trace::TraceError) -> String + '_ 
 fn load_program(
     path: &str,
     also: impl FnMut(usize, &TraceRecord),
-) -> Result<extrap_core::CompiledProgram, String> {
+) -> Result<CompiledProgram, String> {
     let stream = extrap_trace::TraceStream::open(path).map_err(ingest_error(path))?;
     extrap_core::compile_trace_stream(stream, also).map_err(ingest_error(path))
 }
@@ -306,12 +309,16 @@ impl<S: TranslateSink> TranslateSink for MakespanSink<S> {
 fn cmd_simulate(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("extrap", "simulate", args);
     let params = load_params(&mut spec)?;
-    take_check_bounds(&mut spec);
+    let bounds = spec.switch("--check-bounds");
     let predicted_out = spec.value("--predicted")?;
     let [input] = spec.finish_exact("extrap simulate FILE [--machine M]")?;
-    let pred = Extrapolator::new(params)
-        .run(&load_program(&input, |_, _| {})?)
+    let program = load_program(&input, |_, _| {})?;
+    let pred = Extrapolator::new(params.clone())
+        .run(&program)
         .map_err(|e| e.to_string())?;
+    if bounds {
+        check_bounds(&input, &program, &params, &pred)?;
+    }
     print_prediction(&PredictionSummary::from(&pred));
     if let Some(path) = predicted_out {
         extrap_trace::writer::write_set_file(&path, &pred.predicted).map_err(|e| e.to_string())?;
@@ -419,10 +426,10 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), String> {
             None => vec![1, 2, 4, 8, 16, 32],
             Some(list) => parse_procs(&list)?,
         };
-        let compile_at = |n: usize| -> Result<extrap_core::CompiledProgram, String> {
+        let compile_at = |n: usize| -> Result<CompiledProgram, String> {
             let set = extrap_trace::translate(&bench.trace(n, scale), Default::default())
                 .map_err(|e| e.to_string())?;
-            extrap_core::CompiledProgram::compile(&set).map_err(|e| e.to_string())
+            CompiledProgram::compile(&set).map_err(|e| e.to_string())
         };
         let mut curve = Vec::with_capacity(procs.len());
         for &n in &procs {
@@ -510,7 +517,7 @@ pub(crate) fn render_sweep_rows(rows: &[(String, usize, f64)], procs: &[usize], 
 /// parallel through the sweep engine and print one row per benchmark.
 fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
     let mut spec = ArgSpec::new("extrap", "sweep", args);
-    take_check_bounds(&mut spec);
+    let bounds = spec.switch("--check-bounds");
     let req = parse_sweep_request(spec)?;
 
     // The sweep report only prints times, so skip the predicted traces.
@@ -522,13 +529,32 @@ fn cmd_sweep(args: Vec<String>) -> Result<(), String> {
         .params(params)
         .jobs();
     let cache = SharedTraceCache::new();
-    let results = extrap_core::sweep(&grid, req.jobs, &cache, |(bench, n)| {
+    let source = |(bench, n): &(Bench, usize)| {
         extrap_trace::translate(&bench.trace(*n, req.scale), Default::default())
-    });
+    };
+    let preds: Vec<Prediction> = extrap_core::sweep(&grid, req.jobs, &cache, source)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|e| e.to_string())?;
+    if bounds {
+        // Every trace is resident, so each lookup is a cache hit.
+        let verdicts = parallel_map(&grid, req.jobs, |i, job| {
+            let (bench, n) = job.key;
+            let cached = cache
+                .get_or_translate(job.key, || source(&job.key))
+                .map_err(|e| e.to_string())?;
+            check_bounds(
+                &format!("{}/{n}", bench.name()),
+                cached.program(),
+                &job.params,
+                &preds[i],
+            )
+        });
+        verdicts.into_iter().collect::<Result<(), String>>()?;
+    }
 
     let mut rows = Vec::new();
-    for (job, result) in grid.iter().zip(results) {
-        let pred = result.map_err(|e| e.to_string())?;
+    for (job, pred) in grid.iter().zip(&preds) {
         rows.push((
             job.key.0.name().to_string(),
             job.key.1,
@@ -785,7 +811,7 @@ fn cmd_lint(args: Vec<String>) -> Result<(), String> {
             apply_allow(extrap_lint::lint_params(&params), &allow),
         ));
     }
-    let results = extrap_core::sweep::parallel_map(&files, jobs, |_i, path| lint_one(path));
+    let results = parallel_map(&files, jobs, |_i, path| lint_one(path));
     for (path, result) in files.iter().zip(results) {
         reports.push((path.clone(), apply_allow(result?, &allow)));
     }

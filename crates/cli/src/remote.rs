@@ -49,7 +49,6 @@ pub(crate) fn cmd_serve(args: Vec<String>) -> Result<(), String> {
     if let Some(ms) = spec.parsed::<u64>("--batch-window-ms")? {
         config.batch_window = Duration::from_millis(ms);
     }
-    config.check_bounds = spec.switch("--check-bounds");
     let leftovers = spec.finish()?;
     if !leftovers.is_empty() {
         return Err("serve: takes flags only; see `extrap help`".to_string());

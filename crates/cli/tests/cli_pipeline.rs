@@ -862,6 +862,104 @@ fn sweep_is_deterministic_across_worker_counts() {
     );
 }
 
+/// `--check-bounds` verifies every prediction without changing a byte
+/// of the report, for one simulation and for a whole sweep under both
+/// strategies; the daemon does not take the flag.
+#[test]
+fn check_bounds_leaves_output_byte_identical() {
+    let grid4 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/traces/grid4.xtps"
+    );
+    for strategy in ["exact", "repr"] {
+        let sweep = [
+            "sweep",
+            "embar,grid",
+            "--scale",
+            "tiny",
+            "--procs",
+            "1,2,4",
+            "--jobs",
+            "2",
+            "--csv",
+            "--strategy",
+            strategy,
+        ];
+        for args in [&["simulate", grid4, "--strategy", strategy][..], &sweep] {
+            let plain = extrap(args);
+            let checked = extrap(&[args, &["--check-bounds"]].concat());
+            assert!(plain.status.success(), "{args:?}: {plain:?}");
+            assert!(
+                checked.status.success(),
+                "{args:?} --check-bounds: {checked:?}"
+            );
+            assert_eq!(
+                stdout(&plain),
+                stdout(&checked),
+                "{args:?}: --check-bounds changed the output"
+            );
+        }
+    }
+    let out = extrap(&["serve", "--addr", "127.0.0.1:0", "--check-bounds"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("serve: unknown flag \"--check-bounds\""),
+        "unexpected stderr: {err}"
+    );
+}
+
+/// `examples/traces/bad_owner.{xtrp,xtps}`: two threads, thread 0 reads
+/// an element owned by T7.  An owner outside the thread range is an
+/// ingest error (exit 1) for a raw capture and a translated set alike,
+/// never an engine panic.  `EXTRAP_BLESS=1` rewrites the fixtures.
+#[test]
+fn out_of_range_owners_are_typed_errors() {
+    use extrap_time::{DurationNs, ElementId, ThreadId};
+    use extrap_trace::{format, PhaseAccess, PhaseProgram, PhaseWork};
+
+    let mut program = PhaseProgram::new(2);
+    program.push_phase(vec![
+        PhaseWork {
+            compute: DurationNs(1_000),
+            accesses: vec![PhaseAccess {
+                after: DurationNs(400),
+                owner: ThreadId(7),
+                element: ElementId(3),
+                declared_bytes: 64,
+                actual_bytes: 8,
+                write: false,
+            }],
+        },
+        PhaseWork {
+            compute: DurationNs(1_000),
+            accesses: vec![],
+        },
+    ]);
+    let raw = program.record();
+    let set = extrap_trace::translate(&raw, Default::default()).unwrap();
+    let traces = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/traces");
+    for (file, bytes) in [
+        ("bad_owner.xtrp", format::encode_program(&raw)),
+        ("bad_owner.xtps", format::encode_set(&set)),
+    ] {
+        let path = format!("{traces}/{file}");
+        if std::env::var_os("EXTRAP_BLESS").is_some() {
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "{file} is stale (EXTRAP_BLESS=1 rewrites it)"
+        );
+        let expected =
+            format!("extrap: {path}: record 1 references T7 but the trace has 2 threads\n");
+        assert_fails_with(&["simulate", &path], &expected);
+        assert_fails_with(&["simulate", &path, "--check-bounds"], &expected);
+        assert_fails_with(&["analyze", &path], &expected);
+    }
+}
+
 #[test]
 fn sweep_rejects_the_removed_stream_flag() {
     let dir = tmpdir("no-stream");

@@ -195,8 +195,7 @@ pub struct SimScratch {
 /// `(max_clusters, tolerance)`: built fresh by a session, memoized per
 /// trace by a sweep ([`CachedTrace::repr_plan`](crate::CachedTrace::repr_plan)).
 /// No plan means no exploitable repetition, and the run falls back to
-/// the exact path.  Whichever path ran, the final result passes through
-/// [`sanitizer::check`](crate::sanitizer::check).
+/// the exact path.
 pub(crate) fn simulate<P: Borrow<ReprPlan>>(
     program: &CompiledProgram,
     params: &SimParams,
@@ -211,16 +210,14 @@ pub(crate) fn simulate<P: Borrow<ReprPlan>>(
         } => repr_plan(max_clusters, tolerance),
         SimStrategy::Exact => None,
     };
-    let prediction = match plan {
-        Some(plan) => plan.borrow().run(params, scratch)?,
-        None => exact_compiled_scratch(program, params, scratch)?,
-    };
-    crate::sanitizer::check(program, params, &prediction);
-    Ok(prediction)
+    match plan {
+        Some(plan) => plan.borrow().run(params, scratch),
+        None => exact_compiled_scratch(program, params, scratch),
+    }
 }
 
 /// The exact (every-epoch) path on the analytic network model, with no
-/// validation and no sanitizer check: the exact arm of [`simulate`] and
+/// validation: the exact arm of [`simulate`] and
 /// the representative mini-runs.  Falling back from representative
 /// lands on literally this code, so fallback output is byte-identical
 /// by construction.

@@ -40,7 +40,6 @@ pub mod network;
 pub mod params;
 pub mod processor;
 pub mod repr;
-pub mod sanitizer;
 pub mod scalability;
 pub mod session;
 pub mod streaming;

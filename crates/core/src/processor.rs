@@ -176,7 +176,7 @@ impl CompiledProgram {
                 compiler.emit_record(i, rec)?;
             }
         }
-        Ok(compiler.finish())
+        compiler.finish()
     }
 
     /// Assembles a program from sealed thread scripts.  The
@@ -263,6 +263,12 @@ impl CompiledProgram {
 #[derive(Debug)]
 pub struct IncrementalCompiler {
     threads: Vec<ThreadFold>,
+    /// Records folded so far, across all threads in arrival order.
+    records: usize,
+    /// The highest remote-access owner seen, with the arrival index of
+    /// the first record naming it: [`finish`](Self::finish) rejects it
+    /// if the final thread count does not reach it.
+    top_owner: Option<(ThreadId, usize)>,
 }
 
 /// One thread's in-progress script fold.
@@ -277,6 +283,8 @@ impl IncrementalCompiler {
     pub fn new(n_threads: usize) -> IncrementalCompiler {
         IncrementalCompiler {
             threads: (0..n_threads).map(|_| ThreadFold::default()).collect(),
+            records: 0,
+            top_owner: None,
         }
     }
 
@@ -291,12 +299,19 @@ impl IncrementalCompiler {
     pub fn emit_record(&mut self, thread: usize, rec: &TraceRecord) -> Result<(), TraceError> {
         let Some(fold) = self.threads.get_mut(thread) else {
             return Err(TraceError::BadThread {
-                record: 0,
+                record: self.records,
                 thread: ThreadId::from_index(thread),
                 n_threads: self.threads.len(),
             });
         };
         fold_record(&mut fold.ops, &mut fold.prev, rec);
+        if let EventKind::RemoteRead { owner, .. } | EventKind::RemoteWrite { owner, .. } = rec.kind
+        {
+            if self.top_owner.is_none_or(|(top, _)| owner > top) {
+                self.top_owner = Some((owner, self.records));
+            }
+        }
+        self.records += 1;
         Ok(())
     }
 
@@ -318,14 +333,30 @@ impl IncrementalCompiler {
     /// Seals every script and assembles the program (identical to what
     /// [`CompiledProgram::compile`] yields for the equivalent
     /// [`TraceSet`]).
-    pub fn finish(self) -> CompiledProgram {
+    ///
+    /// Every remote access must name an owner below the final thread
+    /// count — the engine indexes its threads by owner.  A violation is
+    /// [`TraceError::BadThread`], naming the first record that
+    /// references the highest out-of-range owner by its arrival index:
+    /// its position in a set stream, or in the translation's output for
+    /// a raw trace.
+    pub fn finish(self) -> Result<CompiledProgram, TraceError> {
+        if let Some((owner, record)) = self.top_owner {
+            if owner.index() >= self.threads.len() {
+                return Err(TraceError::BadThread {
+                    record,
+                    thread: owner,
+                    n_threads: self.threads.len(),
+                });
+            }
+        }
         let threads: Vec<CompiledThread> = self
             .threads
             .into_iter()
             .enumerate()
             .map(|(i, fold)| CompiledThread::new(ThreadId::from_index(i), fold.ops))
             .collect();
-        CompiledProgram::from_threads(threads)
+        Ok(CompiledProgram::from_threads(threads))
     }
 }
 
@@ -435,7 +466,7 @@ mod tests {
         }
         // Marker splits the compute but contributes no op.
         assert_eq!(
-            compiler.finish().threads()[0].ops,
+            compiler.finish().unwrap().threads()[0].ops,
             vec![
                 Op::Compute(DurationNs(100)),
                 Op::Compute(DurationNs(200)),
@@ -468,7 +499,7 @@ mod tests {
 
     #[test]
     fn end_op_is_guaranteed() {
-        let program = IncrementalCompiler::new(1).finish();
+        let program = IncrementalCompiler::new(1).finish().unwrap();
         assert_eq!(program.threads()[0].ops, vec![Op::End]);
     }
 

@@ -35,7 +35,7 @@ pub fn compile_trace_stream<S: ChunkSource>(
                 Ok(())
             };
             translate_stream(&mut stream, TranslateOptions::default(), &mut sink)?;
-            Ok(compiler.finish())
+            compiler.finish()
         }
         TraceStream::Set(mut stream) => walk_set(&mut stream, also),
     }
@@ -86,7 +86,7 @@ fn walk_set<S: ChunkSource>(
         }
     }
     check.finish()?;
-    Ok(compiler.finish())
+    compiler.finish()
 }
 
 #[cfg(test)]
@@ -288,6 +288,33 @@ mod tests {
             for e in &errors {
                 assert_eq!(e.to_string(), expected, "{name}");
             }
+        }
+    }
+
+    /// An access owner outside the thread range is a typed error on
+    /// every path to a program, from a raw trace and from a set alike,
+    /// so it never reaches the engine (which indexes threads by owner).
+    #[test]
+    fn out_of_range_owner_fails_every_compile_path() {
+        // Two threads; thread 0 reads an element owned by T7.
+        let set_bytes = include_bytes!("../../../examples/traces/bad_owner.xtps");
+        let raw_bytes = include_bytes!("../../../examples/traces/bad_owner.xtrp");
+        let set = format::decode_set(set_bytes).unwrap();
+        let front_door = |bytes: &[u8]| {
+            let stream = TraceStream::new(SliceSource(bytes)).unwrap();
+            compile_trace_stream(stream, |_, _| {}).unwrap_err()
+        };
+        let errors = [
+            CompiledProgram::compile(&set).unwrap_err(),
+            compile_set_stream(&mut SetStream::new(SliceSource(set_bytes)).unwrap()).unwrap_err(),
+            front_door(set_bytes),
+            front_door(raw_bytes),
+        ];
+        for e in errors {
+            assert_eq!(
+                e.to_string(),
+                "record 1 references T7 but the trace has 2 threads"
+            );
         }
     }
 

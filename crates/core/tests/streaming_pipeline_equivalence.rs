@@ -134,7 +134,7 @@ fn streaming_pipeline_matches_whole_trace_path() {
             compiler.emit_record(t, &rec)
         };
         let stats = translate_stream(&mut stream, opts, &mut sink).unwrap();
-        let program = compiler.finish();
+        let program = compiler.finish().unwrap();
         assert_eq!(program, expected_program, "fused compile differs ({what})");
         assert_eq!(stats.records, pt.records.len() as u64, "{what}");
 

@@ -96,11 +96,6 @@ pub struct ServeConfig {
     /// compatible sweeps to arrive before executing the batch.  Zero
     /// still coalesces whatever is already queued.
     pub batch_window: Duration,
-    /// Run every simulation under the static bounds sanitizer
-    /// (`extrap_analyze`): any prediction outside its closed-form
-    /// work/span envelope panics the worker instead of shipping a wrong
-    /// answer.  Debugging/CI knob — off by default.
-    pub check_bounds: bool,
 }
 
 impl Default for ServeConfig {
@@ -115,7 +110,6 @@ impl Default for ServeConfig {
             max_connections: 1024,
             request_timeout: Duration::from_secs(30),
             batch_window: Duration::from_millis(1),
-            check_bounds: false,
         }
     }
 }
@@ -166,9 +160,6 @@ impl Server {
     pub fn start(config: ServeConfig) -> Result<Server, ServeError> {
         if config.workers == 0 {
             return Err(ServeError::Config("workers must be >= 1".into()));
-        }
-        if config.check_bounds {
-            extrap_analyze::install_sanitizer();
         }
         let listener = TcpListener::bind(&config.addr).map_err(|source| ServeError::Bind {
             addr: config.addr.clone(),

@@ -1,10 +1,10 @@
 //! The worker pool: pops admitted jobs off the queue and executes them,
 //! coalescing compatible sweeps into one shared grid per batch.
 //!
-//! A job's compute runs under `catch_unwind`: a panic (the bounds
-//! sanitizer tripping, or any engine bug a submitted trace reaches)
-//! fails that job — or every live member of its coalesced batch — with
-//! `Internal`, and the worker goes on serving.
+//! A job's compute runs under `catch_unwind`: a panic (an engine bug a
+//! submitted trace or parameter set reaches) fails that job — or every
+//! live member of its coalesced batch — with `Internal`, and the worker
+//! goes on serving.
 
 use crate::state::{JobPayload, Service, SimWork, SweepKey, SweepWork, Work};
 use extrap_core::sweep::{sweep_cancellable, SweepJob};
@@ -171,4 +171,113 @@ fn run_sweep_batch(service: &Service, first: SweepWork, first_deadline: Instant)
         service.complete(s.job, outcome);
     }
     service.enforce_budget();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ServeConfig;
+    use extrap_proto::{Request, Response, SweepSpec};
+    use extrap_time::DurationNs;
+    use std::sync::Arc;
+
+    fn panicked(detail: &str) -> Result<(), (ErrorCode, String)> {
+        Err((ErrorCode::Internal, format!("job panicked: {detail}")))
+    }
+
+    #[test]
+    fn isolate_names_every_panic_payload() {
+        assert_eq!(isolate(|| 7), Ok(7));
+        let owned = isolate(|| std::panic::panic_any(String::from("owned message")));
+        assert_eq!(owned, panicked("owned message"));
+        let literal = isolate(|| std::panic::panic_any("static message"));
+        assert_eq!(literal, panicked("static message"));
+        let other = isolate(|| std::panic::panic_any(42_u32));
+        assert_eq!(other, panicked("non-string panic payload"));
+    }
+
+    /// An admitted simulate and sweep each complete with an `isolate`d
+    /// panic; the real worker loop then serves the next simulate and
+    /// sweep, and the job counters balance.
+    #[test]
+    fn a_panicking_job_fails_alone_and_the_worker_keeps_serving() {
+        let service = Service::new_in_process(ServeConfig {
+            workers: 1,
+            sweep_workers: 1,
+            batch_window: std::time::Duration::ZERO,
+            ..ServeConfig::default()
+        });
+        let session = service.session();
+        let mut program = extrap_trace::PhaseProgram::new(2);
+        program.push_uniform_phase(DurationNs::from_us(100.0));
+        let set = extrap_trace::translate(&program.record(), Default::default()).unwrap();
+        let trace = match session.handle(Request::SubmitTrace {
+            name: "tiny".into(),
+            payload: extrap_trace::format::encode_set(&set),
+        }) {
+            Response::Submitted { trace, .. } => trace,
+            other => panic!("submit failed: {other:?}"),
+        };
+        let admit = |req| match session.handle(req) {
+            Response::Accepted { job } => job,
+            other => panic!("expected Accepted, got {other:?}"),
+        };
+        let simulate = || {
+            admit(Request::Simulate {
+                trace,
+                params: String::new(),
+            })
+        };
+        let sweep = || {
+            admit(Request::Sweep(SweepSpec {
+                benches: vec!["embar".into()],
+                procs: vec![2],
+                scale: "tiny".into(),
+                params: String::new(),
+            }))
+        };
+        // Long enough for a tiny job, short enough that a job nobody
+        // completes fails the test instead of hanging it.
+        let fetch = |job| {
+            session.handle(Request::FetchResult {
+                job,
+                wait_ms: 10_000,
+            })
+        };
+
+        // Stand in for the worker: take each admitted job off the queue
+        // and complete it with a compute that panics.
+        let failing = [simulate(), sweep()];
+        for expected in failing {
+            let job = match service.next_work().expect("the job is queued").work {
+                Work::Simulate(sim) => sim.job,
+                Work::Sweep(sw) => sw.job,
+            };
+            assert_eq!(job, expected);
+            service.complete(job, isolate(|| panic!("injected job failure")));
+        }
+        for job in failing {
+            let detail = "job panicked: injected job failure".to_string();
+            let code = ErrorCode::Internal;
+            assert_eq!(fetch(job), Response::Error { code, detail });
+        }
+
+        let worker = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.run_worker())
+        };
+        let served = fetch(simulate());
+        assert!(matches!(served, Response::Prediction(_)), "{served:?}");
+        let served = fetch(sweep());
+        assert!(
+            matches!(served, Response::SweepRows(ref rows) if rows.len() == 1),
+            "{served:?}"
+        );
+
+        let stats = service.stats();
+        assert_eq!((stats.jobs_done, stats.jobs_failed), (2, 2));
+        assert_eq!(stats.jobs_inflight, 0);
+        session.handle(Request::Shutdown);
+        worker.join().expect("the worker thread survived every job");
+    }
 }

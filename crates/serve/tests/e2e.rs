@@ -499,7 +499,7 @@ fn corrupt_payloads_are_rejected_with_pinned_details() {
     let mut trailing = set_with(|_| {});
     trailing.extend_from_slice(&[0, 1, 2]);
 
-    let cases: [(&str, Vec<u8>, &str); 14] = [
+    let cases: [(&str, Vec<u8>, &str); 16] = [
         (
             "misplaced position",
             set_with(|s| s.threads[1].thread = ThreadId(2)),
@@ -541,6 +541,16 @@ fn corrupt_payloads_are_rejected_with_pinned_details() {
             "thread out of range",
             program(1, &[(0, 0, begin), (1, 3, begin)]),
             "record 1 references T3 but the trace has 1 threads",
+        ),
+        (
+            "set owner out of range",
+            include_bytes!("../../../examples/traces/bad_owner.xtps").to_vec(),
+            "record 1 references T7 but the trace has 2 threads",
+        ),
+        (
+            "program owner out of range",
+            include_bytes!("../../../examples/traces/bad_owner.xtrp").to_vec(),
+            "record 1 references T7 but the trace has 2 threads",
         ),
         (
             "global regression",
