@@ -4,10 +4,10 @@
 //! (m < n) extension.
 
 use extrap_bench::harness::Harness;
-use extrap_bench::ring_traces;
+use extrap_bench::{predict, ring_traces};
 use extrap_core::{
-    machine, BarrierAlgorithm, CompiledProgram, Extrapolator, MultithreadParams, ServicePolicy,
-    SizeMode, ThreadMapping,
+    machine, BarrierAlgorithm, CompiledProgram, MultithreadParams, ServicePolicy, SizeMode,
+    ThreadMapping,
 };
 use std::hint::black_box;
 
@@ -29,14 +29,7 @@ fn main() {
             if algorithm != BarrierAlgorithm::Linear {
                 params.barrier.by_msgs = false;
             }
-            h.bench(name, || {
-                black_box(
-                    Extrapolator::new(params.clone())
-                        .run(&ts)
-                        .unwrap()
-                        .exec_time(),
-                )
-            });
+            h.bench(name, || black_box(predict(&params, &ts).exec_time()));
         }
     }
 
@@ -45,12 +38,7 @@ fn main() {
         let params = machine::cm5();
         let refmachine = extrap_refsim::RefMachine::new(params.clone());
         h.bench("contention_model/analytic", || {
-            black_box(
-                Extrapolator::new(params.clone())
-                    .run(&ts)
-                    .unwrap()
-                    .exec_time(),
-            )
+            black_box(predict(&params, &ts).exec_time())
         });
         h.bench("contention_model/link_level", || {
             let program = CompiledProgram::compile(&ts).unwrap();
@@ -64,12 +52,7 @@ fn main() {
             let mut params = machine::default_distributed();
             params.policy = ServicePolicy::poll_us(us);
             h.bench(&format!("poll_interval/{us}us"), || {
-                black_box(
-                    Extrapolator::new(params.clone())
-                        .run(&ts)
-                        .unwrap()
-                        .exec_time(),
-                )
+                black_box(predict(&params, &ts).exec_time())
             });
         }
     }
@@ -82,14 +65,7 @@ fn main() {
         ] {
             let mut params = machine::default_distributed();
             params.size_mode = mode;
-            h.bench(name, || {
-                black_box(
-                    Extrapolator::new(params.clone())
-                        .run(&ts)
-                        .unwrap()
-                        .exec_time(),
-                )
-            });
+            h.bench(name, || black_box(predict(&params, &ts).exec_time()));
         }
     }
 
@@ -108,14 +84,7 @@ fn main() {
                 mapping,
                 ..MultithreadParams::default()
             };
-            h.bench(name, || {
-                black_box(
-                    Extrapolator::new(params.clone())
-                        .run(&ts)
-                        .unwrap()
-                        .exec_time(),
-                )
-            });
+            h.bench(name, || black_box(predict(&params, &ts).exec_time()));
         }
     }
 

@@ -5,8 +5,8 @@
 //! very quickly").
 
 use extrap_bench::harness::Harness;
-use extrap_bench::suite_traces;
-use extrap_core::{machine, CompiledProgram, Extrapolator, ServicePolicy, SizeMode};
+use extrap_bench::{predict, suite_traces};
+use extrap_core::{machine, CompiledProgram, ServicePolicy, SizeMode};
 use extrap_trace::translate;
 use extrap_workloads::{matmul, Bench, Scale};
 use std::hint::black_box;
@@ -24,12 +24,7 @@ fn main() {
         let params = machine::default_distributed();
         h.bench("fig4_suite_extrapolation_p32", || {
             for (_, ts) in &traces {
-                black_box(
-                    Extrapolator::new(params.clone())
-                        .run(ts)
-                        .unwrap()
-                        .exec_time(),
-                );
+                black_box(predict(&params, ts).exec_time());
             }
         });
     }
@@ -42,12 +37,7 @@ fn main() {
         variants.push(actual);
         h.bench("fig5_grid_variants_p16", || {
             for params in &variants {
-                black_box(
-                    Extrapolator::new(params.clone())
-                        .run(&grid)
-                        .unwrap()
-                        .exec_time(),
-                );
+                black_box(predict(params, &grid).exec_time());
             }
         });
     }
@@ -58,7 +48,7 @@ fn main() {
             for ratio in [2.0, 1.0, 0.5] {
                 let mut params = machine::default_distributed();
                 params.mips_ratio = ratio;
-                black_box(Extrapolator::new(params).run(&mgrid).unwrap().exec_time());
+                black_box(predict(&params, &mgrid).exec_time());
             }
         });
     }
@@ -69,7 +59,7 @@ fn main() {
             for startup in [5.0, 100.0, 200.0] {
                 let mut params = machine::default_distributed();
                 params.comm = params.comm.with_startup_us(startup);
-                black_box(Extrapolator::new(params).run(&mgrid).unwrap().exec_time());
+                black_box(predict(&params, &mgrid).exec_time());
             }
         });
     }
@@ -86,7 +76,7 @@ fn main() {
                 let mut params = machine::default_distributed();
                 params.comm = params.comm.with_startup_us(100.0);
                 params.policy = policy;
-                black_box(Extrapolator::new(params).run(&cyclic).unwrap().exec_time());
+                black_box(predict(&params, &cyclic).exec_time());
             }
         });
     }
@@ -100,12 +90,7 @@ fn main() {
         let params = machine::cm5();
         let refmachine = extrap_refsim::RefMachine::new(params.clone());
         h.bench("fig9_matmul_predicted_p16", || {
-            black_box(
-                Extrapolator::new(params.clone())
-                    .run(&ts)
-                    .unwrap()
-                    .exec_time(),
-            )
+            black_box(predict(&params, &ts).exec_time())
         });
         h.bench("fig9_matmul_measured_p16", || {
             let program = CompiledProgram::compile(&ts).unwrap();

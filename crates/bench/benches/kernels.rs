@@ -2,8 +2,11 @@
 //! translation, encoding, and raw simulator event throughput.
 
 use extrap_bench::harness::{Harness, Throughput};
-use extrap_bench::{ring_program, ring_traces};
-use extrap_core::{machine, CompiledProgram, Extrapolator, RecordMode, RunInput, SimScratch};
+use extrap_bench::{predict, ring_program, ring_traces};
+use extrap_core::network::NetworkState;
+use extrap_core::{
+    machine, run_with_network, CompiledProgram, Extrapolator, RecordMode, SimScratch,
+};
 use extrap_time::{DurationNs, SplitMix64, TimeNs};
 use std::hint::black_box;
 
@@ -73,12 +76,12 @@ fn main() {
 
     for &n in &[4usize, 16, 32] {
         let ts = ring_traces(n, 32, 20.0, 1_024);
-        let session = Extrapolator::new(machine::default_distributed());
-        let events = session.run(&ts).unwrap().events_dispatched;
+        let params = machine::default_distributed();
+        let events = predict(&params, &ts).events_dispatched;
         h.bench_throughput(
             &format!("extrapolate_ring_{n}t"),
             Throughput::Elements(events),
-            || black_box(session.run(&ts).unwrap().exec_time()),
+            || black_box(predict(&params, &ts).exec_time()),
         );
     }
 
@@ -88,22 +91,24 @@ fn main() {
         let ts = ring_traces(32, 32, 20.0, 1_024);
         let program = CompiledProgram::compile(&ts).unwrap();
         let events = Extrapolator::new(machine::default_distributed())
-            .run(&ts)
+            .run(&program)
             .unwrap()
             .events_dispatched;
         let mut params = machine::default_distributed();
         params.record_mode = RecordMode::MetricsOnly;
-        let session = Extrapolator::new(params);
         let mut scratch = SimScratch::default();
         h.bench_throughput(
             "run_compiled_scratch_ring_32t",
             Throughput::Elements(events),
             || {
-                let input = RunInput::CompiledScratch {
-                    program: &program,
-                    scratch: &mut scratch,
-                };
-                black_box(session.run(input).unwrap().exec_time())
+                // The network exactly as the engine's exact path builds it.
+                let n_procs = params
+                    .multithread
+                    .mapping
+                    .n_procs(program.n_threads().max(1));
+                let net = NetworkState::new(n_procs, params.network, params.comm.byte_transfer);
+                let pred = run_with_network(&program, &params, net, &mut scratch).unwrap();
+                black_box(pred.exec_time())
             },
         );
     }

@@ -5,6 +5,7 @@
 
 pub mod harness;
 
+use extrap_core::{CompiledProgram, Extrapolator, Prediction, SimParams};
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork, ProgramTrace, TraceSet};
 use extrap_workloads::{Bench, Scale};
@@ -36,6 +37,15 @@ pub fn ring_program(n: usize, phases: usize, us: f64, bytes: u32) -> ProgramTrac
 pub fn ring_traces(n: usize, phases: usize, us: f64, bytes: u32) -> TraceSet {
     extrap_trace::translate(&ring_program(n, phases, us, bytes), Default::default())
         .expect("ring program translates")
+}
+
+/// Compiles `traces` and extrapolates them onto `params`: one whole
+/// prediction from translated traces, compile included.
+pub fn predict(params: &SimParams, traces: &TraceSet) -> Prediction {
+    let program = CompiledProgram::compile(traces).expect("fixture compiles");
+    Extrapolator::new(params.clone())
+        .run(&program)
+        .expect("fixture extrapolates")
 }
 
 /// Tiny-scale translated traces of the full benchmark suite at `procs`.

@@ -9,6 +9,7 @@
 //! plus a fast per-byte copy cost, no interconnect involvement), while
 //! messages between clusters traverse the normal network model.
 
+use crate::engine::ExtrapError;
 use crate::network::state::{NetModel, NetworkState, NetworkStats};
 use crate::params::NetworkParams;
 use extrap_time::{DurationNs, ProcId, TimeNs};
@@ -37,14 +38,6 @@ impl Default for ClusterParams {
 }
 
 impl ClusterParams {
-    /// Validates the parameters.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.cluster_size == 0 {
-            return Err("cluster size must be at least 1".to_string());
-        }
-        Ok(())
-    }
-
     /// The cluster a processor belongs to.
     pub fn cluster_of(&self, p: ProcId) -> usize {
         p.index() / self.cluster_size.max(1)
@@ -63,21 +56,29 @@ pub struct ClusteredNetwork {
 impl ClusteredNetwork {
     /// Builds the clustered network for `n_procs` processors; `network`
     /// and `byte_transfer` describe the inter-cluster interconnect.
+    /// Hand it to [`run_with_network`](crate::run_with_network) to
+    /// extrapolate onto the clustered machine.
+    ///
+    /// A zero cluster size is refused with [`ExtrapError::Params`].
     pub fn new(
         n_procs: usize,
         params: ClusterParams,
         network: NetworkParams,
         byte_transfer: DurationNs,
-    ) -> ClusteredNetwork {
-        // The inter-cluster network sees one endpoint per *cluster*; we
-        // keep per-processor addressing but scale the contention
-        // capacity by the cluster count via the processor count we hand
-        // the inner model.
-        ClusteredNetwork {
+    ) -> Result<ClusteredNetwork, ExtrapError> {
+        if params.cluster_size == 0 {
+            return Err(ExtrapError::Params(
+                "cluster size must be at least 1".to_string(),
+            ));
+        }
+        // The inter-cluster model keeps per-processor addressing: it is
+        // built for all `n_procs` processors, so its contention capacity
+        // is the flat network's, however many clusters there are.
+        Ok(ClusteredNetwork {
             params,
             inter: NetworkState::new(n_procs, network, byte_transfer),
             intra_stats: NetworkStats::default(),
-        }
+        })
     }
 
     /// Statistics of intra-cluster (shared-memory) transfers only.
@@ -121,31 +122,14 @@ impl NetModel for ClusteredNetwork {
     }
 }
 
-/// Extrapolates onto a clustered machine: `params` describes the
-/// inter-cluster regime (and everything else), `cluster` the
-/// shared-memory islands.
-pub fn extrapolate_clustered(
-    traces: &extrap_trace::TraceSet,
-    params: &crate::params::SimParams,
-    cluster: ClusterParams,
-) -> Result<crate::metrics::Prediction, crate::engine::ExtrapError> {
-    cluster
-        .validate()
-        .map_err(crate::engine::ExtrapError::Params)?;
-    let n_procs = params
-        .multithread
-        .mapping
-        .n_procs(traces.n_threads().max(1));
-    let net = ClusteredNetwork::new(n_procs, cluster, params.network, params.comm.byte_transfer);
-    let program = crate::processor::CompiledProgram::compile(traces)?;
-    crate::engine::run_with_network(&program, params, net, &mut Default::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::topology::Topology;
     use crate::params::ContentionParams;
+    use crate::processor::CompiledProgram;
+    use extrap_time::{ElementId, ThreadId};
+    use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork};
 
     fn net() -> ClusteredNetwork {
         ClusteredNetwork::new(
@@ -162,6 +146,7 @@ mod tests {
             },
             DurationNs(50),
         )
+        .unwrap()
     }
 
     fn p(i: u32) -> ProcId {
@@ -206,13 +191,43 @@ mod tests {
             cluster_size: 0,
             ..ClusterParams::default()
         };
-        assert!(c.validate().is_err());
+        let params = crate::machine::default_distributed();
+        let err =
+            ClusteredNetwork::new(8, c, params.network, params.comm.byte_transfer).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid parameters: cluster size must be at least 1"
+        );
+    }
+
+    /// Flat and clustered (`cluster_size`) execution times of `prog` on
+    /// the default distributed machine, one compile for both.
+    fn flat_and_clustered(prog: &PhaseProgram, cluster_size: usize) -> (TimeNs, TimeNs) {
+        let ts = extrap_trace::translate(&prog.record(), Default::default()).unwrap();
+        let program = CompiledProgram::compile(&ts).unwrap();
+        let params = crate::machine::default_distributed();
+        let flat = crate::Extrapolator::new(params.clone())
+            .run(&program)
+            .unwrap()
+            .exec_time();
+        let net = ClusteredNetwork::new(
+            program.n_threads(),
+            ClusterParams {
+                cluster_size,
+                ..ClusterParams::default()
+            },
+            params.network,
+            params.comm.byte_transfer,
+        )
+        .unwrap();
+        let clustered = crate::run_with_network(&program, &params, net, &mut Default::default())
+            .unwrap()
+            .exec_time();
+        (flat, clustered)
     }
 
     #[test]
     fn clustered_extrapolation_beats_flat_network_for_local_patterns() {
-        use extrap_time::{ElementId, ThreadId};
-        use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork};
         // Neighbour exchange: thread t reads from t+1; with block
         // clustering most exchanges stay inside a cluster.
         let n = 8;
@@ -233,22 +248,7 @@ mod tests {
                 .collect();
             prog.push_phase(work);
         }
-        let ts = extrap_trace::translate(&prog.record(), Default::default()).unwrap();
-        let params = crate::machine::default_distributed();
-        let flat = crate::Extrapolator::new(params.clone())
-            .run(&ts)
-            .unwrap()
-            .exec_time();
-        let clustered = extrapolate_clustered(
-            &ts,
-            &params,
-            ClusterParams {
-                cluster_size: 4,
-                ..ClusterParams::default()
-            },
-        )
-        .unwrap()
-        .exec_time();
+        let (flat, clustered) = flat_and_clustered(&prog, 4);
         assert!(
             clustered < flat,
             "clustering should help: {clustered} vs flat {flat}"
@@ -257,8 +257,6 @@ mod tests {
 
     #[test]
     fn cluster_size_one_matches_flat_network() {
-        use extrap_time::{ElementId, ThreadId};
-        use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork};
         let n = 4;
         let mut prog = PhaseProgram::new(n);
         let work = (0..n)
@@ -275,22 +273,7 @@ mod tests {
             })
             .collect();
         prog.push_phase(work);
-        let ts = extrap_trace::translate(&prog.record(), Default::default()).unwrap();
-        let params = crate::machine::default_distributed();
-        let flat = crate::Extrapolator::new(params.clone())
-            .run(&ts)
-            .unwrap()
-            .exec_time();
-        let clustered = extrapolate_clustered(
-            &ts,
-            &params,
-            ClusterParams {
-                cluster_size: 1,
-                ..ClusterParams::default()
-            },
-        )
-        .unwrap()
-        .exec_time();
+        let (flat, clustered) = flat_and_clustered(&prog, 1);
         assert_eq!(clustered, flat);
     }
 }

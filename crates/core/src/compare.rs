@@ -99,11 +99,16 @@ impl PredictionDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{machine, Extrapolator};
+    use crate::{machine, CompiledProgram, Extrapolator};
     use extrap_time::{DurationNs, ElementId, ThreadId};
     use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork};
 
-    fn traced() -> extrap_trace::TraceSet {
+    fn compiled(p: &PhaseProgram) -> CompiledProgram {
+        let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+        CompiledProgram::compile(&ts).unwrap()
+    }
+
+    fn traced() -> CompiledProgram {
         let mut p = PhaseProgram::new(4);
         for _ in 0..3 {
             let work = (0..4)
@@ -121,7 +126,7 @@ mod tests {
                 .collect();
             p.push_phase(work);
         }
-        extrap_trace::translate(&p.record(), Default::default()).unwrap()
+        compiled(&p)
     }
 
     #[test]
@@ -172,7 +177,7 @@ mod tests {
         let ts = traced();
         let mut p2 = PhaseProgram::new(2);
         p2.push_uniform_phase(DurationNs(100));
-        let ts2 = extrap_trace::translate(&p2.record(), Default::default()).unwrap();
+        let ts2 = compiled(&p2);
         let a = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
         let b = Extrapolator::new(machine::cm5()).run(&ts2).unwrap();
         let _ = diff(&a, &b);

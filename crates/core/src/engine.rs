@@ -170,11 +170,10 @@ struct Pr {
 /// coordinator and action buffer, and per-thread/per-processor
 /// bookkeeping vectors.
 ///
-/// A fresh `SimScratch` is just empty buffers; passing the same one in
-/// [`RunInput::CompiledScratch`](crate::RunInput::CompiledScratch) for
-/// every job of a sweep lets steady-state jobs reuse all of them.  The
-/// sweep engine keeps one per worker thread.  Contents are opaque — the
-/// engine resets everything it reads.
+/// A fresh `SimScratch` is just empty buffers; passing the same one to
+/// [`run_with_network`] for every job of a loop lets steady-state jobs
+/// reuse all of them.  The sweep engine keeps one per worker thread.
+/// Contents are opaque — the engine resets everything it reads.
 #[derive(Default)]
 pub struct SimScratch {
     queue: EventQueue<Ev>,
@@ -237,10 +236,9 @@ pub(crate) fn exact_compiled_scratch(
 /// Runs a compiled program exactly with a caller-supplied network model
 /// — the seam `extrap-refsim` uses to substitute link-level contention
 /// simulation (the model swap §3.3.2 anticipates), and
-/// [`extrapolate_clustered`](crate::extrapolate_clustered) its
-/// shared-memory islands.  Always exact: a stateful network model
-/// carries state across epochs, which representative composition cannot
-/// honor.
+/// [`ClusteredNetwork`](crate::ClusteredNetwork) its shared-memory
+/// islands.  Always exact: a stateful network model carries state
+/// across epochs, which representative composition cannot honor.
 pub fn run_with_network<N: NetModel>(
     program: &CompiledProgram,
     params: &SimParams,

@@ -19,11 +19,13 @@
 //!   provided as the paper's "easily substituted" alternatives).
 //!
 //! The one entry point is the [`Extrapolator`] session and its
-//! [`run`](Extrapolator::run) method.  Machine presets (including the
-//! paper's CM-5 parameter set, Table 3) live in [`machine`]; a what-if
-//! question edits a preset's [`SimParams`] fields before the session
-//! starts.  Whole parameter grids run in parallel through the
-//! [`sweep`](mod@sweep) engine.
+//! [`run`](Extrapolator::run) method, which takes a [`CompiledProgram`]:
+//! compile a translated set with [`CompiledProgram::compile`], or a
+//! trace file of either shape with [`compile_trace_stream`].  Machine
+//! presets (including the paper's CM-5 parameter set, Table 3) live in
+//! [`machine`]; a what-if question edits a preset's [`SimParams`] fields
+//! before the session starts.  Whole parameter grids run in parallel
+//! through the [`sweep`](mod@sweep) engine.
 
 // Parameter sets are built by mutating a preset/default — that is the
 // intended API style ("take the CM-5 and change MipsRatio").
@@ -45,7 +47,7 @@ pub mod session;
 pub mod streaming;
 pub mod sweep;
 
-pub use cluster::{extrapolate_clustered, ClusterParams, ClusteredNetwork};
+pub use cluster::{ClusterParams, ClusteredNetwork};
 pub use compare::{diff, DeltaNs, PredictionDiff};
 pub use engine::{run_with_network, ExtrapError, SimScratch};
 pub use metrics::{Prediction, ProcBreakdown};
@@ -59,7 +61,7 @@ pub use params::{
 pub use processor::{CompiledProgram, CompiledThread, IncrementalCompiler};
 pub use repr::{render_stats_report, ReprCluster, ReprPlan};
 pub use scalability::{Scalability, ScalePoint};
-pub use session::{Extrapolator, RunInput};
+pub use session::Extrapolator;
 pub use streaming::{compile_set_stream, compile_trace_stream};
 pub use sweep::{
     parallel_map, parallel_map_with, sweep, sweep_cancellable, CachedTrace, CancelToken,

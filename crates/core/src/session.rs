@@ -1,27 +1,34 @@
 //! The extrapolation session.
 //!
 //! [`Extrapolator`] holds what one prediction needs — the target
-//! machine's [`SimParams`].  A what-if question the paper poses is an
-//! edit to a preset's fields:
+//! machine's [`SimParams`].  Its input is a [`CompiledProgram`]: compile
+//! once, then replay under as many sessions as there are what-if
+//! questions.  A what-if question the paper poses is an edit to a
+//! preset's fields:
 //!
 //! ```
-//! use extrap_core::{machine, Extrapolator, ServicePolicy};
-//! use extrap_trace::PhaseProgram;
+//! use extrap_core::{machine, CompiledProgram, Extrapolator, ServicePolicy};
+//! use extrap_trace::{PhaseProgram, TranslateOptions};
 //! use extrap_time::DurationNs;
 //!
 //! let mut p = PhaseProgram::new(4);
 //! p.push_uniform_phase(DurationNs::from_us(100.0));
+//! let traces = extrap_trace::translate(&p.record(), TranslateOptions::default()).unwrap();
+//! let program = CompiledProgram::compile(&traces).unwrap();
 //!
 //! let mut params = machine::cm5();
 //! params.policy = ServicePolicy::Interrupt;
 //! params.mips_ratio = 0.5;
-//! let prediction = Extrapolator::new(params).run(&p.record()).unwrap();
+//! let prediction = Extrapolator::new(params).run(&program).unwrap();
 //! assert_eq!(prediction.n_procs, 4);
 //! ```
 //!
 //! [`Extrapolator::run`] is the one in-process entry point to the
-//! pipeline of Figure 2 (measured 1-processor trace → translation →
-//! trace-driven simulation → predicted metrics), and the
+//! simulation stage of Figure 2 (measured 1-processor trace →
+//! translation → trace-driven simulation → predicted metrics).  A raw
+//! capture or a translated set on disk reaches a [`CompiledProgram`]
+//! through [`compile_trace_stream`](crate::compile_trace_stream) or
+//! [`compile_set_stream`](crate::compile_set_stream); the
 //! [`sweep`](mod@crate::sweep) engine runs whole grids of sessions in
 //! parallel through the same strategy dispatch.
 
@@ -30,56 +37,9 @@ use crate::metrics::Prediction;
 use crate::params::SimParams;
 use crate::processor::CompiledProgram;
 use crate::repr::ReprPlan;
-use extrap_trace::{ProgramTrace, TraceSet, TranslateOptions};
-
-/// The one input a [`run`](Extrapolator::run) call extrapolates, at
-/// whatever pipeline stage the caller happens to hold it.
-///
-/// This is the job-oriented face of the session API: in-process
-/// callers, the `extrap` CLI, and the `extrap-serve` daemon all funnel
-/// through the same `run(input)` request shape.  The common cases
-/// convert implicitly (`&TraceSet`, `&CompiledProgram`, `&ProgramTrace`
-/// all `Into<RunInput>`); the sweep hot path names its variant
-/// explicitly to thread a scratch buffer through.
-pub enum RunInput<'a> {
-    /// Already-translated per-thread traces (simulated directly).
-    Traces(&'a TraceSet),
-    /// An already-compiled program (compile once with
-    /// [`CompiledProgram::compile`], replay under many sessions).
-    Compiled(&'a CompiledProgram),
-    /// A compiled program replayed through the caller's recycled
-    /// scratch buffers — the sweep hot path.
-    CompiledScratch {
-        /// The compiled program to replay.
-        program: &'a CompiledProgram,
-        /// Reused simulation buffers (one per worker, typically).
-        scratch: &'a mut SimScratch,
-    },
-    /// A raw 1-processor program trace; translated with default
-    /// [`TranslateOptions`] first.
-    Program(&'a ProgramTrace),
-}
-
-impl<'a> From<&'a TraceSet> for RunInput<'a> {
-    fn from(traces: &'a TraceSet) -> RunInput<'a> {
-        RunInput::Traces(traces)
-    }
-}
-
-impl<'a> From<&'a CompiledProgram> for RunInput<'a> {
-    fn from(program: &'a CompiledProgram) -> RunInput<'a> {
-        RunInput::Compiled(program)
-    }
-}
-
-impl<'a> From<&'a ProgramTrace> for RunInput<'a> {
-    fn from(trace: &'a ProgramTrace) -> RunInput<'a> {
-        RunInput::Program(trace)
-    }
-}
 
 /// A configured extrapolation session: target-machine parameters,
-/// applied to as many traces as you like.
+/// applied to as many compiled programs as you like.
 #[derive(Clone, Debug, Default)]
 pub struct Extrapolator {
     params: SimParams,
@@ -92,42 +52,17 @@ impl Extrapolator {
         Extrapolator { params }
     }
 
-    /// The session's current parameter set.
-    pub fn params(&self) -> &SimParams {
-        &self.params
-    }
-
-    /// Extrapolates one [`RunInput`] — translated traces, a compiled
-    /// program (with or without caller-provided scratch buffers), or a
-    /// raw 1-processor program trace.
+    /// Extrapolates one compiled program onto the session's machine.
     ///
-    /// This is the only in-process entry point.  `&TraceSet`,
-    /// `&CompiledProgram`, and `&ProgramTrace` convert implicitly;
-    /// whatever the input, it is compiled (translated first, if raw)
-    /// and handed to the engine's single strategy dispatch, with a
-    /// representative plan built fresh for this run when the strategy
+    /// The program goes to the engine's single strategy dispatch, with
+    /// a representative plan built fresh for this run when the strategy
     /// asks for one.
-    pub fn run<'a>(&self, input: impl Into<RunInput<'a>>) -> Result<Prediction, ExtrapError> {
-        let compiled;
-        let (program, scratch) = match input.into() {
-            RunInput::Traces(traces) => {
-                compiled = CompiledProgram::compile(traces)?;
-                (&compiled, None)
-            }
-            RunInput::Program(trace) => {
-                let set = extrap_trace::translate(trace, TranslateOptions::default())?;
-                compiled = CompiledProgram::compile(&set)?;
-                (&compiled, None)
-            }
-            RunInput::Compiled(program) => (program, None),
-            RunInput::CompiledScratch { program, scratch } => (program, Some(scratch)),
-        };
-        let mut fresh = SimScratch::default();
+    pub fn run(&self, program: &CompiledProgram) -> Result<Prediction, ExtrapError> {
         engine::simulate(
             program,
             &self.params,
             |max_clusters, tolerance| ReprPlan::from_program(program, max_clusters, tolerance),
-            scratch.unwrap_or(&mut fresh),
+            &mut SimScratch::default(),
         )
     }
 }
@@ -141,37 +76,7 @@ mod tests {
     use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork, TraceSet};
 
     fn predict(ts: &TraceSet, params: &SimParams) -> Result<Prediction, ExtrapError> {
-        Extrapolator::new(params.clone()).run(ts)
-    }
-
-    fn program() -> ProgramTrace {
-        let mut p = PhaseProgram::new(4);
-        p.push_uniform_phase(DurationNs::from_us(50.0));
-        p.push_uniform_phase(DurationNs::from_us(50.0));
-        p.record()
-    }
-
-    #[test]
-    fn all_run_input_forms_agree() {
-        use crate::processor::CompiledProgram;
-        let pt = program();
-        let ts = extrap_trace::translate(&pt, TranslateOptions::default()).unwrap();
-        let compiled = CompiledProgram::compile(&ts).unwrap();
-        let session = Extrapolator::new(machine::cm5());
-        let via_traces = session.run(&ts).unwrap();
-        let via_program = session.run(&pt).unwrap();
-        let via_compiled = session.run(&compiled).unwrap();
-        let mut scratch = SimScratch::default();
-        let via_scratch = session
-            .run(RunInput::CompiledScratch {
-                program: &compiled,
-                scratch: &mut scratch,
-            })
-            .unwrap();
-        for p in [&via_program, &via_compiled, &via_scratch] {
-            assert_eq!(via_traces.exec_time(), p.exec_time());
-            assert_eq!(via_traces.per_thread, p.per_thread);
-        }
+        Extrapolator::new(params.clone()).run(&CompiledProgram::compile(ts)?)
     }
 
     /// n threads, `phases` uniform compute phases of `us` microseconds.

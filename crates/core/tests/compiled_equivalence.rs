@@ -1,12 +1,12 @@
 //! Equivalence guarantees of the hot-path machinery: a compiled program
-//! run through `Extrapolator::run` (with or without reused scratch
-//! buffers) must be indistinguishable from the classic trace path, and
-//! `RecordMode::MetricsOnly` must change nothing but the predicted
-//! trace.
+//! replayed through reused scratch buffers must be indistinguishable
+//! from a fresh `Extrapolator::run`, and `RecordMode::MetricsOnly` must
+//! change nothing but the predicted trace.
 
+use extrap_core::network::NetworkState;
 use extrap_core::{
-    machine, sweep::CachedTrace, CompiledProgram, ExtrapError, Extrapolator, Prediction,
-    RecordMode, RunInput, ServicePolicy, SimParams, SimScratch,
+    machine, run_with_network, sweep::CachedTrace, CompiledProgram, ExtrapError, Extrapolator,
+    Prediction, RecordMode, ServicePolicy, SimParams, SimScratch,
 };
 use extrap_time::{DurationNs, ElementId, ThreadId};
 use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork, TraceSet};
@@ -88,29 +88,19 @@ fn param_grid() -> Vec<SimParams> {
     vec![machine::ideal(), machine::cm5(), poll, slow, fast]
 }
 
-/// One run through the caller's recycled scratch buffers.
+/// One exact run through the caller's recycled scratch buffers, on the
+/// flat network the session's exact path builds.
 fn run_in(
-    session: &Extrapolator,
+    params: &SimParams,
     program: &CompiledProgram,
     scratch: &mut SimScratch,
 ) -> Result<Prediction, ExtrapError> {
-    session.run(RunInput::CompiledScratch { program, scratch })
-}
-
-#[test]
-fn compiled_runs_match_trace_runs_exactly() {
-    let ts = ring(6);
-    let program = CompiledProgram::compile(&ts).unwrap();
-    for params in param_grid() {
-        let session = Extrapolator::new(params);
-        let classic = session.run(&ts).unwrap();
-        let compiled = session.run(&program).unwrap();
-        assert_eq!(classic.per_thread, compiled.per_thread);
-        assert_eq!(classic.predicted, compiled.predicted);
-        assert_eq!(classic.events_dispatched, compiled.events_dispatched);
-        assert_eq!(classic.barriers, compiled.barriers);
-        assert_eq!(classic.network, compiled.network);
-    }
+    let n_procs = params
+        .multithread
+        .mapping
+        .n_procs(program.n_threads().max(1));
+    let net = NetworkState::new(n_procs, params.network, params.comm.byte_transfer);
+    run_with_network(program, params, net, scratch)
 }
 
 #[test]
@@ -122,9 +112,8 @@ fn scratch_reuse_does_not_leak_state_between_runs() {
         let ts = ring(n);
         let program = CompiledProgram::compile(&ts).unwrap();
         for params in param_grid() {
-            let session = Extrapolator::new(params);
-            let fresh = session.run(&program).unwrap();
-            let reused = run_in(&session, &program, &mut scratch).unwrap();
+            let fresh = Extrapolator::new(params.clone()).run(&program).unwrap();
+            let reused = run_in(&params, &program, &mut scratch).unwrap();
             assert_eq!(fresh.per_thread, reused.per_thread);
             assert_eq!(fresh.predicted, reused.predicted);
             assert_eq!(fresh.events_dispatched, reused.events_dispatched);
@@ -147,9 +136,8 @@ fn scratch_reused_from_a_large_run_matches_fresh_scratch_on_a_small_one() {
     let mut scratch = SimScratch::default();
     for small_params in [machine::cm5(), poll, machine::default_distributed()] {
         for (program, params) in [(&large, &large_params), (&small, &small_params)] {
-            let session = Extrapolator::new(params.clone());
-            let fresh = session.run(program).unwrap();
-            let reused = run_in(&session, program, &mut scratch).unwrap();
+            let fresh = Extrapolator::new(params.clone()).run(program).unwrap();
+            let reused = run_in(params, program, &mut scratch).unwrap();
             assert_eq!(fresh.per_thread, reused.per_thread);
             assert_eq!(fresh.predicted, reused.predicted);
             assert_eq!(fresh.events_dispatched, reused.events_dispatched);
@@ -168,10 +156,9 @@ fn warmed_scratch_runs_allocate_only_their_result() {
     let mut scratch = SimScratch::default();
     for mut params in param_grid() {
         params.record_mode = RecordMode::MetricsOnly;
-        let session = Extrapolator::new(params);
-        run_in(&session, &program, &mut scratch).unwrap();
+        run_in(&params, &program, &mut scratch).unwrap();
         let before = allocations();
-        let prediction = run_in(&session, &program, &mut scratch);
+        let prediction = run_in(&params, &program, &mut scratch);
         assert_eq!(allocations() - before, 1, "only `per_thread` allocates");
         assert!(prediction.is_ok());
     }

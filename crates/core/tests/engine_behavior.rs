@@ -2,7 +2,7 @@
 //! barrier protocols, multithreaded scheduling, and failure modes.
 
 use extrap_core::{
-    machine, BarrierAlgorithm, ExtrapError, Extrapolator, MultithreadParams, ServicePolicy,
+    machine, BarrierAlgorithm, CompiledProgram, Extrapolator, MultithreadParams, ServicePolicy,
     SimParams, ThreadMapping,
 };
 use extrap_time::{BarrierId, DurationNs, ElementId, ThreadId, TimeNs};
@@ -10,10 +10,16 @@ use extrap_trace::{
     EventKind, PhaseAccess, PhaseProgram, PhaseWork, ThreadTrace, TraceRecord, TraceSet,
 };
 
+/// The default translation of `p`, compiled for the engine.
+fn compiled(p: &PhaseProgram) -> CompiledProgram {
+    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    CompiledProgram::compile(&ts).unwrap()
+}
+
 /// Two threads; thread 0 reads from thread 1 early while thread 1
 /// computes for a long time.  The request's service time depends
 /// entirely on the policy.
-fn requester_vs_busy_owner() -> TraceSet {
+fn requester_vs_busy_owner() -> CompiledProgram {
     let mut p = PhaseProgram::new(2);
     p.push_phase(vec![
         PhaseWork {
@@ -32,7 +38,7 @@ fn requester_vs_busy_owner() -> TraceSet {
             accesses: vec![],
         },
     ]);
-    extrap_trace::translate(&p.record(), Default::default()).unwrap()
+    compiled(&p)
 }
 
 /// A zero-cost parameter set except for what each test enables.
@@ -129,7 +135,7 @@ fn waiting_threads_service_requests_in_every_policy() {
             accesses: vec![],
         },
     ]);
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
     for policy in [
         ServicePolicy::NoInterrupt,
         ServicePolicy::Interrupt,
@@ -147,7 +153,7 @@ fn barrier_message_mode_charges_linear_release_cost() {
     let n = 16;
     let mut p = PhaseProgram::new(n);
     p.push_uniform_phase(DurationNs::from_us(10.0));
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
 
     let mut msg_params = machine::ideal();
     msg_params.barrier.by_msgs = true;
@@ -181,7 +187,7 @@ fn multithreaded_mapping_serializes_colocated_compute() {
     // it fully serializes.
     let mut p = PhaseProgram::new(4);
     p.push_uniform_phase(DurationNs::from_us(100.0));
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
     let time_on = |m: usize| {
         let mut params = machine::ideal();
         params.multithread = MultithreadParams {
@@ -202,7 +208,7 @@ fn multithreaded_mapping_serializes_colocated_compute() {
 fn context_switch_cost_is_charged_between_threads() {
     let mut p = PhaseProgram::new(2);
     p.push_uniform_phase(DurationNs::from_us(100.0));
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
     let mut params = machine::ideal();
     params.multithread = MultithreadParams {
         mapping: ThreadMapping::Block { procs: 1 },
@@ -239,7 +245,7 @@ fn colocated_remote_access_bypasses_the_network() {
             accesses: vec![],
         },
     ]);
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
     let mut params = machine::default_distributed();
     params.multithread.mapping = ThreadMapping::Block { procs: 1 };
     params.multithread.switch_cost = DurationNs::ZERO;
@@ -290,13 +296,12 @@ fn mismatched_barrier_sequences_are_rejected() {
     let ts = TraceSet {
         threads: vec![mk(0, 0), mk(1, 1)],
     };
-    let err = Extrapolator::new(machine::ideal()).run(&ts).unwrap_err();
-    assert!(matches!(err, ExtrapError::Trace(_)), "{err}");
+    CompiledProgram::compile(&ts).expect_err("barrier sequences differ");
 }
 
 #[test]
 fn empty_trace_set_predicts_empty() {
-    let ts = TraceSet { threads: vec![] };
+    let ts = CompiledProgram::compile(&TraceSet { threads: vec![] }).unwrap();
     let pred = Extrapolator::new(machine::ideal()).run(&ts).unwrap();
     assert_eq!(pred.exec_time(), TimeNs::ZERO);
     assert_eq!(pred.n_threads, 0);
@@ -322,7 +327,7 @@ fn remote_write_is_one_way() {
             accesses: vec![],
         },
     ]);
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
     let pred = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
     // Exactly one data message crosses the network (no reply) besides
     // nothing else: hardware barrier mode sends no messages.
@@ -337,7 +342,7 @@ fn prediction_breakdown_accounts_for_the_whole_makespan() {
     let mut p = PhaseProgram::new(1);
     p.push_uniform_phase(DurationNs::from_us(100.0));
     p.push_uniform_phase(DurationNs::from_us(50.0));
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
     let pred = Extrapolator::new(machine::default_distributed())
         .run(&ts)
         .unwrap();

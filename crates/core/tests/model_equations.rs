@@ -3,7 +3,8 @@
 //! hand-computed scenario.
 
 use extrap_core::{
-    machine, BarrierAlgorithm, CommParams, Extrapolator, ServicePolicy, SimParams, Topology,
+    machine, BarrierAlgorithm, CommParams, CompiledProgram, Extrapolator, ServicePolicy, SimParams,
+    Topology,
 };
 use extrap_time::{DurationNs, ElementId, ThreadId, TimeNs};
 use extrap_trace::{PhaseAccess, PhaseProgram, PhaseWork};
@@ -31,7 +32,7 @@ fn pinned_params() -> SimParams {
 
 /// Thread 0 computes 100µs with a 1000-byte remote read at 50µs from
 /// thread 1, which computes only 30µs and is already waiting.
-fn scenario() -> extrap_trace::TraceSet {
+fn scenario() -> CompiledProgram {
     let mut p = PhaseProgram::new(2);
     p.push_phase(vec![
         PhaseWork {
@@ -50,7 +51,13 @@ fn scenario() -> extrap_trace::TraceSet {
             accesses: vec![],
         },
     ]);
-    extrap_trace::translate(&p.record(), Default::default()).unwrap()
+    compiled(&p)
+}
+
+/// The default translation of `p`, compiled for the engine.
+fn compiled(p: &PhaseProgram) -> CompiledProgram {
+    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    CompiledProgram::compile(&ts).unwrap()
 }
 
 #[test]
@@ -100,7 +107,7 @@ fn declared_vs_actual_term_only_changes_the_reply_payload() {
             accesses: vec![],
         },
     ]);
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
     let declared = Extrapolator::new(pinned_params())
         .run(&ts)
         .unwrap()
@@ -146,7 +153,7 @@ fn contention_factor_term_multiplies_wire_time() {
             accesses: vec![],
         },
     ]);
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
     let mut params = pinned_params();
     params.network.contention.enabled = true;
     params.network.contention.alpha = 0.8;
@@ -172,7 +179,7 @@ fn linear_message_barrier_equation_is_exact() {
     // exec = 171.6 (thread end immediately after).
     let mut p = PhaseProgram::new(2);
     p.push_uniform_phase(DurationNs::from_us(100.0));
-    let ts = extrap_trace::translate(&p.record(), Default::default()).unwrap();
+    let ts = compiled(&p);
     let mut params = pinned_params();
     params.barrier.algorithm = BarrierAlgorithm::Linear;
     params.barrier.by_msgs = true;

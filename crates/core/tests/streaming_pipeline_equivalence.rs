@@ -190,7 +190,7 @@ fn streaming_pipeline_matches_whole_trace_path() {
         if case % 16 == 0 {
             let params = machine::default_distributed();
             let whole = extrap_core::Extrapolator::new(params.clone())
-                .run(&expected_set)
+                .run(&expected_program)
                 .unwrap();
             let streamed = extrap_core::Extrapolator::new(params)
                 .run(&program)

@@ -33,7 +33,7 @@ fn eight_workers_render_byte_identical_csv() {
 /// classic full-record trace path must predict the exact same numbers.
 #[test]
 fn figure_sweeps_match_the_classic_full_record_path() {
-    use extrap_core::{machine, Extrapolator, RecordMode};
+    use extrap_core::{machine, CompiledProgram, Extrapolator, RecordMode};
     use extrap_workloads::Bench;
 
     let h = Harness::serial(Scale::Tiny);
@@ -41,11 +41,12 @@ fn figure_sweeps_match_the_classic_full_record_path() {
     for n in [2usize, 8] {
         // What the sweep engine computes (compiled + scratch + lean).
         let via_harness = experiments::predict(&h, Bench::Grid, n, &params).expect("predict");
-        // The same job, classic path: translate → validate → run, Full.
+        // The same job, classic path: translate → compile → run, Full.
         let set = extrap_trace::translate(&Bench::Grid.trace(n, Scale::Tiny), Default::default())
             .expect("translate");
+        let program = CompiledProgram::compile(&set).expect("compile");
         let classic = Extrapolator::new(params.clone())
-            .run(&set)
+            .run(&program)
             .expect("classic run");
         assert_eq!(classic.per_thread, via_harness.per_thread);
         assert_eq!(classic.exec_time(), via_harness.exec_time());

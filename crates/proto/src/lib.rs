@@ -6,7 +6,7 @@
 //! speaks: the `extrap` CLI, the `extrap-serve` daemon, and in-process
 //! callers all submit the same [`Request`] values and consume the same
 //! [`Response`] values, instead of each growing its own ad-hoc API over
-//! the `Extrapolator`'s entry points.
+//! the `Extrapolator`'s entry point.
 //!
 //! On the wire, values travel as length-prefixed binary frames (see
 //! [`wire`]): a 4-byte magic, a `u32` payload length, then a versioned

@@ -596,14 +596,24 @@ impl Session {
         if self.service.is_shutting_down() {
             return err(ErrorCode::ShuttingDown, "server is draining");
         }
-        if spec.benches.is_empty() {
-            return err(ErrorCode::BadRequest, "sweep needs at least one benchmark");
-        }
-        let max = extrap_trace::format::MAX_THREADS;
-        if spec.procs.is_empty() || spec.procs.iter().any(|&p| p == 0 || p as usize > max) {
+        // A list longer than the set of values it may hold can only
+        // repeat them, so the list lengths are capped by those sets.
+        // The worker loops over benches × procs for every batch member.
+        let n_benches = Bench::all().len();
+        if spec.benches.is_empty() || spec.benches.len() > n_benches {
             return err(
                 ErrorCode::BadRequest,
-                format!("sweep needs a non-empty list of processor counts in 1..={max}"),
+                format!("sweep needs 1..={n_benches} benchmarks"),
+            );
+        }
+        let max = extrap_trace::format::MAX_THREADS;
+        if spec.procs.is_empty()
+            || spec.procs.len() > max
+            || spec.procs.iter().any(|&p| p == 0 || p as usize > max)
+        {
+            return err(
+                ErrorCode::BadRequest,
+                format!("sweep needs a list of 1..={max} processor counts, each in 1..={max}"),
             );
         }
         let benches = match spec.benches.iter().map(|name| Bench::parse(name)).collect() {
@@ -801,5 +811,52 @@ impl Drop for Session {
                 table.entries.remove(&id);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sweep_spec(benches: Vec<String>, procs: Vec<u32>) -> Request {
+        Request::Sweep(SweepSpec {
+            benches,
+            procs,
+            scale: "tiny".into(),
+            params: String::new(),
+        })
+    }
+
+    /// Sweep lists longer than the values they may hold are refused at
+    /// admission; lists at the caps are queued.  No worker runs here, so
+    /// the accepted grid is never simulated.
+    #[test]
+    fn sweep_grids_past_the_caps_are_refused_at_admission() {
+        let service = Service::new_in_process(ServeConfig::default());
+        let session = service.session();
+        let all: Vec<String> = Bench::all().iter().map(|b| b.name().into()).collect();
+        let max = extrap_trace::format::MAX_THREADS as u32;
+        let refused = |req| match session.handle(req) {
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                detail,
+            } => detail,
+            other => panic!("expected BadRequest, got {other:?}"),
+        };
+
+        let mut eight = all.clone();
+        eight.push(all[0].clone());
+        assert_eq!(
+            refused(sweep_spec(eight, vec![1])),
+            "sweep needs 1..=7 benchmarks"
+        );
+        assert_eq!(
+            refused(sweep_spec(all.clone(), vec![1; max as usize + 1])),
+            "sweep needs a list of 1..=4096 processor counts, each in 1..=4096"
+        );
+
+        let at_caps = session.handle(sweep_spec(all, (1..=max).collect()));
+        assert!(matches!(at_caps, Response::Accepted { .. }), "{at_caps:?}");
+        assert_eq!(service.stats().jobs_inflight, 1);
     }
 }

@@ -2,7 +2,9 @@
 //! through the real [`Client`] — the same code path `extrap client` and
 //! the load generator use.
 
-use extrap_core::{machine, Extrapolator, RecordMode, SharedTraceCache, SweepGrid};
+use extrap_core::{
+    machine, CompiledProgram, Extrapolator, RecordMode, SharedTraceCache, SweepGrid,
+};
 use extrap_proto::{ErrorCode, JobId, Request, Response, SweepSpec};
 use extrap_serve::client::{Client, ClientError};
 use extrap_serve::{ServeConfig, Server};
@@ -88,7 +90,9 @@ fn submit_and_simulate_matches_in_process_extrapolator() {
     let set = extrap_trace::format::decode_set(&bytes).unwrap();
     let mut params = machine::default_distributed();
     params.record_mode = RecordMode::MetricsOnly;
-    let local = Extrapolator::new(params).run(&set).unwrap();
+    let local = Extrapolator::new(params)
+        .run(&CompiledProgram::compile(&set).unwrap())
+        .unwrap();
 
     assert_eq!(served.exec_time_ns, local.exec_time().as_ns());
     assert_eq!(served.n_procs as usize, local.n_procs);

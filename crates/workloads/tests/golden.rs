@@ -81,6 +81,7 @@ fn extrapolated_times_are_pinned_for_the_cm5() {
     // or models moves this number.
     let (trace, _) = grid::run(4, &grid::GridConfig::default());
     let ts = extrap_trace::translate(&trace, Default::default()).unwrap();
+    let ts = extrap_core::CompiledProgram::compile(&ts).unwrap();
     let pred = extrap_core::Extrapolator::new(extrap_core::machine::cm5())
         .run(&ts)
         .unwrap();
@@ -97,6 +98,7 @@ fn extrapolated_times_are_pinned_for_the_cm5() {
     // bit-reproducible.
     let (trace2, _) = grid::run(4, &grid::GridConfig::default());
     let ts2 = extrap_trace::translate(&trace2, Default::default()).unwrap();
+    let ts2 = extrap_core::CompiledProgram::compile(&ts2).unwrap();
     let b = extrap_core::Extrapolator::new(extrap_core::machine::cm5())
         .run(&ts2)
         .unwrap()

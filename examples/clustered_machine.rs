@@ -19,9 +19,10 @@ fn main() {
         TranslateOptions::default(),
     )
     .unwrap();
+    let program = CompiledProgram::compile(&traces).unwrap();
     let params = machine::default_distributed();
     let flat = Extrapolator::new(params.clone())
-        .run(&traces)
+        .run(&program)
         .unwrap()
         .exec_time();
 
@@ -33,16 +34,20 @@ fn main() {
         "{:>14} {:>12} {:>12}",
         "cluster size", "time [ms]", "vs flat"
     );
+    let mut scratch = SimScratch::default();
     for cluster_size in [1usize, 2, 4, 8, 16] {
-        let pred = extrapolate_clustered(
-            &traces,
-            &params,
-            ClusterParams {
-                cluster_size,
-                ..ClusterParams::default()
-            },
+        let cluster = ClusterParams {
+            cluster_size,
+            ..ClusterParams::default()
+        };
+        let net = ClusteredNetwork::new(
+            n_threads,
+            cluster,
+            params.network,
+            params.comm.byte_transfer,
         )
         .unwrap();
+        let pred = run_with_network(&program, &params, net, &mut scratch).unwrap();
         println!(
             "{:>14} {:>12.3} {:>11.1}%",
             cluster_size,

@@ -14,6 +14,7 @@ fn main() {
     let n_threads = 16;
     let trace = Bench::Cyclic.trace(n_threads, Scale::Small);
     let traces = translate(&trace, TranslateOptions::default()).unwrap();
+    let program = CompiledProgram::compile(&traces).unwrap();
 
     println!(
         "Cyclic with {n_threads} threads, extrapolated onto m processors\n\
@@ -24,7 +25,7 @@ fn main() {
         "m", "block [ms]", "cyclic [ms]", "1-per-proc [ms]"
     );
     let full = Extrapolator::new(machine::default_distributed())
-        .run(&traces)
+        .run(&program)
         .unwrap()
         .exec_time()
         .as_ms();
@@ -36,7 +37,7 @@ fn main() {
                 switch_cost: DurationNs::from_us(10.0),
             };
             Extrapolator::new(params)
-                .run(&traces)
+                .run(&program)
                 .unwrap()
                 .exec_time()
                 .as_ms()

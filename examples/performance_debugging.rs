@@ -22,13 +22,17 @@ fn main() {
         .iter()
         .map(|&n| translate(&Bench::Grid.trace(n, scale), TranslateOptions::default()).unwrap())
         .collect();
+    let programs: Vec<CompiledProgram> = traces
+        .iter()
+        .map(|ts| CompiledProgram::compile(ts).unwrap())
+        .collect();
 
     let speedups = |params: &SimParams| -> Vec<f64> {
         let session = Extrapolator::new(params.clone());
-        let base = session.run(&traces[0]).unwrap().exec_time();
-        traces
+        let base = session.run(&programs[0]).unwrap().exec_time();
+        programs
             .iter()
-            .map(|ts| session.run(ts).unwrap().speedup_vs(base))
+            .map(|program| session.run(program).unwrap().speedup_vs(base))
             .collect()
     };
     let show = |label: &str, s: &[f64]| {

@@ -56,8 +56,9 @@ fn main() {
         stats.total_remote_accesses()
     );
 
-    // Extrapolate to different target environments — no further
-    // measurement needed.
+    // Compile once, then extrapolate to different target environments —
+    // no further measurement needed.
+    let program = CompiledProgram::compile(&traces).unwrap();
     for (name, params) in [
         (
             "distributed memory (20 MB/s)",
@@ -67,7 +68,7 @@ fn main() {
         ("CM-5 (Table 3 parameters)", machine::cm5()),
         ("ideal machine", machine::ideal()),
     ] {
-        let pred = Extrapolator::new(params).run(&traces).unwrap();
+        let pred = Extrapolator::new(params).run(&program).unwrap();
         println!(
             "{name:30} -> {:>9.3} ms  (utilization {:>5.1}%, comp/comm {:.1})",
             pred.exec_time().as_ms(),

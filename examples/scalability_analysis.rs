@@ -19,7 +19,8 @@ fn main() {
             .map(|&n| {
                 let ts =
                     translate(&bench.trace(n, Scale::Small), TranslateOptions::default()).unwrap();
-                (n, session.run(&ts).unwrap().exec_time())
+                let program = CompiledProgram::compile(&ts).unwrap();
+                (n, session.run(&program).unwrap().exec_time())
             })
             .collect();
         let analysis = Scalability::from_times(samples);

@@ -28,9 +28,12 @@ fn main() {
             print!(" {:>10}", format!("P={p}"));
         }
         println!("  [ms]");
-        let traces: Vec<TraceSet> = procs
+        let programs: Vec<CompiledProgram> = procs
             .iter()
-            .map(|&n| translate(&bench.trace(n, scale), TranslateOptions::default()).unwrap())
+            .map(|&n| {
+                let ts = translate(&bench.trace(n, scale), TranslateOptions::default()).unwrap();
+                CompiledProgram::compile(&ts).unwrap()
+            })
             .collect();
         let mut best: Vec<(f64, String)> = vec![(f64::INFINITY, String::new()); procs.len()];
         for (label, policy) in &policies {
@@ -39,8 +42,8 @@ fn main() {
             params.policy = *policy;
             let session = Extrapolator::new(params);
             print!("{label:16}");
-            for (i, ts) in traces.iter().enumerate() {
-                let t = session.run(ts).unwrap().exec_time().as_ms();
+            for (i, program) in programs.iter().enumerate() {
+                let t = session.run(program).unwrap().exec_time().as_ms();
                 if t < best[i].0 {
                     best[i] = (t, label.clone());
                 }

@@ -22,10 +22,10 @@
 //! ```
 //! use perf_extrap::prelude::*;
 //!
-//! // 1. Run a 4-thread program on "one processor" and record its trace.
-//! let program = Program::new(4);
+//! // 1. Write a data-parallel program against the pC++-style runtime and
+//! //    measure it on "one processor" (deterministic virtual time).
 //! let coll = Collection::<f64>::build(Distribution::block_1d(16, 4), |i| i.0 as f64);
-//! let measured = program.run(|ctx| {
+//! let measured = Program::new(4).run(|ctx| {
 //!     let mut acc = 0.0;
 //!     for idx in coll.local_indices(ctx.id()) {
 //!         acc += coll.read(ctx, idx, |v| *v);
@@ -34,12 +34,20 @@
 //!     ctx.barrier();
 //! });
 //!
-//! // 2. Translate to idealized per-thread traces.
+//! // 2. Translate the 1-processor trace into idealized per-thread traces,
+//! //    and compile them once for the simulator.
 //! let traces = translate(&measured, TranslateOptions::default()).unwrap();
+//! let program = CompiledProgram::compile(&traces).unwrap();
 //!
-//! // 3. Extrapolate to a 4-processor CM-5.
-//! let prediction = Extrapolator::new(machine::cm5()).run(&traces).unwrap();
+//! // 3. Predict execution on a 4-processor CM-5 (Table 3 parameters) — or
+//! //    any machine you can describe.  A what-if question is an edit to a
+//! //    preset's SimParams fields; the session holds nothing else, so one
+//! //    compiled program answers every question.
+//! let mut params = machine::cm5();
+//! params.policy = ServicePolicy::Interrupt;
+//! let prediction = Extrapolator::new(params).run(&program).unwrap();
 //! assert!(prediction.exec_time() > TimeNs::ZERO);
+//! println!("{:.3} ms predicted", prediction.exec_time().as_ms());
 //! ```
 //!
 //! Whole parameter grids run in parallel through the
@@ -56,11 +64,11 @@ pub use pcpp_rt as rt;
 /// The most common imports in one place.
 pub mod prelude {
     pub use extrap_core::{
-        extrapolate_clustered, machine, parallel_map, sweep, BarrierAlgorithm, BarrierParams,
-        ClusterParams, CommParams, CompiledProgram, Extrapolator, MultithreadParams, NetworkParams,
-        Prediction, ProcBreakdown, ReprPlan, RunInput, Scalability, ServicePolicy,
-        SharedTraceCache, SimParams, SimStrategy, SizeMode, SweepError, SweepGrid, SweepJob,
-        ThreadMapping, Topology,
+        machine, parallel_map, run_with_network, sweep, BarrierAlgorithm, BarrierParams,
+        ClusterParams, ClusteredNetwork, CommParams, CompiledProgram, Extrapolator,
+        MultithreadParams, NetworkParams, Prediction, ProcBreakdown, ReprPlan, Scalability,
+        ServicePolicy, SharedTraceCache, SimParams, SimScratch, SimStrategy, SizeMode, SweepError,
+        SweepGrid, SweepJob, ThreadMapping, Topology,
     };
     pub use extrap_refsim::RefMachine;
     pub use extrap_time::{BarrierId, DurationNs, ElementId, ProcId, ThreadId, TimeNs};

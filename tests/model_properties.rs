@@ -39,7 +39,7 @@ fn arb_program(rng: &mut SplitMix64) -> (usize, Vec<Vec<PhaseSpec>>) {
     (n, phases)
 }
 
-fn build(n: usize, phases: &[Vec<PhaseSpec>]) -> TraceSet {
+fn build_set(n: usize, phases: &[Vec<PhaseSpec>]) -> TraceSet {
     let mut p = PhaseProgram::new(n);
     for phase in phases {
         let work = phase
@@ -71,13 +71,19 @@ fn build(n: usize, phases: &[Vec<PhaseSpec>]) -> TraceSet {
     translate(&p.record(), TranslateOptions::default()).unwrap()
 }
 
+/// [`build_set`], compiled for the engine.
+fn build(n: usize, phases: &[Vec<PhaseSpec>]) -> CompiledProgram {
+    CompiledProgram::compile(&build_set(n, phases)).unwrap()
+}
+
 #[test]
 fn ideal_machine_reproduces_makespan() {
     for mut rng in SplitMix64::cases(0x1DEA, CASES) {
         let (n, phases) = arb_program(&mut rng);
-        let ts = build(n, &phases);
+        let set = build_set(n, &phases);
+        let ts = CompiledProgram::compile(&set).unwrap();
         let pred = Extrapolator::new(machine::ideal()).run(&ts).unwrap();
-        assert_eq!(pred.exec_time(), ts.makespan());
+        assert_eq!(pred.exec_time(), set.makespan());
     }
 }
 
@@ -85,14 +91,15 @@ fn ideal_machine_reproduces_makespan() {
 fn predictions_never_beat_the_ideal_schedule() {
     for mut rng in SplitMix64::cases(0x00F1_0012, CASES) {
         let (n, phases) = arb_program(&mut rng);
-        let ts = build(n, &phases);
+        let set = build_set(n, &phases);
+        let ts = CompiledProgram::compile(&set).unwrap();
         for params in [
             machine::default_distributed(),
             machine::shared_memory(),
             machine::cm5(),
         ] {
             let pred = Extrapolator::new(params.clone()).run(&ts).unwrap();
-            let floor = ts.makespan().as_ns() as f64 * params.mips_ratio;
+            let floor = set.makespan().as_ns() as f64 * params.mips_ratio;
             assert!(
                 pred.exec_time().as_ns() as f64 >= floor * 0.999,
                 "{:?} beat the scaled ideal: {} < {}",
@@ -113,14 +120,15 @@ fn mips_ratio_exactly_scales_pure_compute() {
             .iter()
             .map(|ph| ph.iter().map(|&(c, _)| (c, None)).collect())
             .collect();
-        let ts = build(n, &stripped);
+        let set = build_set(n, &stripped);
+        let ts = CompiledProgram::compile(&set).unwrap();
         let mut params = machine::ideal();
         params.mips_ratio = 2.0;
         let doubled = Extrapolator::new(params.clone())
             .run(&ts)
             .unwrap()
             .exec_time();
-        assert_eq!(doubled.as_ns(), ts.makespan().as_ns() * 2);
+        assert_eq!(doubled.as_ns(), set.makespan().as_ns() * 2);
     }
 }
 
@@ -169,17 +177,18 @@ fn actual_size_mode_never_loses_to_declared() {
 fn predicted_traces_are_valid_and_consistent() {
     for mut rng in SplitMix64::cases(0x7ACE, CASES) {
         let (n, phases) = arb_program(&mut rng);
-        let ts = build(n, &phases);
+        let set = build_set(n, &phases);
+        let ts = CompiledProgram::compile(&set).unwrap();
         let pred = Extrapolator::new(machine::cm5()).run(&ts).unwrap();
         pred.predicted.validate().unwrap();
         assert_eq!(pred.predicted.makespan(), pred.exec_time());
         // Same barrier structure as the input.
         assert_eq!(
             pred.predicted.threads[0].barrier_sequence(),
-            ts.threads[0].barrier_sequence()
+            set.threads[0].barrier_sequence()
         );
         // Barrier count matches.
-        assert_eq!(pred.barriers, ts.threads[0].barrier_sequence().len());
+        assert_eq!(pred.barriers, set.threads[0].barrier_sequence().len());
     }
 }
 
@@ -220,7 +229,7 @@ fn multithread_m_equals_n_matches_one_per_proc() {
 fn reference_machine_also_completes() {
     for mut rng in SplitMix64::cases(0x2EF5, CASES) {
         let (n, phases) = arb_program(&mut rng);
-        let program = CompiledProgram::compile(&build(n, &phases)).unwrap();
+        let program = build(n, &phases);
         let pred = RefMachine::new(machine::cm5()).measure(&program).unwrap();
         assert!(pred.exec_time() >= TimeNs::ZERO);
         pred.predicted.validate().unwrap();

@@ -12,8 +12,15 @@ fn speedups(bench: Bench, params: &SimParams, procs: &[usize]) -> Vec<f64> {
 }
 
 fn predict(bench: Bench, n: usize, params: &SimParams) -> Prediction {
+    Extrapolator::new(params.clone())
+        .run(&compiled(bench, n))
+        .unwrap()
+}
+
+/// The tiny-scale `n`-thread trace of `bench`, translated and compiled.
+fn compiled(bench: Bench, n: usize) -> CompiledProgram {
     let traces = translate(&bench.trace(n, Scale::Tiny), TranslateOptions::default()).unwrap();
-    Extrapolator::new(params.clone()).run(&traces).unwrap()
+    CompiledProgram::compile(&traces).unwrap()
 }
 
 #[test]
@@ -42,11 +49,7 @@ fn fig4_grid_idle_processor_artifact() {
 #[test]
 fn fig5_grid_investigation_ordering() {
     let n = 16;
-    let traces = translate(
-        &Bench::Grid.trace(n, Scale::Tiny),
-        TranslateOptions::default(),
-    )
-    .unwrap();
+    let traces = compiled(Bench::Grid, n);
     let base = machine::default_distributed();
     let mut high_bw = base.clone();
     high_bw.comm = high_bw.comm.with_bandwidth_mbps(200.0);
@@ -83,11 +86,7 @@ fn fig5_grid_investigation_ordering() {
 
 #[test]
 fn fig6_mips_ratio_scales_compute_bound_programs() {
-    let traces = translate(
-        &Bench::Embar.trace(8, Scale::Tiny),
-        TranslateOptions::default(),
-    )
-    .unwrap();
+    let traces = compiled(Bench::Embar, 8);
     let time_at = |ratio: f64| {
         let mut params = machine::default_distributed();
         params.mips_ratio = ratio;
@@ -140,7 +139,8 @@ fn fig7_min_time_processor_count_shifts_down() {
         for _ in 0..20 {
             p.push_uniform_phase(DurationNs::from_us(4_000.0 / n as f64));
         }
-        translate(&p.record(), TranslateOptions::default()).unwrap()
+        let traces = translate(&p.record(), TranslateOptions::default()).unwrap();
+        CompiledProgram::compile(&traces).unwrap()
     };
     let argmin = |ratio: f64| {
         let mut params = machine::default_distributed();
@@ -168,7 +168,7 @@ fn fig7_min_time_processor_count_shifts_down() {
 #[test]
 fn fig8_no_interrupt_is_never_best() {
     for bench in [Bench::Cyclic, Bench::Grid] {
-        let traces = translate(&bench.trace(16, Scale::Tiny), TranslateOptions::default()).unwrap();
+        let traces = compiled(bench, 16);
         let time_with = |policy: ServicePolicy| {
             let mut params = machine::default_distributed();
             params.comm = params.comm.with_startup_us(100.0);

@@ -13,8 +13,9 @@ fn every_benchmark_flows_through_the_full_pipeline() {
             let traces = translate(&measured, TranslateOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
             traces.validate().unwrap();
+            let program = CompiledProgram::compile(&traces).unwrap();
             let pred = Extrapolator::new(machine::default_distributed())
-                .run(&traces)
+                .run(&program)
                 .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
             assert_eq!(pred.n_threads, n, "{}", bench.name());
             assert!(
@@ -35,7 +36,8 @@ fn pipeline_is_deterministic_end_to_end() {
     let run_once = || {
         let measured = Bench::Sparse.trace(4, Scale::Tiny);
         let traces = translate(&measured, TranslateOptions::default()).unwrap();
-        let pred = Extrapolator::new(machine::cm5()).run(&traces).unwrap();
+        let program = CompiledProgram::compile(&traces).unwrap();
+        let pred = Extrapolator::new(machine::cm5()).run(&program).unwrap();
         (measured, pred.exec_time(), pred.predicted)
     };
     let (m1, t1, p1) = run_once();
@@ -65,14 +67,13 @@ fn trace_files_round_trip_through_disk() {
     assert_eq!(traces, back);
 
     // Predictions from the on-disk copy match the in-memory one.
-    let a = Extrapolator::new(machine::cm5())
-        .run(&traces)
-        .unwrap()
-        .exec_time();
-    let b = Extrapolator::new(machine::cm5())
-        .run(&back)
-        .unwrap()
-        .exec_time();
+    let predict = |ts: &TraceSet| {
+        Extrapolator::new(machine::cm5())
+            .run(&CompiledProgram::compile(ts).unwrap())
+            .unwrap()
+            .exec_time()
+    };
+    let (a, b) = (predict(&traces), predict(&back));
     assert_eq!(a, b);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -116,6 +117,7 @@ fn config_files_drive_the_simulation() {
         TranslateOptions::default(),
     )
     .unwrap();
+    let traces = CompiledProgram::compile(&traces).unwrap();
     let a = Extrapolator::new(machine::cm5())
         .run(&traces)
         .unwrap()

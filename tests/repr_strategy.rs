@@ -11,6 +11,11 @@ fn with_strategy(strategy: SimStrategy) -> SimParams {
     params
 }
 
+/// The default translation of a 1-processor trace, compiled.
+fn compiled(trace: &ProgramTrace) -> CompiledProgram {
+    CompiledProgram::compile(&translate(trace, Default::default()).unwrap()).unwrap()
+}
+
 /// Full structural equality of two predictions (`Prediction` carries a
 /// trace, so it doesn't implement `PartialEq` itself).
 fn assert_identical(a: &Prediction, b: &Prediction, context: &str) {
@@ -34,7 +39,7 @@ fn non_repeating_benchmarks_fall_back_byte_identically() {
     // materialized predicted trace.
     for bench in [Bench::Embar, Bench::Cyclic] {
         for n in [4usize, 8] {
-            let traces = translate(&bench.trace(n, Scale::Tiny), Default::default()).unwrap();
+            let traces = compiled(&bench.trace(n, Scale::Tiny));
             let exact = Extrapolator::new(with_strategy(SimStrategy::Exact))
                 .run(&traces)
                 .unwrap();
@@ -48,7 +53,7 @@ fn non_repeating_benchmarks_fall_back_byte_identically() {
 
 /// A synthetic periodic program: `period` distinct SplitMix64-drawn
 /// phase durations repeated `reps` times.
-fn periodic_trace(n_threads: usize, period: usize, reps: usize, seed: u64) -> TraceSet {
+fn periodic_trace(n_threads: usize, period: usize, reps: usize, seed: u64) -> CompiledProgram {
     let mut state = seed;
     let pattern: Vec<DurationNs> = (0..period)
         .map(|_| DurationNs(200_000 + splitmix64(&mut state) % 2_000_000))
@@ -59,7 +64,7 @@ fn periodic_trace(n_threads: usize, period: usize, reps: usize, seed: u64) -> Tr
             p.push_uniform_phase(d);
         }
     }
-    translate(&p.record(), Default::default()).unwrap()
+    compiled(&p.record())
 }
 
 #[test]
@@ -133,7 +138,7 @@ fn repr_sweeps_are_byte_identical_across_worker_counts() {
 }
 
 fn run_exact() -> Prediction {
-    let traces = translate(&Bench::Mgrid.trace(16, Scale::Small), Default::default()).unwrap();
+    let traces = compiled(&Bench::Mgrid.trace(16, Scale::Small));
     Extrapolator::new(with_strategy(SimStrategy::Exact))
         .run(&traces)
         .unwrap()
